@@ -15,7 +15,7 @@ from qauthsim.harness import load_scenario, run_scenario
 
 def _cell(report, name: str) -> str:
     m = report.metric(name)
-    if m is None or m.mean is None:
+    if m.mean is None:
         return "   -  "
     return f"{m.mean:6.3f}"
 

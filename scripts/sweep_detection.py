@@ -27,7 +27,7 @@ def _run(doc: dict) -> "AggregateReport":
 
 def _metric(report, name: str) -> float:
     m = report.metric(name)
-    return float("nan") if m is None or m.mean is None else m.mean
+    return float("nan") if m.mean is None else m.mean
 
 
 def sweep_intercept(seed: int, trials: int) -> None:

@@ -18,7 +18,6 @@ from .adversary import (
 )
 from .channel import (
     ChannelError,
-    ClassicalMessage,
     KeystreamCipher,
     Path,
     PhotonCountModel,

@@ -20,7 +20,6 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .channel import (
-    ClassicalMessage,
     Path,
     PhotonCountModel,
     PhotonSlot,
@@ -104,7 +103,6 @@ class EveState:
     """Everything the adversary accumulates across one session."""
 
     attack: AttackConfig | None
-    classical_copies: list[ClassicalMessage] = field(default_factory=list)
     measured: dict[tuple[Path, int], tuple[int, MeasBasis]] = field(default_factory=dict)
     split_positions: set[tuple[Path, int]] = field(default_factory=set)
     guessed_positions: tuple[int, ...] | None = None

@@ -158,21 +158,6 @@ def apply_tap(stream: QuantumStream, tap: Callable[[PhotonSlot], None],
 
 # --- classical side ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassicalMessage:
-    sender: str
-    receiver: str
-    body: bytes
-
-
-def classical_send(message: ClassicalMessage,
-                   copy_sink: list[ClassicalMessage] | None = None) -> ClassicalMessage:
-    """Deliver a classical message; anyone listening gets a verbatim copy."""
-    if copy_sink is not None:
-        copy_sink.append(message)
-    return message
-
-
 class KeystreamCipher:
     """Reference sealed-message cipher: SHA-256 keystream XOR plus a 16-byte tag.
 

@@ -3,7 +3,8 @@
 Subcommands: ``params`` (sizing calculator), ``run`` (scenario execution),
 ``verify-tables`` (exact enumeration checks), ``oracle`` (direct relay-step
 state dumps).  Exit codes: 0 all checks passed, 1 a conformance check
-failed, 2 usage error.
+failed, 2 usage or input error, including a file that cannot be read or
+written.
 """
 
 from __future__ import annotations
@@ -26,12 +27,30 @@ from .harness import (
 from .qsim import BellLabel, SourceKind, swap_enumerate
 
 
+_MAX_POWER_BITS = 1 << 16
+
+
 def parse_probability(text: str) -> Fraction:
-    """Accept '0.25', '1e-6', '1/131072', '2**-17', and '2^-17' forms."""
+    """Accept '0.25', '1e-6', '1/131072', '2**-17', and '2^-17' forms.
+
+    Exponents are bounded before any power is computed: exponent times
+    floor(log2 base) may not exceed 65536, so 2**-65536 and 1e-21845 are
+    the smallest powers accepted.
+    """
     s = text.strip().replace("^", "**")
-    m = re.fullmatch(r"(\d+)\s*\*\*\s*-(\d+)", s)
+    power = re.fullmatch(r"(\d+)\s*\*\*\s*-(\d+)", s)
+    exp10 = re.search(r"[eE]([-+]?[\d_]+)$", s)
     try:
-        value = Fraction(1, int(m[1]) ** int(m[2])) if m else Fraction(s)
+        if power:
+            base, exponent = int(power[1]), int(power[2])
+        else:
+            base, exponent = 10, abs(int(exp10[1])) if exp10 else 0
+    except ValueError:
+        raise ValueError(f"cannot parse probability {text!r}") from None
+    if exponent * (base.bit_length() - 1) > _MAX_POWER_BITS:
+        raise ValueError(f"exponent too large in {text!r}")
+    try:
+        value = Fraction(1, base ** exponent) if power else Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse probability {text!r}") from None
     if not 0 < value < 1:
@@ -119,15 +138,11 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        if args.scenario == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.scenario, "r", encoding="utf-8") as fh:
-                text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return 2
+    if args.scenario == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.scenario, "r", encoding="utf-8") as fh:
+            text = fh.read()
     try:
         spec = load_scenario(text)
     except ScenarioError as exc:
@@ -236,7 +251,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 for usage errors already; normalize anything else
         return exc.code if exc.code in (0, 2) else 2
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (OSError, UnicodeDecodeError) as exc:  # bad scenario file or --out
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

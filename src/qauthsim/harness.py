@@ -286,6 +286,8 @@ class AggregateReport:
     trial_results: list[TrialResult]
 
     def metric(self, name: str) -> MetricSummary:
+        """The named metric's summary; raises KeyError when this report has
+        no such metric (its ``mean`` is None when no trial contributed)."""
         for m in self.metrics:
             if m.name == name:
                 return m

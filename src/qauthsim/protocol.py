@@ -26,13 +26,7 @@ from enum import Enum
 from hashlib import sha256
 from typing import TYPE_CHECKING
 
-from .channel import (
-    ClassicalMessage,
-    KeystreamCipher,
-    PhotonCountModel,
-    PhotonSlot,
-    classical_send,
-)
+from .channel import KeystreamCipher, PhotonCountModel, PhotonSlot
 from .qsim import (
     BellKind,
     BellLabel,
@@ -328,21 +322,17 @@ def run_session(cfg: SessionConfig, attack: "AttackConfig | None",
     eve = make_eve(attack)
 
     log.add("1", "alice", f"request k={cfg.k} d={cfg.d} mode={cfg.mode.value}")
-    classical_send(ClassicalMessage("alice", "server", b"session request"),
-                   eve.classical_copies)
 
     plan = plan_session(cfg, rand)
     key_sa = rand.key_bytes(16)
     key_sb = rand.key_bytes(16)
     spec_blob = plan.tamper.encode()
-    msg_a = ClassicalMessage("server", "alice", KeystreamCipher(key_sa).seal(1, spec_blob))
-    msg_b = ClassicalMessage("server", "bob", KeystreamCipher(key_sb).seal(2, spec_blob))
-    classical_send(msg_a, eve.classical_copies)
-    classical_send(msg_b, eve.classical_copies)
+    sealed_a = KeystreamCipher(key_sa).seal(1, spec_blob)
+    sealed_b = KeystreamCipher(key_sb).seal(2, spec_blob)
     log.add("2", "server",
             f"tamper spec sealed to both parties spec={spec_blob.decode()}")
-    alice_spec = TamperSpec.decode(KeystreamCipher(key_sa).open(1, msg_a.body))
-    bob_spec = TamperSpec.decode(KeystreamCipher(key_sb).open(2, msg_b.body))
+    alice_spec = TamperSpec.decode(KeystreamCipher(key_sa).open(1, sealed_a))
+    bob_spec = TamperSpec.decode(KeystreamCipher(key_sb).open(2, sealed_b))
 
     # emission plus any in-flight adversary action; a realtime eavesdropper
     # has decrypted the control traffic by now and taps accordingly
@@ -401,9 +391,7 @@ def run_session(cfg: SessionConfig, attack: "AttackConfig | None",
         outcome.alice_key_bits = tuple(r.key_bit for r in records)
 
     token = make_token(outcome.alice_key_bits, cfg.reveal_count)
-    classical_send(ClassicalMessage("alice", "bob", bytes(token)),
-                   eve.classical_copies)  # in clear: the parties share no key
-    log.add("5", "alice", f"token={_bits(token)}")
+    log.add("5", "alice", f"token={_bits(token)}")  # in clear: no shared key
     outcome.token = token
 
     if swap_mode:

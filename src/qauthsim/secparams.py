@@ -79,10 +79,15 @@ def evasion_prob(d: int) -> Probability:
 def _min_exponent(base: Fraction, target: Fraction) -> int:
     """Smallest e >= 0 with base**e <= target, for base in (0,1).
 
-    Float log gives the starting guess; the answer is settled by exact
-    integer comparisons, so boundary cases cannot round the wrong way.
+    The starting guess comes from logs of the integer numerators and
+    denominators (a float of the target itself underflows to 0 below about
+    1e-308); the answer is settled by exact integer comparisons, so
+    boundary cases cannot round the wrong way.
     """
-    guess = max(0, int(math.log(float(target)) / math.log(float(base))) - 2)
+    def log(x: Fraction) -> float:
+        return math.log(x.numerator) - math.log(x.denominator)
+
+    guess = max(0, int(log(target) / log(base)) - 2)
     e = guess
     while base ** e > target:
         e += 1

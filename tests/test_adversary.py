@@ -370,5 +370,3 @@ def test_honest_eve_state_is_empty():
     assert eve.kind is AttackKind.NONE
     assert not eve.measured and not eve.split_positions
     assert not eve.server_record
-    # she still saw every classical message
-    assert len(eve.classical_copies) == 4  # request, two sealed specs, token

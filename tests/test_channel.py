@@ -6,7 +6,6 @@ import pytest
 
 from qauthsim.channel import (
     ChannelError,
-    ClassicalMessage,
     KeystreamCipher,
     Path,
     PhotonCountModel,
@@ -15,7 +14,6 @@ from qauthsim.channel import (
     apply_loss,
     apply_tap,
     build_streams,
-    classical_send,
 )
 from qauthsim.protocol import ProtocolMode, SessionConfig, plan_session
 from qauthsim.qsim import MeasBasis, RandomSource
@@ -135,15 +133,6 @@ def test_apply_tap_skips_and_order():
     assert 2 not in seen and 5 not in seen
     assert seen == sorted(seen)
     assert set(seen) == set(range(8)) - {2, 5}
-
-
-def test_classical_send_copies():
-    sink = []
-    msg = ClassicalMessage("alice", "bob", b"hello")
-    out = classical_send(msg, sink)
-    assert out is msg
-    assert sink == [msg]
-    classical_send(msg)  # no sink is fine
 
 
 class TestKeystreamCipher:

@@ -1,6 +1,7 @@
 """Scenario plumbing: parsing, determinism, reports, tables, CLI."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -276,6 +277,10 @@ class TestProbabilityParse:
             with pytest.raises(ValueError):
                 parse_probability(bad)
 
+    def test_tiny_targets_within_bound(self):
+        assert parse_probability("2**-65536") == Fraction(1, 2 ** 65536)
+        assert parse_probability("1e-400") == Fraction(1, 10 ** 400)
+
 
 class TestCLI:
     def test_params_exit_codes(self, capsys):
@@ -283,6 +288,31 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "k = 17" in out and "d = 41" in out
         assert main(["params", "banana"]) == 2
+
+    @pytest.mark.parametrize("target", ["2**-2000", "1e-400"])
+    def test_params_tiny_target(self, target, capsys):
+        assert main(["params", target]) == 0
+        assert "evasion_prob = 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target", [
+        "2**-100000000", "2^-100000000", "1e-100000000", "1e+100000000",
+    ])
+    def test_params_exponent_bound_exit_2(self, target, capsys):
+        assert main(["params", target]) == 2
+        assert capsys.readouterr().err.startswith("error: exponent too large")
+
+    @pytest.mark.parametrize("argv", [
+        ["params", "0.5"], ["verify-tables"], ["oracle"], ["run", "SCENARIO"],
+    ])
+    def test_unwritable_out_exit_2(self, argv, tmp_path, capsys):
+        # a return value at all means no exception, so no traceback, escaped
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(_doc(trials=2)))
+        argv = [str(scenario) if a == "SCENARIO" else a for a in argv]
+        out = tmp_path / "missing-dir" / "out.txt"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
 
     def test_params_json(self, capsys):
         assert main(["params", "0.5", "--format", "json"]) == 0
@@ -330,6 +360,12 @@ class TestCLI:
 
     def test_run_missing_file_exit_2(self, capsys):
         assert main(["run", "/nonexistent/path.json"]) == 2
+
+    def test_run_non_utf8_file_exit_2(self, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        scenario.write_bytes(b"\xff\xfe{}")
+        assert main(["run", str(scenario)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_run_conformance_failure_exit_1(self, tmp_path, capsys):
         # hunt a seed whose single trial accepts under the MEASURED rule;

@@ -80,6 +80,13 @@ class TestRequiredCounts:
         assert required_k(target) == 20
         assert required_d(target) == 49
 
+    def test_below_float_range(self):
+        # 2**-2000 underflows a float; the search must not depend on one
+        target = Fraction(1, 2 ** 2000)
+        assert required_k(target) == 2000
+        d = required_d(target)
+        assert evasion_prob(d) <= target < evasion_prob(d - 1)
+
     def test_range_validation(self):
         for bad in (0, 1, -0.5, 1.5):
             with pytest.raises(ValueError):
