@@ -73,7 +73,6 @@ from .qsim import (
     swap_enumerate,
 )
 from .secparams import (
-    SecurityTarget,
     evasion_prob,
     forgery_prob,
     improvement_limit,

@@ -106,23 +106,28 @@ class QuantumStream:
         return tuple(s.position for s in self.slots if s.lost)
 
 
+def _entangled_pair(position: int) -> tuple[QubitRef, QubitRef]:
+    reg = prepare_bell(BellLabel.PHI_PLUS)
+    return QubitRef(reg, 0), QubitRef(reg, 1)
+
+
 def build_streams(plan: "SessionPlan", model: PhotonCountModel,
-                  rand: RandomSource) -> tuple[QuantumStream, QuantumStream]:
-    """Honest emission: entangled pairs on key slots, identical twin
-    polarized photons on detection slots."""
+                  rand: RandomSource,
+                  key_slot: Callable[[int], tuple[QubitRef, QubitRef]] = _entangled_pair
+                  ) -> tuple[QuantumStream, QuantumStream]:
+    """Emission: identical twin polarized photons on detection slots, and
+    on each key slot the two halves ``key_slot(position)`` returns (by
+    default the honest entangled pair).  ``key_slot`` is called before the
+    slot's two photon-count draws."""
     to_alice: list[PhotonSlot] = []
     to_bob: list[PhotonSlot] = []
     for position in range(plan.total_slots):
         if plan.is_tamper(position):
             basis, value = plan.tamper_preparation(position)
-            reg_a = prepare_polarized(value, basis)
-            reg_b = prepare_polarized(value, basis)
-            ref_a = QubitRef(reg_a, 0)
-            ref_b = QubitRef(reg_b, 0)
+            ref_a = QubitRef(prepare_polarized(value, basis), 0)
+            ref_b = QubitRef(prepare_polarized(value, basis), 0)
         else:
-            reg = prepare_bell(BellLabel.PHI_PLUS)
-            ref_a = QubitRef(reg, 0)
-            ref_b = QubitRef(reg, 1)
+            ref_a, ref_b = key_slot(position)
         to_alice.append(PhotonSlot(position, ref_a, model.sample(rand)))
         to_bob.append(PhotonSlot(position, ref_b, model.sample(rand)))
     return (QuantumStream(Path.TO_ALICE, to_alice),

@@ -120,6 +120,16 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _check_writable(path: str) -> None:
+    """Fail before a long run rather than after it.  Opening for append
+    creates a missing file but truncates nothing."""
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise OSError(f"cannot write report to {path!r}: {exc}") from exc
+
+
 def _cmd_params(args) -> int:
     try:
         target = parse_probability(args.target)
@@ -128,12 +138,18 @@ def _cmd_params(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc = params_report(target, p1)
-    if args.out_format == "json":
-        from .harness import _json_value
+    try:
+        if args.out_format == "json":
+            from .harness import _json_value
 
-        _write(_json_value(doc) + "\n", args.out)
-    else:
-        _write(params_text(doc), args.out)
+            text = _json_value(doc) + "\n"
+        else:
+            text = params_text(doc)
+    except ValueError:  # str() refuses integers past the interpreter's digit limit
+        print(f"error: --p1 {args.p1} is too small: pns_required_d has too many"
+              " digits to print", file=sys.stderr)
+        return 2
+    _write(text, args.out)
     return 0
 
 
@@ -174,6 +190,8 @@ def _cmd_run(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
+    if spec.out_path is not None:
+        _check_writable(spec.out_path)
     report = run_scenario(spec)
     text_out = emit_report(report, spec.out_format, spec.out_path)
     if spec.out_path is None:

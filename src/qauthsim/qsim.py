@@ -1,35 +1,39 @@
 """Exact simulation of the small qubit registers the protocol touches.
 
-Every quantum object in a session is a register of one to eight qubits held
-as a dense vector of complex amplitudes.  A detection slot is a single
-qubit, a relayed key slot is at most five, so the arithmetic stays plain
-Python complex math; there is no need for an array library at this size.
+Every quantum object in a session is a register of one to eight qubits.
+The states the protocol prepares are pairs, triples and polarized photons
+in the rectilinear or diagonal basis, and each of them is an integer
+vector times a power of 1/sqrt(2).  Projecting such a vector onto an
+outcome of a rectilinear, diagonal or pair-basis measurement gives another
+integer vector of the same kind.  So a register holds an unnormalized
+integer vector and is never renormalized: an outcome's probability is its
+projection's squared length over the sum of those lengths for all the
+outcomes, an exact ratio of integers.
+
+One engine serves both uses.  The sampler (:func:`measure_in_basis`,
+:func:`measure_bell`) draws one uniform number per measurement, picks the
+outcome by exact integer comparison and keeps the projected vector.  The
+relay-step oracle (:func:`swap_enumerate`) projects onto every outcome with
+the same two helpers and reports exact :class:`fractions.Fraction` values.
 
 Index convention: qubit 0 is the leftmost tensor factor, so basis index
 ``i`` assigns qubit ``q`` the bit ``(i >> (n - 1 - q)) & 1``.  Pair-basis
 labels are two bits, kind and phase; composing two labels XORs the bits,
 which makes the four labels a Klein four-group with PHI_PLUS as identity.
-
-Alongside the sampling simulator there is :func:`swap_enumerate`, a
-non-sampling oracle for the relay step.  It works on integer-scaled
-amplitudes (every state here is an integer vector times a power of
-1/sqrt(2)), so its probabilities and conditional distributions are exact
-:class:`fractions.Fraction` values, suitable for exact comparisons.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-NORM_TOL = 1e-9
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _MASK64 = (1 << 64) - 1
+_TWO53 = float(1 << 53)
 
 
 class MeasBasis(Enum):
@@ -151,9 +155,6 @@ class RandomSource:
             if value < bound:
                 return value
 
-    def choice(self, seq: Sequence):
-        return seq[self.randbelow(len(seq))]
-
     def sample_positions(self, universe: int, count: int) -> tuple[int, ...]:
         """``count`` distinct positions drawn from range(universe), sorted."""
         if not 0 <= count <= universe:
@@ -176,25 +177,26 @@ class RandomSource:
 
 
 class StateRegister:
-    """Dense pure-state vector over 1..8 qubits; mutated in place by measurement."""
+    """Pure state over 1..8 qubits as an unnormalized integer vector.
+
+    Measurement replaces the vector, in place, by its projection onto the
+    outcome drawn.
+    """
 
     __slots__ = ("num_qubits", "amplitudes")
 
-    def __init__(self, amplitudes: Sequence[complex]) -> None:
-        size = len(amplitudes)
+    def __init__(self, amplitudes: Sequence[int]) -> None:
+        amps = list(amplitudes)
+        size = len(amps)
         num = size.bit_length() - 1
         if size != (1 << num) or not 1 <= num <= 8:
             raise ValueError("register must hold 1..8 qubits (2..256 amplitudes)")
-        amps = [complex(a) for a in amplitudes]
-        norm = sum(a.real * a.real + a.imag * a.imag for a in amps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state vector norm {norm!r} is not 1")
+        if any(type(a) is not int for a in amps):
+            raise ValueError("amplitudes must be integers")
+        if not any(amps):
+            raise ValueError("state vector is null")
         self.num_qubits = num
         self.amplitudes = amps
-
-    def norm_error(self) -> float:
-        norm = sum(a.real * a.real + a.imag * a.imag for a in self.amplitudes)
-        return abs(norm - 1.0)
 
     def extend_front(self, front: "StateRegister") -> None:
         """Tensor ``front``'s qubits ahead of this register's, in place.
@@ -238,23 +240,21 @@ class QubitRef:
         return f"QubitRef(index={self.index} of {self.register!r})"
 
 
-_BELL_AMPS: dict[BellLabel, tuple[float, float, float, float]] = {
-    BellLabel.PHI_PLUS: (_INV_SQRT2, 0.0, 0.0, _INV_SQRT2),
-    BellLabel.PHI_MINUS: (_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2),
-    BellLabel.PSI_PLUS: (0.0, _INV_SQRT2, _INV_SQRT2, 0.0),
-    BellLabel.PSI_MINUS: (0.0, _INV_SQRT2, -_INV_SQRT2, 0.0),
+# Pair states over (b_first, b_second) = 00, 01, 10, 11, times 1/sqrt(2).
+_BELL_INTS: dict[BellLabel, tuple[int, int, int, int]] = {
+    BellLabel.PHI_PLUS: (1, 0, 0, 1),
+    BellLabel.PHI_MINUS: (1, 0, 0, -1),
+    BellLabel.PSI_PLUS: (0, 1, 1, 0),
+    BellLabel.PSI_MINUS: (0, 1, -1, 0),
 }
 
 
 def prepare_bell(label: BellLabel) -> StateRegister:
-    return StateRegister(_BELL_AMPS[label])
+    return StateRegister(_BELL_INTS[label])
 
 
 def prepare_ghz() -> StateRegister:
-    amps = [0.0] * 8
-    amps[0] = _INV_SQRT2
-    amps[7] = _INV_SQRT2
-    return StateRegister(amps)
+    return StateRegister((1, 0, 0, 0, 0, 0, 0, 1))
 
 
 def prepare_polarized(value: int, basis: MeasBasis) -> StateRegister:
@@ -262,9 +262,8 @@ def prepare_polarized(value: int, basis: MeasBasis) -> StateRegister:
     if value not in (0, 1):
         raise ValueError("value must be a bit")
     if basis is MeasBasis.RECTILINEAR:
-        return StateRegister([1.0, 0.0] if value == 0 else [0.0, 1.0])
-    sign = 1.0 if value == 0 else -1.0
-    return StateRegister([_INV_SQRT2, sign * _INV_SQRT2])
+        return StateRegister((1, 0) if value == 0 else (0, 1))
+    return StateRegister((1, 1) if value == 0 else (1, -1))
 
 
 def tensor(a: StateRegister, b: StateRegister) -> StateRegister:
@@ -274,13 +273,77 @@ def tensor(a: StateRegister, b: StateRegister) -> StateRegister:
     return StateRegister([x * y for x in a.amplitudes for y in b.amplitudes])
 
 
-def _renormalize(amps: list[complex]) -> None:
-    norm = sum(a.real * a.real + a.imag * a.imag for a in amps)
-    if norm <= 0.0:
-        raise ArithmeticError("collapse produced a null vector")
-    inv = 1.0 / math.sqrt(norm)
-    for i, a in enumerate(amps):
-        amps[i] = a * inv
+# ---------------------------------------------------------------------------
+# Projections.  Each helper returns the projections onto every outcome of
+# one measurement, each a fixed integer multiple of the textbook projection
+# (1 for the rectilinear basis, 2 for the diagonal and pair bases).  The
+# multiple is the same for every outcome, so outcome weights compare exactly.
+
+
+def _weight(amps: Sequence[int]) -> int:
+    """Squared length of an integer vector."""
+    return sum(map(mul, amps, amps))
+
+
+def _project_qubit(amps: Sequence[int], n: int, qubit: int,
+                   basis: MeasBasis) -> tuple[list[int], list[int]]:
+    """Projections of one qubit onto outcomes 0 and 1 of ``basis``.
+
+    Diagonal: indices (i0, i1) that differ only in the qubit carry (a0, a1);
+    the eigenvectors are (1, 1) and (1, -1), so the projections put
+    (a0 + a1) * (1, 1) and (a0 - a1) * (1, -1) there.
+    """
+    mask = 1 << (n - 1 - qubit)
+    if basis is MeasBasis.RECTILINEAR:
+        return ([0 if i & mask else a for i, a in enumerate(amps)],
+                [a if i & mask else 0 for i, a in enumerate(amps)])
+    if basis is not MeasBasis.DIAGONAL:
+        raise ValueError(f"unknown basis {basis!r}")
+    zero = [0] * len(amps)
+    one = [0] * len(amps)
+    for i0 in range(len(amps)):
+        if not i0 & mask:
+            i1 = i0 | mask
+            zero[i0] = zero[i1] = amps[i0] + amps[i1]
+            one[i0] = amps[i0] - amps[i1]
+            one[i1] = -one[i0]
+    return zero, one
+
+
+def _project_pair(amps: Sequence[int], n: int, first: int,
+                  second: int) -> list[list[int]]:
+    """Projections of two qubits onto the four pair states, in BELL_ORDER.
+
+    The quad of indices sharing all other bits carries the components
+    (a00, a01, a10, a11) over (b_first, b_second).  The phi states are
+    (1, 0, 0, +/-1) and the psi states (0, 1, +/-1, 0), so the projections
+    put a00 +/- a11 on the 00/11 entries and a01 +/- a10 on the 01/10 ones.
+    """
+    m1 = 1 << (n - 1 - first)
+    m2 = 1 << (n - 1 - second)
+    out = [[0] * len(amps) for _ in BELL_ORDER]
+    phi_p, phi_m, psi_p, psi_m = out
+    for i00 in range(len(amps)):
+        if not i00 & (m1 | m2):
+            i01, i10, i11 = i00 | m2, i00 | m1, i00 | m1 | m2
+            a00, a01, a10, a11 = amps[i00], amps[i01], amps[i10], amps[i11]
+            phi_p[i00] = phi_p[i11] = a00 + a11
+            phi_m[i00] = a00 - a11
+            phi_m[i11] = a11 - a00
+            psi_p[i01] = psi_p[i10] = a01 + a10
+            psi_m[i01] = a01 - a10
+            psi_m[i10] = a10 - a01
+    return out
+
+
+def _draw53(rand: RandomSource) -> int:
+    """One uniform draw u as the integer u * 2**53.
+
+    ``random()`` returns multiples of 2**-53, so this is exact, and an
+    outcome is chosen by comparing integers: the first outcome j with
+    u * total < weights[0] + ... + weights[j].
+    """
+    return int(rand.uniform() * _TWO53)
 
 
 def measure_in_basis(register: StateRegister, qubit: int, basis: MeasBasis,
@@ -289,174 +352,58 @@ def measure_in_basis(register: StateRegister, qubit: int, basis: MeasBasis,
     n = register.num_qubits
     if not 0 <= qubit < n:
         raise ValueError("qubit index out of range")
-    amps = register.amplitudes
-    mask = 1 << (n - 1 - qubit)
-    size = 1 << n
-
-    if basis is MeasBasis.RECTILINEAR:
-        p_zero = 0.0
-        for i in range(size):
-            if not i & mask:
-                a = amps[i]
-                p_zero += a.real * a.real + a.imag * a.imag
-        outcome = 0 if rand.uniform() < p_zero else 1
-        keep_on_set = outcome == 1
-        for i in range(size):
-            if bool(i & mask) != keep_on_set:
-                amps[i] = 0.0
-        _renormalize(amps)
-        return outcome
-
-    if basis is not MeasBasis.DIAGONAL:
-        raise ValueError(f"unknown basis {basis!r}")
-
-    # Pairs (i0, i1) differ only in the measured qubit.  The overlap with
-    # the +/- eigenstate of pair (a0, a1) is (a0 +/- a1)/sqrt(2).
-    p_zero = 0.0
-    for base in range(0, size, mask << 1):
-        for off in range(mask):
-            i0 = base + off
-            s = amps[i0] + amps[i0 + mask]
-            p_zero += s.real * s.real + s.imag * s.imag
-    p_zero *= 0.5
-    outcome = 0 if rand.uniform() < p_zero else 1
-    sign = 1.0 if outcome == 0 else -1.0
-    for base in range(0, size, mask << 1):
-        for off in range(mask):
-            i0 = base + off
-            i1 = i0 + mask
-            half = 0.5 * (amps[i0] + sign * amps[i1])
-            amps[i0] = half
-            amps[i1] = sign * half
-    _renormalize(amps)
-    return outcome
+    zero, one = _project_qubit(register.amplitudes, n, qubit, basis)
+    w0 = _weight(zero)
+    if _draw53(rand) * (w0 + _weight(one)) < w0 << 53:
+        register.amplitudes = zero
+        return 0
+    register.amplitudes = one
+    return 1
 
 
 def basis_distribution(register: StateRegister, qubit: int,
-                       basis: MeasBasis) -> tuple[float, float]:
-    """Born probabilities (p0, p1) for one qubit, without collapsing."""
+                       basis: MeasBasis) -> tuple[Fraction, Fraction]:
+    """Exact Born probabilities (p0, p1) for one qubit, without collapsing."""
     n = register.num_qubits
     if not 0 <= qubit < n:
         raise ValueError("qubit index out of range")
-    amps = register.amplitudes
-    mask = 1 << (n - 1 - qubit)
-    if basis is MeasBasis.RECTILINEAR:
-        p_one = sum(a.real * a.real + a.imag * a.imag
-                    for i, a in enumerate(amps) if i & mask)
-        return (1.0 - p_one, p_one)
-    p_zero = 0.0
-    for base in range(0, 1 << n, mask << 1):
-        for off in range(mask):
-            i0 = base + off
-            s = amps[i0] + amps[i0 + mask]
-            p_zero += s.real * s.real + s.imag * s.imag
-    p_zero *= 0.5
-    return (p_zero, 1.0 - p_zero)
+    w0, w1 = map(_weight, _project_qubit(register.amplitudes, n, qubit, basis))
+    return Fraction(w0, w0 + w1), Fraction(w1, w0 + w1)
 
 
 def measure_bell(register: StateRegister, first: int, second: int,
                  rand: RandomSource) -> BellLabel:
     """Projective pair-basis measurement of two qubits; collapses in place.
 
-    Outcome order for the sampling draw is BELL_ORDER.  The quad of indices
-    sharing all other bits carries the four components (b_first, b_second);
-    the four projection overlaps are (a00 +/- a11)/sqrt2 for the phi pair
-    and (a01 +/- a10)/sqrt2 for the psi pair.
+    Outcome order for the sampling draw is BELL_ORDER.
     """
     n = register.num_qubits
     if first == second:
         raise ValueError("pair measurement needs two distinct qubits")
     if not (0 <= first < n and 0 <= second < n):
         raise ValueError("qubit index out of range")
-    amps = register.amplitudes
-    m1 = 1 << (n - 1 - first)
-    m2 = 1 << (n - 1 - second)
-    size = 1 << n
-
-    weights = [0.0, 0.0, 0.0, 0.0]
-    for i in range(size):
-        if i & m1 or i & m2:
-            continue
-        a00 = amps[i]
-        a01 = amps[i | m2]
-        a10 = amps[i | m1]
-        a11 = amps[i | m1 | m2]
-        sp = a00 + a11
-        dp = a00 - a11
-        sq = a01 + a10
-        dq = a01 - a10
-        weights[0] += sp.real * sp.real + sp.imag * sp.imag
-        weights[1] += dp.real * dp.real + dp.imag * dp.imag
-        weights[2] += sq.real * sq.real + sq.imag * sq.imag
-        weights[3] += dq.real * dq.real + dq.imag * dq.imag
-    # each weight is 2x the outcome probability; scale cancels below
-    total = weights[0] + weights[1] + weights[2] + weights[3]
-    target = rand.uniform() * total
-    acc = 0.0
+    projections = _project_pair(register.amplitudes, n, first, second)
+    weights = [_weight(p) for p in projections]
+    target = _draw53(rand) * sum(weights)
     idx = 3
-    for j in range(4):
-        acc += weights[j]
+    acc = 0
+    for j in range(3):
+        acc += weights[j] << 53
         if target < acc:
             idx = j
             break
-    label = BELL_ORDER[idx]
-
-    kind_bit, phase_bit = label.value
-    sign = 1.0 if phase_bit == 0 else -1.0
-    for i in range(size):
-        if i & m1 or i & m2:
-            continue
-        if kind_bit == 0:
-            overlap = 0.5 * (amps[i] + sign * amps[i | m1 | m2])
-            amps[i] = overlap
-            amps[i | m1 | m2] = sign * overlap
-            amps[i | m2] = 0.0
-            amps[i | m1] = 0.0
-        else:
-            overlap = 0.5 * (amps[i | m2] + sign * amps[i | m1])
-            amps[i | m2] = overlap
-            amps[i | m1] = sign * overlap
-            amps[i] = 0.0
-            amps[i | m1 | m2] = 0.0
-    _renormalize(amps)
-    return label
-
-
-def states_equal_up_to_phase(a: StateRegister, b: StateRegister,
-                             tol: float = NORM_TOL) -> bool:
-    if a.num_qubits != b.num_qubits:
-        return False
-    ref = max(range(len(a.amplitudes)), key=lambda i: abs(a.amplitudes[i]))
-    if abs(b.amplitudes[ref]) < tol:
-        return False
-    phase = b.amplitudes[ref] / a.amplitudes[ref]
-    mag = abs(phase)
-    if abs(mag - 1.0) > 1e-6:
-        return False
-    phase /= mag
-    return all(abs(phase * x - y) <= tol * 10
-               for x, y in zip(a.amplitudes, b.amplitudes))
+    register.amplitudes = projections[idx]
+    return BELL_ORDER[idx]
 
 
 # ---------------------------------------------------------------------------
 # Exact enumeration oracle for the relay step.
-#
-# All states involved are integer vectors times (1/sqrt2)^scale, so the whole
-# table is computed with integer arithmetic and reported as Fractions.
 
 
 class SourceKind(Enum):
     ENTANGLED_PHI_PLUS = "entangled_phi_plus"
     PRODUCT = "product"
     GHZ = "ghz"
-
-
-_BELL_INTS: dict[BellLabel, tuple[int, int, int, int]] = {
-    BellLabel.PHI_PLUS: (1, 0, 0, 1),
-    BellLabel.PHI_MINUS: (1, 0, 0, -1),
-    BellLabel.PSI_PLUS: (0, 1, 1, 0),
-    BellLabel.PSI_MINUS: (0, 1, -1, 0),
-}
 
 
 @dataclass(frozen=True)
@@ -530,22 +477,14 @@ class SwapTable:
         return mix
 
 
-def _match_pair_pattern(vec: Sequence[int]) -> BellLabel | None:
-    for label in BELL_ORDER:
-        pat = _BELL_INTS[label]
-        j0 = next(j for j in range(4) if pat[j])
-        if vec[j0] == 0:
-            continue
-        if all(vec[j] * pat[j0] == vec[j0] * pat[j] for j in range(4)):
+def _residual_pair(post: list[int], weight: int) -> BellLabel | None:
+    """Pair state of qubits (0, 3) of a four-qubit projected vector, or None
+    when they are not in one.  A pair projection multiplies the weight of a
+    vector already in its range by exactly 4, and of any other by less."""
+    for label, proj in zip(BELL_ORDER, _project_pair(post, 4, 0, 3)):
+        if _weight(proj) == 4 * weight:
             return label
     return None
-
-
-def _int_marginal(psi: Sequence[int], n: int, qubit: int) -> dict[int, Fraction]:
-    mask = 1 << (n - 1 - qubit)
-    one = sum(a * a for i, a in enumerate(psi) if i & mask)
-    total = sum(a * a for a in psi)
-    return {0: Fraction(total - one, total), 1: Fraction(one, total)}
 
 
 def swap_enumerate(created: BellLabel, source: SourceKind,
@@ -558,57 +497,38 @@ def swap_enumerate(created: BellLabel, source: SourceKind,
     conditional joint distributions over the untouched qubits, and the far
     pair's label (entangled source only) all come out exact.
     """
-    created_ints = _BELL_INTS[created]
     if source is SourceKind.ENTANGLED_PHI_PLUS:
-        src, src_scale, bit = (1, 0, 0, 1), 1, None
+        src, bit = prepare_bell(BellLabel.PHI_PLUS), None
     elif source is SourceKind.PRODUCT:
         if product_bit not in (0, 1):
             raise ValueError("product_bit must be a bit")
-        vec = [0, 0, 0, 0]
-        vec[product_bit * 3] = 1  # |xx> sits at index 0 or 3
-        src, src_scale, bit = tuple(vec), 0, product_bit
+        half = prepare_polarized(product_bit, MeasBasis.RECTILINEAR)
+        src, bit = tensor(half, half), product_bit
     elif source is SourceKind.GHZ:
-        vec = [0] * 8
-        vec[0] = 1
-        vec[7] = 1
-        src, src_scale, bit = tuple(vec), 1, None
+        src, bit = prepare_ghz(), None
     else:
         raise ValueError(f"unknown source {source!r}")
 
-    psi = [b * s for b in created_ints for s in src]
-    scale = 1 + src_scale
-    n = len(psi).bit_length() - 1
+    reg = tensor(prepare_bell(created), src)
+    n = reg.num_qubits
     rest_axes = [0] + list(range(3, n))
+    projections = _project_pair(reg.amplitudes, n, 1, 2)
+    weights = [_weight(p) for p in projections]
+    total = sum(weights)
 
     outcomes = []
-    total_prob = Fraction(0)
-    for label in BELL_ORDER:
-        pattern = _BELL_INTS[label]
-        coeff: dict[tuple[int, ...], int] = {}
-        for i, amp in enumerate(psi):
-            if amp == 0:
-                continue
-            b1 = (i >> (n - 2)) & 1
-            b2 = (i >> (n - 3)) & 1
-            p = pattern[(b1 << 1) | b2]
-            if p == 0:
-                continue
-            bits = tuple((i >> (n - 1 - q)) & 1 for q in rest_axes)
-            coeff[bits] = coeff.get(bits, 0) + p * amp
-        weight = sum(c * c for c in coeff.values())
-        prob = Fraction(weight, 1 << (scale + 1))
-        joint = {bits: Fraction(c * c, weight)
-                 for bits, c in sorted(coeff.items()) if c}
-        residual = None
-        if n == 4 and weight:
-            vec4 = [coeff.get((b0, b1), 0) for b0 in (0, 1) for b1 in (0, 1)]
-            residual = _match_pair_pattern(vec4)
-        outcomes.append(SwapOutcome(label, prob, joint, residual))
-        total_prob += prob
-    if total_prob != 1:
-        raise AssertionError("outcome probabilities do not sum to 1")
+    for label, post, weight in zip(BELL_ORDER, projections, weights):
+        grouped: dict[tuple[int, ...], int] = {}
+        for i, amp in enumerate(post):
+            if amp:
+                bits = tuple((i >> (n - 1 - q)) & 1 for q in rest_axes)
+                grouped[bits] = grouped.get(bits, 0) + amp * amp
+        joint = {bits: Fraction(w, weight) for bits, w in sorted(grouped.items())}
+        residual = _residual_pair(post, weight) if n == 4 and weight else None
+        outcomes.append(SwapOutcome(label, Fraction(weight, total), joint, residual))
 
-    unmeasured_far = _int_marginal(psi, n, 3)
-    unmeasured_server = _int_marginal(psi, n, 4) if n == 5 else None
-    return SwapTable(created, source, bit, tuple(outcomes),
-                     unmeasured_far, unmeasured_server)
+    def marginal(qubit: int) -> dict[int, Fraction]:
+        return dict(enumerate(basis_distribution(reg, qubit, MeasBasis.RECTILINEAR)))
+
+    return SwapTable(created, source, bit, tuple(outcomes), marginal(3),
+                     marginal(4) if n == 5 else None)

@@ -14,7 +14,6 @@ slot ratio ln 2 / ln(4/3) = 2.40942... is exposed for reporting only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -27,39 +26,6 @@ def _as_fraction(value: _NumberIn, name: str) -> Fraction:
     if not 0 < frac < 1:
         raise ValueError(f"{name} must be in (0, 1), got {value!r}")
     return frac
-
-
-@dataclass(frozen=True)
-class SecurityTarget:
-    """Overall failure budget, optionally split into forgery and evasion
-    parts; an unset part defaults to the overall target."""
-
-    target: _NumberIn
-    forgery: _NumberIn | None = None
-    evasion: _NumberIn | None = None
-
-    def __post_init__(self) -> None:
-        _as_fraction(self.target, "target")
-        if self.forgery is not None:
-            _as_fraction(self.forgery, "forgery")
-        if self.evasion is not None:
-            _as_fraction(self.evasion, "evasion")
-
-    @property
-    def forgery_target(self) -> Fraction:
-        return _as_fraction(self.forgery if self.forgery is not None
-                            else self.target, "forgery")
-
-    @property
-    def evasion_target(self) -> Fraction:
-        return _as_fraction(self.evasion if self.evasion is not None
-                            else self.target, "evasion")
-
-    def key_count(self) -> int:
-        return required_k(self.forgery_target)
-
-    def detection_count(self) -> int:
-        return required_d(self.evasion_target)
 
 
 def forgery_prob(k: int) -> Probability:
@@ -135,12 +101,6 @@ def improvement_limit(k: int) -> int:
     if k < 1:
         raise ValueError("k must be positive")
     return 4 * k - 1
-
-
-def best_guess_count(k: int, d: int) -> int:
-    """The g maximizing subset_success_prob: growth stops at 4k-1, capped
-    by the number of positions."""
-    return min(improvement_limit(k), k + d)
 
 
 def pns_effective_d(d: int, p1: _NumberIn) -> float:

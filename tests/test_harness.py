@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from qauthsim import cli, harness
 from qauthsim.cli import main, parse_probability
 from qauthsim.harness import (
     ScenarioError,
     TRIAL_FIELDS,
+    _Accumulator,
     _json_value,
+    _summarize,
     load_scenario,
     params_report,
     parse_scenario,
@@ -170,6 +173,12 @@ class TestReports:
         assert row[idx] == ""
 
 
+def _rate_summary(count, n, analytic):
+    acc = _Accumulator()
+    acc.add(count / n, n)
+    return _summarize("rate", acc, analytic, None)
+
+
 class TestMetrics:
     def test_intercept_scenario_passes_conformance(self):
         spec = load_scenario(json.dumps(_doc(
@@ -210,6 +219,21 @@ class TestMetrics:
             row = report.metric(name)
             assert row.verdict == "pass"
             assert row.sigma_distance == 0.0
+
+    def test_rare_event_graded_with_exact_tails(self):
+        # n a (1 - a) < 9: the normal rule would fail one evasion in 1500
+        # trials at 9.3 sigma; the exact binomial tail (~0.011) passes it
+        a = 0.75 ** 41
+        one = _rate_summary(1, 1500, a)
+        assert one.sigma_distance > 4.0
+        assert one.verdict == "pass"
+        assert _rate_summary(5, 1500, a).verdict == "fail"
+
+    def test_large_n_keeps_the_four_sigma_rule(self):
+        # n a (1 - a) = 9.9: 23 events sit 4.13 sigma out and fail, although
+        # their exact upper tail (~1e-4) would pass; 22 events (3.81 sigma) pass
+        assert _rate_summary(23, 1000, 0.01).verdict == "fail"
+        assert _rate_summary(22, 1000, 0.01).verdict == "pass"
 
     def test_loss_scenario_has_no_analytics(self):
         spec = load_scenario(json.dumps(_doc(
@@ -301,6 +325,12 @@ class TestCLI:
         assert main(["params", target]) == 2
         assert capsys.readouterr().err.startswith("error: exponent too large")
 
+    def test_params_tiny_p1_exit_2(self, capsys):
+        # pns_required_d has about 5000 digits, past str()'s limit
+        assert main(["params", "0.5", "--p1", "1e-5000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["params", "0.5"], ["verify-tables"], ["oracle"], ["run", "SCENARIO"],
     ])
@@ -313,6 +343,19 @@ class TestCLI:
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
+
+    def test_run_checks_out_path_before_running(self, tmp_path, capsys,
+                                                monkeypatch):
+        def never(spec):
+            raise AssertionError("run_scenario called")
+
+        monkeypatch.setattr(cli, "run_scenario", never)
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(_doc(trials=2)))
+        out = tmp_path / "missing-dir" / "out.txt"
+        assert main(["run", str(scenario), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write report") and err.count("\n") == 1
 
     def test_params_json(self, capsys):
         assert main(["params", "0.5", "--format", "json"]) == 0
@@ -367,24 +410,15 @@ class TestCLI:
         assert main(["run", str(scenario)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_run_conformance_failure_exit_1(self, tmp_path, capsys):
-        # hunt a seed whose single trial accepts under the MEASURED rule;
-        # with one trial the accept rate 1.0 sits far outside 4 sigma of
-        # the analytic 2^-8
-        base = _doc(trials=1,
-                    session={"k": 8, "d": 4, "reveal_count": 8, "mode": "swap",
-                             "belief_rule": "measured"},
-                    attack={"kind": "server_product"})
-        seed = None
-        for cand in range(4000):
-            base["seed"] = cand
-            report = run_scenario(parse_scenario(base))
-            if report.trial_results[0].token_accepted:
-                seed = cand
-                break
-        assert seed is not None
+    def test_run_conformance_failure_exit_1(self, tmp_path, capsys,
+                                            monkeypatch):
+        # a closed form every honest session contradicts: accept_rate 0
+        # while every session accepts, so sigma is 0 and the metric fails
+        real = harness.analytic_predictions
+        monkeypatch.setattr(harness, "analytic_predictions",
+                            lambda spec: real(spec) | {"accept_rate": (0.0, None)})
         scenario = tmp_path / "s.json"
-        scenario.write_text(json.dumps(base | {"seed": seed}))
+        scenario.write_text(json.dumps(_doc(trials=3)))
         assert main(["run", str(scenario), "--out",
                      str(tmp_path / "r.jsonl")]) == 1
         assert "accept_rate" in capsys.readouterr().err

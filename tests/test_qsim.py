@@ -1,14 +1,16 @@
 """Register simulator tests.
 
-The slow reference implementations here (full projector matrices, explicit
-kron products) are written independently of the package internals and act
-as the oracle for the fast grouped-index arithmetic in qauthsim.qsim.
+The slow reference implementations here (full projector matrices applied
+entry by entry in exact rationals) are written independently of the
+package internals and act as the oracle for the grouped-index integer
+arithmetic in qauthsim.qsim.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,18 +32,21 @@ from qauthsim.qsim import (
     prepare_bell,
     prepare_ghz,
     prepare_polarized,
-    states_equal_up_to_phase,
     swap_enumerate,
     tensor,
 )
 
-R = 1.0 / math.sqrt(2.0)
-
+# pair states over (b_first, b_second) = 00, 01, 10, 11, unnormalized
 BELL_VECS = {
-    BellLabel.PHI_PLUS: (R, 0.0, 0.0, R),
-    BellLabel.PHI_MINUS: (R, 0.0, 0.0, -R),
-    BellLabel.PSI_PLUS: (0.0, R, R, 0.0),
-    BellLabel.PSI_MINUS: (0.0, R, -R, 0.0),
+    BellLabel.PHI_PLUS: (1, 0, 0, 1),
+    BellLabel.PHI_MINUS: (1, 0, 0, -1),
+    BellLabel.PSI_PLUS: (0, 1, 1, 0),
+    BellLabel.PSI_MINUS: (0, 1, -1, 0),
+}
+# one-qubit eigenvectors per (basis, outcome), unnormalized
+QUBIT_VECS = {
+    MeasBasis.RECTILINEAR: ((1, 0), (0, 1)),
+    MeasBasis.DIAGONAL: ((1, 1), (1, -1)),
 }
 
 
@@ -55,49 +60,54 @@ def _bit(i, n, q):
     return (i >> (n - 1 - q)) & 1
 
 
-def _pair_projector_apply(state, n, q1, q2, label):
-    """Apply (|B><B| on q1, q2) tensor identity by direct O(4^n) matrix action."""
-    bell = BELL_VECS[label]
-    pair_masks = (1 << (n - 1 - q1)) | (1 << (n - 1 - q2))
+def _projector_apply(state, n, qubits, vec):
+    """Apply |e><e| / <e|e> on ``qubits`` (identity elsewhere) by direct
+    O(4^n) matrix action, in exact rationals."""
+    norm = sum(x * x for x in vec)
+    rest = ~sum(1 << (n - 1 - q) for q in qubits)
     dim = 1 << n
-    out = [0j] * dim
+
+    def local(i):
+        return sum(_bit(i, n, q) << (len(qubits) - 1 - k) for k, q in enumerate(qubits))
+
+    out = [Fraction(0)] * dim
     for i in range(dim):
-        amp_i = bell[_bit(i, n, q1) * 2 + _bit(i, n, q2)]
-        if amp_i == 0.0:
+        e_i = vec[local(i)]
+        if e_i == 0:
             continue
-        rest_i = i & ~pair_masks
         for j in range(dim):
-            if (j & ~pair_masks) != rest_i:
-                continue
-            amp_j = bell[_bit(j, n, q1) * 2 + _bit(j, n, q2)]
-            out[i] += amp_i * amp_j * state[j]
+            if (j & rest) == (i & rest):
+                out[i] += Fraction(e_i * vec[local(j)], norm) * state[j]
     return out
 
 
-def _reference_pair_measurement(state, n, q1, q2):
-    """(probability, normalized post state) per label, textbook style."""
-    table = {}
-    for label in BELL_ORDER:
-        post = _pair_projector_apply(state, n, q1, q2, label)
-        prob = sum(abs(a) ** 2 for a in post)
-        if prob > 1e-15:
-            norm = math.sqrt(prob)
-            table[label] = (prob, [a / norm for a in post])
-        else:
-            table[label] = (0.0, None)
+def _reference_measurement(state, n, qubits, vecs):
+    """(probability, projected state) per outcome, textbook style."""
+    norm = sum(Fraction(a) ** 2 for a in state)
+    table = []
+    for vec in vecs:
+        post = _projector_apply(state, n, qubits, vec)
+        table.append((sum(a * a for a in post) / norm, post))
     return table
+
+
+def _proportional(got, want):
+    """``got`` is a nonzero multiple of ``want``, exactly."""
+    k = next(i for i, w in enumerate(want) if w)
+    ratio = Fraction(got[k]) / want[k]
+    return ratio != 0 and all(g == ratio * w for g, w in zip(got, want))
 
 
 def _source_vec(source, product_bit):
     if source is SourceKind.ENTANGLED_PHI_PLUS:
         return list(BELL_VECS[BellLabel.PHI_PLUS])
     if source is SourceKind.PRODUCT:
-        vec = [0.0] * 4
-        vec[product_bit * 3] = 1.0
+        vec = [0] * 4
+        vec[product_bit * 3] = 1
         return vec
-    vec = [0.0] * 8
-    vec[0] = R
-    vec[7] = R
+    vec = [0] * 8
+    vec[0] = 1
+    vec[7] = 1
     return vec
 
 
@@ -109,49 +119,57 @@ ALL_SOURCES = [
 ]
 
 
+class _FixedDraw:
+    """Stands in for a RandomSource whose next uniform draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
 # --- preparation and composition ----------------------------------------------
 
 def test_bell_amplitudes_frozen():
     for label, expected in BELL_VECS.items():
-        got = prepare_bell(label).amplitudes
-        assert got == pytest.approx([complex(v) for v in expected], abs=1e-15)
+        assert prepare_bell(label).amplitudes == list(expected)
 
 
 def test_polarized_amplitudes():
-    assert prepare_polarized(0, MeasBasis.RECTILINEAR).amplitudes == [1.0, 0.0]
-    assert prepare_polarized(1, MeasBasis.RECTILINEAR).amplitudes == [0.0, 1.0]
-    assert prepare_polarized(0, MeasBasis.DIAGONAL).amplitudes == pytest.approx([R, R])
-    assert prepare_polarized(1, MeasBasis.DIAGONAL).amplitudes == pytest.approx([R, -R])
+    assert prepare_polarized(0, MeasBasis.RECTILINEAR).amplitudes == [1, 0]
+    assert prepare_polarized(1, MeasBasis.RECTILINEAR).amplitudes == [0, 1]
+    assert prepare_polarized(0, MeasBasis.DIAGONAL).amplitudes == [1, 1]
+    assert prepare_polarized(1, MeasBasis.DIAGONAL).amplitudes == [1, -1]
     with pytest.raises(ValueError):
         prepare_polarized(2, MeasBasis.RECTILINEAR)
 
 
 def test_ghz_amplitudes():
-    amps = prepare_ghz().amplitudes
-    assert amps[0] == pytest.approx(R)
-    assert amps[7] == pytest.approx(R)
-    assert all(a == 0 for a in amps[1:7])
+    assert prepare_ghz().amplitudes == [1, 0, 0, 0, 0, 0, 0, 1]
 
 
 def test_tensor_orders_first_factor_qubits_first():
     reg = tensor(prepare_bell(BellLabel.PSI_PLUS), prepare_polarized(0, MeasBasis.RECTILINEAR))
     # |01>+|10> joined with |0> puts weight on |010> and |100>
-    expected = [0.0] * 8
-    expected[0b010] = R
-    expected[0b100] = R
-    assert reg.amplitudes == pytest.approx(expected)
+    expected = [0] * 8
+    expected[0b010] = 1
+    expected[0b100] = 1
+    assert reg.amplitudes == expected
     assert reg.num_qubits == 3
 
 
 def test_register_validation():
     with pytest.raises(ValueError):
-        StateRegister([1.0])  # zero qubits
+        StateRegister([1])  # zero qubits
     with pytest.raises(ValueError):
-        StateRegister([1.0, 0.0, 0.0])  # not a power of two
+        StateRegister([1, 0, 0])  # not a power of two
     with pytest.raises(ValueError):
-        StateRegister([0.6, 0.6])  # norm off
+        StateRegister([0, 0])  # null vector
     with pytest.raises(ValueError):
-        tensor(StateRegister([1.0] + [0.0] * 127), StateRegister([1.0, 0.0, 0.0, 0.0]))
+        StateRegister([0.6, 0.8])  # not integers
+    with pytest.raises(ValueError):
+        tensor(StateRegister([1] + [0] * 127), StateRegister([1, 0, 0, 0]))
 
 
 COMPOSE_EXPECTED = {
@@ -191,6 +209,77 @@ def test_bell_label_bits_and_parse():
     assert BellLabel.from_short("PHI+") is BellLabel.PHI_PLUS
     with pytest.raises(ValueError):
         BellLabel.from_short("sigma+")
+
+
+# --- the engine against the reference, on every register a session builds ------
+
+def _grafted(created, make_source):
+    reg = make_source()
+    reg.extend_front(prepare_bell(created))
+    return reg
+
+
+def _session_registers():
+    """(name, factory, relay pair or None) for every register a session
+    builds: decoys, pairs, triples, and a created pair grafted onto each
+    key-slot source by the relay step (the received qubit is then 2)."""
+    out = [(f"decoy{v}-{b.value}", partial(prepare_polarized, v, b), None)
+           for v in (0, 1) for b in MeasBasis]
+    out += [(f"pair-{label.short()}", partial(prepare_bell, label), None)
+            for label in BELL_ORDER]
+    out.append(("ghz", prepare_ghz, None))
+    sources = [("pair", partial(prepare_bell, BellLabel.PHI_PLUS))]
+    sources += [(f"product{v}-{b.value}", partial(prepare_polarized, v, b))
+                for v in (0, 1) for b in MeasBasis]
+    sources.append(("ghz", prepare_ghz))
+    out += [(f"{created.short()}-onto-{name}", partial(_grafted, created, make), (1, 2))
+            for created in BELL_ORDER for name, make in sources]
+    return out
+
+
+def _check_sampler(name, make, measure, reference, labels):
+    """Drive ``measure`` with draws on both edges of every outcome's interval.
+
+    The cumulative reference probabilities are exact floats here, so the
+    draws at c[j-1] and just below c[j] select outcome j exactly when the
+    engine's integer weights equal the reference probabilities.  Each
+    collapsed vector must be a multiple of the reference projection.
+    """
+    low = Fraction(0)
+    for label, (prob, post) in zip(labels, reference):
+        high = low + prob
+        assert Fraction(float(high)) == high, name
+        if prob:
+            for u in (float(low), math.nextafter(float(high), 0.0)):
+                reg = make()
+                assert measure(reg, _FixedDraw(u)) == label, (name, label, u)
+                assert _proportional(reg.amplitudes, post), (name, label)
+        low = high
+    assert low == 1, name
+
+
+SESSION_REGISTERS = _session_registers()
+
+
+@pytest.mark.parametrize("name,make,relay", SESSION_REGISTERS,
+                         ids=[entry[0] for entry in SESSION_REGISTERS])
+def test_engine_matches_reference_on_session_registers(name, make, relay):
+    state = make().amplitudes
+    n = make().num_qubits
+    for qubit in range(n):
+        for basis in MeasBasis:
+            reference = _reference_measurement(state, n, (qubit,), QUBIT_VECS[basis])
+            assert basis_distribution(make(), qubit, basis) == \
+                tuple(prob for prob, _ in reference), (name, qubit, basis)
+            _check_sampler((name, qubit, basis), make,
+                           lambda reg, rand: measure_in_basis(reg, qubit, basis, rand),
+                           reference, (0, 1))
+    if relay is not None:
+        reference = _reference_measurement(state, n, relay,
+                                           [BELL_VECS[label] for label in BELL_ORDER])
+        _check_sampler((name, relay), make,
+                       lambda reg, rand: measure_bell(reg, *relay, rand),
+                       reference, BELL_ORDER)
 
 
 # --- single-qubit measurement ---------------------------------------------------
@@ -238,10 +327,10 @@ def test_entangled_pair_correlations():
 
 def test_basis_distribution_matches_measurement_probabilities():
     reg = prepare_polarized(1, MeasBasis.DIAGONAL)
-    p0, p1 = basis_distribution(reg, 0, MeasBasis.RECTILINEAR)
-    assert (p0, p1) == pytest.approx((0.5, 0.5))
-    p0, p1 = basis_distribution(reg, 0, MeasBasis.DIAGONAL)
-    assert (p0, p1) == pytest.approx((0.0, 1.0), abs=1e-12)
+    half = Fraction(1, 2)
+    assert basis_distribution(reg, 0, MeasBasis.RECTILINEAR) == (half, half)
+    assert basis_distribution(reg, 0, MeasBasis.DIAGONAL) == (0, 1)
+    assert reg.amplitudes == [1, -1]  # not collapsed
 
 
 # --- pair-basis measurement -----------------------------------------------------
@@ -262,16 +351,17 @@ def test_measure_bell_statistics_match_enumeration():
 
 
 def test_measure_bell_collapse_matches_reference_projection():
-    base = _kron(list(BELL_VECS[BellLabel.PSI_PLUS]), list(BELL_VECS[BellLabel.PHI_PLUS]))
-    reference = _reference_pair_measurement(base, 4, 1, 2)
+    base = _kron(BELL_VECS[BellLabel.PSI_PLUS], BELL_VECS[BellLabel.PHI_PLUS])
+    reference = dict(zip(BELL_ORDER, _reference_measurement(
+        base, 4, (1, 2), [BELL_VECS[label] for label in BELL_ORDER])))
     seen = set()
     for seed in range(40):
         rand = RandomSource(31, seed)
         reg = tensor(prepare_bell(BellLabel.PSI_PLUS), prepare_bell(BellLabel.PHI_PLUS))
         outcome = measure_bell(reg, 1, 2, rand)
-        _, post = reference[outcome]
-        assert post is not None
-        assert states_equal_up_to_phase(reg, StateRegister(post))
+        prob, post = reference[outcome]
+        assert prob > 0
+        assert _proportional(reg.amplitudes, post)
         seen.add(outcome)
     assert seen == set(BELL_ORDER)
 
@@ -363,26 +453,23 @@ def test_swap_enumerate_matches_reference_projection():
     for created in BELL_ORDER:
         for source, bit in ALL_SOURCES:
             table = swap_enumerate(created, source, product_bit=bit or 0)
-            state = _kron(list(BELL_VECS[created]), _source_vec(source, bit or 0))
+            state = _kron(BELL_VECS[created], _source_vec(source, bit or 0))
             n = 4 if source is not SourceKind.GHZ else 5
-            reference = _reference_pair_measurement(state, n, 1, 2)
+            reference = _reference_measurement(
+                state, n, (1, 2), [BELL_VECS[label] for label in BELL_ORDER])
             rest_axes = [0] + list(range(3, n))
-            for out in table.outcomes:
-                ref_prob, ref_post = reference[out.outcome]
-                assert float(out.probability) == pytest.approx(ref_prob, abs=1e-12)
-                if ref_post is None:
+            for out, (ref_prob, ref_post) in zip(table.outcomes, reference):
+                assert out.probability == ref_prob
+                if ref_prob == 0:
                     assert out.joint == {}
                     continue
-                grouped: dict[tuple[int, ...], float] = {}
+                grouped: dict[tuple[int, ...], Fraction] = {}
                 for i, amp in enumerate(ref_post):
-                    w = abs(amp) ** 2
-                    if w < 1e-15:
-                        continue
-                    bits = tuple(_bit(i, n, q) for q in rest_axes)
-                    grouped[bits] = grouped.get(bits, 0.0) + w
-                assert set(grouped) == set(out.joint)
-                for bits, w in grouped.items():
-                    assert w == pytest.approx(float(out.joint[bits]), abs=1e-12)
+                    if amp:
+                        bits = tuple(_bit(i, n, q) for q in rest_axes)
+                        grouped[bits] = grouped.get(bits, 0) + amp * amp
+                weight = sum(grouped.values())
+                assert {b: w / weight for b, w in grouped.items()} == out.joint
 
 
 def test_swap_enumerate_rejects_bad_inputs():
@@ -390,7 +477,7 @@ def test_swap_enumerate_rejects_bad_inputs():
         swap_enumerate(BellLabel.PHI_PLUS, SourceKind.PRODUCT, product_bit=2)
 
 
-# --- refs, phases, randomness ----------------------------------------------------
+# --- refs, randomness, arbitrary registers ----------------------------------------
 
 def test_qubit_ref_survives_extend_front():
     reg = prepare_bell(BellLabel.PHI_PLUS)
@@ -406,14 +493,7 @@ def test_extend_front_matches_tensor():
     reg = prepare_bell(BellLabel.PHI_MINUS)
     expected = tensor(prepare_bell(BellLabel.PSI_PLUS), prepare_bell(BellLabel.PHI_MINUS))
     reg.extend_front(prepare_bell(BellLabel.PSI_PLUS))
-    assert reg.amplitudes == pytest.approx(expected.amplitudes)
-
-
-def test_states_equal_up_to_phase():
-    a = prepare_bell(BellLabel.PSI_MINUS)
-    flipped = StateRegister([-x for x in a.amplitudes])
-    assert states_equal_up_to_phase(a, flipped)
-    assert not states_equal_up_to_phase(a, prepare_bell(BellLabel.PSI_PLUS))
+    assert reg.amplitudes == expected.amplitudes
 
 
 def test_random_source_is_deterministic_per_stream():
@@ -453,14 +533,10 @@ def test_randbelow_bounds():
 def _registers(draw):
     n = draw(st.integers(min_value=1, max_value=4))
     dim = 1 << n
-    reals = draw(st.lists(st.floats(-1, 1, allow_nan=False), min_size=dim, max_size=dim))
-    imags = draw(st.lists(st.floats(-1, 1, allow_nan=False), min_size=dim, max_size=dim))
-    amps = [complex(r, i) for r, i in zip(reals, imags)]
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
-    if norm < 1e-3:
-        amps[0] += 1.0
-        norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
-    return StateRegister([a / norm for a in amps])
+    amps = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+    if not any(amps):
+        amps[0] = 1
+    return StateRegister(amps)
 
 
 @given(reg=_registers(), seed=st.integers(0, 2**32 - 1),
@@ -468,11 +544,16 @@ def _registers(draw):
                     min_size=1, max_size=6))
 @settings(max_examples=120, deadline=None)
 def test_measurement_keeps_norm_and_is_repeatable(reg, seed, ops):
+    # unnormalized: "keeps norm" means the collapsed vector keeps weight > 0
     rand = RandomSource(seed, 0)
     for qubit, basis in ops:
         qubit %= reg.num_qubits
+        probs = basis_distribution(reg, qubit, basis)
+        assert sum(probs) == 1
         first = measure_in_basis(reg, qubit, basis, rand)
-        assert reg.norm_error() < 1e-9
+        assert probs[first] > 0
+        assert any(reg.amplitudes)
+        assert basis_distribution(reg, qubit, basis)[first] == 1
         again = measure_in_basis(reg, qubit, basis, rand)
         assert again == first  # collapsed states are eigenstates
 
@@ -482,7 +563,9 @@ def test_measurement_keeps_norm_and_is_repeatable(reg, seed, ops):
 def test_bell_measurement_keeps_norm(seed):
     rand = RandomSource(seed, 1)
     reg = tensor(prepare_bell(rand.bell_label()), prepare_bell(BellLabel.PHI_PLUS))
-    measure_bell(reg, 1, 2, rand)
-    assert reg.norm_error() < 1e-9
-    measure_in_basis(reg, 0, MeasBasis.RECTILINEAR, rand)
-    assert reg.norm_error() < 1e-9
+    outcome = measure_bell(reg, 1, 2, rand)
+    assert any(reg.amplitudes)
+    assert measure_bell(reg, 1, 2, rand) is outcome  # repeatable
+    kept = measure_in_basis(reg, 0, MeasBasis.RECTILINEAR, rand)
+    assert any(reg.amplitudes)
+    assert measure_in_basis(reg, 0, MeasBasis.RECTILINEAR, rand) == kept

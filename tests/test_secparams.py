@@ -9,8 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qauthsim.secparams import (
-    SecurityTarget,
-    best_guess_count,
     evasion_prob,
     forgery_prob,
     improvement_limit,
@@ -172,12 +170,15 @@ class TestSubsetGuess:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_best_guess_count(self):
+        # at d ~ 2.41k, k + d <= 4k - 1: guessing every position is best
         for k in range(2, 11):
             d = math.ceil(2.41 * k)
             best = max(range(k, k + d + 1),
                        key=lambda g: subset_success_prob(k, d, g))
-            assert best == best_guess_count(k, d) == k + d
-        assert best_guess_count(2, 20) == 7
+            assert best == k + d
+        # with many more positions the optimum stops at the improvement limit
+        best = max(range(2, 23), key=lambda g: subset_success_prob(2, 20, g))
+        assert best == improvement_limit(2) == 7
 
 
 class TestPNS:
@@ -225,22 +226,3 @@ class TestPNS:
                 pns_exact_evasion(4, bad)
         with pytest.raises(ValueError):
             pns_required_d(-1, 0.5)
-
-
-class TestSecurityTarget:
-    def test_defaults_to_overall(self):
-        t = SecurityTarget(Fraction(1, 2 ** 17))
-        assert t.forgery_target == t.evasion_target == Fraction(1, 2 ** 17)
-        assert t.key_count() == 17
-        assert t.detection_count() == 41
-
-    def test_split_targets(self):
-        t = SecurityTarget(0.5, forgery=Fraction(1, 64), evasion=Fraction(1, 16))
-        assert t.key_count() == 6
-        assert t.detection_count() == required_d(Fraction(1, 16))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SecurityTarget(0)
-        with pytest.raises(ValueError):
-            SecurityTarget(0.5, forgery=1.5)
