@@ -187,8 +187,14 @@ class KeystreamCipher:
             counter += 1
         return bytes(out[:length])
 
+    def _xor(self, nonce: int, data: bytes) -> bytes:
+        """``data`` XOR the keystream, computed as one integer XOR."""
+        size = len(data)
+        mixed = int.from_bytes(data, "big") ^ int.from_bytes(self._stream(nonce, size), "big")
+        return mixed.to_bytes(size, "big")
+
     def seal(self, nonce: int, plaintext: bytes) -> bytes:
-        body = bytes(p ^ s for p, s in zip(plaintext, self._stream(nonce, len(plaintext))))
+        body = self._xor(nonce, plaintext)
         tag = hashlib.sha256(self._key + b"|tag|%d|" % nonce + body).digest()[:self.TAG_LEN]
         return body + tag
 
@@ -199,4 +205,4 @@ class KeystreamCipher:
         want = hashlib.sha256(self._key + b"|tag|%d|" % nonce + body).digest()[:self.TAG_LEN]
         if tag != want:
             raise TamperedMessageError("authentication tag mismatch")
-        return bytes(c ^ s for c, s in zip(body, self._stream(nonce, len(body))))
+        return self._xor(nonce, body)

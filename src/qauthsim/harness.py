@@ -131,7 +131,20 @@ def _get_num(doc: dict, key: str, where: str, default=None):
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{where}{key} is out of range") from None
+
+
+def _get_object(doc: dict, key: str) -> dict:
+    """A section that may be absent or null (then empty), else an object."""
+    value = doc.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{key} must be an object or null, got {value!r}")
+    return value
 
 
 def parse_scenario(doc: dict) -> ScenarioSpec:
@@ -177,31 +190,31 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
         kind = _get_enum(AttackKind, adoc, "kind", "attack.")
         if kind is None:
             raise ScenarioError("missing field attack.kind")
-        if kind is not AttackKind.NONE:
-            try:
-                attack = AttackConfig(
-                    kind=kind,
-                    path=_get_enum(TapPath, adoc, "path", "attack.",
-                                   default=TapPath.TO_BOB),
-                    basis_choice=_get_enum(BasisChoice, adoc, "basis_choice",
-                                           "attack.",
-                                           default=BasisChoice.RANDOM_PER_SLOT),
-                    fixed_basis=_get_enum(MeasBasis, adoc, "fixed_basis",
-                                          "attack.",
-                                          default=MeasBasis.RECTILINEAR),
-                    guess_count=_get_int(adoc, "guess_count", "attack."),
-                    location_knowledge=_get_enum(
-                        LocationKnowledge, adoc, "location_knowledge",
-                        "attack.", default=LocationKnowledge.NEVER),
-                )
-            except ValueError as exc:
-                if isinstance(exc, ScenarioError):
-                    raise
-                raise ScenarioError(f"attack: {exc}") from None
+        # every field is checked, also for kind "none", which means no attack
+        try:
+            attack = AttackConfig(
+                kind=kind,
+                path=_get_enum(TapPath, adoc, "path", "attack.",
+                               default=TapPath.TO_BOB),
+                basis_choice=_get_enum(BasisChoice, adoc, "basis_choice",
+                                       "attack.",
+                                       default=BasisChoice.RANDOM_PER_SLOT),
+                fixed_basis=_get_enum(MeasBasis, adoc, "fixed_basis",
+                                      "attack.",
+                                      default=MeasBasis.RECTILINEAR),
+                guess_count=_get_int(adoc, "guess_count", "attack."),
+                location_knowledge=_get_enum(
+                    LocationKnowledge, adoc, "location_knowledge",
+                    "attack.", default=LocationKnowledge.NEVER),
+            )
+        except ValueError as exc:
+            if isinstance(exc, ScenarioError):
+                raise
+            raise ScenarioError(f"attack: {exc}") from None
+        if kind is AttackKind.NONE:
+            attack = None
 
-    pdoc = doc.get("photon") or {}
-    if not isinstance(pdoc, dict):
-        raise ScenarioError("photon must be an object")
+    pdoc = _get_object(doc, "photon")
     _reject_unknown(pdoc, _PHOTON_FIELDS, "photon.")
     p1 = _get_num(pdoc, "p1", "photon.", 1.0)
     p_loss = _get_num(pdoc, "p_loss", "photon.", 0.0)
@@ -212,11 +225,11 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
     if not 0.0 <= p_loss < 1.0:
         raise ScenarioError("photon.p_loss must be in [0, 1)")
 
-    odoc = doc.get("outputs") or {}
-    if not isinstance(odoc, dict):
-        raise ScenarioError("outputs must be an object")
+    odoc = _get_object(doc, "outputs")
     _reject_unknown(odoc, _OUTPUT_FIELDS, "outputs.")
-    out_format = odoc.get("format", "json")
+    out_format = odoc.get("format")
+    if out_format is None:
+        out_format = "json"
     if out_format not in ("json", "csv"):
         raise ScenarioError("outputs.format must be 'json' or 'csv'")
     out_path = odoc.get("path")
@@ -230,7 +243,7 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
 def load_scenario(text: str) -> ScenarioSpec:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from None
     return parse_scenario(doc)
 

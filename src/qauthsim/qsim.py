@@ -16,6 +16,12 @@ outcome by exact integer comparison and keeps the projected vector.  The
 relay-step oracle (:func:`swap_enumerate`) projects onto every outcome with
 the same two helpers and reports exact :class:`fractions.Fraction` values.
 
+A session measures the same few register states over and over, so the
+sampler memoizes each measurement's outcome table (cumulative weights and
+projections) per register state, qubit(s) and basis.  The table is built
+by the same helpers on first use and the draw is unchanged: one uniform
+number per measurement, compared exactly against the same weights.
+
 Index convention: qubit 0 is the leftmost tensor factor, so basis index
 ``i`` assigns qubit ``q`` the bit ``(i >> (n - 1 - q)) & 1``.  Pair-basis
 labels are two bits, kind and phase; composing two labels XORs the bits,
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,6 +41,7 @@ from typing import Sequence
 
 _MASK64 = (1 << 64) - 1
 _TWO53 = float(1 << 53)
+_TABLE_LIMIT = 1024  # memoized outcome tables per measurement kind
 
 
 class MeasBasis(Enum):
@@ -247,14 +255,27 @@ _BELL_INTS: dict[BellLabel, tuple[int, int, int, int]] = {
     BellLabel.PSI_PLUS: (0, 1, 1, 0),
     BellLabel.PSI_MINUS: (0, 1, -1, 0),
 }
+_GHZ_INTS = (1, 0, 0, 0, 0, 0, 0, 1)
+# Single qubits carrying 0 and 1 in each basis.
+_RECTILINEAR_INTS = ((1, 0), (0, 1))
+_DIAGONAL_INTS = ((1, 1), (1, -1))
+
+
+def _constant_register(amplitudes: tuple[int, ...]) -> StateRegister:
+    """Register holding a copy of one of the module's known-good vectors,
+    built without the constructor's validation."""
+    register = object.__new__(StateRegister)
+    register.num_qubits = len(amplitudes).bit_length() - 1
+    register.amplitudes = list(amplitudes)
+    return register
 
 
 def prepare_bell(label: BellLabel) -> StateRegister:
-    return StateRegister(_BELL_INTS[label])
+    return _constant_register(_BELL_INTS[label])
 
 
 def prepare_ghz() -> StateRegister:
-    return StateRegister((1, 0, 0, 0, 0, 0, 0, 1))
+    return _constant_register(_GHZ_INTS)
 
 
 def prepare_polarized(value: int, basis: MeasBasis) -> StateRegister:
@@ -262,8 +283,8 @@ def prepare_polarized(value: int, basis: MeasBasis) -> StateRegister:
     if value not in (0, 1):
         raise ValueError("value must be a bit")
     if basis is MeasBasis.RECTILINEAR:
-        return StateRegister((1, 0) if value == 0 else (0, 1))
-    return StateRegister((1, 1) if value == 0 else (1, -1))
+        return _constant_register(_RECTILINEAR_INTS[value])
+    return _constant_register(_DIAGONAL_INTS[value])
 
 
 def tensor(a: StateRegister, b: StateRegister) -> StateRegister:
@@ -346,19 +367,57 @@ def _draw53(rand: RandomSource) -> int:
     return int(rand.uniform() * _TWO53)
 
 
+# Memoized outcome tables, keyed by (amplitude tuple, n, qubit, diagonal?)
+# and (amplitude tuple, n, first, second).  Keys hold plain ints and bools:
+# hashing an Enum member is a Python-level call.
+_QUBIT_TABLES: dict[tuple, tuple] = {}
+_PAIR_TABLES: dict[tuple, tuple] = {}
+
+
+def _remember(tables: dict[tuple, tuple], key: tuple,
+              projections: Sequence[Sequence[int]]) -> tuple:
+    """Store and return the outcome table of one measurement: cumulative
+    weights shifted left by 53, the total weight, and the projections as
+    tuples, all in outcome order."""
+    if len(tables) >= _TABLE_LIMIT:
+        tables.clear()
+    cumulative = []
+    total = 0
+    for projection in projections:
+        total += _weight(projection)
+        cumulative.append(total << 53)
+    table = (tuple(cumulative), total, tuple(map(tuple, projections)))
+    tables[key] = table
+    return table
+
+
+def _draw_outcome(register: StateRegister, table: tuple,
+                  rand: RandomSource) -> int:
+    """Draw an outcome index from ``table`` and collapse ``register`` onto
+    a fresh copy of its projection.  ``bisect_right`` finds the first j
+    with u * total * 2**53 < cumulative[j], as :func:`_draw53` describes."""
+    cumulative, total, projections = table
+    idx = bisect_right(cumulative, _draw53(rand) * total)
+    register.amplitudes = list(projections[idx])
+    return idx
+
+
 def measure_in_basis(register: StateRegister, qubit: int, basis: MeasBasis,
                      rand: RandomSource) -> int:
     """Born-rule measurement of one qubit; collapses the register in place."""
     n = register.num_qubits
     if not 0 <= qubit < n:
         raise ValueError("qubit index out of range")
-    zero, one = _project_qubit(register.amplitudes, n, qubit, basis)
-    w0 = _weight(zero)
-    if _draw53(rand) * (w0 + _weight(one)) < w0 << 53:
-        register.amplitudes = zero
-        return 0
-    register.amplitudes = one
-    return 1
+    diagonal = basis is MeasBasis.DIAGONAL
+    if not diagonal and basis is not MeasBasis.RECTILINEAR:
+        raise ValueError(f"unknown basis {basis!r}")
+    amps = tuple(register.amplitudes)
+    key = (amps, n, qubit, diagonal)
+    table = _QUBIT_TABLES.get(key)
+    if table is None:
+        table = _remember(_QUBIT_TABLES, key,
+                          _project_qubit(amps, n, qubit, basis))
+    return _draw_outcome(register, table, rand)
 
 
 def basis_distribution(register: StateRegister, qubit: int,
@@ -382,18 +441,13 @@ def measure_bell(register: StateRegister, first: int, second: int,
         raise ValueError("pair measurement needs two distinct qubits")
     if not (0 <= first < n and 0 <= second < n):
         raise ValueError("qubit index out of range")
-    projections = _project_pair(register.amplitudes, n, first, second)
-    weights = [_weight(p) for p in projections]
-    target = _draw53(rand) * sum(weights)
-    idx = 3
-    acc = 0
-    for j in range(3):
-        acc += weights[j] << 53
-        if target < acc:
-            idx = j
-            break
-    register.amplitudes = projections[idx]
-    return BELL_ORDER[idx]
+    amps = tuple(register.amplitudes)
+    key = (amps, n, first, second)
+    table = _PAIR_TABLES.get(key)
+    if table is None:
+        table = _remember(_PAIR_TABLES, key,
+                          _project_pair(amps, n, first, second))
+    return BELL_ORDER[_draw_outcome(register, table, rand)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Channel layer: streams, loss, taps, and the sealed classical side."""
 
+import hashlib
 import math
 
 import pytest
@@ -166,6 +167,15 @@ class TestKeystreamCipher:
     def test_empty_plaintext(self):
         cipher = KeystreamCipher(bytes(range(16)))
         assert cipher.open(0, cipher.seal(0, b"")) == b""
+
+    def test_sealed_bytes_pinned(self):
+        # known answer: sealing may be computed any way that gives these bytes
+        cipher = KeystreamCipher(bytes(range(16)))
+        texts = {n: (bytes(range(256)) * 3)[:n] for n in (0, 1, 31, 32, 33, 742)}
+        blobs = {n: cipher.seal(n, text) for n, text in texts.items()}
+        assert hashlib.sha256(b"".join(blobs.values())).hexdigest() == \
+            "28a1dd33711a84394cec3d12e562901aca0e7450c0f8bd1fba5a409d97445f48"
+        assert {n: cipher.open(n, blob) for n, blob in blobs.items()} == texts
 
     def test_ciphertext_differs_from_plaintext(self):
         cipher = KeystreamCipher(b"k" * 16)

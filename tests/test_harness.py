@@ -1,14 +1,19 @@
 """Scenario plumbing: parsing, determinism, reports, tables, CLI."""
 
+import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qauthsim import cli, harness
+from qauthsim.adversary import AttackKind, BasisChoice, LocationKnowledge, TapPath
 from qauthsim.cli import main, parse_probability
 from qauthsim.harness import (
     ScenarioError,
+    ScenarioSpec,
     TRIAL_FIELDS,
     _Accumulator,
     _json_value,
@@ -21,6 +26,7 @@ from qauthsim.harness import (
     verify_tables,
 )
 from qauthsim.protocol import BeliefRule, ProtocolMode
+from qauthsim.qsim import MeasBasis
 
 
 def _doc(**over):
@@ -31,6 +37,39 @@ def _doc(**over):
     }
     doc.update(over)
     return doc
+
+
+# sections that used to read as absent because they are falsy
+MALFORMED_SECTIONS = [("photon", v) for v in (False, [], 0, "")]
+MALFORMED_SECTIONS += [("outputs", v) for v in (0, "", [])]
+
+_FIELD_NAMES = (harness._TOP_FIELDS + harness._SESSION_FIELDS + harness._ATTACK_FIELDS
+                + harness._PHOTON_FIELDS + harness._OUTPUT_FIELDS)
+_FIELD_VALUES = tuple(member.value for enum in (
+    ProtocolMode, BeliefRule, MeasBasis, AttackKind, TapPath, BasisChoice,
+    LocationKnowledge) for member in enum) + ("json", "csv")
+
+
+def _json_documents():
+    """Any JSON value, leaning on the scenario's own field names and values
+    so that deep documents get past the first checks."""
+    scalars = (st.none() | st.booleans()
+               | st.integers(-2, 2 ** 65) | st.integers()
+               | st.floats(allow_nan=True, allow_infinity=True)
+               | st.sampled_from(_FIELD_VALUES) | st.text(max_size=8))
+    keys = st.sampled_from(_FIELD_NAMES) | st.text(max_size=6)
+    values = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(keys, inner, max_size=8),
+        max_leaves=30)
+    scenario = st.fixed_dictionaries(
+        {"seed": st.integers(0, 9), "trials": st.integers(0, 3),
+         "session": st.fixed_dictionaries({"k": st.integers(-1, 4),
+                                           "d": st.integers(-1, 4)})
+         | values},
+        optional={name: values for name in ("attack", "photon", "outputs")})
+    return values | scenario
 
 
 class TestParsing:
@@ -110,6 +149,48 @@ class TestParsing:
     def test_load_rejects_bad_json(self):
         with pytest.raises(ScenarioError, match="JSON"):
             load_scenario("{nope")
+
+    @pytest.mark.parametrize("text", [
+        '{"seed": %s}' % ("9" * 5000),  # past the interpreter's digit limit
+        "[" * 100000 + "]" * 100000,
+    ])
+    def test_load_rejects_unreadable_json(self, text):
+        with pytest.raises(ScenarioError, match="JSON"):
+            load_scenario(text)
+
+    @pytest.mark.parametrize("section,value", MALFORMED_SECTIONS)
+    def test_malformed_sections_rejected(self, section, value):
+        with pytest.raises(ScenarioError, match=f"^{section} must be an object"):
+            parse_scenario(_doc(**{section: value}))
+
+    def test_null_sections_keep_defaults(self):
+        spec = parse_scenario(_doc(photon=None, outputs=None, attack=None))
+        assert spec == parse_scenario(_doc())
+        spec = parse_scenario(_doc(photon={"p1": None}, outputs={"format": None}))
+        assert spec == parse_scenario(_doc())
+
+    @pytest.mark.parametrize("attack,needle", [
+        ({"kind": "none", "path": "bogus", "guess_count": 3}, "attack.path"),
+        ({"kind": "none", "guess_count": 3}, "guess_count"),
+        ({"kind": "none", "location_knowledge": "realtime"}, "location knowledge"),
+        ({"kind": "none", "fixed_basis": 1}, "attack.fixed_basis"),
+    ])
+    def test_no_attack_fields_still_checked(self, attack, needle):
+        with pytest.raises(ScenarioError, match=needle):
+            parse_scenario(_doc(attack=attack))
+
+    def test_huge_number_rejected(self):
+        with pytest.raises(ScenarioError, match="photon.p1"):
+            parse_scenario(_doc(photon={"p1": 10 ** 400}))
+
+    @given(doc=_json_documents())
+    @settings(max_examples=150, deadline=None)
+    def test_any_json_value_parses_or_raises_scenario_error(self, doc):
+        try:
+            spec = parse_scenario(doc)
+        except ScenarioError:
+            return
+        assert isinstance(spec, ScenarioSpec)
 
 
 class TestDeterminism:
@@ -401,6 +482,21 @@ class TestCLI:
         assert main(["run", str(scenario)]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("over,field", [
+        *(({section: value}, section) for section, value in MALFORMED_SECTIONS),
+        ({"attack": {"kind": "none", "path": "bogus", "guess_count": 3}},
+         "attack.path"),
+        ({"attack": {"kind": "none", "guess_count": 3}}, "guess_count"),
+    ])
+    def test_run_malformed_document_exit_2(self, over, field, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(_doc(**over)))
+        assert main(["run", str(scenario)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert field in captured.err
+
     def test_run_missing_file_exit_2(self, capsys):
         assert main(["run", "/nonexistent/path.json"]) == 2
 
@@ -422,3 +518,69 @@ class TestCLI:
         assert main(["run", str(scenario), "--out",
                      str(tmp_path / "r.jsonl")]) == 1
         assert "accept_rate" in capsys.readouterr().err
+
+
+# --- the CLI's exit contract on arbitrary argv ---------------------------------
+
+_SCENARIO_TEXT = json.dumps(_doc(trials=2, session={"k": 1, "d": 1}))
+# what each subcommand accepts, plus values each flag rejects
+_CLI_POSITIONALS = {
+    "params": ["0.5", "2**-17", "1e-6", "1/3", "2^-40", "1e-99999999", "0",
+               "-", "nan"],
+    "run": ["scenario.json", "-", "bad.json", "missing/none.json", "."],
+    "verify-tables": [],
+    "oracle": [],
+}
+_CLI_FLAG_VALUES = {
+    "--seed": ["0", "7", "-1", "x"],
+    "--trials": ["0", "2", "-1", "1.5"],
+    "--format": ["text", "json", "csv", "xml"],
+    "--out": ["out.txt", "missing/out.txt", ".", ""],
+    "--p1": ["0.5", "1e-6", "2**-17", "0", "nan"],
+    "--created": ["phi+", "psi-", "omega"],
+    "--source": ["product", "ghz", "entangled_phi_plus", "tachyon"],
+    "--product-bit": ["0", "1", "2"],
+}
+_COMMON_FLAGS = ["--seed", "--trials", "--format", "--out"]
+_CLI_FLAGS = {
+    "params": _COMMON_FLAGS + ["--p1"],
+    "run": _COMMON_FLAGS,
+    "verify-tables": _COMMON_FLAGS,
+    "oracle": _COMMON_FLAGS + ["--created", "--source", "--product-bit"],
+}
+_CLI_TOKENS = st.sampled_from(sorted(
+    {*_CLI_POSITIONALS, *_CLI_FLAG_VALUES, "--help", "-h"}
+    | {v for vs in (*_CLI_POSITIONALS.values(), *_CLI_FLAG_VALUES.values())
+       for v in vs})) | st.text(max_size=4)
+
+
+@st.composite
+def _cli_argv(draw):
+    """Mostly a subcommand with its positional and flags, sometimes with a
+    stray token; now and then any list of tokens."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.lists(_CLI_TOKENS, max_size=6))
+    command = draw(st.sampled_from(sorted(_CLI_POSITIONALS)))
+    argv = [command]
+    if _CLI_POSITIONALS[command] and draw(st.integers(0, 4)):
+        argv.append(draw(st.sampled_from(_CLI_POSITIONALS[command])))
+    for flag in draw(st.lists(st.sampled_from(_CLI_FLAGS[command]), max_size=3)):
+        argv += [flag, draw(st.sampled_from(_CLI_FLAG_VALUES[flag]))]
+    if draw(st.integers(0, 4)) == 0:
+        argv.append(draw(_CLI_TOKENS))
+    return argv
+
+
+@given(argv=_cli_argv(),
+       stdin=st.sampled_from(["", _SCENARIO_TEXT, "{nope", "[]"]))
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_exit_contract(argv, stdin, tmp_path, monkeypatch, capsys):
+    # paths are relative to tmp_path: a small scenario, a malformed one, a
+    # missing directory and the directory itself; run - reads stdin
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.json").write_text(_SCENARIO_TEXT)
+    (tmp_path / "bad.json").write_text('{"seed": 1, "photon": 0}')
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert main(argv) in (0, 1, 2)
+    capsys.readouterr()

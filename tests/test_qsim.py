@@ -15,6 +15,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qauthsim import qsim
 from qauthsim.qsim import (
     BELL_ORDER,
     BellKind,
@@ -261,9 +262,28 @@ def _check_sampler(name, make, measure, reference, labels):
 SESSION_REGISTERS = _session_registers()
 
 
-@pytest.mark.parametrize("name,make,relay", SESSION_REGISTERS,
-                         ids=[entry[0] for entry in SESSION_REGISTERS])
-def test_engine_matches_reference_on_session_registers(name, make, relay):
+def _clear_tables():
+    qsim._QUBIT_TABLES.clear()
+    qsim._PAIR_TABLES.clear()
+
+
+def _cold(measure):
+    """``measure`` with the memoized outcome tables cleared before each call,
+    so every draw reads a table built for it."""
+    def run(reg, rand):
+        _clear_tables()
+        return measure(reg, rand)
+    return run
+
+
+# each register with the tables as earlier tests left them, then "-cold"
+@pytest.mark.parametrize("name,make,relay,cold",
+                         [(*entry, cold) for cold in (False, True)
+                          for entry in SESSION_REGISTERS],
+                         ids=[entry[0] + ("-cold" if cold else "")
+                              for cold in (False, True) for entry in SESSION_REGISTERS])
+def test_engine_matches_reference_on_session_registers(name, make, relay, cold):
+    wrap = _cold if cold else (lambda measure: measure)
     state = make().amplitudes
     n = make().num_qubits
     for qubit in range(n):
@@ -272,14 +292,68 @@ def test_engine_matches_reference_on_session_registers(name, make, relay):
             assert basis_distribution(make(), qubit, basis) == \
                 tuple(prob for prob, _ in reference), (name, qubit, basis)
             _check_sampler((name, qubit, basis), make,
-                           lambda reg, rand: measure_in_basis(reg, qubit, basis, rand),
+                           wrap(lambda reg, rand: measure_in_basis(reg, qubit, basis, rand)),
                            reference, (0, 1))
     if relay is not None:
         reference = _reference_measurement(state, n, relay,
                                            [BELL_VECS[label] for label in BELL_ORDER])
         _check_sampler((name, relay), make,
-                       lambda reg, rand: measure_bell(reg, *relay, rand),
+                       wrap(lambda reg, rand: measure_bell(reg, *relay, rand)),
                        reference, BELL_ORDER)
+
+
+def test_collapsed_register_does_not_alias_the_table():
+    # a register collapsed from a memoized table gets its own list: writing
+    # into it must leave the table that the next register of the same state
+    # reads untouched
+    _clear_tables()
+    decoy = partial(prepare_polarized, 0, MeasBasis.DIAGONAL)
+    grafted = partial(_grafted, BellLabel.PSI_MINUS,
+                      partial(prepare_bell, BellLabel.PHI_PLUS))
+    cases = [
+        (decoy, lambda reg, rand: measure_in_basis(reg, 0, MeasBasis.RECTILINEAR, rand),
+         (0,), QUBIT_VECS[MeasBasis.RECTILINEAR], (0, 1)),
+        (grafted, lambda reg, rand: measure_bell(reg, 1, 2, rand),
+         (1, 2), [BELL_VECS[label] for label in BELL_ORDER], BELL_ORDER),
+    ]
+    for make, measure, qubits, vecs, labels in cases:
+        state, n = make().amplitudes, make().num_qubits
+        for u in (0.0, 0.99):
+            reg = make()
+            measure(reg, _FixedDraw(u))
+            reg.amplitudes[:] = [7] * len(reg.amplitudes)
+        reference = _reference_measurement(state, n, qubits, vecs)
+        _check_sampler(("aliasing", qubits), make, measure, reference, labels)
+
+
+def test_pair_tables_keyed_by_both_qubits():
+    # one register state measured on every ordered pair of its qubits, so a
+    # table reused across pairs would hand one pair another's weights
+    make = partial(_grafted, BellLabel.PHI_MINUS, prepare_ghz)
+    state, n = make().amplitudes, make().num_qubits
+    vecs = [BELL_VECS[label] for label in BELL_ORDER]
+    for first in range(n):
+        for second in range(n):
+            if first != second:
+                reference = _reference_measurement(state, n, (first, second), vecs)
+                _check_sampler(("pair", first, second), make,
+                               lambda reg, rand: measure_bell(reg, first, second, rand),
+                               reference, BELL_ORDER)
+
+
+def test_prepared_registers_are_independent():
+    makers = [partial(prepare_bell, label) for label in BELL_ORDER]
+    makers += [partial(prepare_polarized, v, b) for v in (0, 1) for b in MeasBasis]
+    makers.append(prepare_ghz)
+    for make in makers:
+        first = make()
+        expected = list(first.amplitudes)
+        first.amplitudes[0] += 5
+        first.extend_front(prepare_bell(BellLabel.PSI_PLUS))
+        again = make()
+        assert again.amplitudes == expected
+        assert again.num_qubits == len(expected).bit_length() - 1
+        assert again.amplitudes is not make().amplitudes
 
 
 # --- single-qubit measurement ---------------------------------------------------
