@@ -76,7 +76,6 @@ from .secparams import (
     evasion_prob,
     forgery_prob,
     improvement_limit,
-    marginal_gain_ratio,
     pns_approx_evasion,
     pns_exact_evasion,
     pns_effective_d,

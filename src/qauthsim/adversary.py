@@ -8,9 +8,10 @@ driven by the same RandomSource discipline as the honest parties, so a
 whole attacked session replays byte-identically from its seed.
 
 Location knowledge models what the adversary learns about which slots
-are detection slots: NEVER, only after the session (identical in-session
-behavior to NEVER by construction), or in real time from the control
-traffic, in which case taps skip detection slots entirely.
+are detection slots: NEVER, only after the session (too late to change
+anything the session does, so it runs exactly as NEVER), or in real time
+from the control traffic, in which case taps skip detection slots entirely
+and read key slots in the key basis.
 """
 
 from __future__ import annotations
@@ -109,19 +110,12 @@ class EveState:
     attack: AttackConfig | None
     measured: dict[tuple[Path, int], tuple[int, MeasBasis]] = field(default_factory=dict)
     split_positions: set[tuple[Path, int]] = field(default_factory=set)
-    guessed_positions: tuple[int, ...] | None = None
-    realtime_tamper_positions: frozenset[int] | None = None
-    post_session_positions: frozenset[int] | None = None
     server_record: dict[int, int] = field(default_factory=dict)
     retained: list[tuple[int, QubitRef]] = field(default_factory=list)
 
     @property
     def kind(self) -> AttackKind:
         return self.attack.kind if self.attack is not None else AttackKind.NONE
-
-
-def make_eve(attack: AttackConfig | None) -> EveState:
-    return EveState(attack)
 
 
 def _emit_server_product(plan: "SessionPlan", model: PhotonCountModel,
@@ -155,47 +149,26 @@ def _emit_server_ghz(plan: "SessionPlan", model: PhotonCountModel,
     return channel.build_streams(plan, model, rand, triple)
 
 
-def _tap_skip(plan: "SessionPlan", eve: EveState) -> frozenset[int]:
-    if (eve.attack is not None
-            and eve.attack.location_knowledge is LocationKnowledge.REALTIME):
-        # decrypted control traffic names the detection slots; skip them
-        positions = frozenset(plan.tamper.positions)
-        eve.realtime_tamper_positions = positions
-        return positions
-    return frozenset()
-
-
-def _intercept_tap(eve: EveState, plan: "SessionPlan", path: Path,
-                   rand: RandomSource):
+def _tap(eve: EveState, plan: "SessionPlan", path: Path, rand: RandomSource):
+    """The in-flight tap on one path.  A PNS attacker splits one photon off
+    a multi-photon slot, with no disturbance; every other tapped slot is
+    measured.  An intercept-resend attacker that does not know the slot
+    layout measures in a random or fixed basis; every other attacker
+    measures in the key basis."""
     attack = eve.attack
-    realtime = attack.location_knowledge is LocationKnowledge.REALTIME
+    split = attack.kind is AttackKind.PNS
+    blind = (attack.kind is AttackKind.INTERCEPT_RESEND
+             and attack.location_knowledge is not LocationKnowledge.REALTIME)
+    random_basis = blind and attack.basis_choice is BasisChoice.RANDOM_PER_SLOT
+    basis = attack.fixed_basis if blind else plan.config.key_basis
 
     def tap(slot: PhotonSlot) -> None:
-        if realtime:
-            basis = plan.config.key_basis
-        elif attack.basis_choice is BasisChoice.RANDOM_PER_SLOT:
-            basis = rand.basis()
-        else:
-            basis = attack.fixed_basis
-        bit = slot.measure(basis, rand)
-        eve.measured[(path, slot.position)] = (bit, basis)
-
-    return tap
-
-
-def _pns_tap(eve: EveState, plan: "SessionPlan", path: Path, rand: RandomSource):
-    """Multi-photon slots lose one photon to the adversary with no
-    disturbance; single-photon slots fall back to a key-basis
-    intercept-resend."""
-    basis = plan.config.key_basis
-
-    def tap(slot: PhotonSlot) -> None:
-        if slot.photon_count >= 2:
+        if split and slot.photon_count >= 2:
             slot.photon_count -= 1
             eve.split_positions.add((path, slot.position))
-        else:
-            bit = slot.measure(basis, rand)
-            eve.measured[(path, slot.position)] = (bit, basis)
+            return
+        b = rand.basis() if random_basis else basis
+        eve.measured[(path, slot.position)] = (slot.measure(b, rand), b)
 
     return tap
 
@@ -205,7 +178,8 @@ def stage_attack(plan: "SessionPlan", photon: PhotonCountModel, p_loss: float,
                  ) -> tuple[QuantumStream, QuantumStream]:
     """Emit both quantum streams, apply channel loss, then run any in-flight
     taps over the surviving slots.  Draw order is fixed: emission, loss on
-    the initiator path, loss on the responder path, taps in path order."""
+    the initiator path, loss on the responder path, the subset guess, taps
+    in path order."""
     kind = eve.kind
     if kind is AttackKind.SERVER_PRODUCT:
         stream_a, stream_b = _emit_server_product(plan, photon, rand, eve)
@@ -221,41 +195,26 @@ def stage_attack(plan: "SessionPlan", photon: PhotonCountModel, p_loss: float,
         return stream_a, stream_b
 
     attack = eve.attack
-    streams = {Path.TO_ALICE: stream_a, Path.TO_BOB: stream_b}
-    skip = _tap_skip(plan, eve)
-
     if kind is AttackKind.SUBSET_GUESS:
         guessed = rand.sample_positions(plan.total_slots, attack.guess_count)
-        eve.guessed_positions = guessed
-        chosen = set(guessed)
-        not_guessed = [p for p in range(plan.total_slots) if p not in chosen]
-        for path in attack.path.channel_paths():
-            basis = plan.config.key_basis
-
-            def tap(slot: PhotonSlot, _path: Path = path,
-                    _basis: MeasBasis = basis) -> None:
-                bit = slot.measure(_basis, rand)
-                eve.measured[(_path, slot.position)] = (bit, _basis)
-
-            apply_tap(streams[path], tap, skip_positions=not_guessed)
-        return stream_a, stream_b
-
-    tap_factory = _intercept_tap if kind is AttackKind.INTERCEPT_RESEND else _pns_tap
+        skip = frozenset(range(plan.total_slots)).difference(guessed)
+    elif attack.location_knowledge is LocationKnowledge.REALTIME:
+        # decrypted control traffic names the detection slots
+        skip = frozenset(plan.tamper.positions)
+    else:
+        skip = frozenset()
+    streams = {Path.TO_ALICE: stream_a, Path.TO_BOB: stream_b}
     for path in attack.path.channel_paths():
-        apply_tap(streams[path], tap_factory(eve, plan, path, rand),
-                  skip_positions=skip)
+        apply_tap(streams[path], _tap(eve, plan, path, rand), skip_positions=skip)
     return stream_a, stream_b
 
 
-def finish_session(eve: EveState, plan: "SessionPlan", rand: RandomSource) -> None:
-    """Post-session adversary actions: measure any retained third qubits and
-    record late position disclosure.  Never touches party state."""
+def finish_session(eve: EveState, rand: RandomSource) -> None:
+    """Post-session adversary action: measure any retained third qubits.
+    Never touches party state."""
     for position, ref in eve.retained:
         eve.server_record[position] = ref.measure(MeasBasis.RECTILINEAR, rand)
     eve.retained = []
-    if (eve.attack is not None
-            and eve.attack.location_knowledge is LocationKnowledge.AFTER_MEASUREMENT):
-        eve.post_session_positions = frozenset(plan.tamper.positions)
 
 
 @dataclass(frozen=True)

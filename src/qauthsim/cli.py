@@ -58,47 +58,40 @@ def parse_probability(text: str) -> Fraction:
     return value
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    # SUPPRESS keeps subcommand-level flags from clobbering main-level ones
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="override the scenario master seed")
-    common.add_argument("--trials", type=int, default=argparse.SUPPRESS,
-                        help="override the scenario trial count")
-    common.add_argument("--format", dest="out_format", default=argparse.SUPPRESS,
-                        choices=("text", "json", "csv"),
-                        help="output format (default depends on subcommand)")
-    common.add_argument("--out", default=argparse.SUPPRESS,
-                        help="write output to this path instead of stdout")
-    return common
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
     parser = argparse.ArgumentParser(
         prog="qauthsim",
         description="Laboratory for a relay-mediated quantum authentication "
                     "protocol: seeded Monte Carlo scenarios, exact table "
                     "checks, and sizing math.")
-    parser.set_defaults(seed=None, trials=None, out_format=None, out=None)
     sub = parser.add_subparsers(dest="command", required=True)
+    out_help = "write output to this path instead of stdout"
 
-    p_params = sub.add_parser("params", parents=[common],
-                              help="slot sizing for a failure budget")
+    p_params = sub.add_parser("params", help="slot sizing for a failure budget")
     p_params.add_argument("target",
                           help="failure budget, e.g. 2**-17, 0.5, 1e-6")
     p_params.add_argument("--p1", default=None,
                           help="single-photon probability for splitter "
                                "inflation figures")
+    p_params.add_argument("--format", dest="out_format", choices=("text", "json"),
+                          default="text", help="output format (default: text)")
+    p_params.add_argument("--out", help=out_help)
 
-    p_run = sub.add_parser("run", parents=[common],
-                           help="execute a scenario JSON document")
+    p_run = sub.add_parser("run", help="execute a scenario JSON document")
     p_run.add_argument("scenario", help="path to the scenario file, or -")
+    p_run.add_argument("--seed", type=int, help="override the scenario master seed")
+    p_run.add_argument("--trials", type=int,
+                       help="override the scenario trial count")
+    p_run.add_argument("--format", dest="out_format", choices=("json", "csv"),
+                       help="override the scenario's outputs.format")
+    p_run.add_argument("--out", help="override the scenario's outputs.path")
 
-    sub.add_parser("verify-tables", parents=[common],
-                   help="exact enumeration checks of the pair-algebra tables")
+    p_verify = sub.add_parser("verify-tables",
+                              help="exact enumeration checks of the "
+                                   "pair-algebra tables")
+    p_verify.add_argument("--out", help=out_help)
 
-    p_oracle = sub.add_parser("oracle", parents=[common],
+    p_oracle = sub.add_parser("oracle",
                               help="dump the exact relay-step distribution "
                                    "for one created pair and source")
     p_oracle.add_argument("--created", default="phi+",
@@ -109,6 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="what the relay actually emitted")
     p_oracle.add_argument("--product-bit", type=int, choices=(0, 1), default=0,
                           help="planted bit for the product source")
+    p_oracle.add_argument("--format", dest="out_format", choices=("text", "json"),
+                          default="text", help="output format (default: text)")
+    p_oracle.add_argument("--out", help=out_help)
     return parser
 
 
@@ -170,11 +166,8 @@ def _cmd_run(args) -> int:
         overrides["seed"] = args.seed
     if args.trials is not None:
         overrides["trials"] = args.trials
-    if args.out_format in ("json", "csv"):
+    if args.out_format is not None:
         overrides["out_format"] = args.out_format
-    elif args.out_format == "text":
-        print("error: run emits json or csv", file=sys.stderr)
-        return 2
     if args.out is not None:
         overrides["out_path"] = args.out
     if overrides:

@@ -213,6 +213,11 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
             raise ScenarioError(f"attack: {exc}") from None
         if kind is AttackKind.NONE:
             attack = None
+        elif (attack.guess_count is not None
+              and attack.guess_count > session.total_slots):
+            raise ScenarioError(
+                f"attack.guess_count must be at most k + d = "
+                f"{session.total_slots}, got {attack.guess_count}")
 
     pdoc = _get_object(doc, "photon")
     _reject_unknown(pdoc, _PHOTON_FIELDS, "photon.")
@@ -446,6 +451,8 @@ def analytic_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, st
     base_mode = cfg.mode is ProtocolMode.BASE
     paths = attack.path.channel_paths()
     both = len(paths) == 2
+    # the evasion closed forms below assume that any detection error aborts
+    any_flip = cfg.error_threshold == 0.0
 
     if attack.location_knowledge is LocationKnowledge.REALTIME:
         out["accept_rate"] = (1.0, "detection slots skipped entirely")
@@ -462,10 +469,10 @@ def analytic_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, st
                              (Path.TO_BOB, "bob_tamper_error_rate")):
             out[metric] = (err if path in paths else 0.0, d_note)
         ev = float(evasion_prob(cfg.d))
-        if both:
+        if any_flip and both:
             out["evasion_rate"] = (ev * ev,
                                    "extrapolated beyond the single-path model")
-        else:
+        elif any_flip:
             out["evasion_rate"] = (ev, d_note)
         if attack.basis_choice is BasisChoice.RANDOM_PER_SLOT:
             know = 0.5
@@ -486,10 +493,10 @@ def analytic_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, st
                              (Path.TO_BOB, "bob_tamper_error_rate")):
             out[metric] = (err if path in paths else 0.0, d_note)
         exact = float(pns_exact_evasion(cfg.d, p1))
-        if both:
+        if any_flip and both:
             out["evasion_rate"] = (exact * exact,
                                    "extrapolated beyond the single-path model")
-        else:
+        elif any_flip:
             out["evasion_rate"] = (exact, d_note)
             out["evasion_rate_vs_approx"] = (
                 pns_approx_evasion(cfg.d, p1),
@@ -501,9 +508,10 @@ def analytic_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, st
     if kind is AttackKind.SUBSET_GUESS:
         g = attack.guess_count
         total = cfg.total_slots
-        out["subset_success"] = (
-            float(subset_success_prob(cfg.k, cfg.d, g))
-            if cfg.k <= g <= total else 0.0, None)
+        if any_flip:
+            out["subset_success"] = (
+                float(subset_success_prob(cfg.k, cfg.d, g))
+                if cfg.k <= g else 0.0, None)
         out["eve_key_knowledge"] = (
             (g / total if base_mode else 0.0), "hypergeometric mean coverage")
         touched = Fraction(g, total)
@@ -511,7 +519,7 @@ def analytic_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, st
         for path, metric in ((Path.TO_ALICE, "alice_tamper_error_rate"),
                              (Path.TO_BOB, "bob_tamper_error_rate")):
             out[metric] = (err if path in paths else 0.0, d_note)
-        if not both and cfg.d > 0:
+        if any_flip and not both and cfg.d > 0:
             ev = _subset_evasion_exact(cfg.k, cfg.d, g)
             out["evasion_rate"] = (ev, None)
         # guessed slots are read in the public key basis: no key disturbance

@@ -14,7 +14,11 @@ a default silently.
 
 Event log step ids follow the protocol's own numbering (1 request,
 2 tamper spec, 3 emission, 4 arrival measurements and checks, 5 token with
-relay sub-steps 5a-5d, 6 verdict); see README for the step map.
+relay sub-steps 5a-5d, 6 verdict); see README for the step map.  Each
+party's arrival check is the same routine: measure the detection slots (and
+in BASE mode the key slots), then run the tamper check.  Both parties run it
+at step 4 in BASE mode; in SWAP mode the responder runs it at 5d, after the
+token exists, and only if the initiator passed.
 """
 
 from __future__ import annotations
@@ -237,13 +241,6 @@ class EventLog:
     def digest(self) -> str:
         return sha256(self.text().encode()).hexdigest()[:16]
 
-    def first_index(self, step: str | None = None,
-                    party: str | None = None) -> int | None:
-        for i, (s, p, _) in enumerate(self.entries):
-            if (step is None or s == step) and (party is None or p == party):
-                return i
-        return None
-
 
 def alice_swap_step(slot: PhotonSlot, cfg: SessionConfig, rand: RandomSource,
                     log: EventLog | None = None) -> SwapRecord:
@@ -291,22 +288,6 @@ def _bits(bits) -> str:
     return "".join(str(b) for b in bits)
 
 
-def _measure_tamper(slots: list[PhotonSlot], plan: SessionPlan,
-                    rand: RandomSource) -> list[int]:
-    out = []
-    for slot in slots:
-        if plan.is_tamper(slot.position):
-            basis, _ = plan.tamper_preparation(slot.position)
-            out.append(slot.measure(basis, rand))
-    return out
-
-
-def _measure_keys_direct(slots: list[PhotonSlot], plan: SessionPlan,
-                         basis: MeasBasis, rand: RandomSource) -> list[int]:
-    return [slot.measure(basis, rand) for slot in slots
-            if not plan.is_tamper(slot.position)]
-
-
 def run_session(cfg: SessionConfig, attack: "AttackConfig | None",
                 rand: RandomSource, *, photon: PhotonCountModel | None = None,
                 p_loss: float = 0.0) -> SessionOutcome:
@@ -315,11 +296,11 @@ def run_session(cfg: SessionConfig, attack: "AttackConfig | None",
     The photon-count model and loss probability are channel properties and
     default to ideal (exactly one photon per slot, no loss).
     """
-    from .adversary import finish_session, make_eve, stage_attack
+    from .adversary import EveState, finish_session, stage_attack
 
     photon = photon or PhotonCountModel()
     log = EventLog()
-    eve = make_eve(attack)
+    eve = EveState(attack)
 
     log.add("1", "alice", f"request k={cfg.k} d={cfg.d} mode={cfg.mode.value}")
 
@@ -344,76 +325,60 @@ def run_session(cfg: SessionConfig, attack: "AttackConfig | None",
         log.add("3", "server", f"lost slots {sorted(set(lost))}")
         outcome = SessionOutcome(SessionStatus.INCOMPLETE_STREAM, plan,
                                  eve=eve, events=log)
-        finish_session(eve, plan, rand)
+        finish_session(eve, rand)
         return outcome
 
     swap_mode = cfg.mode is ProtocolMode.SWAP
     outcome = SessionOutcome(SessionStatus.TAMPER_ABORT, plan, eve=eve, events=log)
 
-    # step 4: arrival checks (in BASE mode arrival key measurement too)
-    alice_obs = _measure_tamper(stream_a.slots, plan, rand)
-    if not swap_mode:
-        alice_key = _measure_keys_direct(stream_a.slots, plan, cfg.key_basis, rand)
-        outcome.alice_key_bits = tuple(alice_key)
-    log.add("4", "alice", f"measured obs={_bits(alice_obs)}"
-            + ("" if swap_mode else f" key={_bits(alice_key)}"))
-    alice_pass, alice_rate = tamper_check(tuple(alice_obs), alice_spec.values,
-                                          cfg.error_threshold)
-    outcome.alice_tamper_error_rate = alice_rate
-    log.add("4", "alice", f"tamper check rate={alice_rate:.6f} pass={alice_pass}")
+    def arrival(party: str, step: str, slots: list[PhotonSlot],
+                spec: TamperSpec, keys: bool) -> bool:
+        """One party's arrival check: measure the detection slots, then the
+        key slots when ``keys``, log both lines and run the tamper check.
+        Records the party's error rate (and key bits) on the outcome."""
+        obs = [slot.measure(plan.tamper_preparation(slot.position)[0], rand)
+               for slot in slots if plan.is_tamper(slot.position)]
+        measured = f"measured obs={_bits(obs)}"
+        if keys:
+            key = tuple(slot.measure(cfg.key_basis, rand) for slot in slots
+                        if not plan.is_tamper(slot.position))
+            setattr(outcome, f"{party}_key_bits", key)
+            measured += f" key={_bits(key)}"
+        log.add(step, party, measured)
+        passed, rate = tamper_check(tuple(obs), spec.values, cfg.error_threshold)
+        setattr(outcome, f"{party}_tamper_error_rate", rate)
+        log.add(step, party, f"tamper check rate={rate:.6f} pass={passed}")
+        if not passed:
+            outcome.failed_checks += (party,)
+        return passed
 
-    failed = [] if alice_pass else ["alice"]
+    # step 4: arrival checks; in BASE mode both parties also read their keys
+    passed = arrival("alice", "4", stream_a.slots, alice_spec, not swap_mode)
     if not swap_mode:
-        bob_obs = _measure_tamper(stream_b.slots, plan, rand)
-        bob_key = _measure_keys_direct(stream_b.slots, plan, cfg.key_basis, rand)
-        outcome.bob_key_bits = tuple(bob_key)
-        log.add("4", "bob", f"measured obs={_bits(bob_obs)} key={_bits(bob_key)}")
-        bob_pass, bob_rate = tamper_check(tuple(bob_obs), bob_spec.values,
-                                          cfg.error_threshold)
-        outcome.bob_tamper_error_rate = bob_rate
-        log.add("4", "bob", f"tamper check rate={bob_rate:.6f} pass={bob_pass}")
-        if not bob_pass:
-            failed.append("bob")
+        passed = arrival("bob", "4", stream_b.slots, bob_spec, True) and passed
 
-    if failed:
-        outcome.failed_checks = tuple(failed)
+    if passed:
+        # step 5 (relay sub-steps 5a-5c per key slot in SWAP mode), the token
+        if swap_mode:
+            records = tuple(alice_swap_step(slot, cfg, rand, log)
+                            for slot in stream_a.slots
+                            if not plan.is_tamper(slot.position))
+            outcome.swap_records = records
+            outcome.alice_key_bits = tuple(r.key_bit for r in records)
+        token = make_token(outcome.alice_key_bits, cfg.reveal_count)
+        log.add("5", "alice", f"token={_bits(token)}")  # in clear: no shared key
+        outcome.token = token
+        if swap_mode:
+            # step 5d: the responder measures nothing until the token exists
+            passed = arrival("bob", "5d", stream_b.slots, bob_spec, True)
+
+    if passed:
+        matched = authenticate(outcome.token, outcome.bob_key_bits)
+        outcome.token_matched = matched
+        outcome.status = (SessionStatus.AUTH_ACCEPT if matched
+                          else SessionStatus.AUTH_REJECT)
+        log.add("6", "bob", f"token match={matched}")
+    else:
         log.add("6", "server", "restart: tamper threshold exceeded")
-        finish_session(eve, plan, rand)
-        return outcome
-
-    # step 5 (relay sub-steps 5a-5c per key slot in SWAP mode), then the token
-    if swap_mode:
-        records = []
-        for slot in stream_a.slots:
-            if not plan.is_tamper(slot.position):
-                records.append(alice_swap_step(slot, cfg, rand, log))
-        outcome.swap_records = tuple(records)
-        outcome.alice_key_bits = tuple(r.key_bit for r in records)
-
-    token = make_token(outcome.alice_key_bits, cfg.reveal_count)
-    log.add("5", "alice", f"token={_bits(token)}")  # in clear: no shared key
-    outcome.token = token
-
-    if swap_mode:
-        # step 5d: the responder measures nothing until the token exists
-        bob_obs = _measure_tamper(stream_b.slots, plan, rand)
-        bob_key = _measure_keys_direct(stream_b.slots, plan,
-                                       MeasBasis.RECTILINEAR, rand)
-        outcome.bob_key_bits = tuple(bob_key)
-        log.add("5d", "bob", f"measured obs={_bits(bob_obs)} key={_bits(bob_key)}")
-        bob_pass, bob_rate = tamper_check(tuple(bob_obs), bob_spec.values,
-                                          cfg.error_threshold)
-        outcome.bob_tamper_error_rate = bob_rate
-        log.add("5d", "bob", f"tamper check rate={bob_rate:.6f} pass={bob_pass}")
-        if not bob_pass:
-            outcome.failed_checks = ("bob",)
-            log.add("6", "server", "restart: tamper threshold exceeded")
-            finish_session(eve, plan, rand)
-            return outcome
-
-    matched = authenticate(token, outcome.bob_key_bits)
-    outcome.token_matched = matched
-    outcome.status = SessionStatus.AUTH_ACCEPT if matched else SessionStatus.AUTH_REJECT
-    log.add("6", "bob", f"token match={matched}")
-    finish_session(eve, plan, rand)
+    finish_session(eve, rand)
     return outcome

@@ -144,10 +144,6 @@ class RandomSource:
         g = self._rng.getrandbits
         return tuple(g(1) for _ in range(count))
 
-    def bit_block(self, width: int) -> int:
-        """``width`` random bits as one integer (bulk draw)."""
-        return self._rng.getrandbits(width)
-
     def uniform(self) -> float:
         return self._rng.random()
 
@@ -483,12 +479,6 @@ class SwapOutcome:
     def kept_dist(self) -> dict[int, Fraction]:
         return self.marginal(0)
 
-    def far_dist(self) -> dict[int, Fraction]:
-        return self.marginal(1)
-
-    def server_dist(self) -> dict[int, Fraction]:
-        return self.marginal(2)
-
     def kept_value(self) -> int | None:
         """The kept qubit's value when deterministic, else None."""
         dist = self.kept_dist()
@@ -504,31 +494,12 @@ class SwapTable:
     source: SourceKind
     product_bit: int | None
     outcomes: tuple[SwapOutcome, ...]
-    unmeasured_far: dict[int, Fraction]
-    unmeasured_server: dict[int, Fraction] | None
 
     def outcome(self, label: BellLabel) -> SwapOutcome:
         for out in self.outcomes:
             if out.outcome is label:
                 return out
         raise KeyError(label)
-
-    def far_mixture(self) -> dict[int, Fraction]:
-        """Far qubit's marginal after the joint measurement, averaged over outcomes."""
-        mix = {0: Fraction(0), 1: Fraction(0)}
-        for out in self.outcomes:
-            if out.probability:
-                for b, pr in out.far_dist().items():
-                    mix[b] += out.probability * pr
-        return mix
-
-    def server_mixture(self) -> dict[int, Fraction]:
-        mix = {0: Fraction(0), 1: Fraction(0)}
-        for out in self.outcomes:
-            if out.probability:
-                for b, pr in out.server_dist().items():
-                    mix[b] += out.probability * pr
-        return mix
 
 
 def _residual_pair(post: list[int], weight: int) -> BellLabel | None:
@@ -580,9 +551,4 @@ def swap_enumerate(created: BellLabel, source: SourceKind,
         joint = {bits: Fraction(w, weight) for bits, w in sorted(grouped.items())}
         residual = _residual_pair(post, weight) if n == 4 and weight else None
         outcomes.append(SwapOutcome(label, Fraction(weight, total), joint, residual))
-
-    def marginal(qubit: int) -> dict[int, Fraction]:
-        return dict(enumerate(basis_distribution(reg, qubit, MeasBasis.RECTILINEAR)))
-
-    return SwapTable(created, source, bit, tuple(outcomes), marginal(3),
-                     marginal(4) if n == 5 else None)
+    return SwapTable(created, source, bit, tuple(outcomes))

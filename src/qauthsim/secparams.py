@@ -88,16 +88,10 @@ def subset_success_prob(k: int, d: int, g: int) -> Probability:
     return covering * Fraction(3, 4) ** (g - k)
 
 
-def marginal_gain_ratio(g: int, k: int) -> Fraction:
-    """Ratio of covering counts when the guess grows from g to g+1; the
-    success probability improves iff this ratio beats 4/3."""
-    if not g >= k >= 1:
-        raise ValueError("need g >= k >= 1")
-    return Fraction(g + 1, g + 1 - k)
-
-
 def improvement_limit(k: int) -> int:
-    """Guessing more positions helps strictly while g < 4k - 1."""
+    """Guessing more positions helps strictly while g < 4k - 1: growing the
+    guess from g to g + 1 multiplies the success probability by
+    (g + 1) / (g + 1 - k) * 3/4."""
     if k < 1:
         raise ValueError("k must be positive")
     return 4 * k - 1

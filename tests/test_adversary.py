@@ -12,7 +12,7 @@ from qauthsim.adversary import (
     TapPath,
     eve_knowledge_report,
 )
-from qauthsim.channel import PhotonCountModel
+from qauthsim.channel import Path, PhotonCountModel
 from qauthsim.protocol import (
     BeliefRule,
     ProtocolMode,
@@ -176,11 +176,12 @@ class TestLocationKnowledge:
             assert out.bob_tamper_error_rate == 0.0
             rep = eve_knowledge_report(out.eve, out.plan, out)
             assert rep.fraction == 1.0
-            assert out.eve.realtime_tamper_positions == frozenset(
-                out.plan.tamper.positions)
-            # tapped exactly the key slots
+            # tapped exactly the key slots, each in the key basis
             tapped = {pos for _path, pos in out.eve.measured}
             assert tapped == set(out.plan.key_positions)
+            assert tapped.isdisjoint(out.plan.tamper.positions)
+            assert all(basis is cfg.key_basis
+                       for _bit, basis in out.eve.measured.values())
 
     def test_after_measurement_matches_never_per_seed(self):
         cfg = _cfg(k=8, d=8)
@@ -194,9 +195,7 @@ class TestLocationKnowledge:
             assert a.bob_tamper_error_rate == b.bob_tamper_error_rate
             assert a.alice_key_bits == b.alice_key_bits
             assert a.events.text() == b.events.text()
-            assert a.eve.post_session_positions is None
-            assert b.eve.post_session_positions == frozenset(
-                b.plan.tamper.positions)
+            assert a.eve.measured == b.eve.measured
 
 
 class TestSubsetGuess:
@@ -205,9 +204,11 @@ class TestSubsetGuess:
         atk = AttackConfig(AttackKind.SUBSET_GUESS, path=TapPath.TO_BOB,
                            guess_count=4)
         out = run_session(cfg, atk, RandomSource(60, 0))
-        assert len(out.eve.guessed_positions) == 4
-        tapped = {pos for _p, pos in out.eve.measured}
-        assert tapped == set(out.eve.guessed_positions)
+        # four distinct positions on the tapped path, read in the key basis
+        assert len(out.eve.measured) == 4
+        assert {path for path, _pos in out.eve.measured} == {Path.TO_BOB}
+        assert all(basis is cfg.key_basis
+                   for _bit, basis in out.eve.measured.values())
 
     def test_success_rate_matches_formula(self):
         # success: all key slots hit and the responder's check passes
@@ -233,7 +234,9 @@ class TestSubsetGuess:
                            guess_count=4)
         out = run_session(cfg, atk, RandomSource(62, 3))
         rep = eve_knowledge_report(out.eve, out.plan, out)
-        hits = set(out.eve.guessed_positions) & set(out.plan.key_positions)
+        tapped = {pos for _path, pos in out.eve.measured}
+        assert len(tapped) == 4
+        hits = tapped & set(out.plan.key_positions)
         assert rep.certain_positions == tuple(sorted(hits))
 
 

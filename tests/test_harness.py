@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,14 @@ class TestParsing:
     def test_attack_validation_surfaces(self):
         with pytest.raises(ScenarioError, match="guess_count"):
             parse_scenario(_doc(attack={"kind": "subset_guess"}))
+        # more guesses than positions: refused when parsed, not when run
+        small = {"k": 2, "d": 3}
+        with pytest.raises(ScenarioError, match=r"attack\.guess_count"):
+            parse_scenario(_doc(session=small, attack={
+                "kind": "subset_guess", "guess_count": 9}))
+        spec = parse_scenario(_doc(session=small, attack={
+            "kind": "subset_guess", "guess_count": 5}))
+        assert spec.attack.guess_count == 5
 
     def test_p_loss_bounds(self):
         with pytest.raises(ScenarioError, match="p_loss"):
@@ -191,6 +200,9 @@ class TestParsing:
         except ScenarioError:
             return
         assert isinstance(spec, ScenarioSpec)
+        # a small document that parses also runs
+        if spec.session.k <= 4 and spec.session.d <= 4:
+            run_scenario(replace(spec, trials=1))
 
 
 class TestDeterminism:
@@ -315,6 +327,37 @@ class TestMetrics:
         # their exact upper tail (~1e-4) would pass; 22 events (3.81 sigma) pass
         assert _rate_summary(23, 1000, 0.01).verdict == "fail"
         assert _rate_summary(22, 1000, 0.01).verdict == "pass"
+
+    def test_threshold_leaves_any_flip_forms_ungraded(self):
+        # one detection error in three passes a 0.34 threshold, so evasion
+        # is 0.84375 here, not the any-flip-aborts 0.75 ** 3
+        doc = _doc(seed=3, trials=3000,
+                   session={"k": 1, "d": 3, "error_threshold": 0.34},
+                   attack={"kind": "intercept_resend", "path": "to_bob"})
+        report = run_scenario(load_scenario(json.dumps(doc)))
+        assert report.all_pass, report.failures()
+        evasion = report.metric("evasion_rate")
+        assert evasion.analytic is None and evasion.verdict is None
+        assert evasion.mean == pytest.approx(0.84375, abs=0.03)
+        assert report.metric("bob_tamper_error_rate").verdict == "pass"
+
+    @pytest.mark.parametrize("attack,forms", [
+        ({"kind": "intercept_resend", "path": "to_bob"}, {"evasion_rate"}),
+        ({"kind": "pns", "path": "to_bob"},
+         {"evasion_rate", "evasion_rate_vs_approx"}),
+        ({"kind": "subset_guess", "guess_count": 3},
+         {"evasion_rate", "subset_success"}),
+    ])
+    def test_threshold_drops_only_any_flip_predictions(self, attack, forms):
+        def predicted(threshold):
+            spec = parse_scenario(_doc(
+                session={"k": 1, "d": 3, "error_threshold": threshold},
+                attack=attack, photon={"p1": 0.5}))
+            return set(harness.analytic_predictions(spec))
+
+        strict = predicted(0.0)
+        assert forms <= strict
+        assert strict - predicted(0.34) == forms
 
     def test_loss_scenario_has_no_analytics(self):
         spec = load_scenario(json.dumps(_doc(
@@ -487,6 +530,8 @@ class TestCLI:
         ({"attack": {"kind": "none", "path": "bogus", "guess_count": 3}},
          "attack.path"),
         ({"attack": {"kind": "none", "guess_count": 3}}, "guess_count"),
+        ({"attack": {"kind": "subset_guess", "guess_count": 9}},
+         "attack.guess_count"),
     ])
     def test_run_malformed_document_exit_2(self, over, field, tmp_path, capsys):
         scenario = tmp_path / "s.json"
@@ -496,6 +541,24 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert field in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-tables", "--format", "json"],
+        ["verify-tables", "--seed", "1"],
+        ["params", "0.5", "--seed", "3"],
+        ["params", "0.5", "--trials", "9"],
+        ["params", "0.5", "--format", "csv"],
+        ["oracle", "--trials", "2"],
+        ["oracle", "--format", "csv"],
+        ["run", "SCENARIO", "--format", "text"],
+    ])
+    def test_flags_belong_to_their_subcommand(self, argv, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(_doc(trials=2)))
+        argv = [str(scenario) if a == "SCENARIO" else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
 
     def test_run_missing_file_exit_2(self, capsys):
         assert main(["run", "/nonexistent/path.json"]) == 2
@@ -541,12 +604,12 @@ _CLI_FLAG_VALUES = {
     "--source": ["product", "ghz", "entangled_phi_plus", "tachyon"],
     "--product-bit": ["0", "1", "2"],
 }
-_COMMON_FLAGS = ["--seed", "--trials", "--format", "--out"]
+# the flags each subcommand accepts; stray tokens bring in the others
 _CLI_FLAGS = {
-    "params": _COMMON_FLAGS + ["--p1"],
-    "run": _COMMON_FLAGS,
-    "verify-tables": _COMMON_FLAGS,
-    "oracle": _COMMON_FLAGS + ["--created", "--source", "--product-bit"],
+    "params": ["--p1", "--format", "--out"],
+    "run": ["--seed", "--trials", "--format", "--out"],
+    "verify-tables": ["--out"],
+    "oracle": ["--created", "--source", "--product-bit", "--format", "--out"],
 }
 _CLI_TOKENS = st.sampled_from(sorted(
     {*_CLI_POSITIONALS, *_CLI_FLAG_VALUES, "--help", "-h"}

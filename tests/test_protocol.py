@@ -202,11 +202,13 @@ class TestEvents:
         # the responder must not measure anything until the token is out
         cfg = _cfg(mode=ProtocolMode.SWAP, rule=BeliefRule.COMPOSED)
         out = run_session(cfg, None, RandomSource(21, 0))
-        token_at = out.events.first_index(step="5", party="alice")
-        bob_at = out.events.first_index(party="bob")
-        assert token_at is not None and bob_at is not None
-        assert bob_at > token_at
-        assert out.events.entries[bob_at][0] == "5d"
+        entries = out.events.entries
+        token_at = [i for i, (step, party, _) in enumerate(entries)
+                    if (step, party) == ("5", "alice")]
+        bob_at = [i for i, (_, party, _) in enumerate(entries) if party == "bob"]
+        assert len(token_at) == 1 and bob_at
+        assert bob_at[0] > token_at[0]
+        assert entries[bob_at[0]][0] == "5d"
 
     def test_swap_substeps_logged_per_key_slot(self):
         cfg = _cfg(k=3, d=2, mode=ProtocolMode.SWAP, rule=BeliefRule.COMPOSED,
@@ -269,7 +271,7 @@ def test_swap_alice_abort_leaves_no_key_material():
     assert aborted.alice_key_bits is None
     assert aborted.token is None
     # the responder never measured either
-    assert aborted.events.first_index(party="bob") is None
+    assert all(party != "bob" for _, party, _ in aborted.events.entries)
 
 
 @settings(max_examples=30, deadline=None)

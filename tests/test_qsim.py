@@ -480,7 +480,7 @@ def test_swap_enumerate_product_zero_with_psi_plus_frozen():
     table = swap_enumerate(BellLabel.PSI_PLUS, SourceKind.PRODUCT, product_bit=0)
     for out in table.outcomes:
         assert out.probability == Fraction(1, 4)
-        assert out.far_dist() == {0: Fraction(1), 1: Fraction(0)}
+        assert out.marginal(1) == {0: Fraction(1), 1: Fraction(0)}
         expected_kept = 1 if out.outcome.kind is BellKind.PHI else 0
         assert out.kept_value() == expected_kept
         assert out.residual_pair is None  # product residue is not an entangled pair
@@ -494,7 +494,7 @@ def test_swap_enumerate_product_kept_rule_all_cases():
             for out in table.outcomes:
                 want = x ^ created.kind_bit ^ out.outcome.kind_bit
                 assert out.kept_value() == want, (created, out.outcome, x)
-                assert out.far_dist()[x] == 1
+                assert out.marginal(1)[x] == 1
 
 
 def test_swap_enumerate_ghz_far_equals_server():
@@ -505,22 +505,25 @@ def test_swap_enumerate_ghz_far_equals_server():
             for bits, pr in out.joint.items():
                 assert bits[1] == bits[2], (created, out.outcome, bits)
                 assert pr == Fraction(1, 2)
-            assert out.far_dist() == {0: Fraction(1, 2), 1: Fraction(1, 2)}
+            assert out.marginal(1) == {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
 
 def test_swap_enumerate_no_signaling_exact():
     for created in BELL_ORDER:
         for source, bit in ALL_SOURCES:
             table = swap_enumerate(created, source, product_bit=bit or 0)
-            assert table.far_mixture() == table.unmeasured_far
-            if source is SourceKind.GHZ:
-                assert table.server_mixture() == table.unmeasured_server
-            # conditioning on the kept qubit and recombining changes nothing
-            mix = {0: Fraction(0), 1: Fraction(0)}
-            for out in table.outcomes:
-                for bits, pr in out.joint.items():
-                    mix[bits[1]] += out.probability * pr
-            assert mix == table.unmeasured_far
+            # the far qubit (and the relay's retained one), averaged over
+            # the joint-measurement outcomes, keeps the marginal it had in
+            # the source register (traveler, far[, server]) before the step
+            source_reg = StateRegister(_source_vec(source, bit or 0))
+            for qubit in range(1, source_reg.num_qubits):
+                before = basis_distribution(source_reg, qubit,
+                                            MeasBasis.RECTILINEAR)
+                mix = {0: Fraction(0), 1: Fraction(0)}
+                for out in table.outcomes:
+                    for bits, pr in out.joint.items():
+                        mix[bits[qubit]] += out.probability * pr
+                assert mix == dict(enumerate(before)), (created, source, qubit)
 
 
 def test_swap_enumerate_matches_reference_projection():
@@ -578,9 +581,9 @@ def test_random_source_is_deterministic_per_stream():
     assert a.sample_positions(50, 10) == b.sample_positions(50, 10)
     c = RandomSource(99, 8)
     d = RandomSource(100, 7)
-    probe = [RandomSource(99, 7).bit_block(64)]
-    assert c.bit_block(64) not in probe
-    assert d.bit_block(64) not in probe
+    probe = [RandomSource(99, 7).bits(64)]
+    assert c.bits(64) not in probe
+    assert d.bits(64) not in probe
 
 
 def test_random_source_sample_positions_shape():

@@ -12,7 +12,6 @@ from qauthsim.secparams import (
     evasion_prob,
     forgery_prob,
     improvement_limit,
-    marginal_gain_ratio,
     pns_approx_evasion,
     pns_effective_d,
     pns_exact_evasion,
@@ -144,24 +143,25 @@ class TestSubsetGuess:
             subset_success_prob(0, 3, 2)
 
     def test_gain_ratio_identity(self):
-        # successive ratio equals the closed form times the per-slot
-        # evasion factor, exactly
+        # growing the guess by one multiplies the success probability by
+        # the ratio of covering counts times the per-slot evasion factor
         for k in range(1, 4):
             for d in range(1, 6):
                 for g in range(k, k + d):
                     lhs = subset_success_prob(k, d, g + 1) / \
                         subset_success_prob(k, d, g)
-                    assert lhs == marginal_gain_ratio(g, k) * Fraction(3, 4)
+                    assert lhs == Fraction(g + 1, g + 1 - k) * Fraction(3, 4)
 
     def test_improvement_boundary(self):
         assert improvement_limit(1) == 3
         assert improvement_limit(3) == 11
-        # strict improvement below the limit, strict decline above it
-        k, d = 2, 20
-        limit = improvement_limit(k)
-        for g in range(k, k + d):
-            gain = subset_success_prob(k, d, g + 1) > subset_success_prob(k, d, g)
-            assert gain == (g < limit), g
+        # strict improvement below the limit, none at or above it
+        for k in range(1, 5):
+            d = 4 * k + 4
+            limit = improvement_limit(k)
+            for g in range(k, k + d):
+                gain = subset_success_prob(k, d, g + 1) > subset_success_prob(k, d, g)
+                assert gain == (g < limit), (k, g)
 
     def test_small_case_monotone_to_the_cap(self):
         # k+d below the improvement limit: guessing everything is best
