@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, TYPE_CHECKING
 
+from . import qsim
 from .qsim import (
     MeasBasis,
     QubitRef,
     RandomSource,
-    StateRegister,
     prepare_bell,
     prepare_polarized,
     BellLabel,
@@ -69,28 +69,29 @@ class PhotonCountModel:
 
 
 class PhotonSlot:
-    """One time slot on a quantum path."""
+    """One time slot on a quantum path: a tail-anchored handle on one qubit,
+    as :class:`QubitRef` holds it, plus the photon count and loss flag."""
 
-    __slots__ = ("position", "ref", "photon_count", "lost")
+    __slots__ = ("position", "register", "tail", "photon_count", "lost")
 
     def __init__(self, position: int, ref: QubitRef, photon_count: int = 1) -> None:
         self.position = position
-        self.ref = ref
+        self.register = ref.register
+        self.tail = ref.tail
         self.photon_count = photon_count
         self.lost = False
 
     @property
-    def register(self) -> StateRegister:
-        return self.ref.register
-
-    @property
     def qubit_index(self) -> int:
-        return self.ref.index
+        return self.register.num_qubits - 1 - self.tail
 
     def measure(self, basis: MeasBasis, rand: RandomSource) -> int:
         if self.lost:
             raise ChannelError(f"slot {self.position} was lost in transit")
-        return self.ref.measure(basis, rand)
+        # through the module, so a wrapper installed there sees the call
+        register = self.register
+        return qsim.measure_in_basis(register, register.state.n - 1 - self.tail,
+                                     basis, rand)
 
     def __repr__(self) -> str:
         flags = " lost" if self.lost else ""
@@ -178,12 +179,15 @@ class KeystreamCipher:
         self._key = bytes(key)
 
     def _stream(self, nonce: int, length: int) -> bytes:
+        """Block ``i`` is SHA-256 of key, nonce and ``i``; the key and nonce
+        prefix is hashed once and its state copied for each block."""
+        prefix = hashlib.sha256(self._key + b"|ks|%d|" % nonce)
         out = bytearray()
         counter = 0
         while len(out) < length:
-            block = hashlib.sha256(
-                self._key + b"|ks|%d|%d" % (nonce, counter)).digest()
-            out.extend(block)
+            block = prefix.copy()
+            block.update(b"%d" % counter)
+            out.extend(block.digest())
             counter += 1
         return bytes(out[:length])
 

@@ -58,8 +58,16 @@ def parse_probability(text: str) -> Fraction:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line on stderr, exit code 2.
+    Subcommand parsers are made of the same class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qauthsim",
         description="Laboratory for a relay-mediated quantum authentication "
                     "protocol: seeded Monte Carlo scenarios, exact table "

@@ -104,6 +104,10 @@ class SessionConfig:
         return self.k + self.d
 
 
+# basis by its value, without the Enum constructor's lookup
+_BASES = {basis.value: basis for basis in MeasBasis}
+
+
 @dataclass(frozen=True)
 class TamperSpec:
     """Positions, bases, and values of the detection slots (relay-private)."""
@@ -124,7 +128,7 @@ class TamperSpec:
     def decode(cls, raw: bytes) -> "TamperSpec":
         doc = json.loads(raw.decode())
         return cls(tuple(doc["positions"]),
-                   tuple(MeasBasis(b) for b in doc["bases"]),
+                   tuple(_BASES[b] for b in doc["bases"]),
                    tuple(doc["values"]))
 
 

@@ -16,11 +16,14 @@ outcome by exact integer comparison and keeps the projected vector.  The
 relay-step oracle (:func:`swap_enumerate`) projects onto every outcome with
 the same two helpers and reports exact :class:`fractions.Fraction` values.
 
-A session measures the same few register states over and over, so the
-sampler memoizes each measurement's outcome table (cumulative weights and
-projections) per register state, qubit(s) and basis.  The table is built
-by the same helpers on first use and the draw is unchanged: one uniform
-number per measurement, compared exactly against the same weights.
+A register points at a shared, immutable state that carries the edges out
+of it, built by the same helpers on first use: per measurement an outcome
+table of cumulative weights with one child state per outcome, and per
+constant front the grafted state.  A measurement is one dict lookup, the
+same single uniform draw compared exactly against the same weights, and a
+move to the child.  Prepared registers start at module-constant states, so
+all sessions walk one small graph; a constructor-built register starts its
+own, which dies with it.
 
 Index convention: qubit 0 is the leftmost tensor factor, so basis index
 ``i`` assigns qubit ``q`` the bit ``(i >> (n - 1 - q)) & 1``.  Pair-basis
@@ -41,7 +44,6 @@ from typing import Sequence
 
 _MASK64 = (1 << 64) - 1
 _TWO53 = float(1 << 53)
-_TABLE_LIMIT = 1024  # memoized outcome tables per measurement kind
 
 
 class MeasBasis(Enum):
@@ -67,28 +69,18 @@ class BellLabel(Enum):
     PSI_PLUS = (1, 0)
     PSI_MINUS = (1, 1)
 
-    @property
-    def kind(self) -> BellKind:
-        return BellKind(self.value[0])
-
-    @property
-    def phase(self) -> BellPhase:
-        return BellPhase(self.value[1])
-
-    @property
-    def kind_bit(self) -> int:
-        return self.value[0]
-
-    @property
-    def phase_bit(self) -> int:
-        return self.value[1]
+    def __init__(self, kind_bit: int, phase_bit: int) -> None:
+        self.kind_bit = kind_bit
+        self.phase_bit = phase_bit
+        self.kind = BellKind(kind_bit)
+        self.phase = BellPhase(phase_bit)
 
     @classmethod
     def from_bits(cls, kind_bit: int, phase_bit: int) -> "BellLabel":
-        return cls((kind_bit & 1, phase_bit & 1))
+        return BELL_ORDER[((kind_bit & 1) << 1) | (phase_bit & 1)]
 
     def short(self) -> str:
-        return ("phi" if self.value[0] == 0 else "psi") + ("+" if self.value[1] == 0 else "-")
+        return ("phi", "psi")[self.kind_bit] + "+-"[self.phase_bit]
 
     @classmethod
     def from_short(cls, text: str) -> "BellLabel":
@@ -98,12 +90,16 @@ class BellLabel(Enum):
             raise ValueError(f"unknown pair-state label {text!r}") from None
 
 
+# in index order kind_bit * 2 + phase_bit
 BELL_ORDER: tuple[BellLabel, ...] = (
     BellLabel.PHI_PLUS,
     BellLabel.PHI_MINUS,
     BellLabel.PSI_PLUS,
     BellLabel.PSI_MINUS,
 )
+# Aliases: hot paths compare bases by identity without the class lookup.
+_RECTILINEAR = MeasBasis.RECTILINEAR
+_DIAGONAL = MeasBasis.DIAGONAL
 
 _SHORT_TO_LABEL = {label.short(): label for label in BELL_ORDER}
 
@@ -115,7 +111,7 @@ def bell_compose(a: BellLabel, b: BellLabel) -> BellLabel:
     pair's label with the joint-measurement outcome gives the label of the
     far pair, up to global phase (checked against :func:`swap_enumerate`).
     """
-    return BellLabel.from_bits(a.kind_bit ^ b.kind_bit, a.phase_bit ^ b.phase_bit)
+    return BELL_ORDER[((a.kind_bit ^ b.kind_bit) << 1) | (a.phase_bit ^ b.phase_bit)]
 
 
 class RandomSource:
@@ -177,20 +173,49 @@ class RandomSource:
         return BellLabel.from_bits(self.bit(), self.bit())
 
     def basis(self) -> MeasBasis:
-        return MeasBasis.DIAGONAL if self.bit() else MeasBasis.RECTILINEAR
+        return _DIAGONAL if self.bit() else _RECTILINEAR
+
+
+class _State:
+    """One immutable register state: the integer vector ``amps`` over ``n``
+    qubits, and the edges out of it, each built on first use.
+
+    ``qubit_tables`` (keyed ``2 * qubit + diagonal``; hashing an Enum member
+    is a Python-level call) and ``pair_tables`` (keyed ``(first, second)``)
+    hold outcome tables: the cumulative weights shifted left by 53, the
+    total, and each outcome's child state (None at weight zero).  ``grafts``
+    maps a constant front state to this state with that front ahead.
+    """
+
+    __slots__ = ("amps", "n", "qubit_tables", "pair_tables", "grafts")
+
+    def __init__(self, amps: tuple[int, ...], n: int) -> None:
+        self.amps = amps
+        self.n = n
+        self.qubit_tables: dict[int, tuple] = {}
+        self.pair_tables: dict[tuple[int, int], tuple] = {}
+        self.grafts: dict[_State, _State] = {}
+
+    def tabulate(self, tables: dict, key, projections: Sequence[Sequence[int]]) -> tuple:
+        """Store and return the outcome table of ``projections``."""
+        cumulative, total = [], 0
+        for projection in projections:
+            total += _weight(projection)
+            cumulative.append(total << 53)
+        children = tuple(_State(tuple(p), self.n) if any(p) else None
+                         for p in projections)
+        return tables.setdefault(key, (tuple(cumulative), total, children))
 
 
 class StateRegister:
-    """Pure state over 1..8 qubits as an unnormalized integer vector.
+    """Pure state over 1..8 qubits as an unnormalized integer vector: a
+    pointer to an immutable :class:`_State`, which measurement and
+    :meth:`extend_front` move."""
 
-    Measurement replaces the vector, in place, by its projection onto the
-    outcome drawn.
-    """
-
-    __slots__ = ("num_qubits", "amplitudes")
+    __slots__ = ("state",)
 
     def __init__(self, amplitudes: Sequence[int]) -> None:
-        amps = list(amplitudes)
+        amps = tuple(amplitudes)
         size = len(amps)
         num = size.bit_length() - 1
         if size != (1 << num) or not 1 <= num <= 8:
@@ -199,19 +224,33 @@ class StateRegister:
             raise ValueError("amplitudes must be integers")
         if not any(amps):
             raise ValueError("state vector is null")
-        self.num_qubits = num
-        self.amplitudes = amps
+        self.state = _State(amps, num)
+
+    @property
+    def num_qubits(self) -> int:
+        return self.state.n
+
+    @property
+    def amplitudes(self) -> list[int]:
+        """A copy of the state vector: writing into it changes nothing."""
+        return list(self.state.amps)
 
     def extend_front(self, front: "StateRegister") -> None:
-        """Tensor ``front``'s qubits ahead of this register's, in place.
+        """Tensor ``front``'s qubits ahead of this register's.
 
         In place so every :class:`QubitRef` into this register survives; the
         refs are tail-anchored, so their indices shift automatically.
         """
-        if self.num_qubits + front.num_qubits > 8:
-            raise ValueError("register would exceed 8 qubits")
-        self.amplitudes = [fa * sa for fa in front.amplitudes for sa in self.amplitudes]
-        self.num_qubits += front.num_qubits
+        state, head = self.state, front.state
+        grafted = state.grafts.get(head)
+        if grafted is None:
+            if state.n + head.n > 8:
+                raise ValueError("register would exceed 8 qubits")
+            grafted = _State(tuple(fa * sa for fa in head.amps for sa in state.amps),
+                             state.n + head.n)
+            if head in _CONSTANT_STATES:
+                state.grafts[head] = grafted
+        self.state = grafted
 
     def __repr__(self) -> str:
         return f"StateRegister(num_qubits={self.num_qubits})"
@@ -220,22 +259,22 @@ class StateRegister:
 class QubitRef:
     """Handle on one qubit of a register, stable across extend_front.
 
-    The index is stored as distance from the register's last qubit: new
-    qubits are only ever grafted at the front, so the tail distance of an
-    existing qubit never changes.
+    The index is stored as ``tail``, the distance from the register's last
+    qubit: new qubits are only ever grafted at the front, so the tail
+    distance of an existing qubit never changes.
     """
 
-    __slots__ = ("register", "_tail")
+    __slots__ = ("register", "tail")
 
     def __init__(self, register: StateRegister, index: int) -> None:
         if not 0 <= index < register.num_qubits:
             raise ValueError("qubit index out of range")
         self.register = register
-        self._tail = register.num_qubits - 1 - index
+        self.tail = register.num_qubits - 1 - index
 
     @property
     def index(self) -> int:
-        return self.register.num_qubits - 1 - self._tail
+        return self.register.num_qubits - 1 - self.tail
 
     def measure(self, basis: MeasBasis, rand: RandomSource) -> int:
         return measure_in_basis(self.register, self.index, basis, rand)
@@ -244,50 +283,46 @@ class QubitRef:
         return f"QubitRef(index={self.index} of {self.register!r})"
 
 
-# Pair states over (b_first, b_second) = 00, 01, 10, 11, times 1/sqrt(2).
-_BELL_INTS: dict[BellLabel, tuple[int, int, int, int]] = {
-    BellLabel.PHI_PLUS: (1, 0, 0, 1),
-    BellLabel.PHI_MINUS: (1, 0, 0, -1),
-    BellLabel.PSI_PLUS: (0, 1, 1, 0),
-    BellLabel.PSI_MINUS: (0, 1, -1, 0),
-}
-_GHZ_INTS = (1, 0, 0, 0, 0, 0, 0, 1)
+# Pair states over (b_first, b_second) = 00, 01, 10, 11, in BELL_ORDER.
+_BELL_STATES = tuple(_State(amps, 2) for amps in
+                     ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, 1, -1, 0)))
+_GHZ_STATE = _State((1, 0, 0, 0, 0, 0, 0, 1), 3)
 # Single qubits carrying 0 and 1 in each basis.
-_RECTILINEAR_INTS = ((1, 0), (0, 1))
-_DIAGONAL_INTS = ((1, 1), (1, -1))
+_RECTILINEAR_STATES = (_State((1, 0), 1), _State((0, 1), 1))
+_DIAGONAL_STATES = (_State((1, 1), 1), _State((1, -1), 1))
+_CONSTANT_STATES = frozenset((*_BELL_STATES, _GHZ_STATE,
+                              *_RECTILINEAR_STATES, *_DIAGONAL_STATES))
 
 
-def _constant_register(amplitudes: tuple[int, ...]) -> StateRegister:
-    """Register holding a copy of one of the module's known-good vectors,
-    built without the constructor's validation."""
+def _constant_register(state: _State) -> StateRegister:
+    """Register at one of the module's constant states, built without the
+    constructor's validation."""
     register = object.__new__(StateRegister)
-    register.num_qubits = len(amplitudes).bit_length() - 1
-    register.amplitudes = list(amplitudes)
+    register.state = state
     return register
 
 
 def prepare_bell(label: BellLabel) -> StateRegister:
-    return _constant_register(_BELL_INTS[label])
+    return _constant_register(_BELL_STATES[(label.kind_bit << 1) | label.phase_bit])
 
 
 def prepare_ghz() -> StateRegister:
-    return _constant_register(_GHZ_INTS)
+    return _constant_register(_GHZ_STATE)
 
 
 def prepare_polarized(value: int, basis: MeasBasis) -> StateRegister:
     """Single qubit carrying ``value`` in ``basis``."""
     if value not in (0, 1):
         raise ValueError("value must be a bit")
-    if basis is MeasBasis.RECTILINEAR:
-        return _constant_register(_RECTILINEAR_INTS[value])
-    return _constant_register(_DIAGONAL_INTS[value])
+    states = _RECTILINEAR_STATES if basis is _RECTILINEAR else _DIAGONAL_STATES
+    return _constant_register(states[value])
 
 
 def tensor(a: StateRegister, b: StateRegister) -> StateRegister:
     """New register with a's qubits indexed first."""
     if a.num_qubits + b.num_qubits > 8:
         raise ValueError("register would exceed 8 qubits")
-    return StateRegister([x * y for x in a.amplitudes for y in b.amplitudes])
+    return StateRegister([x * y for x in a.state.amps for y in b.state.amps])
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +346,10 @@ def _project_qubit(amps: Sequence[int], n: int, qubit: int,
     (a0 + a1) * (1, 1) and (a0 - a1) * (1, -1) there.
     """
     mask = 1 << (n - 1 - qubit)
-    if basis is MeasBasis.RECTILINEAR:
+    if basis is _RECTILINEAR:
         return ([0 if i & mask else a for i, a in enumerate(amps)],
                 [a if i & mask else 0 for i, a in enumerate(amps)])
-    if basis is not MeasBasis.DIAGONAL:
+    if basis is not _DIAGONAL:
         raise ValueError(f"unknown basis {basis!r}")
     zero = [0] * len(amps)
     one = [0] * len(amps)
@@ -353,67 +388,30 @@ def _project_pair(amps: Sequence[int], n: int, first: int,
     return out
 
 
-def _draw53(rand: RandomSource) -> int:
-    """One uniform draw u as the integer u * 2**53.
-
-    ``random()`` returns multiples of 2**-53, so this is exact, and an
-    outcome is chosen by comparing integers: the first outcome j with
-    u * total < weights[0] + ... + weights[j].
-    """
-    return int(rand.uniform() * _TWO53)
-
-
-# Memoized outcome tables, keyed by (amplitude tuple, n, qubit, diagonal?)
-# and (amplitude tuple, n, first, second).  Keys hold plain ints and bools:
-# hashing an Enum member is a Python-level call.
-_QUBIT_TABLES: dict[tuple, tuple] = {}
-_PAIR_TABLES: dict[tuple, tuple] = {}
-
-
-def _remember(tables: dict[tuple, tuple], key: tuple,
-              projections: Sequence[Sequence[int]]) -> tuple:
-    """Store and return the outcome table of one measurement: cumulative
-    weights shifted left by 53, the total weight, and the projections as
-    tuples, all in outcome order."""
-    if len(tables) >= _TABLE_LIMIT:
-        tables.clear()
-    cumulative = []
-    total = 0
-    for projection in projections:
-        total += _weight(projection)
-        cumulative.append(total << 53)
-    table = (tuple(cumulative), total, tuple(map(tuple, projections)))
-    tables[key] = table
-    return table
-
-
-def _draw_outcome(register: StateRegister, table: tuple,
-                  rand: RandomSource) -> int:
-    """Draw an outcome index from ``table`` and collapse ``register`` onto
-    a fresh copy of its projection.  ``bisect_right`` finds the first j
-    with u * total * 2**53 < cumulative[j], as :func:`_draw53` describes."""
-    cumulative, total, projections = table
-    idx = bisect_right(cumulative, _draw53(rand) * total)
-    register.amplitudes = list(projections[idx])
-    return idx
+# A draw u is a multiple of 2**-53, so ``bisect_right`` over the shifted
+# weights finds, exactly, the first j with u * total < w[0] + ... + w[j].
 
 
 def measure_in_basis(register: StateRegister, qubit: int, basis: MeasBasis,
                      rand: RandomSource) -> int:
-    """Born-rule measurement of one qubit; collapses the register in place."""
-    n = register.num_qubits
-    if not 0 <= qubit < n:
-        raise ValueError("qubit index out of range")
-    diagonal = basis is MeasBasis.DIAGONAL
-    if not diagonal and basis is not MeasBasis.RECTILINEAR:
+    """Born-rule measurement of one qubit; moves the register to the outcome."""
+    state = register.state
+    if basis is _DIAGONAL:
+        key = 2 * qubit + 1
+    elif basis is _RECTILINEAR:
+        key = 2 * qubit
+    else:
         raise ValueError(f"unknown basis {basis!r}")
-    amps = tuple(register.amplitudes)
-    key = (amps, n, qubit, diagonal)
-    table = _QUBIT_TABLES.get(key)
+    table = state.qubit_tables.get(key)
     if table is None:
-        table = _remember(_QUBIT_TABLES, key,
-                          _project_qubit(amps, n, qubit, basis))
-    return _draw_outcome(register, table, rand)
+        if not 0 <= qubit < state.n:
+            raise ValueError("qubit index out of range")
+        table = state.tabulate(state.qubit_tables, key,
+                               _project_qubit(state.amps, state.n, qubit, basis))
+    cumulative, total, children = table
+    idx = bisect_right(cumulative, int(rand.uniform() * _TWO53) * total)
+    register.state = children[idx]
+    return idx
 
 
 def basis_distribution(register: StateRegister, qubit: int,
@@ -422,28 +420,27 @@ def basis_distribution(register: StateRegister, qubit: int,
     n = register.num_qubits
     if not 0 <= qubit < n:
         raise ValueError("qubit index out of range")
-    w0, w1 = map(_weight, _project_qubit(register.amplitudes, n, qubit, basis))
+    w0, w1 = map(_weight, _project_qubit(register.state.amps, n, qubit, basis))
     return Fraction(w0, w0 + w1), Fraction(w1, w0 + w1)
 
 
 def measure_bell(register: StateRegister, first: int, second: int,
                  rand: RandomSource) -> BellLabel:
-    """Projective pair-basis measurement of two qubits; collapses in place.
-
-    Outcome order for the sampling draw is BELL_ORDER.
-    """
-    n = register.num_qubits
-    if first == second:
-        raise ValueError("pair measurement needs two distinct qubits")
-    if not (0 <= first < n and 0 <= second < n):
-        raise ValueError("qubit index out of range")
-    amps = tuple(register.amplitudes)
-    key = (amps, n, first, second)
-    table = _PAIR_TABLES.get(key)
+    """Projective pair-basis measurement of two qubits, outcomes in
+    BELL_ORDER; moves the register to the outcome."""
+    state = register.state
+    key = (first, second)
+    table = state.pair_tables.get(key)
     if table is None:
-        table = _remember(_PAIR_TABLES, key,
-                          _project_pair(amps, n, first, second))
-    return BELL_ORDER[_draw_outcome(register, table, rand)]
+        n = state.n
+        if first == second or not (0 <= first < n and 0 <= second < n):
+            raise ValueError("pair measurement needs two distinct qubits in range")
+        table = state.tabulate(state.pair_tables, key,
+                               _project_pair(state.amps, n, first, second))
+    cumulative, total, children = table
+    idx = bisect_right(cumulative, int(rand.uniform() * _TWO53) * total)
+    register.state = children[idx]
+    return BELL_ORDER[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +534,7 @@ def swap_enumerate(created: BellLabel, source: SourceKind,
     reg = tensor(prepare_bell(created), src)
     n = reg.num_qubits
     rest_axes = [0] + list(range(3, n))
-    projections = _project_pair(reg.amplitudes, n, 1, 2)
+    projections = _project_pair(reg.state.amps, n, 1, 2)
     weights = [_weight(p) for p in projections]
     total = sum(weights)
 

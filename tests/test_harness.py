@@ -560,6 +560,22 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == "" and "error:" in captured.err
 
+    @pytest.mark.parametrize("argv,needle", [
+        (["params", "0.5", "--seed", "3"], "--seed 3"),
+        (["run"], "scenario"),
+    ])
+    def test_usage_error_is_one_line(self, argv, needle, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert needle in captured.err
+
+    def test_help_still_prints_usage(self, capsys):
+        assert main(["run", "-h"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: qauthsim run") and captured.err == ""
+
     def test_run_missing_file_exit_2(self, capsys):
         assert main(["run", "/nonexistent/path.json"]) == 2
 

@@ -262,28 +262,22 @@ def _check_sampler(name, make, measure, reference, labels):
 SESSION_REGISTERS = _session_registers()
 
 
-def _clear_tables():
-    qsim._QUBIT_TABLES.clear()
-    qsim._PAIR_TABLES.clear()
+def _cold(make):
+    """A constructor-built register with the vector ``make`` gives: its state
+    starts a graph of its own, so every draw reads a table built for it."""
+    return lambda: StateRegister(make().amplitudes)
 
 
-def _cold(measure):
-    """``measure`` with the memoized outcome tables cleared before each call,
-    so every draw reads a table built for it."""
-    def run(reg, rand):
-        _clear_tables()
-        return measure(reg, rand)
-    return run
-
-
-# each register with the tables as earlier tests left them, then "-cold"
+# each register at the shared prepared states, with the tables as earlier
+# tests left them, then "-cold" from a fresh graph
 @pytest.mark.parametrize("name,make,relay,cold",
                          [(*entry, cold) for cold in (False, True)
                           for entry in SESSION_REGISTERS],
                          ids=[entry[0] + ("-cold" if cold else "")
                               for cold in (False, True) for entry in SESSION_REGISTERS])
 def test_engine_matches_reference_on_session_registers(name, make, relay, cold):
-    wrap = _cold if cold else (lambda measure: measure)
+    if cold:
+        make = _cold(make)
     state = make().amplitudes
     n = make().num_qubits
     for qubit in range(n):
@@ -292,21 +286,20 @@ def test_engine_matches_reference_on_session_registers(name, make, relay, cold):
             assert basis_distribution(make(), qubit, basis) == \
                 tuple(prob for prob, _ in reference), (name, qubit, basis)
             _check_sampler((name, qubit, basis), make,
-                           wrap(lambda reg, rand: measure_in_basis(reg, qubit, basis, rand)),
+                           lambda reg, rand: measure_in_basis(reg, qubit, basis, rand),
                            reference, (0, 1))
     if relay is not None:
         reference = _reference_measurement(state, n, relay,
                                            [BELL_VECS[label] for label in BELL_ORDER])
         _check_sampler((name, relay), make,
-                       wrap(lambda reg, rand: measure_bell(reg, *relay, rand)),
+                       lambda reg, rand: measure_bell(reg, *relay, rand),
                        reference, BELL_ORDER)
 
 
-def test_collapsed_register_does_not_alias_the_table():
-    # a register collapsed from a memoized table gets its own list: writing
-    # into it must leave the table that the next register of the same state
-    # reads untouched
-    _clear_tables()
+def test_amplitudes_are_a_copy_of_the_shared_state():
+    # two registers collapsed by the same draw share the child state; writing
+    # into one's amplitudes changes neither it, the other, nor the table the
+    # next register of that state reads
     decoy = partial(prepare_polarized, 0, MeasBasis.DIAGONAL)
     grafted = partial(_grafted, BellLabel.PSI_MINUS,
                       partial(prepare_bell, BellLabel.PHI_PLUS))
@@ -319,9 +312,13 @@ def test_collapsed_register_does_not_alias_the_table():
     for make, measure, qubits, vecs, labels in cases:
         state, n = make().amplitudes, make().num_qubits
         for u in (0.0, 0.99):
-            reg = make()
+            reg, other = make(), make()
             measure(reg, _FixedDraw(u))
-            reg.amplitudes[:] = [7] * len(reg.amplitudes)
+            measure(other, _FixedDraw(u))
+            assert reg.state is other.state
+            collapsed = reg.amplitudes
+            reg.amplitudes[:] = [7] * len(collapsed)
+            assert reg.amplitudes == collapsed == other.amplitudes
         reference = _reference_measurement(state, n, qubits, vecs)
         _check_sampler(("aliasing", qubits), make, measure, reference, labels)
 
@@ -346,14 +343,110 @@ def test_prepared_registers_are_independent():
     makers += [partial(prepare_polarized, v, b) for v in (0, 1) for b in MeasBasis]
     makers.append(prepare_ghz)
     for make in makers:
-        first = make()
-        expected = list(first.amplitudes)
+        first, second = make(), make()
+        expected = first.amplitudes
         first.amplitudes[0] += 5
+        assert first.amplitudes == expected == second.amplitudes
         first.extend_front(prepare_bell(BellLabel.PSI_PLUS))
-        again = make()
-        assert again.amplitudes == expected
-        assert again.num_qubits == len(expected).bit_length() - 1
-        assert again.amplitudes is not make().amplitudes
+        measure_in_basis(first, 0, MeasBasis.DIAGONAL, RandomSource(1, 0))
+        for again in (second, make()):
+            assert again.amplitudes == expected
+            assert again.num_qubits == len(expected).bit_length() - 1
+        assert second.amplitudes is not second.amplitudes
+
+
+# --- the state graph the sessions walk ---------------------------------------
+
+# every distinct state (up to a scalar) reachable from the prepared constants
+# under the session's operations; see test_state_graph_is_closed_and_exact
+STATE_GRAPH_BOUND = 4000
+
+
+def _ray(amps):
+    """The vector divided by the gcd of its entries, first nonzero positive."""
+    g = math.gcd(*amps)
+    if next(a for a in amps if a) < 0:
+        g = -g
+    return tuple(a // g for a in amps)
+
+
+def _at(state):
+    """A register at ``state``, without moving any other register."""
+    reg = prepare_ghz()
+    reg.state = state
+    return reg
+
+
+def _table_weights(table):
+    cumulative, total, _children = table
+    steps = [c >> 53 for c in cumulative]
+    assert steps[-1] == total
+    return [Fraction(hi - lo, total) for lo, hi in zip([0] + steps, steps)]
+
+
+def test_state_graph_is_closed_and_exact():
+    # Walk the edges out of the nine prepared constant states: measuring any
+    # qubit in either basis, grafting each pair-state front onto a
+    # not-yet-grafted state of at most three qubits (the relay's 5a), and
+    # the relay's pair measurement of the created half against the received
+    # qubit on a grafted state.  Stabilizer states project onto stabilizer
+    # states, so up to a scalar the walk closes.  Every table must hold the
+    # exact weights of the reference helpers, and every child the projection.
+    roots = [prepare_bell(label).state for label in BELL_ORDER]
+    roots.append(prepare_ghz().state)
+    roots += [prepare_polarized(v, b).state for v in (0, 1) for b in MeasBasis]
+    todo = [(state, False) for state in roots]
+    seen = set()
+    while todo:
+        state, grafted = todo.pop()
+        key = (_ray(state.amps), grafted)
+        if key in seen:
+            continue
+        seen.add(key)
+        assert len(seen) <= STATE_GRAPH_BOUND
+        n = state.n
+        edges = []
+        for qubit in range(n):
+            for basis in MeasBasis:
+                measure_in_basis(_at(state), qubit, basis, _FixedDraw(0.0))
+                table = state.qubit_tables[2 * qubit + (basis is MeasBasis.DIAGONAL)]
+                assert _table_weights(table) == \
+                    list(basis_distribution(_at(state), qubit, basis)), (state.amps, qubit)
+                edges.append((table, qsim._project_qubit(state.amps, n, qubit, basis)))
+        if grafted:
+            measure_bell(_at(state), 1, 2, _FixedDraw(0.0))
+            table = state.pair_tables[(1, 2)]
+            projections = qsim._project_pair(state.amps, n, 1, 2)
+            weights = [qsim._weight(p) for p in projections]
+            assert _table_weights(table) == [Fraction(w, sum(weights)) for w in weights]
+            edges.append((table, projections))
+        for table, projections in edges:
+            for child, projection in zip(table[2], projections):
+                assert (child is None) == (not any(projection))
+                if child is not None:
+                    assert child.amps == tuple(projection) and child.n == n
+                    todo.append((child, grafted))
+        if not grafted and n <= 3:
+            for label in BELL_ORDER:
+                front = prepare_bell(label)
+                reg = _at(state)
+                reg.extend_front(front)
+                assert state.grafts[front.state] is reg.state
+                assert reg.amplitudes == tensor(front, _at(state)).amplitudes
+                todo.append((reg.state, True))
+    assert len(seen) <= STATE_GRAPH_BOUND
+    print(f"{len(seen)} states")
+
+
+def test_grafts_of_built_fronts_are_not_kept():
+    # only constant fronts are memoized: a constructor-built front would
+    # otherwise stay alive in the prepared state's graph
+    reg = prepare_bell(BellLabel.PHI_PLUS)
+    base = reg.state
+    reg.extend_front(StateRegister([1, 0, 0, 1]))
+    assert reg.amplitudes == tensor(prepare_bell(BellLabel.PHI_PLUS),
+                                    prepare_bell(BellLabel.PHI_PLUS)).amplitudes
+    assert all(front in qsim._CONSTANT_STATES for front in base.grafts)
 
 
 # --- single-qubit measurement ---------------------------------------------------
