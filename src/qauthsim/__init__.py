@@ -58,7 +58,6 @@ from .qsim import (
     BellLabel,
     BellPhase,
     MeasBasis,
-    QubitRef,
     RandomSource,
     SourceKind,
     StateRegister,

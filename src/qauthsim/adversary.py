@@ -23,8 +23,9 @@ from typing import TYPE_CHECKING
 # The relay-compromise emitters reach build_streams through its module, not
 # through this module's name for it, which the benchmark's tracer wraps: one
 # emission then counts once.
-from . import channel
+from . import channel, qsim
 from .channel import (
+    Half,
     Path,
     PhotonCountModel,
     PhotonSlot,
@@ -35,8 +36,8 @@ from .channel import (
 )
 from .qsim import (
     MeasBasis,
-    QubitRef,
     RandomSource,
+    StateRegister,
     prepare_ghz,
     prepare_polarized,
 )
@@ -111,7 +112,7 @@ class EveState:
     measured: dict[tuple[Path, int], tuple[int, MeasBasis]] = field(default_factory=dict)
     split_positions: set[tuple[Path, int]] = field(default_factory=set)
     server_record: dict[int, int] = field(default_factory=dict)
-    retained: list[tuple[int, QubitRef]] = field(default_factory=list)
+    retained: list[tuple[int, StateRegister]] = field(default_factory=list)
 
     @property
     def kind(self) -> AttackKind:
@@ -126,11 +127,10 @@ def _emit_server_product(plan: "SessionPlan", model: PhotonCountModel,
     the slot layout, so its checks always pass)."""
     basis = plan.config.key_basis
 
-    def planted(position: int) -> tuple[QubitRef, QubitRef]:
+    def planted(position: int) -> tuple[Half, Half]:
         x = rand.bit()
         eve.server_record[position] = x
-        return (QubitRef(prepare_polarized(x, basis), 0),
-                QubitRef(prepare_polarized(x, basis), 0))
+        return (prepare_polarized(x, basis), 0), (prepare_polarized(x, basis), 0)
 
     return channel.build_streams(plan, model, rand, planted)
 
@@ -141,10 +141,10 @@ def _emit_server_ghz(plan: "SessionPlan", model: PhotonCountModel,
     """Compromised relay: key slots come from three-way entangled triples;
     the relay keeps the third qubit and measures it after the session."""
 
-    def triple(position: int) -> tuple[QubitRef, QubitRef]:
+    def triple(position: int) -> tuple[Half, Half]:
         reg = prepare_ghz()
-        eve.retained.append((position, QubitRef(reg, 2)))
-        return QubitRef(reg, 0), QubitRef(reg, 1)
+        eve.retained.append((position, reg))
+        return (reg, 0), (reg, 1)
 
     return channel.build_streams(plan, model, rand, triple)
 
@@ -211,9 +211,12 @@ def stage_attack(plan: "SessionPlan", photon: PhotonCountModel, p_loss: float,
 
 def finish_session(eve: EveState, rand: RandomSource) -> None:
     """Post-session adversary action: measure any retained third qubits.
-    Never touches party state."""
-    for position, ref in eve.retained:
-        eve.server_record[position] = ref.measure(MeasBasis.RECTILINEAR, rand)
+    Never touches party state.  A retained qubit is always its register's
+    last, since grafts only go in front; the call goes through the module,
+    so a wrapper installed there sees it."""
+    for position, reg in eve.retained:
+        eve.server_record[position] = qsim.measure_in_basis(
+            reg, reg.num_qubits - 1, MeasBasis.RECTILINEAR, rand)
     eve.retained = []
 
 
@@ -222,13 +225,8 @@ class KnowledgeReport:
     """What the adversary provably knows about the key after one session."""
 
     certain_positions: tuple[int, ...]
-    key_count: int
     fraction: float
     server_copy_match: float | None
-
-    @property
-    def certain_count(self) -> int:
-        return len(self.certain_positions)
 
 
 def eve_knowledge_report(eve: EveState, plan: "SessionPlan",
@@ -258,5 +256,5 @@ def eve_knowledge_report(eve: EveState, plan: "SessionPlan",
                    if bob_at.get(pos) == bit)
         copy_match = hits / len(eve.server_record)
 
-    return KnowledgeReport(tuple(sorted(certain)), len(key_set),
-                           len(certain) / len(key_set), copy_match)
+    return KnowledgeReport(tuple(sorted(certain)), len(certain) / len(key_set),
+                           copy_match)

@@ -27,8 +27,8 @@ from typing import Callable, Iterable, TYPE_CHECKING
 from . import qsim
 from .qsim import (
     MeasBasis,
-    QubitRef,
     RandomSource,
+    StateRegister,
     prepare_bell,
     prepare_polarized,
     BellLabel,
@@ -69,15 +69,21 @@ class PhotonCountModel:
 
 
 class PhotonSlot:
-    """One time slot on a quantum path: a tail-anchored handle on one qubit,
-    as :class:`QubitRef` holds it, plus the photon count and loss flag."""
+    """One time slot on a quantum path: qubit ``index`` of ``register``, plus
+    the photon count and loss flag.
+
+    The qubit is held as ``tail``, its distance from the register's last
+    qubit: :meth:`StateRegister.extend_front` only grafts qubits in front,
+    so the tail of a slot's qubit never changes while its index grows.
+    """
 
     __slots__ = ("position", "register", "tail", "photon_count", "lost")
 
-    def __init__(self, position: int, ref: QubitRef, photon_count: int = 1) -> None:
+    def __init__(self, position: int, register: StateRegister, index: int,
+                 photon_count: int = 1) -> None:
         self.position = position
-        self.register = ref.register
-        self.tail = ref.tail
+        self.register = register
+        self.tail = register.state.n - 1 - index
         self.photon_count = photon_count
         self.lost = False
 
@@ -107,14 +113,18 @@ class QuantumStream:
         return tuple(s.position for s in self.slots if s.lost)
 
 
-def _entangled_pair(position: int) -> tuple[QubitRef, QubitRef]:
+# One half of a key slot: a register and the index of the qubit sent.
+Half = tuple[StateRegister, int]
+
+
+def _entangled_pair(position: int) -> tuple[Half, Half]:
     reg = prepare_bell(BellLabel.PHI_PLUS)
-    return QubitRef(reg, 0), QubitRef(reg, 1)
+    return (reg, 0), (reg, 1)
 
 
 def build_streams(plan: "SessionPlan", model: PhotonCountModel,
                   rand: RandomSource,
-                  key_slot: Callable[[int], tuple[QubitRef, QubitRef]] = _entangled_pair
+                  key_slot: Callable[[int], tuple[Half, Half]] = _entangled_pair
                   ) -> tuple[QuantumStream, QuantumStream]:
     """Emission: identical twin polarized photons on detection slots, and
     on each key slot the two halves ``key_slot(position)`` returns (by
@@ -125,12 +135,12 @@ def build_streams(plan: "SessionPlan", model: PhotonCountModel,
     for position in range(plan.total_slots):
         if plan.is_tamper(position):
             basis, value = plan.tamper_preparation(position)
-            ref_a = QubitRef(prepare_polarized(value, basis), 0)
-            ref_b = QubitRef(prepare_polarized(value, basis), 0)
+            half_a = (prepare_polarized(value, basis), 0)
+            half_b = (prepare_polarized(value, basis), 0)
         else:
-            ref_a, ref_b = key_slot(position)
-        to_alice.append(PhotonSlot(position, ref_a, model.sample(rand)))
-        to_bob.append(PhotonSlot(position, ref_b, model.sample(rand)))
+            half_a, half_b = key_slot(position)
+        to_alice.append(PhotonSlot(position, *half_a, model.sample(rand)))
+        to_bob.append(PhotonSlot(position, *half_b, model.sample(rand)))
     return (QuantumStream(Path.TO_ALICE, to_alice),
             QuantumStream(Path.TO_BOB, to_bob))
 

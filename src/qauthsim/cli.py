@@ -30,7 +30,7 @@ from .qsim import BellLabel, SourceKind, swap_enumerate
 _MAX_POWER_BITS = 1 << 16
 
 
-def parse_probability(text: str) -> Fraction:
+def parse_number(text: str) -> Fraction:
     """Accept '0.25', '1e-6', '1/131072', '2**-17', and '2^-17' forms.
 
     Exponents are bounded before any power is computed: exponent times
@@ -50,9 +50,14 @@ def parse_probability(text: str) -> Fraction:
     if exponent * (base.bit_length() - 1) > _MAX_POWER_BITS:
         raise ValueError(f"exponent too large in {text!r}")
     try:
-        value = Fraction(1, base ** exponent) if power else Fraction(s)
+        return Fraction(1, base ** exponent) if power else Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse probability {text!r}") from None
+
+
+def parse_probability(text: str) -> Fraction:
+    """A number in the forms :func:`parse_number` takes, in (0, 1)."""
+    value = parse_number(text)
     if not 0 < value < 1:
         raise ValueError(f"probability must be in (0, 1), got {text!r}")
     return value
@@ -137,11 +142,12 @@ def _check_writable(path: str) -> None:
 def _cmd_params(args) -> int:
     try:
         target = parse_probability(args.target)
-        p1 = parse_probability(args.p1) if args.p1 is not None else None
+        # p1 = 1 is the ideal source; params_report checks the range
+        p1 = parse_number(args.p1) if args.p1 is not None else None
+        doc = params_report(target, p1)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc = params_report(target, p1)
     try:
         if args.out_format == "json":
             from .harness import _json_value

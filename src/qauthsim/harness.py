@@ -62,7 +62,6 @@ from .secparams import (
     ratio_d_over_k,
     required_d,
     required_k,
-    subset_success_prob,
 )
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -463,19 +462,42 @@ def analytic_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, st
         out["eve_key_knowledge"] = (1.0 if base_mode else 0.0, None)
         return out
 
+    # A tap reads a detection slot on each tapped path (PNS: only when the
+    # slot carries one photon), and a read errs with chance 1/2 when its
+    # basis misses the slot's.  The twin photons share their preparation
+    # basis, so one read basis for the whole session (fixed, or the key
+    # basis) misses on both paths at once with chance 1/2; a fresh random
+    # basis per read misses independently on each path.
+    reads = Fraction(spec.photon.p1) if kind is AttackKind.PNS else Fraction(1)
+    independent = (kind is AttackKind.INTERCEPT_RESEND
+                   and attack.basis_choice is BasisChoice.RANDOM_PER_SLOT)
+    if independent:
+        slot_pass = (1 - reads / 4) ** len(paths)
+    else:
+        miss_pass = 1 - reads / 2  # one path passes a missed slot
+        slot_pass = (1 + miss_pass ** len(paths)) / 2
+    # per tapped path and slot; a guess touches g of the k + d slots
+    err = reads / 4
+    if kind is AttackKind.SUBSET_GUESS:
+        err *= Fraction(attack.guess_count, cfg.total_slots)
+    out["alice_tamper_error_rate"] = (
+        float(err) if Path.TO_ALICE in paths else 0.0, d_note)
+    if base_mode or not both or independent:
+        out["bob_tamper_error_rate"] = (
+            float(err) if Path.TO_BOB in paths else 0.0, d_note)
+    elif any_flip and kind is not AttackKind.SUBSET_GUESS:
+        # in swap mode the responder checks only after the initiator passed;
+        # when any flip aborts, that conditions each responder slot on its
+        # twin having read true
+        out["bob_tamper_error_rate"] = (float(err * miss_pass / (1 - err)),
+                                        d_note)
+
     if kind is AttackKind.INTERCEPT_RESEND:
-        err = 0.25
-        for path, metric in ((Path.TO_ALICE, "alice_tamper_error_rate"),
-                             (Path.TO_BOB, "bob_tamper_error_rate")):
-            out[metric] = (err if path in paths else 0.0, d_note)
-        ev = float(evasion_prob(cfg.d))
-        if any_flip and both:
-            out["evasion_rate"] = (ev * ev,
-                                   "extrapolated beyond the single-path model")
-        elif any_flip:
-            out["evasion_rate"] = (ev, d_note)
-        if attack.basis_choice is BasisChoice.RANDOM_PER_SLOT:
-            know = 0.5
+        if any_flip:
+            out["evasion_rate"] = (float(slot_pass ** cfg.d), d_note)
+        if independent:
+            # certain where any tapped path read in the key basis
+            know = 1 - 0.5 ** len(paths)
             match = 0.75 if not both else None
         elif attack.fixed_basis is cfg.key_basis:
             know, match = 1.0, 1.0
@@ -487,19 +509,11 @@ def analytic_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, st
         return out
 
     if kind is AttackKind.PNS:
-        p1 = spec.photon.p1
-        err = p1 / 4
-        for path, metric in ((Path.TO_ALICE, "alice_tamper_error_rate"),
-                             (Path.TO_BOB, "bob_tamper_error_rate")):
-            out[metric] = (err if path in paths else 0.0, d_note)
-        exact = float(pns_exact_evasion(cfg.d, p1))
-        if any_flip and both:
-            out["evasion_rate"] = (exact * exact,
-                                   "extrapolated beyond the single-path model")
-        elif any_flip:
-            out["evasion_rate"] = (exact, d_note)
+        if any_flip:
+            out["evasion_rate"] = (float(slot_pass ** cfg.d), d_note)
+        if any_flip and not both:
             out["evasion_rate_vs_approx"] = (
-                pns_approx_evasion(cfg.d, p1),
+                pns_approx_evasion(cfg.d, spec.photon.p1),
                 "first-order approximation, shown for comparison; ungraded")
         out["eve_key_knowledge"] = (1.0 if base_mode else 0.0, None)
         out["key_match_fraction"] = (1.0, None)
@@ -507,21 +521,18 @@ def analytic_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, st
 
     if kind is AttackKind.SUBSET_GUESS:
         g = attack.guess_count
-        total = cfg.total_slots
-        if any_flip:
-            out["subset_success"] = (
-                float(subset_success_prob(cfg.k, cfg.d, g))
-                if cfg.k <= g else 0.0, None)
+        terms = _subset_terms(cfg.k, cfg.d, g, slot_pass)
+        if not base_mode:
+            # swap mode never gives certain key knowledge
+            out["subset_success"] = (0.0, None)
+        elif any_flip:
+            # success is the guess that covers every key slot
+            out["subset_success"] = (float(terms.get(g - cfg.k, 0)), None)
         out["eve_key_knowledge"] = (
-            (g / total if base_mode else 0.0), "hypergeometric mean coverage")
-        touched = Fraction(g, total)
-        err = float(touched * Fraction(1, 4))
-        for path, metric in ((Path.TO_ALICE, "alice_tamper_error_rate"),
-                             (Path.TO_BOB, "bob_tamper_error_rate")):
-            out[metric] = (err if path in paths else 0.0, d_note)
-        if any_flip and not both and cfg.d > 0:
-            ev = _subset_evasion_exact(cfg.k, cfg.d, g)
-            out["evasion_rate"] = (ev, None)
+            (g / cfg.total_slots if base_mode else 0.0),
+            "hypergeometric mean coverage")
+        if any_flip and cfg.d > 0:
+            out["evasion_rate"] = (float(sum(terms.values())), None)
         # guessed slots are read in the public key basis: no key disturbance
         out["key_match_fraction"] = (1.0, None)
         return out
@@ -529,15 +540,15 @@ def analytic_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, st
     return out
 
 
-def _subset_evasion_exact(k: int, d: int, g: int) -> float:
-    """E[(3/4)^T] where T is the hypergeometric count of detection slots in
-    a uniform g-subset of the k+d positions."""
-    total = Fraction(0)
+def _subset_terms(k: int, d: int, g: int,
+                  slot_pass: Fraction) -> dict[int, Fraction]:
+    """P(T = j) * slot_pass ** j for every count j of detection slots that a
+    uniform g-subset of the k + d positions can hold; their sum is
+    E[slot_pass ** T]."""
     denom = math.comb(k + d, g)
-    for j in range(max(0, g - k), min(d, g) + 1):
-        ways = math.comb(d, j) * math.comb(k, g - j)
-        total += Fraction(ways, denom) * Fraction(3, 4) ** j
-    return float(total)
+    return {j: Fraction(math.comb(d, j) * math.comb(k, g - j), denom)
+            * slot_pass ** j
+            for j in range(max(0, g - k), min(d, g) + 1)}
 
 
 # --- scenario execution -----------------------------------------------------------

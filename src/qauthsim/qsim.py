@@ -238,8 +238,9 @@ class StateRegister:
     def extend_front(self, front: "StateRegister") -> None:
         """Tensor ``front``'s qubits ahead of this register's.
 
-        In place so every :class:`QubitRef` into this register survives; the
-        refs are tail-anchored, so their indices shift automatically.
+        In place so every :class:`~qauthsim.channel.PhotonSlot` on this
+        register survives; slots are tail-anchored, so their qubit indices
+        shift automatically.
         """
         state, head = self.state, front.state
         grafted = state.grafts.get(head)
@@ -254,33 +255,6 @@ class StateRegister:
 
     def __repr__(self) -> str:
         return f"StateRegister(num_qubits={self.num_qubits})"
-
-
-class QubitRef:
-    """Handle on one qubit of a register, stable across extend_front.
-
-    The index is stored as ``tail``, the distance from the register's last
-    qubit: new qubits are only ever grafted at the front, so the tail
-    distance of an existing qubit never changes.
-    """
-
-    __slots__ = ("register", "tail")
-
-    def __init__(self, register: StateRegister, index: int) -> None:
-        if not 0 <= index < register.num_qubits:
-            raise ValueError("qubit index out of range")
-        self.register = register
-        self.tail = register.num_qubits - 1 - index
-
-    @property
-    def index(self) -> int:
-        return self.register.num_qubits - 1 - self.tail
-
-    def measure(self, basis: MeasBasis, rand: RandomSource) -> int:
-        return measure_in_basis(self.register, self.index, basis, rand)
-
-    def __repr__(self) -> str:
-        return f"QubitRef(index={self.index} of {self.register!r})"
 
 
 # Pair states over (b_first, b_second) = 00, 01, 10, 11, in BELL_ORDER.
@@ -473,12 +447,9 @@ class SwapOutcome:
             dist[bits[axis]] += pr
         return dist
 
-    def kept_dist(self) -> dict[int, Fraction]:
-        return self.marginal(0)
-
     def kept_value(self) -> int | None:
         """The kept qubit's value when deterministic, else None."""
-        dist = self.kept_dist()
+        dist = self.marginal(0)
         for b in (0, 1):
             if dist[b] == 1:
                 return b

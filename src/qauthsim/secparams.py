@@ -128,5 +128,5 @@ def pns_approx_evasion(d: int, p1: _NumberIn) -> float:
 def _p1_fraction(p1: _NumberIn) -> Fraction:
     frac = Fraction(p1)
     if not 0 < frac <= 1:
-        raise ValueError(f"p1 must be in (0, 1], got {p1!r}")
+        raise ValueError(f"p1 must be in (0, 1], got {p1}")
     return frac

@@ -87,7 +87,7 @@ def oracle_digest(case, fmt: str, tmp_path) -> str:
 
 
 GOLDEN_SCENARIOS = {
-    'base-intercept': {'csv': 'b7c3d51b97104db94a1562059fe775d83900632b89b1d54eebb671f3c1f6ffa5', 'json': 'b664c2f29f3abb095850da1dca6fcc395f289d1d5560e762a5500892f7932441'},
+    'base-intercept': {'csv': 'b7c3d51b97104db94a1562059fe775d83900632b89b1d54eebb671f3c1f6ffa5', 'json': '3acdba94505316cc61fcf418044f7a6c26e030508af5f476dded960b2c4e4e3b'},
     'base-none': {'csv': 'd55ffdd45f7a0c38011f1ae0a94f62db7f4622f7f112a348237d167afd9cd1fe', 'json': 'e3c144f72fbb6d50744653fded76a11024117c257bfde2892f7c836df5941007'},
     'base-pns': {'csv': '6fc0f9fd0293fa9737e61780468a0a43db181001c6a46994ae787bd97bed01d1', 'json': 'ff24132f88b8bc13fda823d6e390cc4b6e0f3499d8e445c60ba33df2c885b6c8'},
     'base-server_ghz': {'csv': 'cb96f464ef1b4d483b183cb9f476c1cbfb79ae4da03f2a09ba575fc0c0c080d3', 'json': 'd356a42cf3caea5e99aa658e9b76547377e910073357cdf8eb2be978c99f2041'},
@@ -96,12 +96,12 @@ GOLDEN_SCENARIOS = {
     'fixed-basis-intercept': {'csv': 'a886e458c49b2f775d8cbe5c4cbb04a4e47d166d990ca55a116bc433bc373249', 'json': '7d2204b2c3f38238be7ccdd03c676d1271c93d225a84728de50ab496349170f0'},
     'lossy-pns': {'csv': 'c70411e46e532c816b19b7abe66fc40fd0f1d7d1fb4df647ed48f0568f5c5fb9', 'json': '93a3cb3343ad09590ae3701cd2da96b589a57c6735360fbd581c5f382769f713'},
     'realtime-intercept': {'csv': '3931cd8ff52978cef5fdc4d505e00184977e0c09730fa26cb4c8ccf62e7dfc5a', 'json': 'fa0d20c36d89a20891d48ca5465d2907a3a5ec6e85d28403b9f127b50cac5fee'},
-    'swap-composed-intercept': {'csv': 'e997062a0abea27b1e3f24887e94ac461df64a25124f820bbd7737a317e63ac2', 'json': '1fb10e67de04ef61ee832e6fa373f3a36c5fdff531442300717386d95f58b222'},
+    'swap-composed-intercept': {'csv': 'e997062a0abea27b1e3f24887e94ac461df64a25124f820bbd7737a317e63ac2', 'json': '528ba89d9da4b98bab7bee9707e126f50d066379ff3694b730921c9de6f1dee3'},
     'swap-composed-none': {'csv': '52191db49f5599954f0a9808f4ba392aa8a8d7434bce7e630796a8b91063dc8e', 'json': 'c5219bd2a357bb1d09102dbaf14e3624a66127581b137b0c8c60106e4b60cd93'},
     'swap-composed-pns': {'csv': '8c8f0a2b9fef60444749a355679a3e0577c815dd0f4490f213fc81e9dcc7209c', 'json': 'e17883ca4deb5faaf6e5d588e4e07ae492039e6d84eec39895c61aa66b59bbad'},
     'swap-composed-server_ghz': {'csv': 'c977748ce89c8933e87da5f0c38bea4f17cf51c8efd7bf8bc51e85e8f5774364', 'json': 'bc10a2472e62e8fd35f389797a79937b1219078774ff3bd64a6c4801ce5573eb'},
     'swap-composed-server_product': {'csv': '0e888acfd006ae5212a2d8657fe998a85593541e269de05c02fef1c8673f529b', 'json': '9925b05080401aa8e30ca6a98f75856aa0af1c2518e4bb780ecab76bdd355dfc'},
-    'swap-composed-subset': {'csv': '1eea5cc5ed104796ae8db923379f6e11c60ea1f1468296422f77abf6dbb2ca0b', 'json': '650017cbb548445b930ee3991154e180a28883fce0e3114675a461e874435287'},
+    'swap-composed-subset': {'csv': '1eea5cc5ed104796ae8db923379f6e11c60ea1f1468296422f77abf6dbb2ca0b', 'json': '6886c6a71fc0ea18a3ec4a65e172861bd3200a1ca6de8d7869e9ef7136e7ee00'},
     'swap-measured-none': {'csv': '7adb7f32156bb447f7df406645dc43e9e6169d58a073cf4fa5453d18e76f9a03', 'json': '79c04cc3c452e23e1c9b3e0076a027e5d89c947c189f5be495055d02773084c2'},
     'swap-measured-server_product': {'csv': '9a5b45c546e935f55b102fe24617e4de30cc31dacadfc748738cf2180d82cd3a', 'json': '3f03ac07ea005fec73a6b4dba47ba4a4f497062ac31e9876cf7b14f34534a3fd'},
 }

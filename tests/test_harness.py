@@ -366,6 +366,85 @@ class TestMetrics:
         assert all(m.analytic is None for m in report.metrics)
         assert any(t.status == "incomplete_stream" for t in report.trial_results)
 
+    # Twin detection photons share their preparation basis, so taps on both
+    # paths err together unless each read draws a fresh basis; in swap mode
+    # the responder's check runs only after the initiator passed.
+    @pytest.mark.parametrize("session,attack,p1,metric,want", [
+        ({"k": 1, "d": 1}, {"kind": "intercept_resend", "path": "both",
+                            "basis_choice": "fixed"},
+         1.0, "evasion_rate", Fraction(5, 8)),
+        ({"k": 1, "d": 1}, {"kind": "pns", "path": "both"},
+         1.0, "evasion_rate", Fraction(5, 8)),
+        ({"k": 1, "d": 1}, {"kind": "intercept_resend", "path": "both"},
+         1.0, "eve_key_knowledge", Fraction(3, 4)),
+        ({"k": 1, "d": 2}, {"kind": "subset_guess", "path": "both",
+                            "guess_count": 2},
+         1.0, "subset_success", Fraction(2, 3) * Fraction(5, 8)),
+        ({"k": 1, "d": 2}, {"kind": "subset_guess", "path": "both",
+                            "guess_count": 2},
+         1.0, "evasion_rate",
+         Fraction(2, 3) * Fraction(5, 8) + Fraction(1, 3) * Fraction(5, 8) ** 2),
+        ({"k": 2, "d": 3, "mode": "swap", "belief_rule": "composed"},
+         {"kind": "subset_guess", "path": "to_bob", "guess_count": 3},
+         1.0, "subset_success", Fraction(0)),
+        ({"k": 1, "d": 3, "mode": "swap", "belief_rule": "composed"},
+         {"kind": "intercept_resend", "path": "both", "basis_choice": "fixed"},
+         1.0, "bob_tamper_error_rate", Fraction(1, 6)),
+        ({"k": 1, "d": 3, "mode": "swap", "belief_rule": "composed"},
+         {"kind": "pns", "path": "both"},
+         1.0, "bob_tamper_error_rate", Fraction(1, 6)),
+    ])
+    def test_twin_tap_closed_forms_pass(self, session, attack, p1, metric,
+                                        want):
+        session = {"reveal_count": session["k"], **session}
+        spec = parse_scenario(_doc(seed=5, trials=2000, session=session,
+                                   attack=attack, photon={"p1": p1}))
+        report = run_scenario(spec)
+        assert report.metric(metric).analytic == float(want)
+        assert report.all_pass, report.failures()
+
+    @pytest.mark.parametrize("attack,p1,d,want", [
+        ({"kind": "intercept_resend", "path": "both"}, 1.0, 2,
+         Fraction(9, 16) ** 2),
+        ({"kind": "intercept_resend", "path": "both", "basis_choice": "fixed"},
+         1.0, 2, Fraction(5, 8) ** 2),
+        ({"kind": "pns", "path": "both"}, 0.5, 1,
+         Fraction(1, 2) + Fraction(3, 4) ** 2 / 2),
+        ({"kind": "pns", "path": "both"}, 0.25, 3,
+         (Fraction(1, 2) + Fraction(7, 8) ** 2 / 2) ** 3),
+        ({"kind": "pns", "path": "to_bob"}, 0.5, 3, Fraction(7, 8) ** 3),
+    ])
+    def test_evasion_closed_forms_exact(self, attack, p1, d, want):
+        spec = parse_scenario(_doc(session={"k": 1, "d": d}, attack=attack,
+                                   photon={"p1": p1}))
+        assert harness.analytic_predictions(spec)["evasion_rate"] == (
+            float(want), None)
+
+    def test_swap_responder_rate_closed_forms(self):
+        def bob_rate(attack, p1=1.0, threshold=0.0):
+            spec = parse_scenario(_doc(
+                session={"k": 1, "d": 3, "mode": "swap",
+                         "belief_rule": "composed",
+                         "error_threshold": threshold},
+                attack=attack, photon={"p1": p1}))
+            row = harness.analytic_predictions(spec).get("bob_tamper_error_rate")
+            return None if row is None else row[0]
+
+        fixed = {"kind": "intercept_resend", "path": "both",
+                 "basis_choice": "fixed"}
+        pns = {"kind": "pns", "path": "both"}
+        random = {"kind": "intercept_resend", "path": "both"}
+        subset = {"kind": "subset_guess", "path": "both", "guess_count": 3}
+        assert bob_rate(fixed) == float(Fraction(1, 6))
+        # (p1/4)(1 - p1/2) / (1 - p1/4) at p1 = 1/2
+        assert bob_rate(pns, 0.5) == float(Fraction(3, 28))
+        assert bob_rate(random) == bob_rate(random, threshold=0.34) == 0.25
+        assert bob_rate(subset) is None
+        assert bob_rate(fixed, threshold=0.34) is None
+        assert bob_rate(pns, 0.5, threshold=0.34) is None
+        # one tapped path: the initiator's check cannot fail first
+        assert bob_rate({"kind": "pns", "path": "to_bob"}, 0.5) == 0.125
+
 
 class TestVerifyTables:
     def test_sections(self):
@@ -448,6 +527,13 @@ class TestCLI:
     def test_params_exponent_bound_exit_2(self, target, capsys):
         assert main(["params", target]) == 2
         assert capsys.readouterr().err.startswith("error: exponent too large")
+
+    def test_params_ideal_source_p1(self, capsys):
+        assert main(["params", "0.5", "--p1", "1", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["p1"] == 1.0 and doc["pns_required_d"] == doc["d"]
+        assert main(["params", "0.5", "--p1", "1.5"]) == 2
+        assert capsys.readouterr().err == "error: p1 must be in (0, 1], got 3/2\n"
 
     def test_params_tiny_p1_exit_2(self, capsys):
         # pns_required_d has about 5000 digits, past str()'s limit
@@ -615,7 +701,7 @@ _CLI_FLAG_VALUES = {
     "--trials": ["0", "2", "-1", "1.5"],
     "--format": ["text", "json", "csv", "xml"],
     "--out": ["out.txt", "missing/out.txt", ".", ""],
-    "--p1": ["0.5", "1e-6", "2**-17", "0", "nan"],
+    "--p1": ["0.5", "1e-6", "2**-17", "1", "0", "nan"],
     "--created": ["phi+", "psi-", "omega"],
     "--source": ["product", "ghz", "entangled_phi_plus", "tachyon"],
     "--product-bit": ["0", "1", "2"],

@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qauthsim import qsim
+from qauthsim.channel import PhotonSlot
 from qauthsim.qsim import (
     BELL_ORDER,
     BellKind,
     BellLabel,
     BellPhase,
     MeasBasis,
-    QubitRef,
     RandomSource,
     SourceKind,
     StateRegister,
@@ -647,15 +647,15 @@ def test_swap_enumerate_rejects_bad_inputs():
         swap_enumerate(BellLabel.PHI_PLUS, SourceKind.PRODUCT, product_bit=2)
 
 
-# --- refs, randomness, arbitrary registers ----------------------------------------
+# --- slots, randomness, arbitrary registers ---------------------------------------
 
-def test_qubit_ref_survives_extend_front():
+def test_photon_slot_index_follows_extend_front():
     reg = prepare_bell(BellLabel.PHI_PLUS)
-    far = QubitRef(reg, 1)
-    assert far.index == 1
+    near, far = PhotonSlot(0, reg, 0), PhotonSlot(0, reg, 1)
+    assert (near.qubit_index, far.qubit_index) == (0, 1)
     reg.extend_front(prepare_bell(BellLabel.PSI_MINUS))
     assert reg.num_qubits == 4
-    assert far.index == 3
+    assert (near.qubit_index, far.qubit_index) == (2, 3)
     assert far.register is reg
 
 
