@@ -11,7 +11,8 @@ binomial tails at the same one-sided level.
 
 verify_tables() checks the exact pair-algebra claims by enumeration: state
 composition, the honest relay key-bit rule, and the compromised-relay
-key-bit table under both belief rules.  The two rules disagree on the
+key-bit table under both belief rules, each key bit derived through the
+session's own belief rule.  The two rules disagree on the
 planted-bit table; the disagreement is printed row by row every run, never
 suppressed, and does not fail the check (see the belief-rule notes in the
 protocol module).
@@ -32,6 +33,7 @@ from .adversary import (
     BasisChoice,
     LocationKnowledge,
     TapPath,
+    _TAP_KINDS,
     eve_knowledge_report,
 )
 from .channel import Path, PhotonCountModel
@@ -40,6 +42,7 @@ from .protocol import (
     ProtocolMode,
     SessionConfig,
     SessionStatus,
+    believed_state,
     derive_key_bit,
     run_session,
 )
@@ -425,14 +428,34 @@ def _accept_and_match(spec: ScenarioSpec) -> tuple[float, float]:
 
 def analytic_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, str | None]]:
     """Metric name -> (expected value, note).  Only metrics with a defensible
-    closed form appear; everything else stays ungraded."""
+    closed form appear; everything else stays ungraded.
+
+    Loss ends a session at emission (step 3), before any check and
+    independently of every other draw, so a metric recorded only on
+    complete sessions keeps its lossless form.  accept_rate is scaled by
+    the chance that all 2 (k + d) photons arrive.  eve_key_knowledge is
+    recorded on every trial and counts only the slots that arrived, so
+    under loss it stays graded only where its form is 0."""
+    out = _lossless_predictions(spec)
+    if spec.p_loss > 0.0:
+        if "accept_rate" in out:
+            accept, note = out["accept_rate"]
+            arrive = 1 - Fraction(spec.p_loss)
+            survive = arrive ** (2 * spec.session.total_slots)
+            out["accept_rate"] = (float(Fraction(accept) * survive), note)
+        knowledge = out.get("eve_key_knowledge")
+        if knowledge is not None and knowledge[0] != 0.0:
+            del out["eve_key_knowledge"]
+    return out
+
+
+def _lossless_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, str | None]]:
+    """The closed forms on a channel that loses no photon."""
     cfg = spec.session
     attack = spec.attack
     kind = attack.kind if attack else AttackKind.NONE
     out: dict[str, tuple[float | None, str | None]] = {}
     d_note = "vacuous: no detection slots" if cfg.d == 0 else None
-    if spec.p_loss > 0.0:
-        return out  # loss truncates sessions; no closed forms maintained
 
     if kind in (AttackKind.NONE, AttackKind.SERVER_PRODUCT,
                 AttackKind.SERVER_GHZ):
@@ -557,9 +580,7 @@ def run_scenario(spec: ScenarioSpec) -> AggregateReport:
     cfg = spec.session
     attack = spec.attack
     kind = attack.kind if attack else AttackKind.NONE
-    tapped = attack.path.channel_paths() if (
-        attack and kind in (AttackKind.INTERCEPT_RESEND, AttackKind.SUBSET_GUESS,
-                            AttackKind.PNS)) else ()
+    tapped = attack.path.channel_paths() if kind in _TAP_KINDS else ()
 
     acc: dict[str, _Accumulator] = {}
 
@@ -709,15 +730,27 @@ class TableCheck:
     def ok(self) -> bool:
         return not self.graded or not self.mismatches
 
+    @property
+    def status(self) -> str:
+        if not self.mismatches:
+            return "exact"
+        if self.graded:
+            return f"{len(self.mismatches)} mismatches"
+        return f"{len(self.mismatches)} discrepancies (informational)"
+
 
 @dataclass
 class ConformanceReport:
     sections: list[TableCheck]
-    matrix: list[tuple[str, str, str]]
 
     @property
     def ok(self) -> bool:
         return all(section.ok for section in self.sections)
+
+    @property
+    def matrix(self) -> list[tuple[str, int, str]]:
+        """One (name, row count, status) entry per check that ran."""
+        return [(s.name, len(s.rows), s.status) for s in self.sections]
 
     def section(self, name: str) -> TableCheck:
         for s in self.sections:
@@ -728,18 +761,15 @@ class ConformanceReport:
     def text(self) -> str:
         lines = []
         for s in self.sections:
-            status = "exact" if not s.mismatches else (
-                f"{len(s.mismatches)} mismatches" if s.graded
-                else f"{len(s.mismatches)} discrepancies (informational)")
-            lines.append(f"== {s.name} [{status}] ==")
+            lines.append(f"== {s.name} [{s.status}] ==")
             lines.extend("  " + r for r in s.rows)
             if s.mismatches:
                 label = "MISMATCH" if s.graded else "DISCREPANCY"
                 lines.extend(f"  {label}: {m}" for m in s.mismatches)
             lines.append("")
         lines.append("== conformance matrix ==")
-        for claim, where, status in self.matrix:
-            lines.append(f"  {claim:<34} {where:<42} {status}")
+        for name, rows, status in self.matrix:
+            lines.append(f"  {name:<28} {rows:>3} rows  {status}")
         return "\n".join(lines) + "\n"
 
 
@@ -770,7 +800,7 @@ def _check_relay_key_rule() -> TableCheck:
         table = swap_enumerate(created, SourceKind.ENTANGLED_PHI_PLUS)
         for outcome in BellLabel:
             cell = table.outcome(outcome)
-            residual = bell_compose(created, outcome)
+            residual = believed_state(created, outcome, BeliefRule.COMPOSED)
             for bits, prob in sorted(cell.joint.items()):
                 if prob == 0:
                     continue
@@ -789,85 +819,39 @@ def _check_relay_key_rule() -> TableCheck:
     return check
 
 
-def _planted_bit_rows():
-    """All 32 (created, outcome, planted bit) combinations of the
-    planted-product compromise, with the oracle's deterministic kept bit."""
+def _check_planted_bit(rule: BeliefRule) -> TableCheck:
+    """The planted-product compromise, all 32 (created, outcome, planted
+    bit) rows, with the key bit derived by the session's own belief rule
+    and compared with the published table, where the key equals the planted
+    bit exactly when the created pair is phi-kind.  MEASURED reproduces the
+    table and is graded; COMPOSED always recovers the planted bit, so its
+    psi-kind rows disagree and are reported row by row, informationally."""
+    measured = rule is BeliefRule.MEASURED
+    check = TableCheck("compromised-server-key-bit" if measured
+                       else "belief-rule-discrepancy", graded=measured)
     for created in BellLabel:
         for x in (0, 1):
             table = swap_enumerate(created, SourceKind.PRODUCT, product_bit=x)
             for outcome in BellLabel:
-                cell = table.outcome(outcome)
-                kept = cell.kept_value()
-                yield created, outcome, x, kept
-
-
-def _check_planted_bit_measured() -> TableCheck:
-    """Published compromised-relay table: with the MEASURED belief rule the
-    derived key equals the planted bit exactly when the created pair is
-    phi-kind.  Four row families, one per created state."""
-    check = TableCheck("compromised-server-key-bit")
-    for created, outcome, x, kept in _planted_bit_rows():
-        derived = derive_key_bit(outcome, kept)  # MEASURED: believe outcome
-        claimed = x if created.kind is BellKind.PHI else 1 - x
-        row = (f"created={created.short()} outcome={outcome.short()} x={x}"
-               f" kept={kept} key={derived}")
-        check.rows.append(row)
-        if derived != claimed:
-            check.mismatches.append(row + f" table_value={claimed}")
+                kept = table.outcome(outcome).kept_value()
+                key = derive_key_bit(believed_state(created, outcome, rule),
+                                     kept)
+                claimed = x if created.kind is BellKind.PHI else 1 - x
+                row = (f"created={created.short()} outcome={outcome.short()}"
+                       f" x={x} kept={kept} key={key} table_value={claimed}")
+                check.rows.append(row)
+                if key != claimed:
+                    check.mismatches.append(row)
     return check
-
-
-def _check_planted_bit_composed() -> TableCheck:
-    """Same rows under the COMPOSED rule: the derived key is always the
-    planted bit, so every psi-kind row disagrees with the published table.
-    Reported row-by-row; informational by design."""
-    check = TableCheck("belief-rule-discrepancy", graded=False)
-    for created, outcome, x, kept in _planted_bit_rows():
-        derived = derive_key_bit(bell_compose(created, outcome), kept)
-        claimed = x if created.kind is BellKind.PHI else 1 - x
-        row = (f"created={created.short()} outcome={outcome.short()} x={x}"
-               f" kept={kept} composed_key={derived} table_value={claimed}")
-        check.rows.append(row)
-        if derived != claimed:
-            check.mismatches.append(row)
-    return check
-
-
-_MATRIX_STATIC = (
-    ("honest-completeness", "run analytics: accept_rate, error rates"),
-    ("intercept-error-rate", "run analytics: tamper error rates"),
-    ("single-path-evasion", "run analytics: evasion_rate"),
-    ("forgery-rate", "acceptance suite: token guessing trial"),
-    ("sizing-k17-d41", "params command; acceptance suite"),
-    ("slot-ratio-2.41", "params command"),
-    ("subset-guess-success", "run analytics: subset_success"),
-    ("subset-improvement-limit", "secparams tests: improvement boundary"),
-    ("pns-exact-evasion", "run analytics: evasion_rate"),
-    ("pns-approx-comparison", "run analytics: evasion_rate_vs_approx"),
-    ("pns-inflated-d", "params command with p1"),
-    ("server-copy-rate", "run analytics: server_copy_match"),
-    ("measured-rule-half-match", "run analytics: key_match_fraction"),
-    ("realtime-zero-detection", "run analytics under realtime knowledge"),
-    ("late-knowledge-worthless", "acceptance suite: after-vs-never comparison"),
-)
 
 
 def verify_tables() -> ConformanceReport:
-    sections = [
+    return ConformanceReport([
         _check_pair_composition(),
         _check_relay_key_rule(),
-        _check_planted_bit_measured(),
-        _check_planted_bit_composed(),
-    ]
-    matrix = []
-    for section in sections:
-        status = "exact" if not section.mismatches else (
-            "FAIL" if section.graded else
-            f"{len(section.mismatches)} rows differ (documented)")
-        matrix.append((section.name, "verify-tables enumeration", status))
-    for claim, where in _MATRIX_STATIC:
-        matrix.append((claim, where, "checked at run time"))
-    return ConformanceReport(sections, matrix)
+        _check_planted_bit(BeliefRule.MEASURED),
+        _check_planted_bit(BeliefRule.COMPOSED),
+    ])
 
 
 # --- parameter calculator ----------------------------------------------------------

@@ -247,22 +247,19 @@ class EventLog:
 
 
 def alice_swap_step(slot: PhotonSlot, cfg: SessionConfig, rand: RandomSource,
-                    log: EventLog | None = None) -> SwapRecord:
+                    log: EventLog) -> SwapRecord:
     """Steps 5a-5c at one key slot: create a pair, graft it onto the slot's
     register, joint-measure the sacrificed half against the received qubit,
     read the kept qubit, and derive the key bit under the configured rule."""
     created = rand.bell_label()
     slot.register.extend_front(prepare_bell(created))
-    if log is not None:
-        log.add("5a", "alice", f"pos={slot.position} created={created.short()}")
+    log.add("5a", "alice", f"pos={slot.position} created={created.short()}")
     outcome = measure_bell(slot.register, 1, slot.qubit_index, rand)
-    if log is not None:
-        log.add("5b", "alice", f"pos={slot.position} outcome={outcome.short()}")
+    log.add("5b", "alice", f"pos={slot.position} outcome={outcome.short()}")
     kept = measure_in_basis(slot.register, 0, MeasBasis.RECTILINEAR, rand)
     believed = believed_state(created, outcome, cfg.belief_rule)
     key_bit = derive_key_bit(believed, kept)
-    if log is not None:
-        log.add("5c", "alice", f"pos={slot.position} kept={kept} key={key_bit}")
+    log.add("5c", "alice", f"pos={slot.position} kept={kept} key={key_bit}")
     return SwapRecord(slot.position, created, outcome, kept, believed, key_bit)
 
 

@@ -27,7 +27,7 @@ from qauthsim.harness import (
     verify_tables,
 )
 from qauthsim.protocol import BeliefRule, ProtocolMode
-from qauthsim.qsim import MeasBasis
+from qauthsim.qsim import MeasBasis, bell_compose
 
 
 def _doc(**over):
@@ -359,12 +359,44 @@ class TestMetrics:
         assert forms <= strict
         assert strict - predicted(0.34) == forms
 
-    def test_loss_scenario_has_no_analytics(self):
-        spec = load_scenario(json.dumps(_doc(
-            trials=30, photon={"p_loss": 0.2})))
+    @pytest.mark.parametrize("session,attack,p1", [
+        ({"k": 4, "d": 4}, None, 1.0),
+        ({"k": 2, "d": 2, "mode": "swap", "belief_rule": "measured"},
+         {"kind": "server_product"}, 1.0),
+        ({"k": 2, "d": 3}, {"kind": "pns", "path": "to_bob"}, 0.5),
+        ({"k": 2, "d": 3, "mode": "swap", "belief_rule": "composed"},
+         {"kind": "pns", "path": "both"}, 1.0),
+        ({"k": 2, "d": 3}, {"kind": "intercept_resend", "path": "both"}, 1.0),
+        ({"k": 2, "d": 3}, {"kind": "subset_guess", "guess_count": 3}, 1.0),
+    ], ids=["honest", "planted-product", "pns", "pns-both", "intercept-both",
+            "subset"])
+    def test_loss_scenario_keeps_lossless_forms(self, session, attack, p1):
+        # loss ends a session at emission, before any check: only accept_rate
+        # and a nonzero eve_key_knowledge (it counts arrived slots) change
+        doc = _doc(seed=11, trials=1500, session=session, attack=attack,
+                   photon={"p1": p1, "p_loss": 0.05})
+        spec = parse_scenario(doc)
+        lossy = harness.analytic_predictions(spec)
+        lossless = harness.analytic_predictions(replace(spec, p_loss=0.0))
+        for name, form in lossy.items():
+            if name != "accept_rate":
+                assert form == lossless[name], name
+        knowledge = lossless["eve_key_knowledge"][0]
+        assert set(lossless) - set(lossy) == (
+            set() if knowledge == 0.0 else {"eve_key_knowledge"})
+        assert ("accept_rate" in lossy) == ("accept_rate" in lossless)
         report = run_scenario(spec)
-        assert all(m.analytic is None for m in report.metrics)
+        assert report.all_pass, report.failures()
         assert any(t.status == "incomplete_stream" for t in report.trial_results)
+
+    def test_loss_scales_accept_rate_exactly(self):
+        spec = parse_scenario(_doc(
+            session={"k": 2, "d": 2, "mode": "swap", "belief_rule": "measured"},
+            attack={"kind": "server_product"}, photon={"p_loss": 0.05}))
+        accept, _ = harness.analytic_predictions(spec)["accept_rate"]
+        # the 2^-2 forgery chance times the chance that all 2 (k + d) = 8
+        # photons arrive
+        assert accept == float(Fraction(1, 4) * (1 - Fraction(0.05)) ** 8)
 
     # Twin detection photons share their preparation basis, so taps on both
     # paths err together unless each read draws a fresh basis; in swap mode
@@ -470,9 +502,27 @@ class TestVerifyTables:
         assert "DISCREPANCY" in a
 
     def test_matrix_claims_unique(self):
+        # the matrix lists the checks that ran, and only those
         report = verify_tables()
-        claims = [c for c, _, _ in report.matrix]
-        assert len(claims) == len(set(claims))
+        assert [name for name, _, _ in report.matrix] == [
+            "pair-composition", "relay-key-bit-rule",
+            "compromised-server-key-bit", "belief-rule-discrepancy"]
+
+    def test_checks_the_session_belief_rule(self, monkeypatch, capsys):
+        # a MEASURED rule that believes the composed label always recovers
+        # the planted bit, so the graded table must fail
+        real = harness.believed_state
+
+        def faulty(created, outcome, rule):
+            if rule is BeliefRule.MEASURED:
+                return bell_compose(created, outcome)
+            return real(created, outcome, rule)
+
+        monkeypatch.setattr(harness, "believed_state", faulty)
+        report = verify_tables()
+        assert not report.ok
+        assert len(report.section("compromised-server-key-bit").mismatches) == 16
+        assert main(["verify-tables"]) == 1
 
 
 class TestParams:
