@@ -106,6 +106,10 @@ class PhotonSlot:
 
 @dataclass
 class QuantumStream:
+    """One path's slots.  ``slots[p]`` is the slot at position ``p``:
+    :func:`build_streams` emits one slot per position in order, and loss
+    and taps only flag or touch slots, never drop or reorder them."""
+
     path: Path
     slots: list[PhotonSlot]
 
@@ -132,15 +136,17 @@ def build_streams(plan: "SessionPlan", model: PhotonCountModel,
     slot's two photon-count draws."""
     to_alice: list[PhotonSlot] = []
     to_bob: list[PhotonSlot] = []
+    decoys = plan.decoys
+    sample = model.sample
     for position in range(plan.total_slots):
-        if plan.is_tamper(position):
-            basis, value = plan.tamper_preparation(position)
-            half_a = (prepare_polarized(value, basis), 0)
-            half_b = (prepare_polarized(value, basis), 0)
+        decoy = decoys.get(position)
+        if decoy is not None:
+            half_a = (prepare_polarized(*decoy), 0)
+            half_b = (prepare_polarized(*decoy), 0)
         else:
             half_a, half_b = key_slot(position)
-        to_alice.append(PhotonSlot(position, *half_a, model.sample(rand)))
-        to_bob.append(PhotonSlot(position, *half_b, model.sample(rand)))
+        to_alice.append(PhotonSlot(position, *half_a, sample(rand)))
+        to_bob.append(PhotonSlot(position, *half_b, sample(rand)))
     return (QuantumStream(Path.TO_ALICE, to_alice),
             QuantumStream(Path.TO_BOB, to_bob))
 
@@ -179,6 +185,9 @@ class KeystreamCipher:
 
     Pluggable stand-in for a real authenticated cipher.  Not security-reviewed;
     good enough to make "Eve reads but cannot usefully modify" executable.
+    Each instance keeps the last keystream it hashed, one (nonce, length)
+    at a time, so opening what it has just sealed reuses the seal's
+    keystream; the tag is checked on every open.
     """
 
     TAG_LEN = 16
@@ -187,24 +196,31 @@ class KeystreamCipher:
         if len(key) < 16:
             raise ValueError("key must be at least 16 bytes")
         self._key = bytes(key)
+        # ((nonce, length), keystream) of the last keystream hashed
+        self._last: tuple[tuple[int, int] | None, int] = (None, 0)
 
-    def _stream(self, nonce: int, length: int) -> bytes:
-        """Block ``i`` is SHA-256 of key, nonce and ``i``; the key and nonce
-        prefix is hashed once and its state copied for each block."""
-        prefix = hashlib.sha256(self._key + b"|ks|%d|" % nonce)
-        out = bytearray()
-        counter = 0
-        while len(out) < length:
-            block = prefix.copy()
-            block.update(b"%d" % counter)
-            out.extend(block.digest())
-            counter += 1
-        return bytes(out[:length])
+    def _stream(self, nonce: int, length: int) -> int:
+        """The keystream as one big-endian integer.  Block ``i`` is SHA-256
+        of key, nonce and ``i``; the key and nonce prefix is hashed once and
+        its state copied for each block."""
+        hashed, stream = self._last
+        if hashed != (nonce, length):
+            prefix = hashlib.sha256(self._key + b"|ks|%d|" % nonce)
+            out = bytearray()
+            counter = 0
+            while len(out) < length:
+                block = prefix.copy()
+                block.update(b"%d" % counter)
+                out.extend(block.digest())
+                counter += 1
+            stream = int.from_bytes(out[:length], "big")
+            self._last = ((nonce, length), stream)
+        return stream
 
     def _xor(self, nonce: int, data: bytes) -> bytes:
         """``data`` XOR the keystream, computed as one integer XOR."""
         size = len(data)
-        mixed = int.from_bytes(data, "big") ^ int.from_bytes(self._stream(nonce, size), "big")
+        mixed = int.from_bytes(data, "big") ^ self._stream(nonce, size)
         return mixed.to_bytes(size, "big")
 
     def seal(self, nonce: int, plaintext: bytes) -> bytes:

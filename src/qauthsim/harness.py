@@ -585,7 +585,11 @@ def run_scenario(spec: ScenarioSpec) -> AggregateReport:
     acc: dict[str, _Accumulator] = {}
 
     def bump(name: str, value: float, weight: int = 1) -> None:
-        acc.setdefault(name, _Accumulator()).add(value, weight)
+        # created on first use, which fixes the metric order
+        a = acc.get(name)
+        if a is None:
+            a = acc[name] = _Accumulator()
+        a.add(value, weight)
 
     trial_results: list[TrialResult] = []
     for trial in range(spec.trials):

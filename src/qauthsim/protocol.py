@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING
 
 from .channel import KeystreamCipher, PhotonCountModel, PhotonSlot
 from .qsim import (
+    BASIS_OF_BIT,
     BellKind,
     BellLabel,
     MeasBasis,
@@ -104,8 +105,9 @@ class SessionConfig:
         return self.k + self.d
 
 
-# basis by its value, without the Enum constructor's lookup
+# basis by its value, without the Enum constructor's lookup, and back
 _BASES = {basis.value: basis for basis in MeasBasis}
+_BASIS_VALUES = {basis: value for value, basis in _BASES.items()}
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,7 @@ class TamperSpec:
     def encode(self) -> bytes:
         doc = {
             "positions": list(self.positions),
-            "bases": [b.value for b in self.bases],
+            "bases": [_BASIS_VALUES[b] for b in self.bases],
             "values": list(self.values),
         }
         return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
@@ -128,43 +130,42 @@ class TamperSpec:
     def decode(cls, raw: bytes) -> "TamperSpec":
         doc = json.loads(raw.decode())
         return cls(tuple(doc["positions"]),
-                   tuple(_BASES[b] for b in doc["bases"]),
+                   tuple([_BASES[b] for b in doc["bases"]]),
                    tuple(doc["values"]))
 
 
 @dataclass(frozen=True)
 class SessionPlan:
+    """The relay's layout.  ``decoys`` maps each detection slot's position
+    to its (value, basis), the argument order of ``prepare_polarized``."""
+
     config: SessionConfig
     tamper: TamperSpec
     key_positions: tuple[int, ...]
+    decoys: dict[int, tuple[int, MeasBasis]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_tamper_index",
-                           {p: i for i, p in enumerate(self.tamper.positions)})
+        tamper = self.tamper
+        object.__setattr__(self, "decoys", dict(zip(
+            tamper.positions, zip(tamper.values, tamper.bases))))
 
     @property
     def total_slots(self) -> int:
         return self.config.total_slots
 
-    def is_tamper(self, position: int) -> bool:
-        return position in self._tamper_index
-
-    def tamper_preparation(self, position: int) -> tuple[MeasBasis, int]:
-        i = self._tamper_index[position]
-        return self.tamper.bases[i], self.tamper.values[i]
-
 
 def plan_session(cfg: SessionConfig, rand: RandomSource) -> SessionPlan:
-    """Relay-side draw: uniform tamper subset, then per-slot basis and value."""
-    positions = rand.sample_positions(cfg.total_slots, cfg.d)
-    bases = []
-    values = []
-    for _ in positions:
-        bases.append(rand.basis())
-        values.append(rand.bit())
+    """Relay-side draw: uniform tamper subset, then per-slot basis and value.
+    The 2d bits alternate basis bit, value bit, slot by slot: the draws of
+    ``rand.basis()`` then ``rand.bit()`` for each slot."""
+    total = cfg.total_slots
+    positions = rand.sample_positions(total, cfg.d)
+    drawn = rand.bits(2 * cfg.d)
+    bases = tuple([BASIS_OF_BIT[b] for b in drawn[::2]])
     taken = set(positions)
-    key_positions = tuple(p for p in range(cfg.total_slots) if p not in taken)
-    return SessionPlan(cfg, TamperSpec(positions, tuple(bases), tuple(values)),
+    key_positions = tuple([p for p in range(total) if p not in taken])
+    return SessionPlan(cfg, TamperSpec(positions, bases, drawn[1::2]),
                        key_positions)
 
 
@@ -286,7 +287,7 @@ class SessionOutcome:
 
 
 def _bits(bits) -> str:
-    return "".join(str(b) for b in bits)
+    return "".join(map(str, bits))
 
 
 def run_session(cfg: SessionConfig, attack: "AttackConfig | None",
@@ -306,15 +307,16 @@ def run_session(cfg: SessionConfig, attack: "AttackConfig | None",
     log.add("1", "alice", f"request k={cfg.k} d={cfg.d} mode={cfg.mode.value}")
 
     plan = plan_session(cfg, rand)
-    key_sa = rand.key_bytes(16)
-    key_sb = rand.key_bytes(16)
+    # one cipher per party: each opens with the keystream its seal hashed
+    cipher_a = KeystreamCipher(rand.key_bytes(16))
+    cipher_b = KeystreamCipher(rand.key_bytes(16))
     spec_blob = plan.tamper.encode()
-    sealed_a = KeystreamCipher(key_sa).seal(1, spec_blob)
-    sealed_b = KeystreamCipher(key_sb).seal(2, spec_blob)
+    sealed_a = cipher_a.seal(1, spec_blob)
+    sealed_b = cipher_b.seal(2, spec_blob)
     log.add("2", "server",
             f"tamper spec sealed to both parties spec={spec_blob.decode()}")
-    alice_spec = TamperSpec.decode(KeystreamCipher(key_sa).open(1, sealed_a))
-    bob_spec = TamperSpec.decode(KeystreamCipher(key_sb).open(2, sealed_b))
+    alice_spec = TamperSpec.decode(cipher_a.open(1, sealed_a))
+    bob_spec = TamperSpec.decode(cipher_b.open(2, sealed_b))
 
     # emission plus any in-flight adversary action; a realtime eavesdropper
     # has decrypted the control traffic by now and taps accordingly
@@ -331,18 +333,23 @@ def run_session(cfg: SessionConfig, attack: "AttackConfig | None",
 
     swap_mode = cfg.mode is ProtocolMode.SWAP
     outcome = SessionOutcome(SessionStatus.TAMPER_ABORT, plan, eve=eve, events=log)
+    # slots are read by position (see QuantumStream)
+    tamper = plan.tamper
+    key_positions = plan.key_positions
 
     def arrival(party: str, step: str, slots: list[PhotonSlot],
                 spec: TamperSpec, keys: bool) -> bool:
         """One party's arrival check: measure the detection slots, then the
-        key slots when ``keys``, log both lines and run the tamper check.
-        Records the party's error rate (and key bits) on the outcome."""
-        obs = [slot.measure(plan.tamper_preparation(slot.position)[0], rand)
-               for slot in slots if plan.is_tamper(slot.position)]
+        key slots when ``keys``, each in position order, log both lines and
+        run the tamper check.  Records the party's error rate (and key bits)
+        on the outcome."""
+        obs = [slots[p].measure(basis, rand)
+               for p, basis in zip(tamper.positions, tamper.bases)]
         measured = f"measured obs={_bits(obs)}"
         if keys:
-            key = tuple(slot.measure(cfg.key_basis, rand) for slot in slots
-                        if not plan.is_tamper(slot.position))
+            key_basis = cfg.key_basis
+            key = tuple([slots[p].measure(key_basis, rand)
+                         for p in key_positions])
             setattr(outcome, f"{party}_key_bits", key)
             measured += f" key={_bits(key)}"
         log.add(step, party, measured)
@@ -361,9 +368,9 @@ def run_session(cfg: SessionConfig, attack: "AttackConfig | None",
     if passed:
         # step 5 (relay sub-steps 5a-5c per key slot in SWAP mode), the token
         if swap_mode:
-            records = tuple(alice_swap_step(slot, cfg, rand, log)
-                            for slot in stream_a.slots
-                            if not plan.is_tamper(slot.position))
+            slots = stream_a.slots
+            records = tuple([alice_swap_step(slots[p], cfg, rand, log)
+                             for p in key_positions])
             outcome.swap_records = records
             outcome.alice_key_bits = tuple(r.key_bit for r in records)
         token = make_token(outcome.alice_key_bits, cfg.reveal_count)

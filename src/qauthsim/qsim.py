@@ -100,6 +100,8 @@ BELL_ORDER: tuple[BellLabel, ...] = (
 # Aliases: hot paths compare bases by identity without the class lookup.
 _RECTILINEAR = MeasBasis.RECTILINEAR
 _DIAGONAL = MeasBasis.DIAGONAL
+# the basis a random bit selects (see RandomSource.basis)
+BASIS_OF_BIT: tuple[MeasBasis, MeasBasis] = (_RECTILINEAR, _DIAGONAL)
 
 _SHORT_TO_LABEL = {label.short(): label for label in BELL_ORDER}
 
@@ -138,7 +140,7 @@ class RandomSource:
 
     def bits(self, count: int) -> tuple[int, ...]:
         g = self._rng.getrandbits
-        return tuple(g(1) for _ in range(count))
+        return tuple([g(1) for _ in range(count)])
 
     def uniform(self) -> float:
         return self._rng.random()
@@ -167,13 +169,13 @@ class RandomSource:
 
     def key_bytes(self, count: int) -> bytes:
         g = self._rng.getrandbits
-        return bytes(g(8) for _ in range(count))
+        return bytes([g(8) for _ in range(count)])
 
     def bell_label(self) -> BellLabel:
         return BellLabel.from_bits(self.bit(), self.bit())
 
     def basis(self) -> MeasBasis:
-        return _DIAGONAL if self.bit() else _RECTILINEAR
+        return BASIS_OF_BIT[self._rng.getrandbits(1)]
 
 
 class _State:

@@ -56,7 +56,7 @@ def test_build_streams_layout():
     assert [s.position for s in sa.slots] == list(range(8))
     assert [s.position for s in sb.slots] == list(range(8))
     for pa, pb in zip(sa.slots, sb.slots):
-        if plan.is_tamper(pa.position):
+        if pa.position in plan.decoys:
             # independent registers holding identical preparations
             assert pa.register is not pb.register
             assert pa.register.num_qubits == 1
@@ -70,10 +70,8 @@ def test_tamper_twins_read_back_identically():
     plan = _plan(seed=7)
     rand = RandomSource(4, 0)
     sa, sb = build_streams(plan, PhotonCountModel(), rand)
-    for pa, pb in zip(sa.slots, sb.slots):
-        if not plan.is_tamper(pa.position):
-            continue
-        basis, value = plan.tamper_preparation(pa.position)
+    for position, (value, basis) in plan.decoys.items():
+        pa, pb = sa.slots[position], sb.slots[position]
         assert pa.measure(basis, rand) == value
         assert pb.measure(basis, rand) == value
 
@@ -83,9 +81,8 @@ def test_key_slot_halves_correlate():
     for trial in range(30):
         rand = RandomSource(5, trial)
         sa, sb = build_streams(plan, PhotonCountModel(), rand)
-        for pa, pb in zip(sa.slots, sb.slots):
-            if plan.is_tamper(pa.position):
-                continue
+        for position in plan.key_positions:
+            pa, pb = sa.slots[position], sb.slots[position]
             a = pa.measure(MeasBasis.RECTILINEAR, rand)
             b = pb.measure(MeasBasis.RECTILINEAR, rand)
             assert a == b
@@ -176,6 +173,37 @@ class TestKeystreamCipher:
         assert hashlib.sha256(b"".join(blobs.values())).hexdigest() == \
             "28a1dd33711a84394cec3d12e562901aca0e7450c0f8bd1fba5a409d97445f48"
         assert {n: cipher.open(n, blob) for n, blob in blobs.items()} == texts
+
+    def test_one_instance_seals_as_fresh_ones_do(self):
+        # an instance reuses the last keystream it hashed; what it seals
+        # must still equal a fresh instance's bytes, and what it sealed
+        # earlier under another (nonce, length) must still open
+        key = bytes(range(16))
+        cipher = KeystreamCipher(key)
+        text = bytes(range(256)) * 3
+        sealed = []
+        for nonce, plain in ((5, text), (5, text[::-1]), (5, text[:40]),
+                             (6, text[:40]), (5, b"")):
+            blob = cipher.seal(nonce, plain)
+            assert blob == KeystreamCipher(key).seal(nonce, plain)
+            assert cipher.open(nonce, blob) == plain
+            sealed.append((nonce, plain, blob))
+        for nonce, plain, blob in sealed:
+            assert cipher.open(nonce, blob) == plain
+
+    @pytest.mark.parametrize("fault", ["body", "tag", "nonce"])
+    def test_fault_after_seal_rejected(self, fault):
+        cipher = KeystreamCipher(b"k" * 16)
+        blob = bytearray(cipher.seal(7, b"x" * 100))
+        nonce = 7
+        if fault == "body":
+            blob[40] ^= 0x80
+        elif fault == "tag":
+            blob[-1] ^= 0x01
+        else:
+            nonce = 8
+        with pytest.raises(TamperedMessageError):
+            cipher.open(nonce, bytes(blob))
 
     def test_ciphertext_differs_from_plaintext(self):
         cipher = KeystreamCipher(b"k" * 16)

@@ -7,7 +7,11 @@ planted bit, and the triple, each as text and as JSON).  The scenario set
 covers every attack kind in base mode and in swap mode (composed rule),
 the measured rule for the honest and planted-bit relays, a lossy
 multi-photon source, realtime location knowledge and a fixed intercept
-basis.
+basis.  Five more run at the paper's sizing (k=17, d=41, 10 trials): base
+and swap honest, swap PNS on both paths over a lossy multi-photon source,
+base subset guessing with g=17 and the swap-mode triple relay.  Their
+58-position universe is the only one here wide enough that
+``sample_positions`` draws 6-bit ``randbelow`` values.
 
 A change that keeps the random-draw pattern must leave every digest as it
 is.  A change that alters the draw pattern on purpose re-pins the table
@@ -23,11 +27,12 @@ from qauthsim.cli import main
 from qauthsim.harness import parse_scenario, render_report, run_scenario, verify_tables
 
 
-def _scenario(mode="base", rule=None, attack=None, photon=None, k=4, d=4):
+def _scenario(mode="base", rule=None, attack=None, photon=None, k=4, d=4,
+              trials=30):
     session = {"k": k, "d": d, "mode": mode}
     if rule is not None:
         session["belief_rule"] = rule
-    doc = {"seed": 2024, "trials": 30, "session": session}
+    doc = {"seed": 2024, "trials": trials, "session": session}
     if attack is not None:
         doc["attack"] = attack
     if photon is not None:
@@ -60,6 +65,21 @@ SCENARIOS = {
         attack={"kind": "intercept_resend", "basis_choice": "fixed",
                 "fixed_basis": "diagonal"}),
 }
+
+PAPER = {"k": 17, "d": 41, "trials": 10}
+
+SCENARIOS.update({
+    "paper-base-none": _scenario(attack=_KINDS["none"], **PAPER),
+    "paper-swap-composed-none": _scenario("swap", "composed", _KINDS["none"],
+                                          **PAPER),
+    "paper-swap-composed-lossy-pns": _scenario(
+        "swap", "composed", {"kind": "pns", "path": "both"},
+        photon={"p1": 0.5, "p_loss": 0.02}, **PAPER),
+    "paper-base-subset": _scenario(
+        attack={"kind": "subset_guess", "guess_count": 17}, **PAPER),
+    "paper-swap-composed-server_ghz": _scenario(
+        "swap", "composed", _KINDS["server_ghz"], **PAPER),
+})
 
 ORACLE_CASES = [
     (created, source, bit)
@@ -95,6 +115,11 @@ GOLDEN_SCENARIOS = {
     'base-subset': {'csv': '401bb354e38e09d7450bd1b2f7bb543d922f9db17a420d9e8d7134ddb2d42608', 'json': '0dd38ea4004e3a5a989f897931ae35b39fdd81f49ad9cee8c3dffdf8acb8e8eb'},
     'fixed-basis-intercept': {'csv': 'a886e458c49b2f775d8cbe5c4cbb04a4e47d166d990ca55a116bc433bc373249', 'json': '7d2204b2c3f38238be7ccdd03c676d1271c93d225a84728de50ab496349170f0'},
     'lossy-pns': {'csv': 'c70411e46e532c816b19b7abe66fc40fd0f1d7d1fb4df647ed48f0568f5c5fb9', 'json': '1fc9b5540a63f13caee3347a74183d2b1c2adb251480e5639131a280a7f290bf'},
+    'paper-base-none': {'csv': 'fb4171159b8fbdb9159c1f6db23e9a261d1bdd67beeccb680a062ea5892efcd9', 'json': '32289de458536e5beb07cd91af5e8cb1bf2939138ed1c161d0a101bf74cd4ba4'},
+    'paper-base-subset': {'csv': '09b7bb92908ab014d7ca85096685dc80f61247374f8dc1ddeb76341ba36414f6', 'json': '09fb66586d1a08e653896438d0834eff625bbd69a3dbc7f2f991315a7550201e'},
+    'paper-swap-composed-lossy-pns': {'csv': '503faef3e450554fb54a52d2bf26873ff1a37dcb33c988d0e7928365a7368e8f', 'json': '1b3507765ca239a058e59bd89da8e49e20fff375b84231a85d924b2168b4a7ee'},
+    'paper-swap-composed-none': {'csv': 'eb299c4751de7d7e7651f814c26d18b8e82b1d30f7fc5c27e94d360668935535', 'json': 'be6ad226f169059e451bebca7be6f6973807f549807e18a10414aa5aedef4d1e'},
+    'paper-swap-composed-server_ghz': {'csv': 'a3ef1ecdea33702eb62fc91bca03d335f799bb43a3b1cdc095e6a245223696ce', 'json': 'f88bb7da727f89e320a392a7706c64dafdabb5008b1e4db17cb009a85ce4e525'},
     'realtime-intercept': {'csv': '3931cd8ff52978cef5fdc4d505e00184977e0c09730fa26cb4c8ccf62e7dfc5a', 'json': 'fa0d20c36d89a20891d48ca5465d2907a3a5ec6e85d28403b9f127b50cac5fee'},
     'swap-composed-intercept': {'csv': 'e997062a0abea27b1e3f24887e94ac461df64a25124f820bbd7737a317e63ac2', 'json': '528ba89d9da4b98bab7bee9707e126f50d066379ff3694b730921c9de6f1dee3'},
     'swap-composed-none': {'csv': '52191db49f5599954f0a9808f4ba392aa8a8d7434bce7e630796a8b91063dc8e', 'json': 'c5219bd2a357bb1d09102dbaf14e3624a66127581b137b0c8c60106e4b60cd93'},

@@ -1,5 +1,6 @@
 """Session state machine: planning, key algebra, events, end-to-end runs."""
 
+import json
 import math
 
 import pytest
@@ -67,12 +68,12 @@ class TestPlanning:
 
     def test_lookup(self):
         plan = plan_session(_cfg(), RandomSource(2, 0))
-        for i, pos in enumerate(plan.tamper.positions):
-            assert plan.is_tamper(pos)
-            assert plan.tamper_preparation(pos) == (plan.tamper.bases[i],
-                                                    plan.tamper.values[i])
-        for pos in plan.key_positions:
-            assert not plan.is_tamper(pos)
+        tamper = plan.tamper
+        assert plan.decoys == {
+            pos: (tamper.values[i], tamper.bases[i])
+            for i, pos in enumerate(tamper.positions)}
+        assert list(plan.decoys) == list(tamper.positions)
+        assert not set(plan.decoys) & set(plan.key_positions)
 
     def test_deterministic(self):
         a = plan_session(_cfg(), RandomSource(3, 4))
@@ -97,6 +98,65 @@ def test_tamper_spec_roundtrip():
     spec = TamperSpec((1, 4, 6), (MeasBasis.RECTILINEAR, MeasBasis.DIAGONAL,
                                   MeasBasis.DIAGONAL), (0, 1, 1))
     assert TamperSpec.decode(spec.encode()) == spec
+
+
+# --- the planning draws against one-draw-at-a-time references ------------------
+
+def _reference_sample(rand, universe, count):
+    pool = list(range(universe))
+    for i in range(count):
+        j = i + rand.randbelow(universe - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return tuple(sorted(pool[:count]))
+
+
+def _assert_in_step(a, b):
+    # both generators must be at the same point of their stream
+    assert (a.bits(16), a.uniform()) == (b.bits(16), b.uniform())
+
+
+_sizes = {"k": st.integers(1, 40), "d": st.integers(0, 80),
+          "seed": st.integers(0, 2 ** 64 - 1)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(universe=st.integers(0, 300), data=st.data(),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_sample_positions_matches_randbelow_reference(universe, data, seed):
+    count = data.draw(st.integers(0, universe))
+    rand, twin = RandomSource(seed, 3), RandomSource(seed, 3)
+    assert rand.sample_positions(universe, count) == \
+        _reference_sample(twin, universe, count)
+    _assert_in_step(rand, twin)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_sizes)
+def test_plan_draws_match_per_slot_reference(k, d, seed):
+    cfg = _cfg(k=k, d=d)
+    rand, twin = RandomSource(seed, 1), RandomSource(seed, 1)
+    plan = plan_session(cfg, rand)
+    positions = _reference_sample(twin, k + d, d)
+    bases, values = [], []
+    for _ in positions:
+        bases.append(twin.basis())
+        values.append(twin.bit())
+    assert plan.tamper == TamperSpec(positions, tuple(bases), tuple(values))
+    assert plan.key_positions == tuple(p for p in range(k + d)
+                                       if p not in positions)
+    _assert_in_step(rand, twin)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_sizes)
+def test_tamper_spec_encode_is_canonical_json(k, d, seed):
+    spec = plan_session(_cfg(k=k, d=d), RandomSource(seed, 2)).tamper
+    doc = {"positions": list(spec.positions),
+           "bases": [b.value for b in spec.bases],
+           "values": list(spec.values)}
+    raw = spec.encode()
+    assert raw == json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
+    assert TamperSpec.decode(raw) == spec
 
 
 def test_believed_state_rules():
