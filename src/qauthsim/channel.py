@@ -10,10 +10,12 @@ Key slots on the two paths share one register (the two halves of an
 entangled pair); detection slots are independent single-qubit registers
 prepared identically on both paths.
 
-The classical channel is readable by everyone.  Relay-to-party control
-traffic is sealed under pre-shared keys by a small keystream cipher that
-stands in for a real AEAD (deterministic, dependency-free, and explicitly
-not security-reviewed); the token message rides in clear because the two
+The classical channel is readable by everyone.  In the protocol the relay
+sends each party the detection layout under a key the two share; no attack
+here touches that traffic, so sessions hand the parties the plan's layout
+and seal nothing.  ``KeystreamCipher`` is a reference sealed-message cipher
+(deterministic, dependency-free, and explicitly not security-reviewed) that
+no session calls.  The token message rides in clear because the two
 parties share no key — that is the problem the protocol exists to solve.
 """
 
@@ -133,11 +135,13 @@ def build_streams(plan: "SessionPlan", model: PhotonCountModel,
     """Emission: identical twin polarized photons on detection slots, and
     on each key slot the two halves ``key_slot(position)`` returns (by
     default the honest entangled pair).  ``key_slot`` is called before the
-    slot's two photon-count draws."""
+    slot's two photon-count draws; an ideal source (``p1 == 1``) draws no
+    photon counts."""
     to_alice: list[PhotonSlot] = []
     to_bob: list[PhotonSlot] = []
     decoys = plan.decoys
-    sample = model.sample
+    sample = None if model.p1 >= 1.0 else model.sample
+    count_a = count_b = 1
     for position in range(plan.total_slots):
         decoy = decoys.get(position)
         if decoy is not None:
@@ -145,8 +149,11 @@ def build_streams(plan: "SessionPlan", model: PhotonCountModel,
             half_b = (prepare_polarized(*decoy), 0)
         else:
             half_a, half_b = key_slot(position)
-        to_alice.append(PhotonSlot(position, *half_a, sample(rand)))
-        to_bob.append(PhotonSlot(position, *half_b, sample(rand)))
+        if sample is not None:
+            count_a = sample(rand)
+            count_b = sample(rand)
+        to_alice.append(PhotonSlot(position, *half_a, count_a))
+        to_bob.append(PhotonSlot(position, *half_b, count_b))
     return (QuantumStream(Path.TO_ALICE, to_alice),
             QuantumStream(Path.TO_BOB, to_bob))
 
@@ -185,9 +192,9 @@ class KeystreamCipher:
 
     Pluggable stand-in for a real authenticated cipher.  Not security-reviewed;
     good enough to make "Eve reads but cannot usefully modify" executable.
-    Each instance keeps the last keystream it hashed, one (nonce, length)
-    at a time, so opening what it has just sealed reuses the seal's
-    keystream; the tag is checked on every open.
+    No session calls it.  Each instance keeps the last keystream it hashed,
+    one (nonce, length) at a time, so opening what it has just sealed reuses
+    the seal's keystream; the tag is checked on every open.
     """
 
     TAG_LEN = 16

@@ -30,7 +30,7 @@ from enum import Enum
 from hashlib import sha256
 from typing import TYPE_CHECKING
 
-from .channel import KeystreamCipher, PhotonCountModel, PhotonSlot
+from .channel import PhotonCountModel, PhotonSlot
 from .qsim import (
     BASIS_OF_BIT,
     BellKind,
@@ -307,19 +307,15 @@ def run_session(cfg: SessionConfig, attack: "AttackConfig | None",
     log.add("1", "alice", f"request k={cfg.k} d={cfg.d} mode={cfg.mode.value}")
 
     plan = plan_session(cfg, rand)
-    # one cipher per party: each opens with the keystream its seal hashed
-    cipher_a = KeystreamCipher(rand.key_bytes(16))
-    cipher_b = KeystreamCipher(rand.key_bytes(16))
-    spec_blob = plan.tamper.encode()
-    sealed_a = cipher_a.seal(1, spec_blob)
-    sealed_b = cipher_b.seal(2, spec_blob)
-    log.add("2", "server",
-            f"tamper spec sealed to both parties spec={spec_blob.decode()}")
-    alice_spec = TamperSpec.decode(cipher_a.open(1, sealed_a))
-    bob_spec = TamperSpec.decode(cipher_b.open(2, sealed_b))
+    # step 2: both parties read the detection layout from ``plan.tamper``
+    # kept only to keep the draw pattern; ROADMAP item 5's re-pin removes it
+    rand.key_bytes(32)
+    # kept only to keep event_log_digest; ROADMAP item 5's re-pin removes it
+    log.add("2", "server", "tamper spec sealed to both parties spec="
+            + plan.tamper.encode().decode())
 
     # emission plus any in-flight adversary action; a realtime eavesdropper
-    # has decrypted the control traffic by now and taps accordingly
+    # knows the layout by now and taps accordingly
     stream_a, stream_b = stage_attack(plan, photon, p_loss, rand, eve)
     log.add("3", "server", f"emitted {plan.total_slots} slots per path")
 
@@ -338,7 +334,7 @@ def run_session(cfg: SessionConfig, attack: "AttackConfig | None",
     key_positions = plan.key_positions
 
     def arrival(party: str, step: str, slots: list[PhotonSlot],
-                spec: TamperSpec, keys: bool) -> bool:
+                keys: bool) -> bool:
         """One party's arrival check: measure the detection slots, then the
         key slots when ``keys``, each in position order, log both lines and
         run the tamper check.  Records the party's error rate (and key bits)
@@ -353,7 +349,8 @@ def run_session(cfg: SessionConfig, attack: "AttackConfig | None",
             setattr(outcome, f"{party}_key_bits", key)
             measured += f" key={_bits(key)}"
         log.add(step, party, measured)
-        passed, rate = tamper_check(tuple(obs), spec.values, cfg.error_threshold)
+        passed, rate = tamper_check(tuple(obs), tamper.values,
+                                    cfg.error_threshold)
         setattr(outcome, f"{party}_tamper_error_rate", rate)
         log.add(step, party, f"tamper check rate={rate:.6f} pass={passed}")
         if not passed:
@@ -361,9 +358,9 @@ def run_session(cfg: SessionConfig, attack: "AttackConfig | None",
         return passed
 
     # step 4: arrival checks; in BASE mode both parties also read their keys
-    passed = arrival("alice", "4", stream_a.slots, alice_spec, not swap_mode)
+    passed = arrival("alice", "4", stream_a.slots, not swap_mode)
     if not swap_mode:
-        passed = arrival("bob", "4", stream_b.slots, bob_spec, True) and passed
+        passed = arrival("bob", "4", stream_b.slots, True) and passed
 
     if passed:
         # step 5 (relay sub-steps 5a-5c per key slot in SWAP mode), the token
@@ -378,7 +375,7 @@ def run_session(cfg: SessionConfig, attack: "AttackConfig | None",
         outcome.token = token
         if swap_mode:
             # step 5d: the responder measures nothing until the token exists
-            passed = arrival("bob", "5d", stream_b.slots, bob_spec, True)
+            passed = arrival("bob", "5d", stream_b.slots, True)
 
     if passed:
         matched = authenticate(outcome.token, outcome.bob_key_bits)

@@ -48,6 +48,22 @@ def test_photon_model_statistics():
     assert abs(singles / n - 0.6) < 4 * sigma
 
 
+def test_ideal_source_emits_without_sampling_counts(monkeypatch):
+    plan = _plan()
+    model = PhotonCountModel(1.0)
+    twin = RandomSource(3, 0)
+    build_streams(plan, model, twin)
+
+    def refuse(self, rand):
+        raise AssertionError("an ideal source samples no photon count")
+
+    monkeypatch.setattr(PhotonCountModel, "sample", refuse)
+    rand = RandomSource(3, 0)
+    sa, sb = build_streams(plan, model, rand)
+    assert all(s.photon_count == 1 for s in sa.slots + sb.slots)
+    assert rand.uniform() == twin.uniform()
+
+
 def test_build_streams_layout():
     plan = _plan()
     rand = RandomSource(3, 0)

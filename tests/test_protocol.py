@@ -289,6 +289,32 @@ class TestEvents:
         assert a.digest() != c.digest()
 
 
+@pytest.mark.parametrize("mode,rule", [(ProtocolMode.BASE, None),
+                                       (ProtocolMode.SWAP, BeliefRule.COMPOSED)])
+@pytest.mark.parametrize("intercept", [False, True])
+def test_sessions_read_the_layout_from_the_plan(monkeypatch, mode, rule,
+                                                intercept):
+    # no session seals, opens or re-parses the detection layout
+    from qauthsim.adversary import AttackConfig, AttackKind, TapPath
+    from qauthsim.channel import KeystreamCipher
+
+    cfg = _cfg(k=2, d=3, mode=mode, rule=rule)
+    atk = (AttackConfig(AttackKind.INTERCEPT_RESEND, path=TapPath.TO_BOB)
+           if intercept else None)
+    before = [run_session(cfg, atk, RandomSource(33, t)) for t in range(8)]
+
+    def refuse(*args):
+        raise AssertionError("a session touched the control-channel codec")
+
+    monkeypatch.setattr(KeystreamCipher, "seal", refuse)
+    monkeypatch.setattr(KeystreamCipher, "open", refuse)
+    monkeypatch.setattr(TamperSpec, "decode", refuse)
+    after = [run_session(cfg, atk, RandomSource(33, t)) for t in range(8)]
+    assert [o.status for o in after] == [o.status for o in before]
+    assert ([o.events.digest() for o in after]
+            == [o.events.digest() for o in before])
+
+
 def test_loss_gives_incomplete_stream():
     out = run_session(_cfg(), None, RandomSource(30, 0), p_loss=0.4)
     assert out.status is SessionStatus.INCOMPLETE_STREAM
