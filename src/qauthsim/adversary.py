@@ -222,11 +222,18 @@ def finish_session(eve: EveState, rand: RandomSource) -> None:
 
 @dataclass(frozen=True)
 class KnowledgeReport:
-    """What the adversary provably knows about the key after one session."""
+    """What the adversary provably knows about the key after one session:
+    the key positions it knows for certain, and ``copy_hits``, the key slots
+    where a compromised relay's record equals the responder's bit (None
+    without a record or a responder key).  Both count over the k key
+    slots."""
 
     certain_positions: tuple[int, ...]
-    fraction: float
-    server_copy_match: float | None
+    copy_hits: int | None
+
+    @property
+    def certain(self) -> int:
+        return len(self.certain_positions)
 
 
 def eve_knowledge_report(eve: EveState, plan: "SessionPlan",
@@ -234,8 +241,8 @@ def eve_knowledge_report(eve: EveState, plan: "SessionPlan",
     """Certainty is claimed only where the simulation guarantees it: a direct
     measurement in the very basis the parties use (direct-readout mode only),
     or a split photon at a key slot measured once bases are public.  Relay
-    compromises are scored separately as the fraction of key slots where the
-    relay's record equals the responder's bit."""
+    compromises are scored separately by the key slots where the relay's
+    record equals the responder's bit; the relay records every key slot."""
     from .protocol import ProtocolMode
 
     cfg = plan.config
@@ -249,12 +256,10 @@ def eve_knowledge_report(eve: EveState, plan: "SessionPlan",
             if pos in key_set:
                 certain.add(pos)
 
-    copy_match: float | None = None
+    copy_hits: int | None = None
     if eve.server_record and outcome.bob_key_bits is not None:
         bob_at = dict(zip(plan.key_positions, outcome.bob_key_bits))
-        hits = sum(1 for pos, bit in eve.server_record.items()
-                   if bob_at.get(pos) == bit)
-        copy_match = hits / len(eve.server_record)
+        copy_hits = sum(1 for pos, bit in eve.server_record.items()
+                        if bob_at.get(pos) == bit)
 
-    return KnowledgeReport(tuple(sorted(certain)), len(certain) / len(key_set),
-                           copy_match)
+    return KnowledgeReport(tuple(sorted(certain)), copy_hits)

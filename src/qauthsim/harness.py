@@ -5,8 +5,11 @@ attack, channel properties, and output settings.  Running it executes
 independent seeded trials (trial i always uses random stream i, so results
 cannot depend on execution order or parallelism), pairs every empirical
 metric with its closed-form prediction where one exists, and grades the
-pair with a 4-sigma rule.  Where the normal approximation behind that rule
-fails (n a (1 - a) < 9, rare events) the count is graded with exact
+pair with a 4-sigma rule.  Each metric is an integer count of successes
+over n integer samples: a trial (accept, evasion), or a slot (detection
+errors over d, matching key bits over k, known key positions over k); its
+mean is count / n.  Where the normal approximation behind the 4-sigma rule
+fails (n a (1 - a) < 9, rare events) that count is graded with exact
 binomial tails at the same one-sided level.
 
 verify_tables() checks the exact pair-algebra claims by enumeration: state
@@ -98,6 +101,13 @@ class ScenarioSpec:
     out_format: str = "json"
     out_path: str | None = None
 
+    def __post_init__(self) -> None:
+        # also checked on every dataclasses.replace, e.g. a command-line seed
+        if not 0 <= self.seed < 2 ** 64:
+            raise ScenarioError("seed must fit in 64 bits")
+        if self.trials < 0:
+            raise ScenarioError("trials must be non-negative")
+
 
 def _reject_unknown(doc: dict, allowed: tuple[str, ...], where: str) -> None:
     for key in doc:
@@ -155,11 +165,7 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
     _reject_unknown(doc, _TOP_FIELDS, "")
 
     seed = _get_int(doc, "seed", "", required=True)
-    if not 0 <= seed < 2 ** 64:
-        raise ScenarioError("seed must fit in 64 bits")
     trials = _get_int(doc, "trials", "", required=True)
-    if trials < 0:
-        raise ScenarioError("trials must be non-negative")
 
     sdoc = doc.get("session")
     if not isinstance(sdoc, dict):
@@ -281,7 +287,8 @@ class TrialResult:
 @dataclass(frozen=True)
 class MetricSummary:
     name: str
-    mean: float | None
+    mean: float | None  # count / n, None when n is 0
+    count: int  # successes among the n samples; not rendered
     n: int
     ci99_low: float | None
     ci99_high: float | None
@@ -350,21 +357,18 @@ class AggregateReport:
 
 
 class _Accumulator:
-    """Bernoulli tallies: numerator can be fractional (mean of per-trial
-    rates times their weight) but the denominator is always a sample count."""
+    """One metric's tally: ``hits`` successes in ``n`` samples, both ints,
+    so tallies merge exactly in any order."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("hits", "n")
 
     def __init__(self) -> None:
-        self.num = 0.0
-        self.den = 0
+        self.hits = 0
+        self.n = 0
 
-    def add(self, value: float, weight: int = 1) -> None:
-        self.num += value * weight
-        self.den += weight
-
-    def mean(self) -> float | None:
-        return self.num / self.den if self.den else None
+    def add(self, hits: int, n: int = 1) -> None:
+        self.hits += hits
+        self.n += n
 
 
 def _within_binomial_tails(count: int, n: int, p: float) -> bool:
@@ -390,27 +394,27 @@ def _within_binomial_tails(count: int, n: int, p: float) -> bool:
 
 def _summarize(name: str, acc: _Accumulator, analytic: float | None,
                note: str | None, graded: bool = True) -> MetricSummary:
-    mean = acc.mean()
-    ci_low = ci_high = None
-    if mean is not None:
-        half = _Z99 * math.sqrt(max(mean * (1 - mean), 0.0) / acc.den)
+    hits, n = acc.hits, acc.n
+    mean = ci_low = ci_high = None
+    if n:
+        mean = hits / n
+        half = _Z99 * math.sqrt(max(mean * (1 - mean), 0.0) / n)
         ci_low, ci_high = max(0.0, mean - half), min(1.0, mean + half)
     abs_diff = sigma_distance = verdict = None
     if analytic is not None and mean is not None:
         abs_diff = abs(mean - analytic)
-        sigma = math.sqrt(max(analytic * (1 - analytic), 0.0) / acc.den)
+        sigma = math.sqrt(max(analytic * (1 - analytic), 0.0) / n)
         if sigma == 0.0:
             sigma_distance = 0.0 if abs_diff == 0.0 else math.inf
         else:
             sigma_distance = abs_diff / sigma
         if graded:
-            if 0.0 < sigma and acc.den * analytic * (1 - analytic) < 9.0:
-                ok = _within_binomial_tails(round(mean * acc.den), acc.den,
-                                            analytic)
+            if 0.0 < sigma and n * analytic * (1 - analytic) < 9.0:
+                ok = _within_binomial_tails(hits, n, analytic)
             else:
                 ok = sigma_distance <= _Z
             verdict = "pass" if ok else "fail"
-    return MetricSummary(name, mean, acc.den, ci_low, ci_high, analytic,
+    return MetricSummary(name, mean, hits, n, ci_low, ci_high, analytic,
                          note, abs_diff, sigma_distance, verdict)
 
 
@@ -584,12 +588,12 @@ def run_scenario(spec: ScenarioSpec) -> AggregateReport:
 
     acc: dict[str, _Accumulator] = {}
 
-    def bump(name: str, value: float, weight: int = 1) -> None:
+    def bump(name: str, hits: int, n: int = 1) -> None:
         # created on first use, which fixes the metric order
         a = acc.get(name)
         if a is None:
             a = acc[name] = _Accumulator()
-        a.add(value, weight)
+        a.add(hits, n)
 
     trial_results: list[TrialResult] = []
     for trial in range(spec.trials):
@@ -598,17 +602,18 @@ def run_scenario(spec: ScenarioSpec) -> AggregateReport:
                           p_loss=spec.p_loss)
         report = eve_knowledge_report(out.eve, out.plan, out)
 
+        # bools count as 0 or 1
         bump("accept_rate", out.status is SessionStatus.AUTH_ACCEPT)
-        if out.alice_tamper_error_rate is not None and cfg.d > 0:
-            bump("alice_tamper_error_rate", out.alice_tamper_error_rate, cfg.d)
-        if out.bob_tamper_error_rate is not None and cfg.d > 0:
-            bump("bob_tamper_error_rate", out.bob_tamper_error_rate, cfg.d)
-        match = out.key_match_fraction()
-        if match is not None:
-            bump("key_match_fraction", match, cfg.k)
-        bump("eve_key_knowledge", report.fraction, cfg.k)
-        if report.server_copy_match is not None:
-            bump("server_copy_match", report.server_copy_match, cfg.k)
+        if out.alice_tamper_errors is not None and cfg.d > 0:
+            bump("alice_tamper_error_rate", out.alice_tamper_errors, cfg.d)
+        if out.bob_tamper_errors is not None and cfg.d > 0:
+            bump("bob_tamper_error_rate", out.bob_tamper_errors, cfg.d)
+        matches = out.key_matches()
+        if matches is not None:
+            bump("key_match_fraction", matches, cfg.k)
+        bump("eve_key_knowledge", report.certain, cfg.k)
+        if report.copy_hits is not None:
+            bump("server_copy_match", report.copy_hits, cfg.k)
 
         evaded = _evaded(out, tapped)
         if evaded is not None:
@@ -616,17 +621,18 @@ def run_scenario(spec: ScenarioSpec) -> AggregateReport:
             if kind is AttackKind.PNS and len(tapped) == 1:
                 bump("evasion_rate_vs_approx", evaded)
             if kind is AttackKind.SUBSET_GUESS:
-                bump("subset_success", evaded and report.fraction == 1.0)
+                bump("subset_success", evaded and report.certain == cfg.k)
 
         trial_results.append(TrialResult(
             trial=trial,
             status=out.status.value,
             alice_tamper_error_rate=out.alice_tamper_error_rate,
             bob_tamper_error_rate=out.bob_tamper_error_rate,
-            key_match_fraction=match,
+            key_match_fraction=None if matches is None else matches / cfg.k,
             token_accepted=out.token_matched,
-            eve_key_knowledge=report.fraction,
-            server_copy_match=report.server_copy_match,
+            eve_key_knowledge=report.certain / cfg.k,
+            server_copy_match=(None if report.copy_hits is None
+                               else report.copy_hits / cfg.k),
             event_log_digest=out.events.digest(),
         ))
 
@@ -653,14 +659,14 @@ def _evaded(out, tapped: tuple[Path, ...]) -> bool | None:
     check never ran (lost stream, or the session aborted first)."""
     if out.status is SessionStatus.INCOMPLETE_STREAM:
         return None
-    checks = {Path.TO_ALICE: ("alice", out.alice_tamper_error_rate),
-              Path.TO_BOB: ("bob", out.bob_tamper_error_rate)}
+    checks = {Path.TO_ALICE: ("alice", out.alice_tamper_errors),
+              Path.TO_BOB: ("bob", out.bob_tamper_errors)}
     paths = tapped or (Path.TO_ALICE, Path.TO_BOB)
     for path in paths:
-        party, rate = checks[path]
+        party, errors = checks[path]
         if party in out.failed_checks:
             return False
-        if rate is None:
+        if errors is None:
             return None
     return True
 

@@ -202,15 +202,16 @@ def authenticate(token: tuple[int, ...], receiver_bits: tuple[int, ...]) -> bool
 
 
 def tamper_check(observed: tuple[int, ...], expected: tuple[int, ...],
-                 threshold: float) -> tuple[bool, float]:
-    """Returns (passed, error_rate).  Zero detection slots pass vacuously."""
+                 threshold: float) -> tuple[bool, int]:
+    """Returns (passed, errors): the check passes when the error rate
+    errors / d is at most ``threshold``.  Zero detection slots pass
+    vacuously."""
     if len(observed) != len(expected):
         raise ValueError("observed/expected length mismatch")
     if not observed:
-        return True, 0.0
+        return True, 0
     errors = sum(1 for o, e in zip(observed, expected) if o != e)
-    rate = errors / len(observed)
-    return rate <= threshold, rate
+    return errors / len(observed) <= threshold, errors
 
 
 @dataclass(frozen=True)
@@ -264,12 +265,21 @@ def alice_swap_step(slot: PhotonSlot, cfg: SessionConfig, rand: RandomSource,
     return SwapRecord(slot.position, created, outcome, kept, believed, key_bit)
 
 
+def _error_rate(errors: int | None, d: int) -> float | None:
+    """errors / d; 0.0 at d = 0, where the check passes vacuously."""
+    return None if errors is None else errors / max(d, 1)
+
+
 @dataclass
 class SessionOutcome:
+    """How one session ended.  ``alice_tamper_errors`` and
+    ``bob_tamper_errors`` count the detection slots each party read wrong,
+    None when that party's check never ran."""
+
     status: SessionStatus
     plan: SessionPlan
-    alice_tamper_error_rate: float | None = None
-    bob_tamper_error_rate: float | None = None
+    alice_tamper_errors: int | None = None
+    bob_tamper_errors: int | None = None
     alice_key_bits: tuple[int, ...] | None = None
     bob_key_bits: tuple[int, ...] | None = None
     token: tuple[int, ...] | None = None
@@ -279,11 +289,20 @@ class SessionOutcome:
     eve: "EveState | None" = None
     events: EventLog = field(default_factory=EventLog)
 
-    def key_match_fraction(self) -> float | None:
+    @property
+    def alice_tamper_error_rate(self) -> float | None:
+        return _error_rate(self.alice_tamper_errors, self.plan.config.d)
+
+    @property
+    def bob_tamper_error_rate(self) -> float | None:
+        return _error_rate(self.bob_tamper_errors, self.plan.config.d)
+
+    def key_matches(self) -> int | None:
+        """Key slots where both parties hold the same bit, of k; None
+        unless both parties read their keys."""
         if self.alice_key_bits is None or self.bob_key_bits is None:
             return None
-        hits = sum(1 for a, b in zip(self.alice_key_bits, self.bob_key_bits) if a == b)
-        return hits / len(self.alice_key_bits)
+        return sum(1 for a, b in zip(self.alice_key_bits, self.bob_key_bits) if a == b)
 
 
 def _bits(bits) -> str:
@@ -337,8 +356,8 @@ def run_session(cfg: SessionConfig, attack: "AttackConfig | None",
                 keys: bool) -> bool:
         """One party's arrival check: measure the detection slots, then the
         key slots when ``keys``, each in position order, log both lines and
-        run the tamper check.  Records the party's error rate (and key bits)
-        on the outcome."""
+        run the tamper check.  Records the party's error count (and key
+        bits) on the outcome."""
         obs = [slots[p].measure(basis, rand)
                for p, basis in zip(tamper.positions, tamper.bases)]
         measured = f"measured obs={_bits(obs)}"
@@ -349,9 +368,10 @@ def run_session(cfg: SessionConfig, attack: "AttackConfig | None",
             setattr(outcome, f"{party}_key_bits", key)
             measured += f" key={_bits(key)}"
         log.add(step, party, measured)
-        passed, rate = tamper_check(tuple(obs), tamper.values,
-                                    cfg.error_threshold)
-        setattr(outcome, f"{party}_tamper_error_rate", rate)
+        passed, errors = tamper_check(tuple(obs), tamper.values,
+                                      cfg.error_threshold)
+        setattr(outcome, f"{party}_tamper_errors", errors)
+        rate = _error_rate(errors, cfg.d)
         log.add(step, party, f"tamper check rate={rate:.6f} pass={passed}")
         if not passed:
             outcome.failed_checks += (party,)

@@ -81,11 +81,11 @@ def _passed(report: AggregateReport, *names: str) -> bool:
     return all(report.metric(name).verdict == "pass" for name in names)
 
 
-def _count(m: MetricSummary, trials: int) -> int:
-    """The metric's mean as a count of trials: exactly the trials that
-    scored 1 for a per-trial metric, or for a slot-weighted one whose mean
-    is 0 or 1."""
-    return round(m.mean * trials)
+def _count(m: MetricSummary, slots: int = 1) -> int:
+    """The trials that scored 1: the metric's count for a per-trial metric,
+    or that count over the ``slots`` per trial for a slot-weighted one whose
+    mean is 0 or 1, where every trial scores all its slots alike."""
+    return m.count // slots
 
 
 def _signed_distance(m: MetricSummary) -> float:
@@ -120,7 +120,7 @@ def test_criterion_02_honest_completeness():
         ok &= _passed(rep, "accept_rate", "alice_tamper_error_rate",
                       "bob_tamper_error_rate")
         details.append(f"{label} accept"
-                       f" {_count(rep.metric('accept_rate'), trials)}/{trials}"
+                       f" {_count(rep.metric('accept_rate'))}/{trials}"
                        f" err {err:g}")
     _verdict("02 honest-completeness", ok, "; ".join(details))
 
@@ -303,9 +303,10 @@ def test_criterion_11_ghz_copy():
                       "evasion_rate")
         err = (rep.metric("alice_tamper_error_rate").mean
                + rep.metric("bob_tamper_error_rate").mean)
-        copies = _count(rep.metric("server_copy_match"), trials)
-        shared = _count(rep.metric("key_match_fraction"), trials)
-        detected = trials - _count(rep.metric("evasion_rate"), trials)
+        k = session["k"]
+        copies = _count(rep.metric("server_copy_match"), k)
+        shared = _count(rep.metric("key_match_fraction"), k)
+        detected = trials - _count(rep.metric("evasion_rate"))
         details.append(f"{label} copy {copies}/{trials} shared {shared}/{trials}"
                        f" err {err:g} detected {detected}")
     _verdict("11 ghz-copy", ok, "; ".join(details))

@@ -67,7 +67,7 @@ class TestInterceptResend:
         n = 3000
         for t in range(n):
             out = run_session(cfg, atk, RandomSource(40, t))
-            errors += out.bob_tamper_error_rate * cfg.d
+            errors += out.bob_tamper_errors
             bits += cfg.d
         assert abs(errors / bits - 0.25) < 4 * _sigma(0.25, bits)
 
@@ -127,13 +127,13 @@ class TestInterceptResend:
         # a random-basis tap guesses the key basis half the time
         cfg = _cfg(k=8, d=4)
         atk = AttackConfig(AttackKind.INTERCEPT_RESEND, path=TapPath.TO_BOB)
-        frac = 0.0
+        known = 0
         n = 1200
         for t in range(n):
             out = run_session(cfg, atk, RandomSource(45, t))
             rep = eve_knowledge_report(out.eve, out.plan, out)
-            frac += rep.fraction
-        assert abs(frac / n - 0.5) < 4 * _sigma(0.5, n * cfg.k)
+            known += rep.certain
+        assert abs(known / (n * cfg.k) - 0.5) < 4 * _sigma(0.5, n * cfg.k)
 
     def test_certain_positions_actually_match(self):
         # every position eve claims with certainty equals the responder's bit
@@ -147,7 +147,7 @@ class TestInterceptResend:
         for t in range(120):
             out = run_session(cfg, atk, RandomSource(46, t))
             rep = eve_knowledge_report(out.eve, out.plan, out)
-            assert rep.fraction == 1.0
+            assert rep.certain == cfg.k
             bob_at = dict(zip(out.plan.key_positions, out.bob_key_bits))
             for pos in rep.certain_positions:
                 bit, _basis = out.eve.measured[(Path.TO_BOB, pos)]
@@ -162,7 +162,7 @@ class TestInterceptResend:
                            fixed_basis=MeasBasis.RECTILINEAR)
         out = run_session(cfg, atk, RandomSource(47, 0))
         rep = eve_knowledge_report(out.eve, out.plan, out)
-        assert rep.fraction == 0.0
+        assert rep.certain == 0
 
 
 class TestLocationKnowledge:
@@ -175,7 +175,7 @@ class TestLocationKnowledge:
             assert out.status is SessionStatus.AUTH_ACCEPT
             assert out.bob_tamper_error_rate == 0.0
             rep = eve_knowledge_report(out.eve, out.plan, out)
-            assert rep.fraction == 1.0
+            assert rep.certain == cfg.k
             # tapped exactly the key slots, each in the key basis
             tapped = {pos for _path, pos in out.eve.measured}
             assert tapped == set(out.plan.key_positions)
@@ -223,7 +223,7 @@ class TestSubsetGuess:
         for t in range(n):
             out = run_session(cfg, atk, RandomSource(61, t))
             rep = eve_knowledge_report(out.eve, out.plan, out)
-            if rep.fraction == 1.0 and "bob" not in out.failed_checks:
+            if rep.certain == k and "bob" not in out.failed_checks:
                 succ += 1
         p = comb(d, g - k) / comb(k + d, g) * 0.75 ** (g - k)
         assert abs(succ / n - p) < 4 * _sigma(p, n)
@@ -269,8 +269,7 @@ class TestPNS:
             touched = {pos for path, pos in out.eve.measured
                        if path is Path.TO_BOB}
             # errors can only come from single-photon (measured) slots
-            errs = out.bob_tamper_error_rate * cfg.d
-            assert errs <= len(touched & set(spec.positions))
+            assert out.bob_tamper_errors <= len(touched & set(spec.positions))
 
     def test_evasion_exact_model(self):
         cfg = _cfg(k=1, d=8, reveal_count=1)
@@ -317,7 +316,7 @@ class TestServerCompromise:
             assert out.alice_tamper_error_rate == 0.0
             assert out.bob_tamper_error_rate == 0.0
             rep = eve_knowledge_report(out.eve, out.plan, out)
-            assert rep.server_copy_match == 1.0
+            assert rep.copy_hits == cfg.k
 
     def test_product_swap_composed_transparent(self):
         # under the composition rule the relay's planted bit goes through
@@ -326,9 +325,9 @@ class TestServerCompromise:
         for t in range(100):
             out = run_session(cfg, atk, RandomSource(81, t))
             assert out.status is SessionStatus.AUTH_ACCEPT
-            assert out.key_match_fraction() == 1.0
+            assert out.key_matches() == cfg.k
             rep = eve_knowledge_report(out.eve, out.plan, out)
-            assert rep.server_copy_match == 1.0
+            assert rep.copy_hits == cfg.k
 
     def test_product_swap_measured_half_match(self):
         cfg = _cfg(k=8, d=8, mode=ProtocolMode.SWAP, rule=BeliefRule.MEASURED)
@@ -357,7 +356,7 @@ class TestServerCompromise:
                 assert out.status is SessionStatus.AUTH_ACCEPT
                 assert out.bob_tamper_error_rate == 0.0
                 rep = eve_knowledge_report(out.eve, out.plan, out)
-                assert rep.server_copy_match == 1.0
+                assert rep.copy_hits == cfg.k
                 assert not out.eve.retained  # consumed at session end
 
     def test_ghz_record_covers_all_key_slots(self):

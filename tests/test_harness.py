@@ -1,5 +1,6 @@
 """Scenario plumbing: parsing, determinism, reports, tables, CLI."""
 
+import csv
 import io
 import json
 import sys
@@ -28,6 +29,7 @@ from qauthsim.harness import (
 )
 from qauthsim.protocol import BeliefRule, ProtocolMode
 from qauthsim.qsim import MeasBasis, bell_compose
+from test_golden import SCENARIOS as GOLDEN
 
 
 def _doc(**over):
@@ -132,6 +134,14 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="trials"):
             parse_scenario(_doc(trials=-1))
         parse_scenario(_doc(trials=0))
+
+    def test_replace_keeps_seed_and_trial_bounds(self):
+        spec = parse_scenario(_doc())
+        with pytest.raises(ScenarioError, match="seed must fit in 64 bits"):
+            replace(spec, seed=2 ** 64)
+        with pytest.raises(ScenarioError, match="trials must be non-negative"):
+            replace(spec, trials=-1)
+        assert replace(spec, seed=2 ** 64 - 1, trials=0).seed == 2 ** 64 - 1
 
     def test_session_validation_surfaces(self):
         doc = _doc()
@@ -268,7 +278,7 @@ class TestReports:
 
 def _rate_summary(count, n, analytic):
     acc = _Accumulator()
-    acc.add(count / n, n)
+    acc.add(count, n)
     return _summarize("rate", acc, analytic, None)
 
 
@@ -327,6 +337,63 @@ class TestMetrics:
         # their exact upper tail (~1e-4) would pass; 22 events (3.81 sigma) pass
         assert _rate_summary(23, 1000, 0.01).verdict == "fail"
         assert _rate_summary(22, 1000, 0.01).verdict == "pass"
+
+    @pytest.mark.parametrize("attack", [
+        None,
+        {"kind": "intercept_resend", "path": "both"},
+        {"kind": "server_ghz"},
+    ], ids=["honest", "intercept-both", "server_ghz"])
+    def test_zero_detection_slots(self, attack):
+        doc = _doc(seed=9, trials=40,
+                   session={"k": 3, "d": 0, "mode": "swap",
+                            "belief_rule": "composed"})
+        if attack is not None:
+            doc["attack"] = attack
+        report = run_scenario(parse_scenario(doc))
+        assert report.all_pass, report.failures()
+        for name in ("alice_tamper_error_rate", "bob_tamper_error_rate"):
+            m = report.metric(name)
+            assert (m.count, m.n, m.mean, m.verdict) == (0, 0, None, None)
+            assert m.note == "vacuous: no detection slots"
+        evasion = report.metric("evasion_rate")
+        assert (evasion.mean, evasion.verdict) == (1.0, "pass")
+        rows = list(csv.DictReader(io.StringIO(render_report(report, "csv"))))
+        assert len(rows) == 40
+        for row in rows:
+            assert row["alice_tamper_error_rate"] == "0"
+            assert row["bob_tamper_error_rate"] == "0"
+
+    @pytest.mark.parametrize("doc", [
+        _doc(seed=12, trials=200, session={"k": 17, "d": 41},
+             attack={"kind": "intercept_resend", "path": "both"}),
+        GOLDEN["paper-swap-composed-lossy-pns"],
+    ], ids=["intercept-both-k17-d41", "golden-paper-swap-composed-lossy-pns"])
+    def test_metrics_are_integer_counts(self, doc):
+        report = run_scenario(parse_scenario(doc))
+        for m in report.metrics:
+            assert type(m.count) is int and type(m.n) is int
+            assert m.mean == (m.count / m.n if m.n else None)
+
+        k, d = doc["session"]["k"], doc["session"]["d"]
+        rows = report.trial_results
+
+        def recount(name, slots):
+            # a trial row holds its count over the slots as a float, and
+            # (7 / 41) * 41 != 7, so each is rounded back to its count
+            rates = [getattr(t, name) for t in rows
+                     if getattr(t, name) is not None]
+            return (sum(round(rate * slots) for rate in rates),
+                    slots * len(rates))
+
+        for name, slots in (("alice_tamper_error_rate", d),
+                            ("bob_tamper_error_rate", d),
+                            ("key_match_fraction", k),
+                            ("eve_key_knowledge", k)):
+            m = report.metric(name)
+            assert (m.count, m.n) == recount(name, slots), name
+        accept = report.metric("accept_rate")
+        assert accept.n == len(rows)
+        assert accept.count == sum(t.status == "auth_accept" for t in rows)
 
     def test_threshold_leaves_any_flip_forms_ungraded(self):
         # one detection error in three passes a 0.34 threshold, so evasion

@@ -189,10 +189,10 @@ def test_make_token_and_authenticate():
 
 
 def test_tamper_check():
-    assert tamper_check((), (), 0.0) == (True, 0.0)
-    assert tamper_check((1, 1, 0, 0), (1, 1, 0, 0), 0.0) == (True, 0.0)
-    passed, rate = tamper_check((1, 0, 0, 0), (1, 1, 0, 0), 0.0)
-    assert not passed and rate == 0.25
+    assert tamper_check((), (), 0.0) == (True, 0)
+    assert tamper_check((1, 1, 0, 0), (1, 1, 0, 0), 0.0) == (True, 0)
+    passed, errors = tamper_check((1, 0, 0, 0), (1, 1, 0, 0), 0.0)
+    assert not passed and errors == 1 and type(errors) is int
     # rate equal to the threshold still passes
     assert tamper_check((1, 0, 0, 0), (1, 1, 0, 0), 0.25)[0]
     with pytest.raises(ValueError):
@@ -207,7 +207,7 @@ class TestHonestSessions:
             assert out.status is SessionStatus.AUTH_ACCEPT
             assert out.alice_tamper_error_rate == 0.0
             assert out.bob_tamper_error_rate == 0.0
-            assert out.key_match_fraction() == 1.0
+            assert out.key_matches() == cfg.k
             assert out.token == out.alice_key_bits[:cfg.reveal_count]
 
     def test_swap_composed_always_agrees(self):
@@ -215,7 +215,7 @@ class TestHonestSessions:
         for t in range(50):
             out = run_session(cfg, None, RandomSource(11, t))
             assert out.status is SessionStatus.AUTH_ACCEPT
-            assert out.key_match_fraction() == 1.0
+            assert out.key_matches() == cfg.k
             assert len(out.swap_records) == cfg.k
 
     def test_swap_measured_mismatch_is_psi_kind_created(self):
@@ -366,10 +366,10 @@ def test_honest_sessions_always_accept(k, d, seed):
     cfg = SessionConfig(k=k, d=d, reveal_count=k, mode=ProtocolMode.BASE)
     out = run_session(cfg, None, RandomSource(seed, 0))
     assert out.status is SessionStatus.AUTH_ACCEPT
-    assert out.key_match_fraction() == 1.0
+    assert out.key_matches() == k
 
     cfg = SessionConfig(k=k, d=d, reveal_count=k, mode=ProtocolMode.SWAP,
                         belief_rule=BeliefRule.COMPOSED)
     out = run_session(cfg, None, RandomSource(seed, 1))
     assert out.status is SessionStatus.AUTH_ACCEPT
-    assert out.key_match_fraction() == 1.0
+    assert out.key_matches() == k
