@@ -27,7 +27,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 
 from .adversary import (
@@ -81,23 +81,14 @@ class ScenarioError(ValueError):
 
 # --- scenario parsing ----------------------------------------------------------
 
-_SESSION_FIELDS = ("k", "d", "reveal_count", "mode", "belief_rule",
-                   "error_threshold", "key_basis")
-_ATTACK_FIELDS = ("kind", "path", "basis_choice", "fixed_basis", "guess_count",
-                  "location_knowledge")
-_PHOTON_FIELDS = ("p1", "p_loss")
-_OUTPUT_FIELDS = ("format", "path")
-_TOP_FIELDS = ("seed", "trials", "session", "attack", "photon", "outputs")
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     seed: int
     trials: int
     session: SessionConfig
-    attack: AttackConfig | None
-    photon: PhotonCountModel
-    p_loss: float
+    attack: AttackConfig | None = None
+    photon: PhotonCountModel = PhotonCountModel()
+    p_loss: float = 0.0
     out_format: str = "json"
     out_path: str | None = None
 
@@ -107,150 +98,104 @@ class ScenarioSpec:
             raise ScenarioError("seed must fit in 64 bits")
         if self.trials < 0:
             raise ScenarioError("trials must be non-negative")
+        if not 0.0 <= self.p_loss < 1.0:
+            raise ScenarioError("photon.p_loss must be in [0, 1)")
+        if self.out_format not in ("json", "csv"):
+            raise ScenarioError("outputs.format must be 'json' or 'csv'")
+        guesses = self.attack.guess_count if self.attack else None
+        if guesses is not None and guesses > self.session.total_slots:
+            raise ScenarioError(
+                f"attack.guess_count must be at most k + d = "
+                f"{self.session.total_slots}, got {guesses}")
 
 
-def _reject_unknown(doc: dict, allowed: tuple[str, ...], where: str) -> None:
-    for key in doc:
-        if key not in allowed:
+# Each section's fields and their JSON types: int, float (any number), str,
+# an enum (by value), or a nested section.  Defaults and bounds live in the
+# dataclass each section builds.
+_SESSION_FIELDS = {"k": int, "d": int, "reveal_count": int,
+                   "mode": ProtocolMode, "belief_rule": BeliefRule,
+                   "error_threshold": float, "key_basis": MeasBasis}
+_ATTACK_FIELDS = {"kind": AttackKind, "path": TapPath,
+                  "basis_choice": BasisChoice, "fixed_basis": MeasBasis,
+                  "guess_count": int, "location_knowledge": LocationKnowledge}
+_PHOTON_FIELDS = {"p1": float, "p_loss": float}
+_OUTPUT_FIELDS = {"format": str, "path": str}
+_TOP_FIELDS = {"seed": int, "trials": int, "session": _SESSION_FIELDS,
+               "attack": _ATTACK_FIELDS, "photon": _PHOTON_FIELDS,
+               "outputs": _OUTPUT_FIELDS}
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string")}
+
+
+def _read(doc: dict, table: dict, where: str) -> dict:
+    """The fields of ``doc`` that hold a value, each checked against its
+    type in ``table``; absent and null fields are left out, so that the
+    dataclass default applies."""
+    out = {}
+    for key, value in doc.items():
+        kind = table.get(key)
+        if kind is None:
             raise ScenarioError(f"unknown field {where}{key}")
+        if value is not None:
+            out[key] = _read_value(value, kind, where + key)
+    return out
 
 
-def _get_enum(enum_cls, doc: dict, key: str, where: str, default=None):
-    if key not in doc or doc[key] is None:
-        return default
+def _read_value(value, kind, name: str):
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ScenarioError(
+                f"{name} must be an object or null, got {value!r}")
+        return _read(value, kind, name + ".")
+    if kind in _JSON_TYPES:
+        types, noun = _JSON_TYPES[kind]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ScenarioError(f"{name} must be {noun}, got {value!r}")
+        try:
+            return kind(value)  # a float from a JSON integer
+        except OverflowError:
+            raise ScenarioError(f"{name} is out of range") from None
     try:
-        return enum_cls(doc[key])
+        return kind(value)
     except ValueError:
-        names = ", ".join(e.value for e in enum_cls)
-        raise ScenarioError(
-            f"{where}{key}: {doc[key]!r} is not one of {names}") from None
+        names = ", ".join(e.value for e in kind)
+        raise ScenarioError(f"{name}: {value!r} is not one of {names}") from None
 
 
-def _get_int(doc: dict, key: str, where: str, default=None, required=False):
-    if key not in doc or doc[key] is None:
-        if required:
-            raise ScenarioError(f"missing field {where}{key}")
-        return default
-    value = doc[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioError(f"{where}{key} must be an integer, got {value!r}")
-    return value
-
-
-def _get_num(doc: dict, key: str, where: str, default=None):
-    if key not in doc or doc[key] is None:
-        return default
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}{key} must be a number, got {value!r}")
+def _build(cls, kwargs: dict, section: str):
+    """``cls(**kwargs)``: a field with no default that ``kwargs`` lacks is
+    reported missing, and a bound the constructor refuses is reported under
+    its section."""
     try:
-        return float(value)
-    except OverflowError:
-        raise ScenarioError(f"{where}{key} is out of range") from None
-
-
-def _get_object(doc: dict, key: str) -> dict:
-    """A section that may be absent or null (then empty), else an object."""
-    value = doc.get(key)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{key} must be an object or null, got {value!r}")
-    return value
+        return cls(**kwargs)
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"{section}: {exc}") from None
+    except TypeError:  # every key is a field, so a required one is missing
+        name = next(f.name for f in fields(cls)
+                    if f.name not in kwargs and f.default is MISSING)
+        prefix = f"{section}." if section else ""
+        raise ScenarioError(f"missing field {prefix}{name}") from None
 
 
 def parse_scenario(doc: dict) -> ScenarioSpec:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    _reject_unknown(doc, _TOP_FIELDS, "")
-
-    seed = _get_int(doc, "seed", "", required=True)
-    trials = _get_int(doc, "trials", "", required=True)
-
-    sdoc = doc.get("session")
-    if not isinstance(sdoc, dict):
-        raise ScenarioError("missing field session")
-    _reject_unknown(sdoc, _SESSION_FIELDS, "session.")
-    try:
-        session = SessionConfig(
-            k=_get_int(sdoc, "k", "session.", required=True),
-            d=_get_int(sdoc, "d", "session.", required=True),
-            reveal_count=_get_int(sdoc, "reveal_count", "session.",
-                                  default=sdoc.get("k"), required=False),
-            mode=_get_enum(ProtocolMode, sdoc, "mode", "session.",
-                           default=ProtocolMode.BASE),
-            belief_rule=_get_enum(BeliefRule, sdoc, "belief_rule", "session."),
-            error_threshold=_get_num(sdoc, "error_threshold", "session.", 0.0),
-            key_basis=_get_enum(MeasBasis, sdoc, "key_basis", "session.",
-                                default=MeasBasis.RECTILINEAR),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"session: {exc}") from None
-
-    adoc = doc.get("attack")
-    attack = None
-    if adoc is not None:
-        if not isinstance(adoc, dict):
-            raise ScenarioError("attack must be an object or null")
-        _reject_unknown(adoc, _ATTACK_FIELDS, "attack.")
-        kind = _get_enum(AttackKind, adoc, "kind", "attack.")
-        if kind is None:
-            raise ScenarioError("missing field attack.kind")
+    top = _read(doc, _TOP_FIELDS, "")
+    if "session" in top:
+        top["session"] = _build(SessionConfig, top["session"], "session")
+    if "attack" in top:
         # every field is checked, also for kind "none", which means no attack
-        try:
-            attack = AttackConfig(
-                kind=kind,
-                path=_get_enum(TapPath, adoc, "path", "attack.",
-                               default=TapPath.TO_BOB),
-                basis_choice=_get_enum(BasisChoice, adoc, "basis_choice",
-                                       "attack.",
-                                       default=BasisChoice.RANDOM_PER_SLOT),
-                fixed_basis=_get_enum(MeasBasis, adoc, "fixed_basis",
-                                      "attack.",
-                                      default=MeasBasis.RECTILINEAR),
-                guess_count=_get_int(adoc, "guess_count", "attack."),
-                location_knowledge=_get_enum(
-                    LocationKnowledge, adoc, "location_knowledge",
-                    "attack.", default=LocationKnowledge.NEVER),
-            )
-        except ValueError as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            raise ScenarioError(f"attack: {exc}") from None
-        if kind is AttackKind.NONE:
-            attack = None
-        elif (attack.guess_count is not None
-              and attack.guess_count > session.total_slots):
-            raise ScenarioError(
-                f"attack.guess_count must be at most k + d = "
-                f"{session.total_slots}, got {attack.guess_count}")
-
-    pdoc = _get_object(doc, "photon")
-    _reject_unknown(pdoc, _PHOTON_FIELDS, "photon.")
-    p1 = _get_num(pdoc, "p1", "photon.", 1.0)
-    p_loss = _get_num(pdoc, "p_loss", "photon.", 0.0)
-    try:
-        photon = PhotonCountModel(p1)
-    except ValueError as exc:
-        raise ScenarioError(f"photon: {exc}") from None
-    if not 0.0 <= p_loss < 1.0:
-        raise ScenarioError("photon.p_loss must be in [0, 1)")
-
-    odoc = _get_object(doc, "outputs")
-    _reject_unknown(odoc, _OUTPUT_FIELDS, "outputs.")
-    out_format = odoc.get("format")
-    if out_format is None:
-        out_format = "json"
-    if out_format not in ("json", "csv"):
-        raise ScenarioError("outputs.format must be 'json' or 'csv'")
-    out_path = odoc.get("path")
-    if out_path is not None and not isinstance(out_path, str):
-        raise ScenarioError("outputs.path must be a string")
-
-    return ScenarioSpec(seed, trials, session, attack, photon, p_loss,
-                        out_format, out_path)
+        attack = _build(AttackConfig, top["attack"], "attack")
+        top["attack"] = None if attack.kind is AttackKind.NONE else attack
+    photon = top.pop("photon", {})
+    if "p_loss" in photon:
+        top["p_loss"] = photon.pop("p_loss")
+    top["photon"] = _build(PhotonCountModel, photon, "photon")
+    for key, value in top.pop("outputs", {}).items():
+        top["out_" + key] = value
+    return _build(ScenarioSpec, top, "")
 
 
 def load_scenario(text: str) -> ScenarioSpec:
@@ -693,7 +638,8 @@ def _json_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return "%.17g" % value
+        # JSON has no inf or nan: a failing exact metric's sigma distance
+        return "%.17g" % value if math.isfinite(value) else "null"
     if value is None or isinstance(value, (int, str)):
         return json.dumps(value)
     raise TypeError(f"cannot render {type(value).__name__} as JSON")

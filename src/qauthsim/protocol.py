@@ -77,13 +77,15 @@ class SessionStatus(Enum):
 class SessionConfig:
     k: int
     d: int
-    reveal_count: int
-    mode: ProtocolMode
+    reveal_count: int | None = None  # None reveals all k key bits
+    mode: ProtocolMode = ProtocolMode.BASE
     belief_rule: BeliefRule | None = None
     error_threshold: float = 0.0
     key_basis: MeasBasis = MeasBasis.RECTILINEAR
 
     def __post_init__(self) -> None:
+        if self.reveal_count is None:
+            object.__setattr__(self, "reveal_count", self.k)
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.d < 0:

@@ -27,7 +27,7 @@ from qauthsim.harness import (
     run_scenario,
     verify_tables,
 )
-from qauthsim.protocol import BeliefRule, ProtocolMode
+from qauthsim.protocol import BeliefRule, ProtocolMode, SessionConfig
 from qauthsim.qsim import MeasBasis, bell_compose
 from test_golden import SCENARIOS as GOLDEN
 
@@ -46,8 +46,9 @@ def _doc(**over):
 MALFORMED_SECTIONS = [("photon", v) for v in (False, [], 0, "")]
 MALFORMED_SECTIONS += [("outputs", v) for v in (0, "", [])]
 
-_FIELD_NAMES = (harness._TOP_FIELDS + harness._SESSION_FIELDS + harness._ATTACK_FIELDS
-                + harness._PHOTON_FIELDS + harness._OUTPUT_FIELDS)
+_FIELD_NAMES = tuple(name for table in (
+    harness._TOP_FIELDS, harness._SESSION_FIELDS, harness._ATTACK_FIELDS,
+    harness._PHOTON_FIELDS, harness._OUTPUT_FIELDS) for name in table)
 _FIELD_VALUES = tuple(member.value for enum in (
     ProtocolMode, BeliefRule, MeasBasis, AttackKind, TapPath, BasisChoice,
     LocationKnowledge) for member in enum) + ("json", "csv")
@@ -82,6 +83,10 @@ class TestParsing:
         assert spec.attack is None
         assert spec.photon.p1 == 1.0 and spec.p_loss == 0.0
         assert spec.out_format == "json" and spec.out_path is None
+        # every default comes from the dataclasses
+        spec = parse_scenario({"seed": 1, "trials": 2,
+                               "session": {"k": 3, "d": 2}})
+        assert spec == ScenarioSpec(1, 2, SessionConfig(3, 2))
 
     def test_full(self):
         spec = parse_scenario(_doc(
@@ -142,6 +147,14 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="trials must be non-negative"):
             replace(spec, trials=-1)
         assert replace(spec, seed=2 ** 64 - 1, trials=0).seed == 2 ** 64 - 1
+        with pytest.raises(ScenarioError, match=r"photon\.p_loss"):
+            replace(spec, p_loss=1.0)
+        with pytest.raises(ScenarioError, match=r"outputs\.format"):
+            replace(spec, out_format="xml")
+        subset = parse_scenario(_doc(attack={"kind": "subset_guess",
+                                             "guess_count": 8}))
+        with pytest.raises(ScenarioError, match=r"attack\.guess_count"):
+            replace(subset, session=SessionConfig(2, 3))
 
     def test_session_validation_surfaces(self):
         doc = _doc()
@@ -160,6 +173,18 @@ class TestParsing:
         spec = parse_scenario(_doc(session=small, attack={
             "kind": "subset_guess", "guess_count": 5}))
         assert spec.attack.guess_count == 5
+
+    @pytest.mark.parametrize("section,name", [
+        ("session", "k"), ("session", "d"), ("session", "reveal_count"),
+        ("session", "error_threshold"), ("attack", "guess_count"),
+        ("photon", "p1"), ("photon", "p_loss"),
+    ])
+    def test_true_is_not_a_number(self, section, name):
+        doc = _doc(attack={"kind": "subset_guess", "guess_count": 2})
+        doc.setdefault(section, {})[name] = True
+        with pytest.raises(ScenarioError,
+                           match=rf"^{section}\.{name} must be an? \w+, got True"):
+            parse_scenario(doc)
 
     def test_p_loss_bounds(self):
         with pytest.raises(ScenarioError, match="p_loss"):
@@ -187,6 +212,12 @@ class TestParsing:
         assert spec == parse_scenario(_doc())
         spec = parse_scenario(_doc(photon={"p1": None}, outputs={"format": None}))
         assert spec == parse_scenario(_doc())
+        spec = parse_scenario(_doc(session={"k": 4, "d": 4, "mode": None,
+                                            "reveal_count": None}))
+        assert spec == parse_scenario(_doc())
+        spec = parse_scenario(_doc(attack={"kind": "pns", "path": None}))
+        assert spec == parse_scenario(_doc(attack={"kind": "pns"}))
+        assert spec.attack.path is TapPath.TO_BOB
 
     @pytest.mark.parametrize("attack,needle", [
         ({"kind": "none", "path": "bogus", "guess_count": 3}, "attack.path"),
@@ -799,7 +830,16 @@ class TestCLI:
         scenario.write_text(json.dumps(_doc(trials=3)))
         assert main(["run", str(scenario), "--out",
                      str(tmp_path / "r.jsonl")]) == 1
-        assert "accept_rate" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "accept_rate" in err
+        # the sigma distance is infinite: the summary prints inf, and the
+        # report writes null, since JSON has no infinity
+        assert " inf " in err
+        rows = [json.loads(line) for line in
+                (tmp_path / "r.jsonl").read_text().splitlines()]
+        accept = {m["name"]: m for m in rows[-1]["metrics"]}["accept_rate"]
+        assert accept["sigma_distance"] is None
+        assert accept["verdict"] == "fail"
 
 
 # --- the CLI's exit contract on arbitrary argv ---------------------------------
