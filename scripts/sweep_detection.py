@@ -14,10 +14,10 @@ import argparse
 import json
 import sys
 
-from qauthsim.harness import load_scenario, run_scenario
+from qauthsim.harness import AggregateReport, load_scenario, run_scenario
 
 
-def _run(doc: dict) -> "AggregateReport":
+def _run(doc: dict) -> AggregateReport:
     return run_scenario(load_scenario(json.dumps(doc)))
 
 

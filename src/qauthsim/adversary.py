@@ -236,8 +236,7 @@ class KnowledgeReport:
         return len(self.certain_positions)
 
 
-def eve_knowledge_report(eve: EveState, plan: "SessionPlan",
-                         outcome: "SessionOutcome") -> KnowledgeReport:
+def eve_knowledge_report(outcome: "SessionOutcome") -> KnowledgeReport:
     """Certainty is claimed only where the simulation guarantees it: a direct
     measurement in the very basis the parties use (direct-readout mode only),
     or a split photon at a key slot measured once bases are public.  Relay
@@ -245,6 +244,7 @@ def eve_knowledge_report(eve: EveState, plan: "SessionPlan",
     record equals the responder's bit; the relay records every key slot."""
     from .protocol import ProtocolMode
 
+    eve, plan = outcome.eve, outcome.plan
     cfg = plan.config
     key_set = set(plan.key_positions)
     certain: set[int] = set()

@@ -301,21 +301,6 @@ class AggregateReport:
         return "\n".join(lines)
 
 
-class _Accumulator:
-    """One metric's tally: ``hits`` successes in ``n`` samples, both ints,
-    so tallies merge exactly in any order."""
-
-    __slots__ = ("hits", "n")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.n = 0
-
-    def add(self, hits: int, n: int = 1) -> None:
-        self.hits += hits
-        self.n += n
-
-
 def _within_binomial_tails(count: int, n: int, p: float) -> bool:
     """Whether ``count`` successes in ``n`` trials at rate ``p`` lie inside
     both exact binomial tails at the one-sided level of 4 sigma.
@@ -337,9 +322,10 @@ def _within_binomial_tails(count: int, n: int, p: float) -> bool:
     return min(below + pmf(count), 1.0 - below) >= _TAIL
 
 
-def _summarize(name: str, acc: _Accumulator, analytic: float | None,
-               note: str | None, graded: bool = True) -> MetricSummary:
-    hits, n = acc.hits, acc.n
+def _summarize(name: str, hits: int, n: int, analytic: float | None,
+               note: str | None = None, graded: bool = True) -> MetricSummary:
+    """Grade ``hits`` successes in ``n`` samples against ``analytic``: within
+    4 sigma, or inside both exact binomial tails where n a (1 - a) < 9."""
     mean = ci_low = ci_high = None
     if n:
         mean = hits / n
@@ -372,7 +358,7 @@ def _accept_and_match(spec: ScenarioSpec) -> tuple[float, float]:
     if cfg.mode is ProtocolMode.BASE or cfg.belief_rule is BeliefRule.COMPOSED:
         return 1.0, 1.0
     # MEASURED: each slot agrees iff the created pair was phi-kind
-    return float(forgery_prob(cfg.reveal_count)), 0.5
+    return float(forgery_prob(cfg.revealed)), 0.5
 
 
 def analytic_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, str | None]]:
@@ -531,21 +517,23 @@ def run_scenario(spec: ScenarioSpec) -> AggregateReport:
     kind = attack.kind if attack else AttackKind.NONE
     tapped = attack.path.channel_paths() if kind in _TAP_KINDS else ()
 
-    acc: dict[str, _Accumulator] = {}
+    # metric -> [hits, n], both ints, so tallies merge exactly in any order
+    tallies: dict[str, list[int]] = {}
 
     def bump(name: str, hits: int, n: int = 1) -> None:
         # created on first use, which fixes the metric order
-        a = acc.get(name)
-        if a is None:
-            a = acc[name] = _Accumulator()
-        a.add(hits, n)
+        tally = tallies.get(name)
+        if tally is None:
+            tally = tallies[name] = [0, 0]
+        tally[0] += hits
+        tally[1] += n
 
     trial_results: list[TrialResult] = []
     for trial in range(spec.trials):
         rand = RandomSource(spec.seed, trial)
         out = run_session(cfg, attack, rand, photon=spec.photon,
                           p_loss=spec.p_loss)
-        report = eve_knowledge_report(out.eve, out.plan, out)
+        report = eve_knowledge_report(out)
 
         # bools count as 0 or 1
         bump("accept_rate", out.status is SessionStatus.AUTH_ACCEPT)
@@ -582,16 +570,16 @@ def run_scenario(spec: ScenarioSpec) -> AggregateReport:
         ))
 
     predictions = analytic_predictions(spec)
-    names = list(acc)
+    names = list(tallies)
     for name in predictions:
         if name not in names:
             names.append(name)
     metrics = []
     for name in names:
+        hits, n = tallies.get(name, (0, 0))
         analytic, note = predictions.get(name, (None, None))
         graded = name != "evasion_rate_vs_approx"
-        metrics.append(_summarize(name, acc.get(name, _Accumulator()),
-                                  analytic, note, graded))
+        metrics.append(_summarize(name, hits, n, analytic, note, graded))
 
     return AggregateReport(
         seed=spec.seed, trials=spec.trials, mode=cfg.mode.value,

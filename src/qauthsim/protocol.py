@@ -77,20 +77,23 @@ class SessionStatus(Enum):
 class SessionConfig:
     k: int
     d: int
-    reveal_count: int | None = None  # None reveals all k key bits
+    # None reveals all k key bits, also after dataclasses.replace changes k;
+    # configs compare by the count the token reveals, ``revealed``
+    reveal_count: int | None = field(default=None, compare=False)
     mode: ProtocolMode = ProtocolMode.BASE
     belief_rule: BeliefRule | None = None
     error_threshold: float = 0.0
     key_basis: MeasBasis = MeasBasis.RECTILINEAR
+    revealed: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.reveal_count is None:
-            object.__setattr__(self, "reveal_count", self.k)
+        object.__setattr__(self, "revealed", self.k if self.reveal_count is None
+                           else self.reveal_count)
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.d < 0:
             raise ValueError("d must be non-negative")
-        if not 1 <= self.reveal_count <= self.k:
+        if not 1 <= self.revealed <= self.k:
             raise ValueError("reveal_count must be in 1..k")
         if not 0.0 <= self.error_threshold < 1.0:
             raise ValueError("error_threshold must be in [0, 1)")
@@ -392,7 +395,7 @@ def run_session(cfg: SessionConfig, attack: "AttackConfig | None",
                              for p in key_positions])
             outcome.swap_records = records
             outcome.alice_key_bits = tuple(r.key_bit for r in records)
-        token = make_token(outcome.alice_key_bits, cfg.reveal_count)
+        token = make_token(outcome.alice_key_bits, cfg.revealed)
         log.add("5", "alice", f"token={_bits(token)}")  # in clear: no shared key
         outcome.token = token
         if swap_mode:

@@ -1,7 +1,6 @@
 """Channel layer: streams, loss, taps, and the sealed classical side."""
 
 import hashlib
-import math
 
 import pytest
 
@@ -16,6 +15,7 @@ from qauthsim.channel import (
     apply_tap,
     build_streams,
 )
+from qauthsim.harness import _summarize
 from qauthsim.protocol import ProtocolMode, SessionConfig, plan_session
 from qauthsim.qsim import MeasBasis, RandomSource
 
@@ -44,8 +44,7 @@ def test_photon_model_statistics():
     rand = RandomSource(2, 0)
     n = 20000
     singles = sum(1 for _ in range(n) if model.sample(rand) == 1)
-    sigma = math.sqrt(0.6 * 0.4 / n)
-    assert abs(singles / n - 0.6) < 4 * sigma
+    assert _summarize("singles", singles, n, model.p1).verdict == "pass"
 
 
 def test_ideal_source_emits_without_sampling_counts(monkeypatch):
@@ -117,20 +116,21 @@ def test_apply_loss_zero_and_bounds():
 
 
 def test_apply_loss_statistics_and_lost_measure():
+    # every slot is lost with chance p_loss on its own
+    p_loss = 0.3
     n_lost = 0
     n_slots = 0
     first_lost = None
     for trial in range(400):
         rand = RandomSource(7, trial)
         sa, _ = build_streams(_plan(seed=11), PhotonCountModel(), rand)
-        n_lost += apply_loss(sa, 0.3, rand)
+        n_lost += apply_loss(sa, p_loss, rand)
         n_slots += len(sa.slots)
         if first_lost is None:
             for slot in sa.slots:
                 if slot.lost:
                     first_lost = slot
-    sigma = math.sqrt(0.3 * 0.7 / n_slots)
-    assert abs(n_lost / n_slots - 0.3) < 4 * sigma
+    assert _summarize("lost", n_lost, n_slots, p_loss).verdict == "pass"
     assert first_lost is not None
     with pytest.raises(ChannelError):
         first_lost.measure(MeasBasis.RECTILINEAR, RandomSource(7, 999))

@@ -17,7 +17,6 @@ from qauthsim.harness import (
     ScenarioError,
     ScenarioSpec,
     TRIAL_FIELDS,
-    _Accumulator,
     _json_value,
     _summarize,
     load_scenario,
@@ -29,6 +28,7 @@ from qauthsim.harness import (
 )
 from qauthsim.protocol import BeliefRule, ProtocolMode, SessionConfig
 from qauthsim.qsim import MeasBasis, bell_compose
+from qauthsim.secparams import evasion_prob, pns_approx_evasion, pns_exact_evasion
 from test_golden import SCENARIOS as GOLDEN
 
 
@@ -307,12 +307,6 @@ class TestReports:
         assert row[idx] == ""
 
 
-def _rate_summary(count, n, analytic):
-    acc = _Accumulator()
-    acc.add(count, n)
-    return _summarize("rate", acc, analytic, None)
-
-
 class TestMetrics:
     def test_intercept_scenario_passes_conformance(self):
         spec = load_scenario(json.dumps(_doc(
@@ -322,7 +316,7 @@ class TestMetrics:
         report = run_scenario(spec)
         assert report.all_pass, report.failures()
         assert report.metric("bob_tamper_error_rate").analytic == 0.25
-        assert report.metric("evasion_rate").analytic == pytest.approx(0.75 ** 8)
+        assert report.metric("evasion_rate").analytic == float(evasion_prob(8))
         assert report.metric("eve_key_knowledge").analytic == 0.5
         assert report.metric("accept_rate").verdict is None  # no closed form
 
@@ -336,10 +330,10 @@ class TestMetrics:
         row = report.metric("evasion_rate_vs_approx")
         assert row.verdict is None
         assert row.note and "approx" in row.note
-        assert row.analytic == pytest.approx(0.75 ** 4)
+        assert row.analytic == pns_approx_evasion(8, 0.5)
         exact = report.metric("evasion_rate")
         assert exact.verdict == "pass"
-        assert exact.analytic == pytest.approx(0.875 ** 8)
+        assert exact.analytic == float(pns_exact_evasion(8, 0.5))
 
     def test_sigma_zero_requires_equality(self):
         spec = load_scenario(json.dumps(_doc(
@@ -358,16 +352,20 @@ class TestMetrics:
         # n a (1 - a) < 9: the normal rule would fail one evasion in 1500
         # trials at 9.3 sigma; the exact binomial tail (~0.011) passes it
         a = 0.75 ** 41
-        one = _rate_summary(1, 1500, a)
+        one = _summarize("rate", 1, 1500, a)
         assert one.sigma_distance > 4.0
         assert one.verdict == "pass"
-        assert _rate_summary(5, 1500, a).verdict == "fail"
+        assert _summarize("rate", 5, 1500, a).verdict == "fail"
+        # the mirrored counts at 1 - a grade alike: the rarer outcome is
+        # the 1 or 5 trials that missed
+        assert _summarize("rate", 1499, 1500, 1 - a).verdict == "pass"
+        assert _summarize("rate", 1495, 1500, 1 - a).verdict == "fail"
 
     def test_large_n_keeps_the_four_sigma_rule(self):
         # n a (1 - a) = 9.9: 23 events sit 4.13 sigma out and fail, although
         # their exact upper tail (~1e-4) would pass; 22 events (3.81 sigma) pass
-        assert _rate_summary(23, 1000, 0.01).verdict == "fail"
-        assert _rate_summary(22, 1000, 0.01).verdict == "pass"
+        assert _summarize("rate", 23, 1000, 0.01).verdict == "fail"
+        assert _summarize("rate", 22, 1000, 0.01).verdict == "pass"
 
     @pytest.mark.parametrize("attack", [
         None,

@@ -1,11 +1,18 @@
 """Session state machine: planning, key algebra, events, end-to-end runs."""
 
 import json
-import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qauthsim.harness import (
+    ScenarioSpec,
+    _summarize,
+    analytic_predictions,
+    parse_scenario,
+    run_scenario,
+)
 from qauthsim.protocol import (
     BeliefRule,
     ProtocolMode,
@@ -21,6 +28,7 @@ from qauthsim.protocol import (
     tamper_check,
 )
 from qauthsim.qsim import BellKind, BellLabel, MeasBasis, RandomSource, bell_compose
+from qauthsim.secparams import forgery_prob
 
 
 def _cfg(k=8, d=8, mode=ProtocolMode.BASE, rule=None, **kw):
@@ -40,6 +48,21 @@ class TestConfigValidation:
             SessionConfig(4, 4, 5, ProtocolMode.BASE)
         with pytest.raises(ValueError):
             SessionConfig(4, 4, 4, ProtocolMode.BASE, error_threshold=1.0)
+
+    def test_defaulted_reveal_count_follows_k(self):
+        # a defaulted reveal count means all k bits, also after replace;
+        # an explicit one is kept and checked against the new k
+        grown = replace(SessionConfig(3, 2), k=5)
+        assert len(run_session(grown, None, RandomSource(15, 0)).token) == 5
+        measured = SessionConfig(3, 2, mode=ProtocolMode.SWAP,
+                                 belief_rule=BeliefRule.MEASURED)
+        accept, _note = analytic_predictions(ScenarioSpec(
+            1, 1, replace(measured, k=5)))["accept_rate"]
+        assert accept == float(forgery_prob(5))
+        assert replace(SessionConfig(3, 2), k=2).revealed == 2
+        assert replace(SessionConfig(3, 2, 3), k=5).revealed == 3
+        with pytest.raises(ValueError, match="reveal_count"):
+            replace(SessionConfig(3, 2, 3), k=2)
 
     def test_swap_needs_rule(self):
         with pytest.raises(ValueError):
@@ -89,9 +112,9 @@ class TestPlanning:
             plan = plan_session(cfg, RandomSource(4, t))
             for p in plan.tamper.positions:
                 counts[p] += 1
-        sigma = math.sqrt(0.5 * 0.5 / n)
-        for c in counts:
-            assert abs(c / n - 0.5) < 5 * sigma
+        for p, c in enumerate(counts):
+            m = _summarize(f"position {p}", c, n, cfg.d / cfg.total_slots)
+            assert m.verdict == "pass", m
 
 
 def test_tamper_spec_roundtrip():
@@ -234,14 +257,12 @@ class TestHonestSessions:
 
     def test_swap_measured_accept_rate(self):
         # all reveal bits must agree by luck: rate 2^-reveal
-        cfg = _cfg(k=4, d=4, mode=ProtocolMode.SWAP, rule=BeliefRule.MEASURED,
-                   reveal_count=4)
-        n = 3000
-        acc = sum(run_session(cfg, None, RandomSource(13, t)).status
-                  is SessionStatus.AUTH_ACCEPT for t in range(n))
-        p = 2 ** -4
-        sigma = math.sqrt(p * (1 - p) / n)
-        assert abs(acc / n - p) < 4 * sigma
+        m = run_scenario(parse_scenario({
+            "seed": 13, "trials": 3000,
+            "session": {"k": 4, "d": 4, "reveal_count": 4, "mode": "swap",
+                        "belief_rule": "measured"}})).metric("accept_rate")
+        assert (m.analytic, m.n, m.verdict) == (float(forgery_prob(4)), 3000,
+                                                "pass")
 
     def test_zero_detection_slots_vacuous(self):
         cfg = _cfg(k=4, d=0)

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from qauthsim import qsim
 from qauthsim.channel import PhotonSlot
+from qauthsim.harness import _summarize
 from qauthsim.qsim import (
     BELL_ORDER,
     BellKind,
@@ -468,8 +469,9 @@ def test_wrong_basis_measurement_is_uniform():
     for _ in range(n):
         reg = prepare_polarized(0, MeasBasis.DIAGONAL)
         hits += measure_in_basis(reg, 0, MeasBasis.RECTILINEAR, rand)
-    sigma = math.sqrt(0.25 / n)
-    assert abs(hits / n - 0.5) < 4 * sigma
+    _p0, p1 = basis_distribution(prepare_polarized(0, MeasBasis.DIAGONAL), 0,
+                                 MeasBasis.RECTILINEAR)
+    assert _summarize("ones", hits, n, float(p1)).verdict == "pass"
 
 
 def test_entangled_pair_correlations():
@@ -512,9 +514,8 @@ def test_measure_bell_statistics_match_enumeration():
         reg = tensor(prepare_bell(BellLabel.PSI_PLUS), prepare_bell(BellLabel.PHI_PLUS))
         counts[measure_bell(reg, 1, 2, rand)] += 1
     for label in BELL_ORDER:
-        p = expected[label]
-        sigma = math.sqrt(p * (1 - p) / n)
-        assert abs(counts[label] / n - p) < 4 * sigma, label
+        m = _summarize(label.short(), counts[label], n, expected[label])
+        assert m.verdict == "pass", m
 
 
 def test_measure_bell_collapse_matches_reference_projection():
