@@ -12,6 +12,13 @@ are detection slots: NEVER, only after the session (too late to change
 anything the session does, so it runs exactly as NEVER), or in real time
 from the control traffic, in which case taps skip detection slots entirely
 and read key slots in the key basis.
+
+In a session the adversary makes its session-level draws in
+:func:`draw_taps` (which slots each tap reads, in which basis, and which
+it splits); its reads, the relay's planted bits and its retained qubits'
+values then come out of each slot's kernel draw.  The per-photon path —
+:func:`stage_attack`, the ``_emit_server_*`` sources, :func:`_tap` and
+:func:`finish_session` — is off the session path.
 """
 
 from __future__ import annotations
@@ -207,6 +214,58 @@ def stage_attack(plan: "SessionPlan", photon: PhotonCountModel, p_loss: float,
     for path in attack.path.channel_paths():
         apply_tap(streams[path], _tap(eve, plan, path, rand), skip_positions=skip)
     return stream_a, stream_b
+
+
+def draw_taps(eve: EveState, plan: "SessionPlan", photon: PhotonCountModel,
+              rand: RandomSource) -> tuple[list | None, list | None]:
+    """The in-flight taps' session-level draws: the subset guess, then per
+    tapped path in path order, slot by slot in position order over the
+    slots the tap targets, a PNS tap's photon count (none from an ideal
+    source) or a blind random-basis tap's basis bit.
+
+    The tap targets the guessed slots of a subset guess, the key slots under
+    realtime location knowledge, and every slot otherwise.  A PNS tap splits
+    a multi-photon slot, with no disturbance, and records the split on
+    ``eve``; every other targeted slot is read.  A blind intercept-resend
+    tap (no realtime knowledge) reads in its random or fixed basis, every
+    other tap in the key basis.  Returns, for the initiator's and the
+    responder's path, the basis bit each position is read in (None where
+    it is not), or None for an untapped path."""
+    attack = eve.attack
+    kind = eve.kind
+    if kind not in _TAP_KINDS:
+        return None, None
+    total = plan.total_slots
+    if kind is AttackKind.SUBSET_GUESS:
+        targets = rand.sample_positions(total, attack.guess_count)
+    elif attack.location_knowledge is LocationKnowledge.REALTIME:
+        # decrypted control traffic names the detection slots
+        targets = plan.key_positions
+    else:
+        targets = range(total)
+    counted = kind is AttackKind.PNS and photon.p1 < 1.0
+    blind = (kind is AttackKind.INTERCEPT_RESEND
+             and attack.location_knowledge is not LocationKnowledge.REALTIME)
+    random_basis = blind and attack.basis_choice is BasisChoice.RANDOM_PER_SLOT
+    basis = attack.fixed_basis if blind else plan.config.key_basis
+    bit = int(basis is MeasBasis.DIAGONAL)
+    reads: dict[Path, list] = {}
+    for path in attack.path.channel_paths():
+        row = reads[path] = [None] * total
+        if random_basis:
+            for position, drawn in zip(targets, rand.bits(len(targets))):
+                row[position] = drawn
+        elif counted:
+            sample = photon.sample
+            for position in targets:
+                if sample(rand) >= 2:
+                    eve.split_positions.add((path, position))
+                else:
+                    row[position] = bit
+        else:
+            for position in targets:
+                row[position] = bit
+    return reads.get(Path.TO_ALICE), reads.get(Path.TO_BOB)
 
 
 def finish_session(eve: EveState, rand: RandomSource) -> None:

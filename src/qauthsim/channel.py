@@ -10,6 +10,13 @@ Key slots on the two paths share one register (the two halves of an
 entangled pair); detection slots are independent single-qubit registers
 prepared identically on both paths.
 
+Sessions draw only the loss marks here (:func:`draw_loss`); each slot's
+photons are then sampled whole from its kernel (see
+:func:`~qauthsim.qsim.slot_kernel`).  The per-photon objects and loops —
+:class:`PhotonSlot`, :class:`QuantumStream`, :func:`build_streams`,
+:func:`apply_loss` and :func:`apply_tap` — are off the session path: a
+reference the tests drive directly.
+
 The classical channel is readable by everyone.  In the protocol the relay
 sends each party the detection layout under a key the two share; no attack
 here touches that traffic, so sessions hand the parties the plan's layout
@@ -51,6 +58,11 @@ class TamperedMessageError(ChannelError):
 class Path(Enum):
     TO_ALICE = "to_alice"
     TO_BOB = "to_bob"
+
+    # members are singletons compared by identity, so the identity hash
+    # agrees with equality; Enum's own hash is a Python-level call, made
+    # for every (path, position) key of the adversary's record
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -156,6 +168,20 @@ def build_streams(plan: "SessionPlan", model: PhotonCountModel,
         to_bob.append(PhotonSlot(position, *half_b, count_b))
     return (QuantumStream(Path.TO_ALICE, to_alice),
             QuantumStream(Path.TO_BOB, to_bob))
+
+
+def draw_loss(slots: int, p_loss: float, rand: RandomSource) -> list[int]:
+    """Loss marks for one session: each of the ``slots`` photons on each
+    path is lost independently with probability p_loss, one uniform draw
+    per photon, the initiator's path first.  Returns the positions lost on
+    either path, sorted; no draw at p_loss = 0."""
+    if not 0.0 <= p_loss < 1.0:
+        raise ValueError("p_loss must be in [0, 1)")
+    if p_loss == 0.0:
+        return []
+    uniform = rand.uniform
+    marks = [uniform() < p_loss for _ in range(2 * slots)]
+    return [p for p in range(slots) if marks[p] or marks[slots + p]]
 
 
 def apply_loss(stream: QuantumStream, p_loss: float, rand: RandomSource) -> int:

@@ -369,8 +369,8 @@ def analytic_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, st
     independently of every other draw, so a metric recorded only on
     complete sessions keeps its lossless form.  accept_rate is scaled by
     the chance that all 2 (k + d) photons arrive.  eve_key_knowledge is
-    recorded on every trial and counts only the slots that arrived, so
-    under loss it stays graded only where its form is 0."""
+    recorded on every trial and counts nothing on a lost session, where no
+    slot is read, so under loss it stays graded only where its form is 0."""
     out = _lossless_predictions(spec)
     if spec.p_loss > 0.0:
         if "accept_rate" in out:

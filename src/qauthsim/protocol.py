@@ -19,20 +19,38 @@ party's arrival check is the same routine: measure the detection slots (and
 in BASE mode the key slots), then run the tamper check.  Both parties run it
 at step 4 in BASE mode; in SWAP mode the responder runs it at 5d, after the
 token exists, and only if the initiator passed.
+
+:func:`run_session` samples every slot whole, with one draw from its exact
+kernel (:func:`~qauthsim.qsim.slot_kernel`), and assembles both parties'
+bits, the relay steps and the event log from the outcomes.  The
+per-photon relay step :func:`alice_swap_step` is off the session path.
 """
 
 from __future__ import annotations
 
 import json
-import zlib
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from hashlib import sha256
-from typing import TYPE_CHECKING
+from itertools import chain, repeat
+from operator import add, eq, is_, ne, rshift
+from typing import NamedTuple
 
-from .channel import PhotonCountModel, PhotonSlot
+from .adversary import AttackConfig, AttackKind, EveState, draw_taps
+from .channel import Path, PhotonCountModel, PhotonSlot, draw_loss
 from .qsim import (
+    _KERNELS,
+    ALICE,
     BASIS_OF_BIT,
+    BELL_ORDER,
+    BOB,
+    EVE_A,
+    EVE_B,
+    PAIR_SOURCE,
+    RELAY,
+    SERVER,
+    TRIPLE_SOURCE,
     BellKind,
     BellLabel,
     MeasBasis,
@@ -41,11 +59,8 @@ from .qsim import (
     measure_bell,
     measure_in_basis,
     prepare_bell,
+    slot_kernel,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .adversary import AttackConfig, EveState
-
 
 class ProtocolMode(Enum):
     BASE = "base"
@@ -113,6 +128,9 @@ class SessionConfig:
 # basis by its value, without the Enum constructor's lookup, and back
 _BASES = {basis.value: basis for basis in MeasBasis}
 _BASIS_VALUES = {basis: value for value, basis in _BASES.items()}
+_DIAGONAL = MeasBasis.DIAGONAL
+_TO_ALICE, _TO_BOB = Path.TO_ALICE, Path.TO_BOB
+_IDEAL_SOURCE = PhotonCountModel()
 
 
 @dataclass(frozen=True)
@@ -142,18 +160,25 @@ class TamperSpec:
 @dataclass(frozen=True)
 class SessionPlan:
     """The relay's layout.  ``decoys`` maps each detection slot's position
-    to its (value, basis), the argument order of ``prepare_polarized``."""
+    to its (value, basis), the argument order of ``prepare_polarized``;
+    ``twin_sources`` holds each detection slot's kernel source index,
+    2 * basis bit + value (see :func:`~qauthsim.qsim.slot_kernel`)."""
 
     config: SessionConfig
     tamper: TamperSpec
     key_positions: tuple[int, ...]
-    decoys: dict[int, tuple[int, MeasBasis]] = field(
-        init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    # each built on first use
+    @cached_property
+    def decoys(self) -> dict[int, tuple[int, MeasBasis]]:
         tamper = self.tamper
-        object.__setattr__(self, "decoys", dict(zip(
-            tamper.positions, zip(tamper.values, tamper.bases))))
+        return dict(zip(tamper.positions, zip(tamper.values, tamper.bases)))
+
+    @cached_property
+    def twin_sources(self) -> tuple[int, ...]:
+        tamper = self.tamper
+        diagonal = tuple(map(is_, tamper.bases, repeat(_DIAGONAL)))
+        return tuple(map(add, map(add, diagonal, diagonal), tamper.values))
 
     @property
     def total_slots(self) -> int:
@@ -215,12 +240,11 @@ def tamper_check(observed: tuple[int, ...], expected: tuple[int, ...],
         raise ValueError("observed/expected length mismatch")
     if not observed:
         return True, 0
-    errors = sum(1 for o, e in zip(observed, expected) if o != e)
+    errors = sum(map(ne, observed, expected))
     return errors / len(observed) <= threshold, errors
 
 
-@dataclass(frozen=True)
-class SwapRecord:
+class SwapRecord(NamedTuple):
     """One relay step at a key slot."""
 
     position: int
@@ -232,7 +256,9 @@ class SwapRecord:
 
 
 class EventLog:
-    """Ordered (step id, party, payload) triples with a stable text encoding."""
+    """Ordered (step id, party, payload) triples with a stable text
+    encoding: one line per entry, its three fields joined by tabs.  No
+    field holds a tab or a line break."""
 
     __slots__ = ("entries",)
 
@@ -243,11 +269,10 @@ class EventLog:
         self.entries.append((step, party, payload))
 
     def lines(self) -> list[str]:
-        return [f"{step}\t{party}\t{zlib.crc32(payload.encode()):08x}"
-                for step, party, payload in self.entries]
+        return list(map("\t".join, self.entries))
 
     def text(self) -> str:
-        return "\n".join(self.lines())
+        return "\n".join(map("\t".join, self.entries))
 
     def digest(self) -> str:
         return sha256(self.text().encode()).hexdigest()[:16]
@@ -291,7 +316,7 @@ class SessionOutcome:
     token_matched: bool | None = None
     swap_records: tuple[SwapRecord, ...] | None = None
     failed_checks: tuple[str, ...] = ()
-    eve: "EveState | None" = None
+    eve: EveState | None = None
     events: EventLog = field(default_factory=EventLog)
 
     @property
@@ -307,74 +332,72 @@ class SessionOutcome:
         unless both parties read their keys."""
         if self.alice_key_bits is None or self.bob_key_bits is None:
             return None
-        return sum(1 for a, b in zip(self.alice_key_bits, self.bob_key_bits) if a == b)
+        return sum(map(eq, self.alice_key_bits, self.bob_key_bits))
+
+
+_BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _bits(bits) -> str:
-    return "".join(map(str, bits))
+    """A sequence of bits as text, e.g. (0, 1, 1) as "011"."""
+    return bytes(bits).translate(_BIT_TEXT).decode()
 
 
-def run_session(cfg: SessionConfig, attack: "AttackConfig | None",
+def run_session(cfg: SessionConfig, attack: AttackConfig | None,
                 rand: RandomSource, *, photon: PhotonCountModel | None = None,
                 p_loss: float = 0.0) -> SessionOutcome:
     """One full session between initiator (alice), responder (bob), and relay.
 
     The photon-count model and loss probability are channel properties and
     default to ideal (exactly one photon per slot, no loss).
-    """
-    from .adversary import EveState, finish_session, stage_attack
 
-    photon = photon or PhotonCountModel()
+    Draw order: the plan, the loss marks (a lost photon ends the session
+    there), the adversary's session-level draws (:func:`draw_taps`), then
+    the detection slots and the key slots, each in position order.  A key
+    slot first draws the relay's planted bit or the created pair's label
+    where it has one.  Every slot then takes one categorical draw from its
+    exact kernel (:func:`~qauthsim.qsim.slot_kernel`), or none where the
+    kernel has a single outcome.  All reads of a slot come from that one
+    draw, so a party's bits exist before its step; in SWAP mode the
+    responder's bits are reported only once the initiator has passed.
+    """
     log = EventLog()
     eve = EveState(attack)
-
     log.add("1", "alice", f"request k={cfg.k} d={cfg.d} mode={cfg.mode.value}")
 
     plan = plan_session(cfg, rand)
-    # step 2: both parties read the detection layout from ``plan.tamper``
-    # kept only to keep the draw pattern; ROADMAP item 5's re-pin removes it
-    rand.key_bytes(32)
-    # kept only to keep event_log_digest; ROADMAP item 5's re-pin removes it
-    log.add("2", "server", "tamper spec sealed to both parties spec="
-            + plan.tamper.encode().decode())
-
-    # emission plus any in-flight adversary action; a realtime eavesdropper
-    # knows the layout by now and taps accordingly
-    stream_a, stream_b = stage_attack(plan, photon, p_loss, rand, eve)
-    log.add("3", "server", f"emitted {plan.total_slots} slots per path")
-
-    lost = stream_a.lost_positions() + stream_b.lost_positions()
+    total = plan.total_slots
+    # step 2: the relay sends each party the layout, which both read from
+    # ``plan.tamper``; step 3: it emits one photon per slot on each path
+    for party in ("alice", "bob"):
+        log.add("2", "server", f"tamper spec sent to {party}")
+    for party in ("alice", "bob"):
+        log.add("3", "server", f"emitted {total} slots to {party}")
+    lost = draw_loss(total, p_loss, rand)
     if lost:
-        log.add("3", "server", f"lost slots {sorted(set(lost))}")
-        outcome = SessionOutcome(SessionStatus.INCOMPLETE_STREAM, plan,
-                                 eve=eve, events=log)
-        finish_session(eve, rand)
-        return outcome
+        log.add("3", "server", f"lost slots {lost}")
+        return SessionOutcome(SessionStatus.INCOMPLETE_STREAM, plan,
+                              eve=eve, events=log)
 
+    taps = draw_taps(eve, plan, photon or _IDEAL_SOURCE, rand)
+    decoys, keys, created = _read_slots(plan, eve, taps, rand)
     swap_mode = cfg.mode is ProtocolMode.SWAP
-    outcome = SessionOutcome(SessionStatus.TAMPER_ABORT, plan, eve=eve, events=log)
-    # slots are read by position (see QuantumStream)
     tamper = plan.tamper
     key_positions = plan.key_positions
 
-    def arrival(party: str, step: str, slots: list[PhotonSlot],
-                keys: bool) -> bool:
-        """One party's arrival check: measure the detection slots, then the
-        key slots when ``keys``, each in position order, log both lines and
-        run the tamper check.  Records the party's error count (and key
-        bits) on the outcome."""
-        obs = [slots[p].measure(basis, rand)
-               for p, basis in zip(tamper.positions, tamper.bases)]
-        measured = f"measured obs={_bits(obs)}"
-        if keys:
-            key_basis = cfg.key_basis
-            key = tuple([slots[p].measure(key_basis, rand)
-                         for p in key_positions])
+    outcome = SessionOutcome(SessionStatus.TAMPER_ABORT, plan, eve=eve, events=log)
+
+    def arrival(party: str, step: str, field: int, read_keys: bool) -> bool:
+        """One party's arrival check: its detection-slot bits, then its key
+        bits when ``read_keys``, each on a log line, then the tamper check.
+        Records the party's error count (and key bits) on the outcome."""
+        obs = tuple([out[field] for out in decoys])
+        log.add(step, party, f"measured obs={_bits(obs)}")
+        if read_keys:
+            key = tuple([out[field] for out in keys])
             setattr(outcome, f"{party}_key_bits", key)
-            measured += f" key={_bits(key)}"
-        log.add(step, party, measured)
-        passed, errors = tamper_check(tuple(obs), tamper.values,
-                                      cfg.error_threshold)
+            log.add(step, party, f"measured key={_bits(key)}")
+        passed, errors = tamper_check(obs, tamper.values, cfg.error_threshold)
         setattr(outcome, f"{party}_tamper_errors", errors)
         rate = _error_rate(errors, cfg.d)
         log.add(step, party, f"tamper check rate={rate:.6f} pass={passed}")
@@ -383,24 +406,24 @@ def run_session(cfg: SessionConfig, attack: "AttackConfig | None",
         return passed
 
     # step 4: arrival checks; in BASE mode both parties also read their keys
-    passed = arrival("alice", "4", stream_a.slots, not swap_mode)
+    passed = arrival("alice", "4", ALICE, not swap_mode)
     if not swap_mode:
-        passed = arrival("bob", "4", stream_b.slots, True) and passed
+        passed = arrival("bob", "4", BOB, True) and passed
 
     if passed:
         # step 5 (relay sub-steps 5a-5c per key slot in SWAP mode), the token
         if swap_mode:
-            slots = stream_a.slots
-            records = tuple([alice_swap_step(slots[p], cfg, rand, log)
-                             for p in key_positions])
+            key_rule = _KEY_RULES[cfg.belief_rule]
+            records = tuple([_relay_step(p, label, out, key_rule, log)
+                             for p, label, out in zip(key_positions, created, keys)])
             outcome.swap_records = records
-            outcome.alice_key_bits = tuple(r.key_bit for r in records)
+            outcome.alice_key_bits = tuple([r.key_bit for r in records])
         token = make_token(outcome.alice_key_bits, cfg.revealed)
         log.add("5", "alice", f"token={_bits(token)}")  # in clear: no shared key
         outcome.token = token
         if swap_mode:
             # step 5d: the responder measures nothing until the token exists
-            passed = arrival("bob", "5d", stream_b.slots, True)
+            passed = arrival("bob", "5d", BOB, True)
 
     if passed:
         matched = authenticate(outcome.token, outcome.bob_key_bits)
@@ -410,5 +433,86 @@ def run_session(cfg: SessionConfig, attack: "AttackConfig | None",
         log.add("6", "bob", f"token match={matched}")
     else:
         log.add("6", "server", "restart: tamper threshold exceeded")
-    finish_session(eve, rand)
     return outcome
+
+
+def _read_slots(plan: SessionPlan, eve: EveState, taps: tuple,
+                rand: RandomSource) -> tuple[list, list, list]:
+    """Every slot's joint outcome (see :func:`~qauthsim.qsim.slot_kernel`):
+    the detection slots', the key slots' and the key slots' created pair
+    labels (None outside SWAP mode), each in position order.
+
+    Draw order: the relay's planted bits (a product-pair compromise), the
+    created pair labels (SWAP mode), then one categorical draw per slot,
+    detection slots first, none where a kernel has a single outcome.
+    Eve's reads and the compromised relay's record go on ``eve``."""
+    cfg = plan.config
+    tamper, key_positions = plan.tamper, plan.key_positions
+    k = cfg.k
+    key_basis = int(cfg.key_basis is MeasBasis.DIAGONAL)
+    kind = eve.kind
+    if kind is AttackKind.SERVER_PRODUCT:
+        # the relay plants twin photons carrying a bit it records
+        planted = rand.bits(k)
+        eve.server_record.update(zip(key_positions, planted))
+        sources = [2 * key_basis + bit for bit in planted]
+    elif kind is AttackKind.SERVER_GHZ:
+        sources = [TRIPLE_SOURCE] * k
+    else:
+        sources = [PAIR_SOURCE] * k
+    if cfg.mode is ProtocolMode.SWAP:
+        created = [rand.randbelow(4) for _ in key_positions]
+    else:
+        created = [None] * k
+
+    # each slot's kernel key (source, tap_a, tap_b, basis, created), built
+    # column by column in position order, detection slots first
+    positions = tamper.positions + key_positions
+    twins = plan.twin_sources
+    columns = [twins + tuple(sources)]
+    for row in taps:
+        columns.append(map(row.__getitem__, positions) if row else repeat(None))
+    columns.append(chain(map(rshift, twins, repeat(1)), repeat(key_basis, k)))
+    columns.append(chain(repeat(None, cfg.d), created))
+    keys = list(zip(*columns))
+    tables = list(map(_KERNELS.get, keys))
+    if None in tables:
+        tables = list(map(slot_kernel, keys))
+    categorical = rand.categorical
+    outs = [outcomes[categorical(cumulative, total)] if cumulative
+            else outcomes[0] for cumulative, total, outcomes in tables]
+
+    for path, row, field in ((_TO_ALICE, taps[0], EVE_A), (_TO_BOB, taps[1], EVE_B)):
+        if row is not None:
+            for p, out in zip(positions, outs):
+                basis = row[p]
+                if basis is not None:
+                    eve.measured[(path, p)] = (out[field], BASIS_OF_BIT[basis])
+    if kind is AttackKind.SERVER_GHZ:
+        eve.server_record.update(zip(key_positions, [out[SERVER] for out in outs[cfg.d:]]))
+    return outs[:cfg.d], outs[cfg.d:], created
+
+
+# short names of the pair labels, in BELL_ORDER
+_SHORT_NAMES = tuple([label.short() for label in BELL_ORDER])
+# per belief rule, by created label, pair outcome (indices in BELL_ORDER)
+# and kept bit: the believed label and the key bit
+_KEY_RULES = {rule: tuple([tuple([tuple([
+    (believed_state(created, outcome, rule),
+     derive_key_bit(believed_state(created, outcome, rule), kept))
+    for kept in (0, 1)]) for outcome in BELL_ORDER]) for created in BELL_ORDER])
+    for rule in BeliefRule}
+
+
+def _relay_step(position: int, created: int, out: tuple, key_rule: tuple,
+                log: EventLog) -> SwapRecord:
+    """Steps 5a-5c at one key slot, from the slot's kernel outcome: the
+    pair outcome and the kept bit, and the key bit under ``key_rule``, an
+    entry of ``_KEY_RULES``."""
+    outcome, kept = out[RELAY], out[ALICE]
+    believed, key_bit = key_rule[created][outcome][kept]
+    log.add("5a", "alice", f"pos={position} created={_SHORT_NAMES[created]}")
+    log.add("5b", "alice", f"pos={position} outcome={_SHORT_NAMES[outcome]}")
+    log.add("5c", "alice", f"pos={position} kept={kept} key={key_bit}")
+    return SwapRecord(position, BELL_ORDER[created], BELL_ORDER[outcome],
+                      kept, believed, key_bit)

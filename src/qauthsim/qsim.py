@@ -10,20 +10,25 @@ integer vector and is never renormalized: an outcome's probability is its
 projection's squared length over the sum of those lengths for all the
 outcomes, an exact ratio of integers.
 
-One engine serves both uses.  The sampler (:func:`measure_in_basis`,
-:func:`measure_bell`) draws one uniform number per measurement, picks the
-outcome by exact integer comparison and keeps the projected vector.  The
+Two projection helpers (:func:`_project_qubit`, :func:`_project_pair`)
+serve every use, and every draw goes through one exact rule,
+:meth:`RandomSource.categorical`.  Sessions sample from per-slot kernels
+(:func:`slot_kernel`): given the relay's layout and the adversary's
+session-level draws, each slot is an independent register of at most five
+qubits, and the joint outcome of all its reads is one categorical draw from
+an exact table of integer weights, built once per key by the helpers.  The
 relay-step oracle (:func:`swap_enumerate`) projects onto every outcome with
-the same two helpers and reports exact :class:`fractions.Fraction` values.
+the same helpers and reports exact :class:`fractions.Fraction` values.
 
-A register points at a shared, immutable state that carries the edges out
-of it, built by the same helpers on first use: per measurement an outcome
-table of cumulative weights with one child state per outcome, and per
-constant front the grafted state.  A measurement is one dict lookup, the
-same single uniform draw compared exactly against the same weights, and a
-move to the child.  Prepared registers start at module-constant states, so
-all sessions walk one small graph; a constructor-built register starts its
-own, which dies with it.
+:class:`StateRegister` with :func:`measure_in_basis`/:func:`measure_bell`
+is the reference the kernels are tested against, and is off the session
+path.  A register points at a shared, immutable state that carries the
+edges out of it, built by the same helpers on first use: per measurement
+an outcome table of cumulative weights with one child state per outcome,
+and per constant front the grafted state.  A measurement draws once from
+that table and moves to the child.  Prepared registers start at
+module-constant states; a constructor-built register starts a graph of
+its own, which dies with it.
 
 Index convention: qubit 0 is the leftmost tensor factor, so basis index
 ``i`` assigns qubit ``q`` the bit ``(i >> (n - 1 - q)) & 1``.  Pair-basis
@@ -39,6 +44,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -139,8 +146,7 @@ class RandomSource:
         return self._rng.getrandbits(1)
 
     def bits(self, count: int) -> tuple[int, ...]:
-        g = self._rng.getrandbits
-        return tuple([g(1) for _ in range(count)])
+        return tuple(map(self._rng.getrandbits, repeat(1, count)))
 
     def uniform(self) -> float:
         return self._rng.random()
@@ -161,21 +167,36 @@ class RandomSource:
         """``count`` distinct positions drawn from range(universe), sorted."""
         if not 0 <= count <= universe:
             raise ValueError("cannot sample %d of %d positions" % (count, universe))
+        # randbelow(universe - i) for each i, inlined: the same draws
         pool = list(range(universe))
+        g = self._rng.getrandbits
         for i in range(count):
-            j = i + self.randbelow(universe - i)
+            bound = universe - i
+            j = 0
+            if bound > 1:
+                width = (bound - 1).bit_length()
+                j = g(width)
+                while j >= bound:
+                    j = g(width)
+            j += i
             pool[i], pool[j] = pool[j], pool[i]
         return tuple(sorted(pool[:count]))
-
-    def key_bytes(self, count: int) -> bytes:
-        g = self._rng.getrandbits
-        return bytes([g(8) for _ in range(count)])
 
     def bell_label(self) -> BellLabel:
         return BellLabel.from_bits(self.bit(), self.bit())
 
     def basis(self) -> MeasBasis:
         return BASIS_OF_BIT[self._rng.getrandbits(1)]
+
+    def categorical(self, cumulative: Sequence[int], total: int) -> int:
+        """Index of the outcome one uniform draw selects, exactly.
+
+        ``cumulative`` holds the running sums of integer outcome weights,
+        each shifted left by 53, and ``total`` their sum.  A draw u is a
+        multiple of 2**-53, so ``bisect_right`` finds the first j with
+        u * total < w[0] + ... + w[j] by integer comparison alone.
+        """
+        return bisect_right(cumulative, int(self._rng.random() * _TWO53) * total)
 
 
 class _State:
@@ -364,10 +385,6 @@ def _project_pair(amps: Sequence[int], n: int, first: int,
     return out
 
 
-# A draw u is a multiple of 2**-53, so ``bisect_right`` over the shifted
-# weights finds, exactly, the first j with u * total < w[0] + ... + w[j].
-
-
 def measure_in_basis(register: StateRegister, qubit: int, basis: MeasBasis,
                      rand: RandomSource) -> int:
     """Born-rule measurement of one qubit; moves the register to the outcome."""
@@ -385,7 +402,7 @@ def measure_in_basis(register: StateRegister, qubit: int, basis: MeasBasis,
         table = state.tabulate(state.qubit_tables, key,
                                _project_qubit(state.amps, state.n, qubit, basis))
     cumulative, total, children = table
-    idx = bisect_right(cumulative, int(rand.uniform() * _TWO53) * total)
+    idx = rand.categorical(cumulative, total)
     register.state = children[idx]
     return idx
 
@@ -414,9 +431,123 @@ def measure_bell(register: StateRegister, first: int, second: int,
         table = state.tabulate(state.pair_tables, key,
                                _project_pair(state.amps, n, first, second))
     cumulative, total, children = table
-    idx = bisect_right(cumulative, int(rand.uniform() * _TWO53) * total)
+    idx = rand.categorical(cumulative, total)
     register.state = children[idx]
     return BELL_ORDER[idx]
+
+
+# ---------------------------------------------------------------------------
+# Per-slot kernels: the session sampler.
+#
+# Once the relay's layout and the adversary's session-level draws are fixed,
+# every slot is an independent register of at most five qubits, read by at
+# most six measurements.  Its joint outcome is one draw from a small exact
+# table, built once per key by the projection helpers above.
+
+# Slot sources, by index: 2 * basis bit + value for twin photons polarized
+# alike (a detection slot, or a product pair the relay plants in the key
+# basis), then the honest pair and the triple.  Qubit 0 travels to alice,
+# qubit 1 to bob, and the triple's qubit 2 stays with the relay.
+PAIR_SOURCE = 4
+TRIPLE_SOURCE = 5
+_SOURCE_STATES = tuple(
+    [_State(tuple(a * b for a in half.amps for b in half.amps), 2)
+     for half in (*_RECTILINEAR_STATES, *_DIAGONAL_STATES)]
+    + [_BELL_STATES[0], _GHZ_STATE])
+
+# Fields of a slot outcome, in order: eve's read on alice's path and on
+# bob's, alice's bit (her kept qubit in the relay step), bob's bit, the
+# relay's retained qubit, and the relay step's pair outcome, by its index
+# in BELL_ORDER.
+EVE_A, EVE_B, ALICE, BOB, SERVER, RELAY = range(6)
+
+_KERNELS: dict[tuple, tuple] = {}
+
+
+def slot_kernel(key: tuple) -> tuple:
+    """The exact outcome table of one slot, built on first use.
+
+    ``key`` is (source, tap_a, tap_b, basis, created): a source index; the
+    basis bit eve reads alice's and bob's photon in, None where she does not
+    read it; the parties' basis bit; and the created pair's index in
+    BELL_ORDER for a relay step, else None.  The relay step grafts the
+    created pair in front of the source's qubits.
+
+    The reads run in causal order: eve on alice's path, eve on bob's path;
+    alice reads her photon in ``basis``, or in a relay step measures the
+    created pair's second qubit against it in the pair basis and reads the
+    kept qubit rectilinearly; bob reads his photon in ``basis``; the relay
+    reads its retained qubit rectilinearly.  Every outcome of a read is
+    projected on with the same factor, so the squared lengths of the
+    projected vectors are exact integer weights, here divided by their gcd.
+
+    Returns (cumulative, total, outcomes) for
+    :meth:`RandomSource.categorical`, with ``cumulative`` None when one
+    outcome has all the weight; each outcome is a tuple over the fields
+    EVE_A .. RELAY, None where nothing read.
+    """
+    table = _KERNELS.get(key)
+    if table is None:
+        table = _KERNELS.setdefault(key, _build_kernel(*key))
+    return table
+
+
+def _build_kernel(source: int, tap_a: int | None, tap_b: int | None,
+                  basis: int, created: int | None) -> tuple:
+    state = _SOURCE_STATES[source]
+    party = BASIS_OF_BIT[basis]
+    # (field, qubit, basis) on the source's qubits; alice's photon is 0
+    reads = []
+    if tap_a is not None:
+        reads.append((EVE_A, 0, BASIS_OF_BIT[tap_a]))
+    if tap_b is not None:
+        reads.append((EVE_B, 1, BASIS_OF_BIT[tap_b]))
+    reads.append((BOB, 1, party))
+    if source == TRIPLE_SOURCE:
+        reads.append((SERVER, 2, _RECTILINEAR))
+    if created is None:
+        reads.append((ALICE, 0, party))
+    leaves = _read_leaves([([None] * 6, state.amps)], state.n, reads)
+    if created is not None:
+        # the relay step: graft the created pair in front, then read
+        front = _BELL_STATES[created].amps
+        grafted = [(fields, [f * a for f in front for a in vec])
+                   for fields, vec in leaves]
+        leaves = _read_leaves(grafted, state.n + 2,
+                              [(RELAY, (1, 2), None), (ALICE, 0, _RECTILINEAR)])
+
+    weights = [_weight(vec) for _, vec in leaves]
+    scale = gcd(*weights)
+    outcomes = tuple([tuple(fields) for fields, _ in leaves])
+    if len(outcomes) == 1:
+        return None, 1, outcomes
+    cumulative, total = [], 0
+    for weight in weights:
+        total += weight // scale
+        cumulative.append(total << 53)
+    return tuple(cumulative), total, outcomes
+
+
+def _read_leaves(leaves: list, n: int, reads: list) -> list:
+    """Project every leaf (fields, vector) onto each outcome of each read in
+    turn, keeping the nonzero projections with the result in its field;
+    a read (RELAY, (first, second), None) is a pair-basis read."""
+    for field, qubit, basis in reads:
+        grown = []
+        for fields, vec in leaves:
+            if basis is None:
+                projections = _project_pair(vec, n, *qubit)
+                results = range(4)
+            else:
+                projections = _project_qubit(vec, n, qubit, basis)
+                results = (0, 1)
+            for result, projection in zip(results, projections):
+                if any(projection):
+                    child = fields.copy()
+                    child[field] = result
+                    grown.append((child, projection))
+        leaves = grown
+    return leaves
 
 
 # ---------------------------------------------------------------------------

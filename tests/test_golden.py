@@ -107,28 +107,28 @@ def oracle_digest(case, fmt: str, tmp_path) -> str:
 
 
 GOLDEN_SCENARIOS = {
-    'base-intercept': {'csv': 'b7c3d51b97104db94a1562059fe775d83900632b89b1d54eebb671f3c1f6ffa5', 'json': '3acdba94505316cc61fcf418044f7a6c26e030508af5f476dded960b2c4e4e3b'},
-    'base-none': {'csv': 'd55ffdd45f7a0c38011f1ae0a94f62db7f4622f7f112a348237d167afd9cd1fe', 'json': 'e3c144f72fbb6d50744653fded76a11024117c257bfde2892f7c836df5941007'},
-    'base-pns': {'csv': '6fc0f9fd0293fa9737e61780468a0a43db181001c6a46994ae787bd97bed01d1', 'json': 'ff24132f88b8bc13fda823d6e390cc4b6e0f3499d8e445c60ba33df2c885b6c8'},
-    'base-server_ghz': {'csv': 'cb96f464ef1b4d483b183cb9f476c1cbfb79ae4da03f2a09ba575fc0c0c080d3', 'json': 'd356a42cf3caea5e99aa658e9b76547377e910073357cdf8eb2be978c99f2041'},
-    'base-server_product': {'csv': 'ce5dd104e2a3058bf2795dc28366d949dd70e2234b1640a74e82d2d48dad928d', 'json': '70eca675e189eb91dbe42f8cb9d32c9198b2b106cf25e223190c9a80ba4b74f2'},
-    'base-subset': {'csv': '401bb354e38e09d7450bd1b2f7bb543d922f9db17a420d9e8d7134ddb2d42608', 'json': '0dd38ea4004e3a5a989f897931ae35b39fdd81f49ad9cee8c3dffdf8acb8e8eb'},
-    'fixed-basis-intercept': {'csv': 'a886e458c49b2f775d8cbe5c4cbb04a4e47d166d990ca55a116bc433bc373249', 'json': '7d2204b2c3f38238be7ccdd03c676d1271c93d225a84728de50ab496349170f0'},
-    'lossy-pns': {'csv': 'c70411e46e532c816b19b7abe66fc40fd0f1d7d1fb4df647ed48f0568f5c5fb9', 'json': '1fc9b5540a63f13caee3347a74183d2b1c2adb251480e5639131a280a7f290bf'},
-    'paper-base-none': {'csv': 'fb4171159b8fbdb9159c1f6db23e9a261d1bdd67beeccb680a062ea5892efcd9', 'json': '32289de458536e5beb07cd91af5e8cb1bf2939138ed1c161d0a101bf74cd4ba4'},
-    'paper-base-subset': {'csv': '09b7bb92908ab014d7ca85096685dc80f61247374f8dc1ddeb76341ba36414f6', 'json': '09fb66586d1a08e653896438d0834eff625bbd69a3dbc7f2f991315a7550201e'},
-    'paper-swap-composed-lossy-pns': {'csv': '503faef3e450554fb54a52d2bf26873ff1a37dcb33c988d0e7928365a7368e8f', 'json': '1b3507765ca239a058e59bd89da8e49e20fff375b84231a85d924b2168b4a7ee'},
-    'paper-swap-composed-none': {'csv': 'eb299c4751de7d7e7651f814c26d18b8e82b1d30f7fc5c27e94d360668935535', 'json': 'be6ad226f169059e451bebca7be6f6973807f549807e18a10414aa5aedef4d1e'},
-    'paper-swap-composed-server_ghz': {'csv': 'a3ef1ecdea33702eb62fc91bca03d335f799bb43a3b1cdc095e6a245223696ce', 'json': 'f88bb7da727f89e320a392a7706c64dafdabb5008b1e4db17cb009a85ce4e525'},
-    'realtime-intercept': {'csv': '3931cd8ff52978cef5fdc4d505e00184977e0c09730fa26cb4c8ccf62e7dfc5a', 'json': 'fa0d20c36d89a20891d48ca5465d2907a3a5ec6e85d28403b9f127b50cac5fee'},
-    'swap-composed-intercept': {'csv': 'e997062a0abea27b1e3f24887e94ac461df64a25124f820bbd7737a317e63ac2', 'json': '528ba89d9da4b98bab7bee9707e126f50d066379ff3694b730921c9de6f1dee3'},
-    'swap-composed-none': {'csv': '52191db49f5599954f0a9808f4ba392aa8a8d7434bce7e630796a8b91063dc8e', 'json': 'c5219bd2a357bb1d09102dbaf14e3624a66127581b137b0c8c60106e4b60cd93'},
-    'swap-composed-pns': {'csv': '8c8f0a2b9fef60444749a355679a3e0577c815dd0f4490f213fc81e9dcc7209c', 'json': 'e17883ca4deb5faaf6e5d588e4e07ae492039e6d84eec39895c61aa66b59bbad'},
-    'swap-composed-server_ghz': {'csv': 'c977748ce89c8933e87da5f0c38bea4f17cf51c8efd7bf8bc51e85e8f5774364', 'json': 'bc10a2472e62e8fd35f389797a79937b1219078774ff3bd64a6c4801ce5573eb'},
-    'swap-composed-server_product': {'csv': '0e888acfd006ae5212a2d8657fe998a85593541e269de05c02fef1c8673f529b', 'json': '9925b05080401aa8e30ca6a98f75856aa0af1c2518e4bb780ecab76bdd355dfc'},
-    'swap-composed-subset': {'csv': '1eea5cc5ed104796ae8db923379f6e11c60ea1f1468296422f77abf6dbb2ca0b', 'json': '6886c6a71fc0ea18a3ec4a65e172861bd3200a1ca6de8d7869e9ef7136e7ee00'},
-    'swap-measured-none': {'csv': '7adb7f32156bb447f7df406645dc43e9e6169d58a073cf4fa5453d18e76f9a03', 'json': '79c04cc3c452e23e1c9b3e0076a027e5d89c947c189f5be495055d02773084c2'},
-    'swap-measured-server_product': {'csv': '9a5b45c546e935f55b102fe24617e4de30cc31dacadfc748738cf2180d82cd3a', 'json': '3f03ac07ea005fec73a6b4dba47ba4a4f497062ac31e9876cf7b14f34534a3fd'},
+    'base-intercept': {'csv': '44afd29abbd9c578d33fec21540d21eab76057b9c3f444ca357bae863fd127b4', 'json': '4583c7d23458be0754de31da3a9b5c6c152b8570c8325c7377561868d0107c95'},
+    'base-none': {'csv': '13f0ab0daefdaebcdb3a899a04cbd95d144748642229be9b30b31433d3ac7ef0', 'json': 'eaa1244612518f2b13d803eedb9a70cad1c773e4d43ea50c4225e1355a1da50e'},
+    'base-pns': {'csv': 'ef6112c5a7f9f125794d9fa667b85991e3aa971fb5d152d13865f19e2a14cbd5', 'json': '121b0f129703bef9ca40d4772d60d03ef186a12d10f9b1382cad00131a13dcb9'},
+    'base-server_ghz': {'csv': 'e623bcd3f9cf173e6fd778f08e232b5116fda48980f780f2f4bc689ac972a8a7', 'json': '0b9d1bcfc22ba87cec5c360c32403a0409550e03663846fb21d2b6a66de33fa7'},
+    'base-server_product': {'csv': 'fc81a0cf6e0e8b9abcf89eb92cf9f3654e8321888d7132a74ff7176f44c1b5cb', 'json': '3f54b08661ab2a03d4654f17cd2336cd5ddeffb52f912396834b52d92e8cf9ce'},
+    'base-subset': {'csv': '9c265fe0e16613bab6fbeb3504ff50958ff66e00ce57290114acac21d948bd75', 'json': '6915c6693d75df382f4675478ba6018f82fe69ffd859413ec31f4c4e2c08320a'},
+    'fixed-basis-intercept': {'csv': '78aba2c28acfd4684e4a01dd055203b9f43bd538213dc8794c2079fd5e5488ab', 'json': '7239a6355513b299ad68d733ed99895404a5eae742f6a4a8adbc29a56f086b2a'},
+    'lossy-pns': {'csv': '5c2dfd49094ca9f1a8184abe0aa259155dbf6fc60f16a669c23d09ae16ca61ec', 'json': '38b74baba5fb2b628c0371bc9726c0a57e55c426b3225a1d43e506b7f41da28f'},
+    'paper-base-none': {'csv': '1ac12db235045057f419188bb9d6dd5e7bf9e236c73925ce8370371e8170cc95', 'json': 'f7ed4b87d5406f50e2921f4f33242fe8d301727c14919861ce2f472195f9f819'},
+    'paper-base-subset': {'csv': '138e5228274c3a1d621e63fe567abe37343e983a9ead67d76d958e3c021bb52c', 'json': 'e18a34aa83d253b7e5442373537c0460d84f73b3030ed78f4366796c02e676f5'},
+    'paper-swap-composed-lossy-pns': {'csv': '011d24ded1aecf6192f608a88ae73d5623f58dfc499a80529a2ea5a0e0b3f40c', 'json': '957f31167e83d69951ed5af8fceaa06cdfc2a15adab13d48355b728edcb9da7f'},
+    'paper-swap-composed-none': {'csv': '82eb32f275702d7b022c004f57aa2554ce10d76fffd35bf2f8ab1858e41f2a5c', 'json': 'e2609a8a5d52fee7d2f1ef8454842c8fd0884d13905f547a4e87b8c9f13bd197'},
+    'paper-swap-composed-server_ghz': {'csv': '0346365010dbbca5dd7cb8f8ff4b256db468e05e8be64ad6309250c2da1af56f', 'json': 'cb053a1b16bbbdd75eee5f756d84783a74ac0795abbd3f11d7fb751004d32681'},
+    'realtime-intercept': {'csv': 'fb64b3b7801e0d5447c82f888347fd412f3f0162c811a4ca6da9b8e110fd3e5e', 'json': '0c98a8544d9fceb3dd4c1a34da36bba18f219af1b256be3b7a8bcdfa98ed3093'},
+    'swap-composed-intercept': {'csv': 'cb445368ed9eb118738d5dbd49f6a100f5aebc20f223d5098d207709e69d54a1', 'json': '00b0cd96110468ae690d5217658cfbdab77e3721e091cfb2f4657c2aa6a445ed'},
+    'swap-composed-none': {'csv': 'fb64b3b7801e0d5447c82f888347fd412f3f0162c811a4ca6da9b8e110fd3e5e', 'json': '99431987aefc50559b59899242b237f789151a545d120d7323bb5ee20d78e062'},
+    'swap-composed-pns': {'csv': 'fabd9d6cbb50aba1f20ee966d02c38ab738811053f1877b76c47588366a8bb54', 'json': '9816246344836ab8b9601b83474101aafe52f12aa6f5d72e5b06796af0ef7084'},
+    'swap-composed-server_ghz': {'csv': '5f34f089cb2dbacb69e464bf91ff74cccd9d2e04b58eed049f559cb563f960f8', 'json': '6308221a403860a0d3b72e4b0fef9d43adb280340deefaeabeaa77afd18950aa'},
+    'swap-composed-server_product': {'csv': 'aadc3f2788c75bba121f34713430f267d39837d7a0e98c286c2d9e89a2e53fca', 'json': 'b48efff593b86a6cf083ad32635e766d017a76b249b24641a8e4961aa573a80c'},
+    'swap-composed-subset': {'csv': 'fc8cf2b2cd67d49f6f6881a0aba75893906a5d67080ccc073ef67ec77c4cb0b0', 'json': '8c958ef004b687d0c1b9246240b1ff38f3ee1ae50df5dd2a7c29cbfa3f876750'},
+    'swap-measured-none': {'csv': 'a05ccafda5bf722d2ab1b3f69154295488e6d5b071e539cf5a8674e82ee9e81f', 'json': '43cf1aed9098194171debbc4fcd226b3982e2780cb3c03e504976e9ee5515b95'},
+    'swap-measured-server_product': {'csv': '99f5f04a686cd3bbd633e4c79720b8406ba5402b4a68c1df96465f3a7c35dc13', 'json': '8c864b0cd72c4cfd0001f78a05977e1290438bcc3c9394cb8f124ebfbccfffdb'},
 }
 
 GOLDEN_VERIFY_TABLES = '8adf12990ececaf152d0a51585b3c5d1caf89d49879075788606723d00bee0bd'
@@ -175,6 +175,36 @@ def test_scenario_report_digests(name):
     report = run_scenario(parse_scenario(SCENARIOS[name]))
     assert report.all_pass, report.failures()
     assert scenario_digests(report) == GOLDEN_SCENARIOS[name]
+
+
+def test_sessions_sample_only_the_slot_kernels(monkeypatch):
+    # The per-slot kernels are the one session sampler.  With the kernel
+    # cache emptied, the per-photon path patched to raise everywhere it is
+    # bound (photon slots, streams, taps, the relay step, single-qubit and
+    # pair measurement, grafting), every pinned scenario still reproduces
+    # its digests: its kernels are built and sampled without any of them.
+    import qauthsim
+    from qauthsim import adversary, channel, harness, protocol, qsim
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a session took the per-photon path")
+
+    names = ("build_streams", "apply_tap", "alice_swap_step",
+             "measure_in_basis", "measure_bell")
+    for module in (qauthsim, qsim, channel, adversary, protocol, harness):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(channel.PhotonSlot, "__init__", refuse)
+    monkeypatch.setattr(qsim.StateRegister, "extend_front", refuse)
+    saved = dict(qsim._KERNELS)
+    qsim._KERNELS.clear()
+    try:
+        for name, doc in sorted(SCENARIOS.items()):
+            report = run_scenario(parse_scenario(doc))
+            assert scenario_digests(report) == GOLDEN_SCENARIOS[name], name
+    finally:
+        qsim._KERNELS.update(saved)
 
 
 def test_verify_tables_digest():

@@ -377,7 +377,9 @@ def test_swap_alice_abort_leaves_no_key_material():
     assert aborted.swap_records is None
     assert aborted.alice_key_bits is None
     assert aborted.token is None
-    # the responder never measured either
+    # the responder never measured either: no bits, no error count, no line
+    assert aborted.bob_key_bits is None
+    assert aborted.bob_tamper_errors is None
     assert all(party != "bob" for _, party, _ in aborted.events.entries)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,14 +122,12 @@ ALL_SOURCES = [
 ]
 
 
-class _FixedDraw:
-    """Stands in for a RandomSource whose next uniform draw is ``u``."""
+class _FixedDraw(RandomSource):
+    """A RandomSource whose every uniform draw is ``u``: the draw rule
+    (``RandomSource.categorical``) is the package's own."""
 
     def __init__(self, u):
-        self.u = u
-
-    def uniform(self):
-        return self.u
+        self._rng = SimpleNamespace(random=lambda: u)
 
 
 # --- preparation and composition ----------------------------------------------
@@ -646,6 +645,186 @@ def test_swap_enumerate_matches_reference_projection():
 def test_swap_enumerate_rejects_bad_inputs():
     with pytest.raises(ValueError):
         swap_enumerate(BellLabel.PHI_PLUS, SourceKind.PRODUCT, product_bit=2)
+
+
+# --- the per-slot kernels against the reference ---------------------------------
+
+_TAPS = (None, 0, 1)  # eve reads nothing, rectilinear, diagonal
+_PAIR, _TRIPLE = qsim.PAIR_SOURCE, qsim.TRIPLE_SOURCE
+
+
+def _reachable_kernel_keys():
+    """Every (source, tap_a, tap_b, basis, created) key a session can
+    build.  Detection slots carry twin photons (source 2 * basis + value)
+    read in their own basis, under any tap.  An honest key slot carries the
+    pair, under any tap, in either key basis (base mode) or with each
+    created pair grafted on (swap mode, rectilinear key basis).  A relay
+    compromise runs no tap: its planted twins (in the key basis) or triple
+    are read untapped."""
+    keys = {(twin, a, b, twin >> 1, None)
+            for twin in range(4) for a in _TAPS for b in _TAPS}
+    keys |= {(_PAIR, a, b, basis, None)
+             for a in _TAPS for b in _TAPS for basis in (0, 1)}
+    keys |= {(_TRIPLE, None, None, basis, None) for basis in (0, 1)}
+    keys |= {(_PAIR, a, b, 0, created)
+             for a in _TAPS for b in _TAPS for created in range(4)}
+    keys |= {(source, None, None, 0, created)
+             for source in (0, 1, _TRIPLE) for created in range(4)}
+    return keys
+
+
+REACHABLE_KEYS = sorted(_reachable_kernel_keys(), key=repr)
+
+
+def _kernel_source_vec(source):
+    if source == _PAIR:
+        return list(BELL_VECS[BellLabel.PHI_PLUS])
+    if source == _TRIPLE:
+        return _source_vec(SourceKind.GHZ, None)
+    half = QUBIT_VECS[BASIS_OF_BIT_REF[source >> 1]][source & 1]
+    return _kron(half, half)
+
+
+BASIS_OF_BIT_REF = (MeasBasis.RECTILINEAR, MeasBasis.DIAGONAL)
+
+
+def _reference_slot(key):
+    """The slot's joint outcome distribution by textbook projectors in
+    exact rationals, read in causal order: eve on each path, alice, bob,
+    the relay's retained qubit.  Outcomes are tuples over the kernel's
+    fields (eve_a, eve_b, alice, bob, server, relay index)."""
+    source, tap_a, tap_b, basis, created = key
+    state = _kernel_source_vec(source)
+    alice = 0
+    if created is not None:
+        state = _kron(BELL_VECS[BELL_ORDER[created]], state)
+        alice = 2
+    n = len(state).bit_length() - 1
+    party = BASIS_OF_BIT_REF[basis]
+    # (field, qubits, eigenvectors); a result is the eigenvector's index
+    reads = []
+    if tap_a is not None:
+        reads.append((0, (alice,), QUBIT_VECS[BASIS_OF_BIT_REF[tap_a]]))
+    if tap_b is not None:
+        reads.append((1, (alice + 1,), QUBIT_VECS[BASIS_OF_BIT_REF[tap_b]]))
+    if created is None:
+        reads.append((2, (alice,), QUBIT_VECS[party]))
+    else:
+        reads.append((5, (1, alice), [BELL_VECS[label] for label in BELL_ORDER]))
+        reads.append((2, (0,), QUBIT_VECS[MeasBasis.RECTILINEAR]))
+    reads.append((3, (alice + 1,), QUBIT_VECS[party]))
+    if source == _TRIPLE:
+        reads.append((4, (alice + 2,), QUBIT_VECS[MeasBasis.RECTILINEAR]))
+    norm = sum(Fraction(a) ** 2 for a in state)
+    leaves = [([None] * 6, [Fraction(a) for a in state])]
+    for field, qubits, vecs in reads:
+        grown = []
+        for fields, vec in leaves:
+            for result, eigen in enumerate(vecs):
+                post = _projector_apply(vec, n, qubits, eigen)
+                if any(post):
+                    grown.append((fields[:field] + [result] + fields[field + 1:], post))
+        leaves = grown
+    return {tuple(fields): sum(a * a for a in vec) / norm for fields, vec in leaves}
+
+
+def _kernel_distribution(key):
+    cumulative, total, outcomes = qsim.slot_kernel(key)
+    if cumulative is None:
+        assert len(outcomes) == 1
+        return {outcomes[0]: Fraction(1)}
+    steps = [c >> 53 for c in cumulative]
+    assert steps[-1] == total and len(steps) == len(outcomes)
+    assert all(c == step << 53 for c, step in zip(cumulative, steps))
+    weights = [hi - lo for lo, hi in zip([0] + steps, steps)]
+    assert all(w > 0 for w in weights)
+    assert len(set(outcomes)) == len(outcomes)
+    return {out: Fraction(w, total) for out, w in zip(outcomes, weights)}
+
+
+@pytest.mark.parametrize("key", REACHABLE_KEYS, ids=repr)
+def test_kernel_table_equals_reference_projections(key):
+    # cell by cell, in exact rationals: every outcome the kernel can draw
+    # has the reference probability, and it draws every possible outcome
+    assert _kernel_distribution(key) == _reference_slot(key)
+
+
+def _marginal(dist, fields):
+    out: dict[tuple, Fraction] = {}
+    for outcome, pr in dist.items():
+        cell = tuple(outcome[f] for f in fields)
+        out[cell] = out.get(cell, Fraction(0)) + pr
+    return out
+
+
+_SWAP_SOURCES = {0: (SourceKind.PRODUCT, 0), 1: (SourceKind.PRODUCT, 1),
+                 _PAIR: (SourceKind.ENTANGLED_PHI_PLUS, 0),
+                 _TRIPLE: (SourceKind.GHZ, 0)}
+
+
+@pytest.mark.parametrize("created", BELL_ORDER, ids=BellLabel.short)
+@pytest.mark.parametrize("source", sorted(_SWAP_SOURCES))
+def test_untapped_relay_kernels_match_swap_enumerate(source, created):
+    # the relay-step kernel on an untapped key slot against the oracle:
+    # each pair outcome's probability, and given it the joint of the kept
+    # qubit, bob's photon and the relay's retained qubit
+    kind, bit = _SWAP_SOURCES[source]
+    table = swap_enumerate(created, kind, product_bit=bit)
+    dist = _kernel_distribution((source, None, None, 0, BELL_ORDER.index(created)))
+    fields = (2, 3, 4) if source == _TRIPLE else (2, 3)
+    for index, out in enumerate(table.outcomes):
+        given = {cell[1:]: pr for cell, pr in _marginal(dist, (5, *fields)).items()
+                 if cell[0] == index}
+        assert sum(given.values()) == out.probability
+        if out.probability:
+            assert {cell: pr / out.probability for cell, pr in given.items()} == out.joint
+
+
+@pytest.mark.parametrize("key", [key for key in REACHABLE_KEYS
+                                 if key[4] is None and key[1:3] == (None, None)],
+                         ids=repr)
+def test_untapped_kernels_match_basis_distribution(key):
+    # each party's bit on an untapped slot has the marginal the engine's
+    # basis_distribution gives for its photon of the source register
+    source, _, _, basis, _ = key
+    register = StateRegister(_kernel_source_vec(source))
+    dist = _kernel_distribution(key)
+    for field, qubit in ((2, 0), (3, 1)):
+        want = basis_distribution(register, qubit, BASIS_OF_BIT_REF[basis])
+        got = _marginal(dist, (field,))
+        assert [got.get((b,), Fraction(0)) for b in (0, 1)] == list(want)
+
+
+_KEY_SCENARIOS = [
+    {"session": {"k": 3, "d": 4, "mode": mode, **extra}, "attack": attack}
+    for mode, extra in (("base", {}), ("base", {"key_basis": "diagonal"}),
+                        ("swap", {"belief_rule": "composed"}))
+    for attack in (
+        {"kind": "none"}, {"kind": "server_product"}, {"kind": "server_ghz"},
+        {"kind": "intercept_resend", "path": "both"},
+        {"kind": "intercept_resend", "path": "to_alice"},
+        {"kind": "intercept_resend", "path": "to_bob"},
+        {"kind": "intercept_resend", "basis_choice": "fixed",
+         "fixed_basis": "diagonal", "location_knowledge": "realtime"},
+        {"kind": "pns", "path": "both"},
+        {"kind": "subset_guess", "guess_count": 3})]
+
+
+def test_sessions_build_exactly_the_reachable_kernels():
+    # every kernel a session builds is one the tests above check, and
+    # sessions of every attack, mode and key basis build all of them
+    from qauthsim.harness import parse_scenario, run_scenario
+
+    saved = dict(qsim._KERNELS)
+    qsim._KERNELS.clear()
+    try:
+        for doc in _KEY_SCENARIOS:
+            run_scenario(parse_scenario({"seed": 5, "trials": 40,
+                                         "photon": {"p1": 0.5}, **doc}))
+        built = set(qsim._KERNELS)
+    finally:
+        qsim._KERNELS.update(saved)
+    assert built == set(REACHABLE_KEYS), (built ^ set(REACHABLE_KEYS))
 
 
 # --- slots, randomness, arbitrary registers ---------------------------------------
