@@ -12,7 +12,7 @@ prepared identically on both paths.
 
 Sessions draw only the loss marks here (:func:`draw_loss`); each slot's
 photons are then sampled whole from its kernel (see
-:func:`~qauthsim.qsim.slot_kernel`).  The per-photon objects and loops —
+:func:`~qauthsim.qsim.slot_kernels`).  The per-photon objects and loops —
 :class:`PhotonSlot`, :class:`QuantumStream`, :func:`build_streams`,
 :func:`apply_loss` and :func:`apply_tap` — are off the session path: a
 reference the tests drive directly.

@@ -21,7 +21,7 @@ at step 4 in BASE mode; in SWAP mode the responder runs it at 5d, after the
 token exists, and only if the initiator passed.
 
 :func:`run_session` samples every slot whole, with one draw from its exact
-kernel (:func:`~qauthsim.qsim.slot_kernel`), and assembles both parties'
+kernel (:func:`~qauthsim.qsim.slot_kernels`), and assembles both parties'
 bits, the relay steps and the event log from the outcomes.  The
 per-photon relay step :func:`alice_swap_step` is off the session path.
 """
@@ -33,14 +33,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from hashlib import sha256
-from itertools import chain, repeat
-from operator import add, eq, is_, ne, rshift
+from itertools import repeat
+from operator import eq, ne
 from typing import NamedTuple
 
 from .adversary import AttackConfig, AttackKind, EveState, draw_taps
 from .channel import Path, PhotonCountModel, PhotonSlot, draw_loss
 from .qsim import (
-    _KERNELS,
     ALICE,
     BASIS_OF_BIT,
     BELL_ORDER,
@@ -59,7 +58,7 @@ from .qsim import (
     measure_bell,
     measure_in_basis,
     prepare_bell,
-    slot_kernel,
+    slot_kernels,
 )
 
 class ProtocolMode(Enum):
@@ -162,7 +161,7 @@ class SessionPlan:
     """The relay's layout.  ``decoys`` maps each detection slot's position
     to its (value, basis), the argument order of ``prepare_polarized``;
     ``twin_sources`` holds each detection slot's kernel source index,
-    2 * basis bit + value (see :func:`~qauthsim.qsim.slot_kernel`)."""
+    2 * basis bit + value (see :func:`~qauthsim.qsim.slot_kernels`)."""
 
     config: SessionConfig
     tamper: TamperSpec
@@ -177,8 +176,8 @@ class SessionPlan:
     @cached_property
     def twin_sources(self) -> tuple[int, ...]:
         tamper = self.tamper
-        diagonal = tuple(map(is_, tamper.bases, repeat(_DIAGONAL)))
-        return tuple(map(add, map(add, diagonal, diagonal), tamper.values))
+        return tuple([2 * (basis is _DIAGONAL) + value
+                      for basis, value in zip(tamper.bases, tamper.values)])
 
     @property
     def total_slots(self) -> int:
@@ -352,12 +351,10 @@ def run_session(cfg: SessionConfig, attack: AttackConfig | None,
     default to ideal (exactly one photon per slot, no loss).
 
     Draw order: the plan, the loss marks (a lost photon ends the session
-    there), the adversary's session-level draws (:func:`draw_taps`), then
-    the detection slots and the key slots, each in position order.  A key
-    slot first draws the relay's planted bit or the created pair's label
-    where it has one.  Every slot then takes one categorical draw from its
-    exact kernel (:func:`~qauthsim.qsim.slot_kernel`), or none where the
-    kernel has a single outcome.  All reads of a slot come from that one
+    there, before any slot is read), the adversary's session-level draws
+    (:func:`draw_taps`), then the slots (:func:`_read_slots`): the key
+    slots' planted bits or created pair labels, and one categorical draw
+    per slot from its exact kernel.  All reads of a slot come from that one
     draw, so a party's bits exist before its step; in SWAP mode the
     responder's bits are reported only once the initiator has passed.
     """
@@ -438,7 +435,7 @@ def run_session(cfg: SessionConfig, attack: AttackConfig | None,
 
 def _read_slots(plan: SessionPlan, eve: EveState, taps: tuple,
                 rand: RandomSource) -> tuple[list, list, list]:
-    """Every slot's joint outcome (see :func:`~qauthsim.qsim.slot_kernel`):
+    """Every slot's joint outcome (see :func:`~qauthsim.qsim.slot_kernels`):
     the detection slots', the key slots' and the key slots' created pair
     labels (None outside SWAP mode), each in position order.
 
@@ -448,60 +445,67 @@ def _read_slots(plan: SessionPlan, eve: EveState, taps: tuple,
     Eve's reads and the compromised relay's record go on ``eve``."""
     cfg = plan.config
     tamper, key_positions = plan.tamper, plan.key_positions
-    k = cfg.k
+    k, d = cfg.k, cfg.d
     key_basis = int(cfg.key_basis is MeasBasis.DIAGONAL)
     kind = eve.kind
     if kind is AttackKind.SERVER_PRODUCT:
         # the relay plants twin photons carrying a bit it records
         planted = rand.bits(k)
         eve.server_record.update(zip(key_positions, planted))
-        sources = [2 * key_basis + bit for bit in planted]
+        key_sources = [2 * key_basis + bit for bit in planted]
     elif kind is AttackKind.SERVER_GHZ:
-        sources = [TRIPLE_SOURCE] * k
+        key_sources = [TRIPLE_SOURCE] * k
     else:
-        sources = [PAIR_SOURCE] * k
+        key_sources = [PAIR_SOURCE] * k
     if cfg.mode is ProtocolMode.SWAP:
         created = [rand.randbelow(4) for _ in key_positions]
     else:
         created = [None] * k
 
     # each slot's kernel key (source, tap_a, tap_b, basis, created), built
-    # column by column in position order, detection slots first
+    # column by column, detection slots first
     positions = tamper.positions + key_positions
     twins = plan.twin_sources
-    columns = [twins + tuple(sources)]
-    for row in taps:
-        columns.append(map(row.__getitem__, positions) if row else repeat(None))
-    columns.append(chain(map(rshift, twins, repeat(1)), repeat(key_basis, k)))
-    columns.append(chain(repeat(None, cfg.d), created))
-    keys = list(zip(*columns))
-    tables = list(map(_KERNELS.get, keys))
-    if None in tables:
-        tables = list(map(slot_kernel, keys))
+    tap_a, tap_b = [map(row.__getitem__, positions) if row else repeat(None)
+                    for row in taps]
+    keys = list(zip(twins + tuple(key_sources), tap_a, tap_b,
+                    [source >> 1 for source in twins] + [key_basis] * k,
+                    [None] * d + created))
     categorical = rand.categorical
     outs = [outcomes[categorical(cumulative, total)] if cumulative
-            else outcomes[0] for cumulative, total, outcomes in tables]
+            else outcomes[0]
+            for cumulative, total, outcomes in slot_kernels(keys)]
 
-    for path, row, field in ((_TO_ALICE, taps[0], EVE_A), (_TO_BOB, taps[1], EVE_B)):
+    for path, row, field in ((_TO_ALICE, taps[0], EVE_A),
+                             (_TO_BOB, taps[1], EVE_B)):
         if row is not None:
             for p, out in zip(positions, outs):
                 basis = row[p]
                 if basis is not None:
                     eve.measured[(path, p)] = (out[field], BASIS_OF_BIT[basis])
     if kind is AttackKind.SERVER_GHZ:
-        eve.server_record.update(zip(key_positions, [out[SERVER] for out in outs[cfg.d:]]))
-    return outs[:cfg.d], outs[cfg.d:], created
+        eve.server_record.update(zip(key_positions,
+                                     [out[SERVER] for out in outs[d:]]))
+    return outs[:d], outs[d:], created
 
 
+def _key_rule(rule: BeliefRule) -> tuple:
+    """By created label and pair outcome (indices in BELL_ORDER) and by
+    kept bit: the believed label and the key bit under ``rule``."""
+    table = []
+    for created in BELL_ORDER:
+        row = []
+        for outcome in BELL_ORDER:
+            believed = believed_state(created, outcome, rule)
+            row.append(tuple([(believed, derive_key_bit(believed, kept))
+                              for kept in (0, 1)]))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+_KEY_RULES = {rule: _key_rule(rule) for rule in BeliefRule}
 # short names of the pair labels, in BELL_ORDER
 _SHORT_NAMES = tuple([label.short() for label in BELL_ORDER])
-# per belief rule, by created label, pair outcome (indices in BELL_ORDER)
-# and kept bit: the believed label and the key bit
-_KEY_RULES = {rule: tuple([tuple([tuple([
-    (believed_state(created, outcome, rule),
-     derive_key_bit(believed_state(created, outcome, rule), kept))
-    for kept in (0, 1)]) for outcome in BELL_ORDER]) for created in BELL_ORDER])
-    for rule in BeliefRule}
 
 
 def _relay_step(position: int, created: int, out: tuple, key_rule: tuple,

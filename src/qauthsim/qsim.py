@@ -11,9 +11,9 @@ projection's squared length over the sum of those lengths for all the
 outcomes, an exact ratio of integers.
 
 Two projection helpers (:func:`_project_qubit`, :func:`_project_pair`)
-serve every use, and every draw goes through one exact rule,
+serve every use, and every measurement outcome is drawn by one exact rule,
 :meth:`RandomSource.categorical`.  Sessions sample from per-slot kernels
-(:func:`slot_kernel`): given the relay's layout and the adversary's
+(:func:`slot_kernels`): given the relay's layout and the adversary's
 session-level draws, each slot is an independent register of at most five
 qubits, and the joint outcome of all its reads is one categorical draw from
 an exact table of integer weights, built once per key by the helpers.  The
@@ -464,32 +464,37 @@ EVE_A, EVE_B, ALICE, BOB, SERVER, RELAY = range(6)
 _KERNELS: dict[tuple, tuple] = {}
 
 
-def slot_kernel(key: tuple) -> tuple:
-    """The exact outcome table of one slot, built on first use.
+def slot_kernels(keys: Sequence[tuple]) -> list[tuple]:
+    """The exact outcome table of each slot key, in order, each built on
+    first use.
 
-    ``key`` is (source, tap_a, tap_b, basis, created): a source index; the
+    A key is (source, tap_a, tap_b, basis, created): a source index; the
     basis bit eve reads alice's and bob's photon in, None where she does not
     read it; the parties' basis bit; and the created pair's index in
     BELL_ORDER for a relay step, else None.  The relay step grafts the
     created pair in front of the source's qubits.
 
-    The reads run in causal order: eve on alice's path, eve on bob's path;
-    alice reads her photon in ``basis``, or in a relay step measures the
-    created pair's second qubit against it in the pair basis and reads the
-    kept qubit rectilinearly; bob reads his photon in ``basis``; the relay
-    reads its retained qubit rectilinearly.  Every outcome of a read is
-    projected on with the same factor, so the squared lengths of the
-    projected vectors are exact integer weights, here divided by their gcd.
+    The reads: eve reads each photon she taps; alice reads her photon in
+    ``basis``, or in a relay step measures the created pair's second qubit
+    against it in the pair basis and reads the kept qubit rectilinearly;
+    bob reads his photon in ``basis``; the relay reads its retained qubit
+    rectilinearly.  Eve's read of a photon comes before its party's.
+    Reads of distinct qubits commute, so the table is built with alice's
+    reads last, the created pair grafted on just before them.  Every
+    outcome of a read is projected on with the same factor, so the squared
+    lengths of the projected vectors are exact integer weights, here
+    divided by their gcd.
 
     Returns (cumulative, total, outcomes) for
     :meth:`RandomSource.categorical`, with ``cumulative`` None when one
     outcome has all the weight; each outcome is a tuple over the fields
     EVE_A .. RELAY, None where nothing read.
     """
-    table = _KERNELS.get(key)
-    if table is None:
-        table = _KERNELS.setdefault(key, _build_kernel(*key))
-    return table
+    tables = list(map(_KERNELS.get, keys))
+    if None in tables:
+        tables = [table or _KERNELS.setdefault(key, _build_kernel(*key))
+                  for key, table in zip(keys, tables)]
+    return tables
 
 
 def _build_kernel(source: int, tap_a: int | None, tap_b: int | None,

@@ -729,7 +729,7 @@ def _reference_slot(key):
 
 
 def _kernel_distribution(key):
-    cumulative, total, outcomes = qsim.slot_kernel(key)
+    cumulative, total, outcomes = qsim.slot_kernels([key])[0]
     if cumulative is None:
         assert len(outcomes) == 1
         return {outcomes[0]: Fraction(1)}
