@@ -20,15 +20,17 @@ an exact table of integer weights, built once per key by the helpers.  The
 relay-step oracle (:func:`swap_enumerate`) projects onto every outcome with
 the same helpers and reports exact :class:`fractions.Fraction` values.
 
-:class:`StateRegister` with :func:`measure_in_basis`/:func:`measure_bell`
-is the reference the kernels are tested against, and is off the session
-path.  A register points at a shared, immutable state that carries the
-edges out of it, built by the same helpers on first use: per measurement
-an outcome table of cumulative weights with one child state per outcome,
-and per constant front the grafted state.  A measurement draws once from
-that table and moves to the child.  Prepared registers start at
-module-constant states; a constructor-built register starts a graph of
-its own, which dies with it.
+:class:`StateRegister` is off the session path: through
+:func:`basis_distribution` and :func:`swap_enumerate` it is the reference
+the kernels are tested against, and :func:`measure_in_basis` and
+:func:`measure_bell` sample registers that tests build.  A register
+points at a shared, immutable state that carries the edges out of it,
+built by the same helpers on first use: per measurement an outcome table
+of cumulative weights with one child state per outcome, and per constant
+front the grafted state.  A measurement draws once from that table and
+moves to the child.  Prepared registers start at module-constant states;
+a constructor-built register starts a graph of its own, which dies with
+it.
 
 Index convention: qubit 0 is the leftmost tensor factor, so basis index
 ``i`` assigns qubit ``q`` the bit ``(i >> (n - 1 - q)) & 1``.  Pair-basis
@@ -461,6 +463,8 @@ _SOURCE_STATES = tuple(
 # in BELL_ORDER.
 EVE_A, EVE_B, ALICE, BOB, SERVER, RELAY = range(6)
 
+# Tables by key.  Each is a pure function of its key and immutable, so one
+# process-wide memo serves every caller alike.
 _KERNELS: dict[tuple, tuple] = {}
 
 

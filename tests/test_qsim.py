@@ -650,6 +650,7 @@ def test_swap_enumerate_rejects_bad_inputs():
 # --- the per-slot kernels against the reference ---------------------------------
 
 _TAPS = (None, 0, 1)  # eve reads nothing, rectilinear, diagonal
+BASIS_OF_BIT_REF = (MeasBasis.RECTILINEAR, MeasBasis.DIAGONAL)
 _PAIR, _TRIPLE = qsim.PAIR_SOURCE, qsim.TRIPLE_SOURCE
 
 
@@ -683,9 +684,6 @@ def _kernel_source_vec(source):
         return _source_vec(SourceKind.GHZ, None)
     half = QUBIT_VECS[BASIS_OF_BIT_REF[source >> 1]][source & 1]
     return _kron(half, half)
-
-
-BASIS_OF_BIT_REF = (MeasBasis.RECTILINEAR, MeasBasis.DIAGONAL)
 
 
 def _reference_slot(key):
