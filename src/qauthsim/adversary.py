@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import eq
 from typing import TYPE_CHECKING
 
 # The relay-compromise emitters reach build_streams through its module, not
@@ -87,6 +88,10 @@ class LocationKnowledge(Enum):
 
 
 _TAP_KINDS = (AttackKind.INTERCEPT_RESEND, AttackKind.SUBSET_GUESS, AttackKind.PNS)
+# Aliases: hot paths compare members by identity without the class lookup.
+_INTERCEPT_RESEND, _SUBSET_GUESS, _PNS = _TAP_KINDS
+_RANDOM_PER_SLOT = BasisChoice.RANDOM_PER_SLOT
+_REALTIME = LocationKnowledge.REALTIME
 
 
 @dataclass(frozen=True)
@@ -236,17 +241,17 @@ def draw_taps(eve: EveState, plan: "SessionPlan", photon: PhotonCountModel,
     if kind not in _TAP_KINDS:
         return None, None
     total = plan.total_slots
-    if kind is AttackKind.SUBSET_GUESS:
+    realtime = attack.location_knowledge is _REALTIME
+    if kind is _SUBSET_GUESS:
         targets = rand.sample_positions(total, attack.guess_count)
-    elif attack.location_knowledge is LocationKnowledge.REALTIME:
+    elif realtime:
         # decrypted control traffic names the detection slots
         targets = plan.key_positions
     else:
         targets = range(total)
-    counted = kind is AttackKind.PNS and photon.p1 < 1.0
-    blind = (kind is AttackKind.INTERCEPT_RESEND
-             and attack.location_knowledge is not LocationKnowledge.REALTIME)
-    random_basis = blind and attack.basis_choice is BasisChoice.RANDOM_PER_SLOT
+    counted = kind is _PNS and photon.p1 < 1.0
+    blind = kind is _INTERCEPT_RESEND and not realtime
+    random_basis = blind and attack.basis_choice is _RANDOM_PER_SLOT
     basis = attack.fixed_basis if blind else plan.config.key_basis
     bit = int(basis is MeasBasis.DIAGONAL)
     reads: dict[Path, list] = {}
@@ -295,30 +300,33 @@ class KnowledgeReport:
         return len(self.certain_positions)
 
 
+_NO_KNOWLEDGE = KnowledgeReport((), None)
+
+
 def eve_knowledge_report(outcome: "SessionOutcome") -> KnowledgeReport:
     """Certainty is claimed only where the simulation guarantees it: a direct
     measurement in the very basis the parties use (direct-readout mode only),
     or a split photon at a key slot measured once bases are public.  Relay
     compromises are scored separately by the key slots where the relay's
     record equals the responder's bit; the relay records every key slot."""
-    from .protocol import ProtocolMode
-
     eve, plan = outcome.eve, outcome.plan
+    if not (eve.measured or eve.split_positions or eve.server_record):
+        return _NO_KNOWLEDGE  # honest sessions, and every lost stream
     cfg = plan.config
-    key_set = set(plan.key_positions)
     certain: set[int] = set()
-    if cfg.mode is ProtocolMode.BASE:
-        for (_path, pos), (_bit, basis) in eve.measured.items():
-            if pos in key_set and basis is cfg.key_basis:
-                certain.add(pos)
-        for _path, pos in eve.split_positions:
-            if pos in key_set:
-                certain.add(pos)
+    # protocol imports this module, so the mode is read by its value
+    if cfg.mode.value == "base":
+        key_set = set(plan.key_positions)
+        key_basis = cfg.key_basis
+        certain.update([pos for (_path, pos), (_bit, basis) in eve.measured.items()
+                        if basis is key_basis and pos in key_set])
+        certain.update([pos for _path, pos in eve.split_positions
+                        if pos in key_set])
 
     copy_hits: int | None = None
     if eve.server_record and outcome.bob_key_bits is not None:
-        bob_at = dict(zip(plan.key_positions, outcome.bob_key_bits))
-        copy_hits = sum(1 for pos, bit in eve.server_record.items()
-                        if bob_at.get(pos) == bit)
+        # the relay records every key slot, and only those
+        copy_hits = sum(map(eq, map(eve.server_record.get, plan.key_positions),
+                            outcome.bob_key_bits))
 
     return KnowledgeReport(tuple(sorted(certain)), copy_hits)

@@ -29,6 +29,9 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
+from typing import NamedTuple
 
 from .adversary import (
     AttackConfig,
@@ -208,13 +211,7 @@ def load_scenario(text: str) -> ScenarioSpec:
 
 # --- trial records and aggregates ------------------------------------------------
 
-TRIAL_FIELDS = ("trial", "status", "alice_tamper_error_rate",
-                "bob_tamper_error_rate", "key_match_fraction", "token_accepted",
-                "eve_key_knowledge", "server_copy_match", "event_log_digest")
-
-
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     trial: int
     status: str
     alice_tamper_error_rate: float | None
@@ -226,7 +223,10 @@ class TrialResult:
     event_log_digest: str
 
     def to_row(self) -> dict:
-        return {name: getattr(self, name) for name in TRIAL_FIELDS}
+        return dict(zip(TRIAL_FIELDS, self))
+
+
+TRIAL_FIELDS = TrialResult._fields
 
 
 @dataclass(frozen=True)
@@ -511,75 +511,99 @@ def _subset_terms(k: int, d: int, g: int,
 
 # --- scenario execution -----------------------------------------------------------
 
+# The metrics a trial can count, in the order it counts them.  A report
+# lists its metrics by first use, trial by trial, then its predictions.
+_TALLIED = ("accept_rate", "alice_tamper_error_rate", "bob_tamper_error_rate",
+            "key_match_fraction", "eve_key_knowledge", "server_copy_match",
+            "evasion_rate", "evasion_rate_vs_approx", "subset_success")
+(_ACCEPT, _ALICE, _BOB, _MATCH, _KNOWLEDGE, _COPY, _EVASION, _EVASION_APPROX,
+ _SUBSET) = range(len(_TALLIED))
+
+
 def run_scenario(spec: ScenarioSpec) -> AggregateReport:
     cfg = spec.session
     attack = spec.attack
     kind = attack.kind if attack else AttackKind.NONE
     tapped = attack.path.channel_paths() if kind in _TAP_KINDS else ()
+    k, d = cfg.k, cfg.d
+    seed, photon, p_loss = spec.seed, spec.photon, spec.p_loss
+    checks = tuple([_CHECKS[path] for path in tapped or _CHECKS])
+    approx = kind is AttackKind.PNS and len(tapped) == 1
+    subset = kind is AttackKind.SUBSET_GUESS
+    accept = SessionStatus.AUTH_ACCEPT
 
-    # metric -> [hits, n], both ints, so tallies merge exactly in any order
-    tallies: dict[str, list[int]] = {}
-
-    def bump(name: str, hits: int, n: int = 1) -> None:
-        # created on first use, which fixes the metric order
-        tally = tallies.get(name)
-        if tally is None:
-            tally = tallies[name] = [0, 0]
-        tally[0] += hits
-        tally[1] += n
-
+    # per tallied metric: hits and samples, both ints, so tallies merge
+    # exactly in any order, and the trial that first counted it
+    hits = [0] * len(_TALLIED)
+    samples = [0] * len(_TALLIED)
+    first = [0] * len(_TALLIED)
     trial_results: list[TrialResult] = []
     for trial in range(spec.trials):
-        rand = RandomSource(spec.seed, trial)
-        out = run_session(cfg, attack, rand, photon=spec.photon,
-                          p_loss=spec.p_loss)
+        rand = RandomSource(seed, trial)
+        out = run_session(cfg, attack, rand, photon=photon, p_loss=p_loss)
         report = eve_knowledge_report(out)
+        certain, copy_hits = report.certain, report.copy_hits
 
         # bools count as 0 or 1
-        bump("accept_rate", out.status is SessionStatus.AUTH_ACCEPT)
-        if out.alice_tamper_errors is not None and cfg.d > 0:
-            bump("alice_tamper_error_rate", out.alice_tamper_errors, cfg.d)
-        if out.bob_tamper_errors is not None and cfg.d > 0:
-            bump("bob_tamper_error_rate", out.bob_tamper_errors, cfg.d)
+        hits[_ACCEPT] += out.status is accept
+        hits[_KNOWLEDGE] += certain
+        alice_errors = out.alice_tamper_errors
+        if alice_errors is not None and d:
+            if not samples[_ALICE]:
+                first[_ALICE] = trial
+            hits[_ALICE] += alice_errors
+            samples[_ALICE] += d
+        bob_errors = out.bob_tamper_errors
+        if bob_errors is not None and d:
+            if not samples[_BOB]:
+                first[_BOB] = trial
+            hits[_BOB] += bob_errors
+            samples[_BOB] += d
         matches = out.key_matches()
         if matches is not None:
-            bump("key_match_fraction", matches, cfg.k)
-        bump("eve_key_knowledge", report.certain, cfg.k)
-        if report.copy_hits is not None:
-            bump("server_copy_match", report.copy_hits, cfg.k)
-
-        evaded = _evaded(out, tapped)
+            if not samples[_MATCH]:
+                first[_MATCH] = trial
+            hits[_MATCH] += matches
+            samples[_MATCH] += k
+        if copy_hits is not None:
+            if not samples[_COPY]:
+                first[_COPY] = trial
+            hits[_COPY] += copy_hits
+            samples[_COPY] += k
+        evaded = _evaded(out, checks)
         if evaded is not None:
-            bump("evasion_rate", evaded)
-            if kind is AttackKind.PNS and len(tapped) == 1:
-                bump("evasion_rate_vs_approx", evaded)
-            if kind is AttackKind.SUBSET_GUESS:
-                bump("subset_success", evaded and report.certain == cfg.k)
+            if not samples[_EVASION]:
+                first[_EVASION] = first[_EVASION_APPROX] = first[_SUBSET] = trial
+            hits[_EVASION] += evaded
+            samples[_EVASION] += 1
+            if approx:
+                hits[_EVASION_APPROX] += evaded
+                samples[_EVASION_APPROX] += 1
+            if subset:
+                hits[_SUBSET] += evaded and certain == k
+                samples[_SUBSET] += 1
 
         trial_results.append(TrialResult(
-            trial=trial,
-            status=out.status.value,
-            alice_tamper_error_rate=out.alice_tamper_error_rate,
-            bob_tamper_error_rate=out.bob_tamper_error_rate,
-            key_match_fraction=None if matches is None else matches / cfg.k,
-            token_accepted=out.token_matched,
-            eve_key_knowledge=report.certain / cfg.k,
-            server_copy_match=(None if report.copy_hits is None
-                               else report.copy_hits / cfg.k),
-            event_log_digest=out.events.digest(),
-        ))
+            trial, out.status.value, out.alice_tamper_error_rate,
+            out.bob_tamper_error_rate,
+            None if matches is None else matches / k, out.token_matched,
+            certain / k, None if copy_hits is None else copy_hits / k,
+            out.events.digest()))
+    samples[_ACCEPT] = spec.trials
+    samples[_KNOWLEDGE] = spec.trials * k
 
+    used = sorted([i for i in range(len(_TALLIED)) if samples[i]],
+                  key=lambda i: (first[i], i))
+    tallies = {_TALLIED[i]: (hits[i], samples[i]) for i in used}
     predictions = analytic_predictions(spec)
     names = list(tallies)
-    for name in predictions:
-        if name not in names:
-            names.append(name)
+    names += [name for name in predictions if name not in tallies]
     metrics = []
     for name in names:
-        hits, n = tallies.get(name, (0, 0))
+        count, n = tallies.get(name, (0, 0))
         analytic, note = predictions.get(name, (None, None))
         graded = name != "evasion_rate_vs_approx"
-        metrics.append(_summarize(name, hits, n, analytic, note, graded))
+        metrics.append(_summarize(name, count, n, analytic, note, graded))
 
     return AggregateReport(
         seed=spec.seed, trials=spec.trials, mode=cfg.mode.value,
@@ -587,19 +611,22 @@ def run_scenario(spec: ScenarioSpec) -> AggregateReport:
         attack_kind=kind.value, metrics=metrics, trial_results=trial_results)
 
 
-def _evaded(out, tapped: tuple[Path, ...]) -> bool | None:
-    """Did every tapped party's check run and pass?  None when a needed
-    check never ran (lost stream, or the session aborted first)."""
+# each path's party, and the outcome field of that party's error count
+_CHECKS = {Path.TO_ALICE: ("alice", attrgetter("alice_tamper_errors")),
+           Path.TO_BOB: ("bob", attrgetter("bob_tamper_errors"))}
+
+
+def _evaded(out, checks: tuple) -> bool | None:
+    """Did every tapped party's check run and pass?  ``checks`` holds the
+    ``_CHECKS`` entry of each tapped path, of both when nothing taps.  None
+    when a needed check never ran (lost stream, or the session aborted
+    first)."""
     if out.status is SessionStatus.INCOMPLETE_STREAM:
         return None
-    checks = {Path.TO_ALICE: ("alice", out.alice_tamper_errors),
-              Path.TO_BOB: ("bob", out.bob_tamper_errors)}
-    paths = tapped or (Path.TO_ALICE, Path.TO_BOB)
-    for path in paths:
-        party, errors = checks[path]
+    for party, errors in checks:
         if party in out.failed_checks:
             return False
-        if errors is None:
+        if errors(out) is None:
             return None
     return True
 
@@ -617,36 +644,64 @@ def _fmt(value) -> str:
 
 
 def _json_value(value) -> str:
-    if isinstance(value, dict):
-        inner = ",".join(f"{json.dumps(k)}:{_json_value(v)}"
-                         for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_json_value(v) for v in value) + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    # no value is both a scalar and a container, so the scalars a report
+    # holds most go first
     if isinstance(value, float):
         # JSON has no inf or nan: a failing exact metric's sigma distance
         return "%.17g" % value if math.isfinite(value) else "null"
-    if value is None or isinstance(value, (int, str)):
-        return json.dumps(value)
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)  # as json.dumps writes it
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, dict):
+        inner = ",".join([(encode_basestring_ascii(k) if isinstance(k, str)
+                           else json.dumps(k)) + ":" + _json_value(v)
+                          for k, v in value.items()])
+        return "{" + inner + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join([_json_value(v) for v in value]) + "]"
+    if isinstance(value, int):
+        return int.__repr__(value)  # as json.dumps writes it
     raise TypeError(f"cannot render {type(value).__name__} as JSON")
+
+
+# a trial row as a JSON object: its field names are fixed, its values cells
+_JSON_ROW = "{" + ",".join([encode_basestring_ascii(name).replace("%", "%%")
+                            + ":%s" for name in TRIAL_FIELDS]) + "}"
+_CSV_COMMAS = len(TRIAL_FIELDS) - 1
+
+
+def _json_row(trial: TrialResult) -> str:
+    return _JSON_ROW % tuple([_json_value(value) for value in trial])
+
+
+def _csv_row(trial) -> str:
+    """A trial row's cells (:func:`_fmt`) as ``csv.writer`` writes them,
+    less the line end.  The writer quotes a cell holding a comma, a quote
+    or a line break; a row with such a cell goes through it."""
+    cells = [_fmt(value) for value in trial]
+    line = ",".join(cells)
+    if line.count(",") == _CSV_COMMAS and '"' not in line and "\n" not in line:
+        return line
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()[:-1]
+
+
+_CSV_HEADER = _csv_row(TRIAL_FIELDS)
 
 
 def render_report(report: AggregateReport, out_format: str) -> str:
     if out_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(TRIAL_FIELDS)
-        for trial in report.trial_results:
-            row = trial.to_row()
-            writer.writerow([_fmt(row[name]) for name in TRIAL_FIELDS])
-        return buf.getvalue()
-    if out_format == "json":
-        lines = [_json_value(t.to_row()) for t in report.trial_results]
-        lines.append(_json_value(report.aggregate_row()))
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown report format {out_format!r}")
+        lines = [_CSV_HEADER, *map(_csv_row, report.trial_results)]
+    elif out_format == "json":
+        lines = [*map(_json_row, report.trial_results),
+                 _json_value(report.aggregate_row())]
+    else:
+        raise ValueError(f"unknown report format {out_format!r}")
+    return "\n".join(lines) + "\n"
 
 
 def emit_report(report: AggregateReport, out_format: str,

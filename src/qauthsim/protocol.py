@@ -22,8 +22,11 @@ token exists, and only if the initiator passed.
 
 :func:`run_session` samples every slot whole, with one draw from its exact
 kernel (:func:`~qauthsim.qsim.slot_kernels`), and assembles both parties'
-bits, the relay steps and the event log from the outcomes.  The
-per-photon relay step :func:`alice_swap_step` is off the session path.
+bits, the relay steps and the event log from the outcomes.  What a session
+does that depends only on its scenario (the fixed log lines, the tamper
+check's verdict per error count, the relay lines per position) is built
+once per scenario into a session program.  The per-photon relay step
+:func:`alice_swap_step` is off the session path.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from hashlib import sha256
-from itertools import repeat
-from operator import eq, ne
+from itertools import chain, filterfalse
+from operator import add, eq, itemgetter, ne
 from typing import NamedTuple
 
 from .adversary import AttackConfig, AttackKind, EveState, draw_taps
@@ -127,7 +130,6 @@ class SessionConfig:
 # basis by its value, without the Enum constructor's lookup, and back
 _BASES = {basis.value: basis for basis in MeasBasis}
 _BASIS_VALUES = {basis: value for value, basis in _BASES.items()}
-_DIAGONAL = MeasBasis.DIAGONAL
 _TO_ALICE, _TO_BOB = Path.TO_ALICE, Path.TO_BOB
 _IDEAL_SOURCE = PhotonCountModel()
 
@@ -158,26 +160,21 @@ class TamperSpec:
 
 @dataclass(frozen=True)
 class SessionPlan:
-    """The relay's layout.  ``decoys`` maps each detection slot's position
-    to its (value, basis), the argument order of ``prepare_polarized``;
-    ``twin_sources`` holds each detection slot's kernel source index,
-    2 * basis bit + value (see :func:`~qauthsim.qsim.slot_kernels`)."""
+    """The relay's layout.  ``twin_sources`` holds each detection slot's
+    kernel source index, 2 * basis bit + value (see
+    :func:`~qauthsim.qsim.slot_kernels`); ``decoys`` maps each detection
+    slot's position to its (value, basis), the argument order of
+    ``prepare_polarized``."""
 
     config: SessionConfig
     tamper: TamperSpec
     key_positions: tuple[int, ...]
+    twin_sources: tuple[int, ...]
 
-    # each built on first use
     @cached_property
     def decoys(self) -> dict[int, tuple[int, MeasBasis]]:
         tamper = self.tamper
         return dict(zip(tamper.positions, zip(tamper.values, tamper.bases)))
-
-    @cached_property
-    def twin_sources(self) -> tuple[int, ...]:
-        tamper = self.tamper
-        return tuple([2 * (basis is _DIAGONAL) + value
-                      for basis, value in zip(tamper.bases, tamper.values)])
 
     @property
     def total_slots(self) -> int:
@@ -191,11 +188,13 @@ def plan_session(cfg: SessionConfig, rand: RandomSource) -> SessionPlan:
     total = cfg.total_slots
     positions = rand.sample_positions(total, cfg.d)
     drawn = rand.bits(2 * cfg.d)
-    bases = tuple([BASIS_OF_BIT[b] for b in drawn[::2]])
-    taken = set(positions)
-    key_positions = tuple([p for p in range(total) if p not in taken])
-    return SessionPlan(cfg, TamperSpec(positions, bases, drawn[1::2]),
-                       key_positions)
+    basis_bits, values = drawn[::2], drawn[1::2]
+    bases = tuple(map(BASIS_OF_BIT.__getitem__, basis_bits))
+    key_positions = tuple(filterfalse(set(positions).__contains__, range(total)))
+    # 2 * basis bit + value, as b + b + v
+    twins = tuple(map(add, map(add, basis_bits, basis_bits), values))
+    return SessionPlan(cfg, TamperSpec(positions, bases, values),
+                       key_positions, twins)
 
 
 def believed_state(created: BellLabel, outcome: BellLabel,
@@ -227,7 +226,7 @@ def authenticate(token: tuple[int, ...], receiver_bits: tuple[int, ...]) -> bool
         raise ValueError("empty token")
     if len(receiver_bits) < len(token):
         raise ValueError("receiver has fewer key bits than the token reveals")
-    return all(t == r for t, r in zip(token, receiver_bits))
+    return all(map(eq, token, receiver_bits))
 
 
 def tamper_check(observed: tuple[int, ...], expected: tuple[int, ...],
@@ -352,141 +351,271 @@ def run_session(cfg: SessionConfig, attack: AttackConfig | None,
 
     Draw order: the plan, the loss marks (a lost photon ends the session
     there, before any slot is read), the adversary's session-level draws
-    (:func:`draw_taps`), then the slots (:func:`_read_slots`): the key
-    slots' planted bits or created pair labels, and one categorical draw
-    per slot from its exact kernel.  All reads of a slot come from that one
-    draw, so a party's bits exist before its step; in SWAP mode the
-    responder's bits are reported only once the initiator has passed.
+    (:func:`draw_taps`), then the slots: the key slots' planted bits or
+    created pair labels, and one categorical draw per slot from its exact
+    kernel.  All reads of a slot come from that one draw, so a party's bits
+    exist before its step; in SWAP mode the responder's bits are reported
+    only once the initiator has passed.
+
+    What depends only on the scenario (cfg, attack, photon, p_loss) is
+    built once into a :class:`_SessionProgram` and reused by every session
+    of that scenario; the draws are the same either way.
     """
-    log = EventLog()
-    eve = EveState(attack)
-    log.add("1", "alice", f"request k={cfg.k} d={cfg.d} mode={cfg.mode.value}")
+    return _program(cfg, attack, photon or _IDEAL_SOURCE, p_loss).run(
+        cfg, attack, rand)
 
-    plan = plan_session(cfg, rand)
-    total = plan.total_slots
-    # step 2: the relay sends each party the layout, which both read from
-    # ``plan.tamper``; step 3: it emits one photon per slot on each path
-    for party in ("alice", "bob"):
-        log.add("2", "server", f"tamper spec sent to {party}")
-    for party in ("alice", "bob"):
-        log.add("3", "server", f"emitted {total} slots to {party}")
-    lost = draw_loss(total, p_loss, rand)
-    if lost:
-        log.add("3", "server", f"lost slots {lost}")
-        return SessionOutcome(SessionStatus.INCOMPLETE_STREAM, plan,
-                              eve=eve, events=log)
 
-    taps = draw_taps(eve, plan, photon or _IDEAL_SOURCE, rand)
-    decoys, keys, created = _read_slots(plan, eve, taps, rand)
-    swap_mode = cfg.mode is ProtocolMode.SWAP
-    tamper = plan.tamper
-    key_positions = plan.key_positions
+# Programs by scenario.  A run of trials passes the same config objects
+# each time, so the last program used is found by identity first: hashing
+# the frozen configs costs about as much as a short session's log.
+_PROGRAMS: dict[tuple, "_SessionProgram"] = {}
+_MAX_PROGRAMS = 256
+_last_program: tuple = (None,) * 5
 
-    outcome = SessionOutcome(SessionStatus.TAMPER_ABORT, plan, eve=eve, events=log)
 
-    def arrival(party: str, step: str, field: int, read_keys: bool) -> bool:
+def _program(cfg: SessionConfig, attack: AttackConfig | None,
+             photon: PhotonCountModel, p_loss: float) -> "_SessionProgram":
+    global _last_program
+    last_cfg, last_attack, last_photon, last_loss, program = _last_program
+    if (cfg is last_cfg and attack is last_attack and photon is last_photon
+            and p_loss == last_loss):
+        return program
+    key = (cfg, attack, photon, p_loss)
+    program = _PROGRAMS.get(key)
+    if program is None:
+        if len(_PROGRAMS) >= _MAX_PROGRAMS:
+            _PROGRAMS.clear()
+        program = _PROGRAMS[key] = _SessionProgram(cfg, attack, photon, p_loss)
+    _last_program = (*key, program)
+    return program
+
+
+# a slot outcome's field, as a function
+_READ = tuple(map(itemgetter, range(RELAY + 1)))
+# kernel basis bit of each twin source (2 * basis bit + value), and the
+# kernel key of an untapped detection slot by its source
+_TWIN_BASIS = (0, 0, 1, 1)
+_UNTAPPED_DECOY_KEYS = tuple([(source, None, None, basis, None)
+                              for source, basis in enumerate(_TWIN_BASIS)])
+_MATCH_LINES = {matched: f"token match={matched}" for matched in (False, True)}
+
+
+class _SessionProgram:
+    """What every session of one scenario shares, built once: the log
+    lines that hold no drawn value, the tamper check's verdict and log line
+    for each error count (from :func:`tamper_check`), the kernel-key
+    columns that hold no drawn value, and in SWAP mode the relay lines of
+    each position by drawn value.  Kernel tables are looked up per session
+    through :func:`~qauthsim.qsim.slot_kernels`; :meth:`run` makes the
+    draws :func:`run_session` documents, in its order."""
+
+    __slots__ = ("photon", "p_loss", "k", "d", "total", "revealed", "swap",
+                 "planted", "ghz", "request", "preamble", "checks",
+                 "threshold", "key_sources", "planted_source", "key_bases",
+                 "nones", "decoy_nones", "key_rule", "positions")
+
+    def __init__(self, cfg: SessionConfig, attack: AttackConfig | None,
+                 photon: PhotonCountModel, p_loss: float) -> None:
+        k, d, total = cfg.k, cfg.d, cfg.total_slots
+        self.photon, self.p_loss = photon, p_loss
+        self.k, self.d, self.total, self.revealed = k, d, total, cfg.revealed
+        self.swap = cfg.mode is ProtocolMode.SWAP
+        kind = attack.kind if attack is not None else AttackKind.NONE
+        self.request = f"request k={k} d={d} mode={cfg.mode.value}"
+        # step 2: the relay sends each party the layout, which both read
+        # from ``plan.tamper``; step 3: it emits one photon per slot on each
+        # path
+        parties = ("alice", "bob")
+        self.preamble = tuple(
+            [("2", "server", f"tamper spec sent to {party}") for party in parties]
+            + [("3", "server", f"emitted {total} slots to {party}")
+               for party in parties])
+        # by error count, each built on first use (see ``check``)
+        self.threshold = cfg.error_threshold
+        self.checks = [None] * (d + 1)
+
+        key_basis = int(cfg.key_basis is MeasBasis.DIAGONAL)
+        self.planted = kind is AttackKind.SERVER_PRODUCT
+        self.ghz = kind is AttackKind.SERVER_GHZ
+        # the relay's planted product pairs: source 2 * key basis + bit
+        self.planted_source = 2 * key_basis
+        self.key_sources = (TRIPLE_SOURCE if self.ghz else PAIR_SOURCE,) * k
+        self.key_bases = (key_basis,) * k
+        # the tap and created-label columns of a slot that has none
+        self.nones = (None,) * total
+        self.decoy_nones = (None,) * d
+        self.key_rule = self.positions = None
+        if self.swap:
+            self.key_rule = _KEY_RULES[cfg.belief_rule]
+            # each relay line starts with its position
+            self.positions = tuple([f"pos={p} " for p in range(total)])
+
+    def run(self, cfg: SessionConfig, attack: AttackConfig | None,
+            rand: RandomSource) -> SessionOutcome:
+        log = EventLog()
+        add = log.add
+        eve = EveState(attack)
+        add("1", "alice", self.request)
+        plan = plan_session(cfg, rand)
+        for step, party, text in self.preamble:
+            add(step, party, text)
+        lost = draw_loss(self.total, self.p_loss, rand)
+        if lost:
+            add("3", "server", f"lost slots {lost}")
+            return SessionOutcome(SessionStatus.INCOMPLETE_STREAM, plan,
+                                  eve=eve, events=log)
+
+        taps = draw_taps(eve, plan, self.photon, rand)
+        decoys, keys, created = self.read_slots(plan, eve, taps, rand)
+        values = plan.tamper.values
+        swap = self.swap
+        bob_errors = bob_key = token = matched = records = None
+
+        # step 4: arrival checks; in BASE mode both parties also read their keys
+        alice_errors, passed, alice_key = self.arrival(
+            add, "4", "alice", ALICE, decoys, None if swap else keys, values)
+        failed = () if passed else ("alice",)
+        if not swap:
+            bob_errors, bob_passed, bob_key = self.arrival(
+                add, "4", "bob", BOB, decoys, keys, values)
+            if not bob_passed:
+                failed += ("bob",)
+                passed = False
+
+        if passed:
+            # step 5 (relay sub-steps 5a-5c per key slot in SWAP mode), the token
+            if swap:
+                records = self.relay(add, plan.key_positions, created, keys)
+                alice_key = tuple([r.key_bit for r in records])
+            token = make_token(alice_key, self.revealed)
+            add("5", "alice", "token=" + _bits(token))  # in clear: no shared key
+            if swap:
+                # step 5d: the responder measures nothing until the token exists
+                bob_errors, passed, bob_key = self.arrival(
+                    add, "5d", "bob", BOB, decoys, keys, values)
+                if not passed:
+                    failed += ("bob",)
+
+        if passed:
+            matched = authenticate(token, bob_key)
+            status = (SessionStatus.AUTH_ACCEPT if matched
+                      else SessionStatus.AUTH_REJECT)
+            add("6", "bob", _MATCH_LINES[matched])
+        else:
+            status = SessionStatus.TAMPER_ABORT
+            add("6", "server", "restart: tamper threshold exceeded")
+        return SessionOutcome(status, plan, alice_errors, bob_errors,
+                              alice_key, bob_key, token, matched, records,
+                              failed, eve, log)
+
+    def arrival(self, add, step: str, party: str, field: int, decoys: list,
+                keys: list | None, values: tuple) -> tuple:
         """One party's arrival check: its detection-slot bits, then its key
-        bits when ``read_keys``, each on a log line, then the tamper check.
-        Records the party's error count (and key bits) on the outcome."""
-        obs = tuple([out[field] for out in decoys])
-        log.add(step, party, f"measured obs={_bits(obs)}")
-        if read_keys:
-            key = tuple([out[field] for out in keys])
-            setattr(outcome, f"{party}_key_bits", key)
-            log.add(step, party, f"measured key={_bits(key)}")
-        passed, errors = tamper_check(obs, tamper.values, cfg.error_threshold)
-        setattr(outcome, f"{party}_tamper_errors", errors)
-        rate = _error_rate(errors, cfg.d)
-        log.add(step, party, f"tamper check rate={rate:.6f} pass={passed}")
-        if not passed:
-            outcome.failed_checks += (party,)
-        return passed
+        bits when ``keys`` is given, each on a log line, then the tamper
+        check.  Returns (errors, passed, key bits or None)."""
+        read = _READ[field]
+        obs = bytes(map(read, decoys))
+        add(step, party, "measured obs=" + obs.translate(_BIT_TEXT).decode())
+        key = None
+        if keys is not None:
+            key = tuple(map(read, keys))
+            add(step, party, "measured key=" + _bits(key))
+        errors = sum(map(ne, obs, values))
+        passed, line = self.checks[errors] or self.check(errors)
+        add(step, party, line)
+        return errors, passed, key
 
-    # step 4: arrival checks; in BASE mode both parties also read their keys
-    passed = arrival("alice", "4", ALICE, not swap_mode)
-    if not swap_mode:
-        passed = arrival("bob", "4", BOB, True) and passed
+    def check(self, errors: int) -> tuple[bool, str]:
+        """The tamper check's verdict at ``errors`` detection errors, and
+        its log line, kept for the sessions that follow."""
+        d = self.d
+        passed, _ = tamper_check((1,) * errors + (0,) * (d - errors), (0,) * d,
+                                 self.threshold)
+        rate = _error_rate(errors, d)
+        check = self.checks[errors] = (
+            passed, f"tamper check rate={rate:.6f} pass={passed}")
+        return check
 
-    if passed:
-        # step 5 (relay sub-steps 5a-5c per key slot in SWAP mode), the token
-        if swap_mode:
-            key_rule = _KEY_RULES[cfg.belief_rule]
-            records = tuple([_relay_step(p, label, out, key_rule, log)
-                             for p, label, out in zip(key_positions, created, keys)])
-            outcome.swap_records = records
-            outcome.alice_key_bits = tuple([r.key_bit for r in records])
-        token = make_token(outcome.alice_key_bits, cfg.revealed)
-        log.add("5", "alice", f"token={_bits(token)}")  # in clear: no shared key
-        outcome.token = token
-        if swap_mode:
-            # step 5d: the responder measures nothing until the token exists
-            passed = arrival("bob", "5d", BOB, True)
+    def read_slots(self, plan: SessionPlan, eve: EveState, taps: tuple,
+                   rand: RandomSource) -> tuple[list, list, list | None]:
+        """Every slot's joint outcome (see :func:`~qauthsim.qsim.slot_kernels`):
+        the detection slots', the key slots' and the key slots' created pair
+        labels (None outside SWAP mode), each in position order.
 
-    if passed:
-        matched = authenticate(outcome.token, outcome.bob_key_bits)
-        outcome.token_matched = matched
-        outcome.status = (SessionStatus.AUTH_ACCEPT if matched
-                          else SessionStatus.AUTH_REJECT)
-        log.add("6", "bob", f"token match={matched}")
-    else:
-        log.add("6", "server", "restart: tamper threshold exceeded")
-    return outcome
+        Draw order: the relay's planted bits (a product-pair compromise),
+        the created pair labels (SWAP mode), then one categorical draw per
+        slot, detection slots first, none where a kernel has a single
+        outcome.  Eve's reads and the compromised relay's record go on
+        ``eve``."""
+        key_positions = plan.key_positions
+        key_sources = self.key_sources
+        if self.planted:
+            # the relay plants twin photons carrying a bit it records
+            planted = rand.bits(self.k)
+            eve.server_record.update(zip(key_positions, planted))
+            key_sources = tuple([self.planted_source + bit for bit in planted])
+        created = None
+        nones = self.nones
+        if self.swap:
+            randbelow = rand.randbelow
+            created = [randbelow(4) for _ in key_positions]
 
+        # each slot's kernel key (source, tap_a, tap_b, basis, created),
+        # detection slots first, built column by column
+        twins = plan.twin_sources
+        tap_a, tap_b = taps
+        tapped = tap_a is not None or tap_b is not None
+        if tapped:
+            positions = plan.tamper.positions + key_positions
+            keys = list(zip(chain(twins, key_sources),
+                            *[map(row.__getitem__, positions) if row else nones
+                              for row in taps],
+                            chain(map(_TWIN_BASIS.__getitem__, twins),
+                                  self.key_bases),
+                            chain(self.decoy_nones, created) if created
+                            else nones))
+        else:
+            keys = list(map(_UNTAPPED_DECOY_KEYS.__getitem__, twins))
+            keys += zip(key_sources, nones, nones, self.key_bases,
+                        created or nones)
+        categorical = rand.categorical
+        outs = [outcomes[categorical(cumulative, total)] if cumulative
+                else outcomes[0]
+                for cumulative, total, outcomes in slot_kernels(keys)]
 
-def _read_slots(plan: SessionPlan, eve: EveState, taps: tuple,
-                rand: RandomSource) -> tuple[list, list, list]:
-    """Every slot's joint outcome (see :func:`~qauthsim.qsim.slot_kernels`):
-    the detection slots', the key slots' and the key slots' created pair
-    labels (None outside SWAP mode), each in position order.
+        if tapped:
+            for path, row, field in ((_TO_ALICE, tap_a, EVE_A),
+                                     (_TO_BOB, tap_b, EVE_B)):
+                if row is not None:
+                    for p, out in zip(positions, outs):
+                        basis = row[p]
+                        if basis is not None:
+                            eve.measured[(path, p)] = (out[field],
+                                                       BASIS_OF_BIT[basis])
+        d = self.d
+        if self.ghz:
+            eve.server_record.update(zip(key_positions,
+                                         [out[SERVER] for out in outs[d:]]))
+        return outs[:d], outs[d:], created
 
-    Draw order: the relay's planted bits (a product-pair compromise), the
-    created pair labels (SWAP mode), then one categorical draw per slot,
-    detection slots first, none where a kernel has a single outcome.
-    Eve's reads and the compromised relay's record go on ``eve``."""
-    cfg = plan.config
-    tamper, key_positions = plan.tamper, plan.key_positions
-    k, d = cfg.k, cfg.d
-    key_basis = int(cfg.key_basis is MeasBasis.DIAGONAL)
-    kind = eve.kind
-    if kind is AttackKind.SERVER_PRODUCT:
-        # the relay plants twin photons carrying a bit it records
-        planted = rand.bits(k)
-        eve.server_record.update(zip(key_positions, planted))
-        key_sources = [2 * key_basis + bit for bit in planted]
-    elif kind is AttackKind.SERVER_GHZ:
-        key_sources = [TRIPLE_SOURCE] * k
-    else:
-        key_sources = [PAIR_SOURCE] * k
-    if cfg.mode is ProtocolMode.SWAP:
-        created = [rand.randbelow(4) for _ in key_positions]
-    else:
-        created = [None] * k
-
-    # each slot's kernel key (source, tap_a, tap_b, basis, created), built
-    # column by column, detection slots first
-    positions = tamper.positions + key_positions
-    twins = plan.twin_sources
-    tap_a, tap_b = [map(row.__getitem__, positions) if row else repeat(None)
-                    for row in taps]
-    keys = list(zip(twins + tuple(key_sources), tap_a, tap_b,
-                    [source >> 1 for source in twins] + [key_basis] * k,
-                    [None] * d + created))
-    categorical = rand.categorical
-    outs = [outcomes[categorical(cumulative, total)] if cumulative
-            else outcomes[0]
-            for cumulative, total, outcomes in slot_kernels(keys)]
-
-    for path, row, field in ((_TO_ALICE, taps[0], EVE_A),
-                             (_TO_BOB, taps[1], EVE_B)):
-        if row is not None:
-            for p, out in zip(positions, outs):
-                basis = row[p]
-                if basis is not None:
-                    eve.measured[(path, p)] = (out[field], BASIS_OF_BIT[basis])
-    if kind is AttackKind.SERVER_GHZ:
-        eve.server_record.update(zip(key_positions,
-                                     [out[SERVER] for out in outs[d:]]))
-    return outs[:d], outs[d:], created
+    def relay(self, add, key_positions: tuple, created: list,
+              keys: list) -> tuple[SwapRecord, ...]:
+        """Steps 5a-5c at each key slot, from the slot's kernel outcome: the
+        pair outcome and the kept bit, and the key bit under the session's
+        belief rule."""
+        key_rule, positions = self.key_rule, self.positions
+        records = []
+        for position, label, out in zip(key_positions, created, keys):
+            outcome, kept = out[RELAY], out[ALICE]
+            believed, key_bit = key_rule[label][outcome][kept]
+            at = positions[position]
+            add("5a", "alice", at + _CREATED_TEXT[label])
+            add("5b", "alice", at + _OUTCOME_TEXT[outcome])
+            add("5c", "alice", at + _KEPT_TEXT[kept][key_bit])
+            records.append(SwapRecord(position, BELL_ORDER[label],
+                                      BELL_ORDER[outcome], kept, believed,
+                                      key_bit))
+        return tuple(records)
 
 
 def _key_rule(rule: BeliefRule) -> tuple:
@@ -504,19 +633,9 @@ def _key_rule(rule: BeliefRule) -> tuple:
 
 
 _KEY_RULES = {rule: _key_rule(rule) for rule in BeliefRule}
-# short names of the pair labels, in BELL_ORDER
-_SHORT_NAMES = tuple([label.short() for label in BELL_ORDER])
-
-
-def _relay_step(position: int, created: int, out: tuple, key_rule: tuple,
-                log: EventLog) -> SwapRecord:
-    """Steps 5a-5c at one key slot, from the slot's kernel outcome: the
-    pair outcome and the kept bit, and the key bit under ``key_rule``, an
-    entry of ``_KEY_RULES``."""
-    outcome, kept = out[RELAY], out[ALICE]
-    believed, key_bit = key_rule[created][outcome][kept]
-    log.add("5a", "alice", f"pos={position} created={_SHORT_NAMES[created]}")
-    log.add("5b", "alice", f"pos={position} outcome={_SHORT_NAMES[outcome]}")
-    log.add("5c", "alice", f"pos={position} kept={kept} key={key_bit}")
-    return SwapRecord(position, BELL_ORDER[created], BELL_ORDER[outcome],
-                      kept, believed, key_bit)
+# the relay lines after their position: the created label and the pair
+# outcome by index in BELL_ORDER, and the kept and key bits
+_CREATED_TEXT = tuple([f"created={label.short()}" for label in BELL_ORDER])
+_OUTCOME_TEXT = tuple([f"outcome={label.short()}" for label in BELL_ORDER])
+_KEPT_TEXT = tuple([tuple([f"kept={kept} key={key}" for key in (0, 1)])
+                    for kept in (0, 1)])

@@ -41,18 +41,19 @@ which makes the four labels a Klein four-group with PHI_PLUS as identity.
 from __future__ import annotations
 
 import hashlib
-import random
+from _random import Random as _MersenneTwister
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
 from math import gcd
 from operator import mul
 from typing import Sequence
 
 _MASK64 = (1 << 64) - 1
 _TWO53 = float(1 << 53)
+# each byte's top bit, as a byte
+_TOP_BIT = bytes([byte >> 7 for byte in range(256)])
 
 
 class MeasBasis(Enum):
@@ -142,13 +143,20 @@ class RandomSource:
         self.master_seed = master_seed & _MASK64
         self.stream_id = stream_id & _MASK64
         digest = hashlib.sha256(b"qauthsim/%d/%d" % (self.master_seed, self.stream_id)).digest()
-        self._rng = random.Random(int.from_bytes(digest, "big"))
+        # the C generator that random.Random extends, seeded as
+        # random.Random(seed) seeds it, without that class's Python frames
+        self._rng = _MersenneTwister(int.from_bytes(digest, "big"))
 
     def bit(self) -> int:
         return self._rng.getrandbits(1)
 
     def bits(self, count: int) -> tuple[int, ...]:
-        return tuple(map(self._rng.getrandbits, repeat(1, count)))
+        """``count`` draws of :meth:`bit`.  ``getrandbits(1)`` is the top bit
+        of one 32-bit output, and ``getrandbits(32 * count)`` packs
+        ``count`` outputs, the first least significant: the top bit of
+        every fourth byte, little-endian."""
+        packed = self._rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+        return tuple(packed[3::4].translate(_TOP_BIT))
 
     def uniform(self) -> float:
         return self._rng.random()

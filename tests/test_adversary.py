@@ -328,3 +328,19 @@ def test_honest_eve_state_is_empty():
     assert eve.kind is AttackKind.NONE
     assert not eve.measured and not eve.split_positions
     assert not eve.server_record
+
+
+def test_empty_knowledge_is_one_shared_report():
+    # honest sessions and lost streams hold no adversary record: each gets
+    # the same empty report, with the counts a full scan would give
+    from qauthsim.adversary import KnowledgeReport
+
+    honest = run_session(_cfg(), None, RandomSource(91, 0))
+    atk = AttackConfig(AttackKind.PNS, path=TapPath.BOTH)
+    lost = run_session(_cfg(), atk, RandomSource(91, 1),
+                       photon=PhotonCountModel(0.5), p_loss=0.5)
+    assert lost.status is SessionStatus.INCOMPLETE_STREAM
+    reports = [eve_knowledge_report(out) for out in (honest, lost)]
+    assert reports[0] is reports[1]
+    assert reports[0] == KnowledgeReport((), None)
+    assert (reports[0].certain, reports[0].copy_hits) == (0, None)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -14,9 +15,12 @@ from qauthsim import cli, harness
 from qauthsim.adversary import AttackKind, BasisChoice, LocationKnowledge, TapPath
 from qauthsim.cli import main, parse_probability
 from qauthsim.harness import (
+    AggregateReport,
     ScenarioError,
     ScenarioSpec,
     TRIAL_FIELDS,
+    TrialResult,
+    _fmt,
     _json_value,
     _summarize,
     load_scenario,
@@ -30,6 +34,19 @@ from qauthsim.protocol import BeliefRule, ProtocolMode, SessionConfig
 from qauthsim.qsim import MeasBasis, bell_compose
 from qauthsim.secparams import evasion_prob, pns_approx_evasion, pns_exact_evasion
 from test_golden import SCENARIOS as GOLDEN
+
+
+def _dumps(value) -> str:
+    """A report value as JSON through json.dumps, by the report's rules:
+    no spaces, floats to 17 significant digits, inf and nan as null."""
+    if isinstance(value, dict):
+        return "{" + ",".join(json.dumps(k) + ":" + _dumps(v)
+                              for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(_dumps, value)) + "]"
+    if isinstance(value, float):
+        return "%.17g" % value if math.isfinite(value) else "null"
+    return json.dumps(value)
 
 
 def _doc(**over):
@@ -298,6 +315,32 @@ class TestReports:
         assert _json_value({"x": 0.1}) == '{"x":0.10000000000000001}'
         assert json.loads(_json_value({"x": 0.1}))["x"] == 0.1
         assert _json_value([True, None, 3]) == "[true,null,3]"
+
+    def test_row_formatters_match_the_writers(self):
+        # every value type a row cell can hold, each in every column: the
+        # compiled row formatters against csv.writer over _fmt cells and
+        # _json_value over the row dict, and _json_value against json.dumps
+        values = [None, True, False, 0.0, 1 / 3, 7, "plain", -2.5e-300,
+                  2 ** 70, float("inf"), float("nan"), "a,b", 'say "hi"',
+                  "two\nlines", "cr\rtab\t", "na\u00efve 100%"]
+        plain = [0, "auth_accept", 0.0, None, 0.75, True, 0.25, None, "f00d"]
+        trials = [TrialResult(*plain[:column], value, *plain[column + 1:])
+                  for value in values for column in range(len(plain))]
+        report = AggregateReport(3, len(trials), "base", None, "none", [],
+                                 trials)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(TRIAL_FIELDS)
+        for trial in trials:
+            writer.writerow([_fmt(value) for value in trial])
+        assert render_report(report, "csv") == buf.getvalue()
+        lines = [_json_value(trial.to_row()) for trial in trials]
+        lines.append(_json_value(report.aggregate_row()))
+        assert render_report(report, "json") == "\n".join(lines) + "\n"
+        for trial in trials:
+            assert _json_value(trial.to_row()) == _dumps(trial.to_row())
+        nested = {"a": [1, 2.5, None, (True, "x")], 3: {"y": float("-inf")}}
+        assert _json_value(nested) == _dumps(nested)
 
     def test_none_is_empty_csv_cell(self):
         report = run_scenario(parse_scenario(_doc(trials=1)))

@@ -1,7 +1,7 @@
 """Session state machine: planning, key algebra, events, end-to-end runs."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,6 +97,15 @@ class TestPlanning:
             for i, pos in enumerate(tamper.positions)}
         assert list(plan.decoys) == list(tamper.positions)
         assert not set(plan.decoys) & set(plan.key_positions)
+
+    def test_twin_sources_field(self):
+        # a plain field that plan_session fills: 2 * basis bit + value
+        plan = plan_session(_cfg(k=3, d=9), RandomSource(5, 1))
+        assert "twin_sources" in {f.name for f in fields(plan)}
+        tamper = plan.tamper
+        assert plan.twin_sources == tuple(
+            2 * (basis is MeasBasis.DIAGONAL) + value
+            for basis, value in zip(tamper.bases, tamper.values))
 
     def test_deterministic(self):
         a = plan_session(_cfg(), RandomSource(3, 4))
@@ -341,6 +350,54 @@ def test_loss_gives_incomplete_stream():
     assert out.status is SessionStatus.INCOMPLETE_STREAM
     assert out.token is None
     assert out.alice_key_bits is None
+
+
+@pytest.mark.parametrize("p_loss", [1.0, -0.1])
+def test_bad_loss_raises_before_and_after_a_valid_session(p_loss):
+    # a scenario's session program is reused, and must not skip the check
+    cfg = _cfg(k=2, d=3)
+    with pytest.raises(ValueError):
+        run_session(cfg, None, RandomSource(34, 0), p_loss=p_loss)
+    run_session(cfg, None, RandomSource(34, 0), p_loss=0.25)
+    with pytest.raises(ValueError):
+        run_session(cfg, None, RandomSource(34, 0), p_loss=p_loss)
+
+
+def _session_record(out):
+    """Every field of an outcome, the event log by its entries."""
+    record = {f.name: getattr(out, f.name) for f in fields(out)}
+    record["events"] = out.events.entries
+    return record
+
+
+@pytest.mark.parametrize("mode,rule,attack", [
+    (ProtocolMode.BASE, None, "intercept_resend"),
+    (ProtocolMode.SWAP, BeliefRule.COMPOSED, "server_ghz"),
+    (ProtocolMode.SWAP, BeliefRule.MEASURED, "server_product"),
+    (ProtocolMode.BASE, None, "pns"),
+])
+def test_equal_configs_give_the_same_sessions(mode, rule, attack):
+    # configs that are equal but not the same objects share one program,
+    # and each outcome refers to the caller's own config objects
+    from qauthsim.adversary import AttackConfig, AttackKind, TapPath
+    from qauthsim.channel import PhotonCountModel
+
+    cfg = _cfg(k=3, d=5, mode=mode, rule=rule, reveal_count=None)
+    atk = AttackConfig(AttackKind(attack))
+    if atk.kind is not AttackKind.SERVER_GHZ and atk.kind is not \
+            AttackKind.SERVER_PRODUCT:
+        atk = replace(atk, path=TapPath.BOTH)
+    photon = PhotonCountModel(0.5)
+    twin_cfg, twin_atk, twin_photon = replace(cfg), replace(atk), replace(photon)
+    assert twin_cfg == cfg and twin_cfg is not cfg
+    for t in range(12):
+        kwargs = {"p_loss": 0.01 * (t % 3)}
+        out = run_session(cfg, atk, RandomSource(35, t), photon=photon, **kwargs)
+        twin = run_session(twin_cfg, twin_atk, RandomSource(35, t),
+                           photon=twin_photon, **kwargs)
+        assert _session_record(twin) == _session_record(out)
+        assert twin.events.digest() == out.events.digest()
+        assert twin.plan.config is twin_cfg and twin.eve.attack is twin_atk
 
 
 def test_threshold_monotone():

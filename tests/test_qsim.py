@@ -8,7 +8,9 @@ arithmetic in qauthsim.qsim.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
@@ -855,6 +857,25 @@ def test_random_source_is_deterministic_per_stream():
     probe = [RandomSource(99, 7).bits(64)]
     assert c.bits(64) not in probe
     assert d.bits(64) not in probe
+
+
+def test_random_source_seeds_the_stdlib_generator():
+    # the stream is random.Random seeded with the SHA-256 of the address
+    rand = RandomSource(2 ** 64 + 99, 7)
+    digest = hashlib.sha256(b"qauthsim/99/7").digest()
+    reference = random.Random(int.from_bytes(digest, "big"))
+    assert [rand.uniform() for _ in range(5)] == \
+        [reference.random() for _ in range(5)]
+    assert rand.bits(40) == tuple(reference.getrandbits(1) for _ in range(40))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 31, 32, 33, 82, 200])
+def test_random_source_bits_are_single_bit_draws(count):
+    # bits(n) packs n draws of getrandbits(1), and leaves the stream where
+    # n single draws would
+    packed, single = RandomSource(8, count), RandomSource(8, count)
+    assert packed.bits(count) == tuple(single.bit() for _ in range(count))
+    assert packed.uniform() == single.uniform()
 
 
 def test_random_source_sample_positions_shape():
