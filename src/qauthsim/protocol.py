@@ -367,7 +367,7 @@ def run_session(cfg: SessionConfig, attack: AttackConfig | None,
 
 # Programs by scenario.  A run of trials passes the same config objects
 # each time, so the last program used is found by identity first: hashing
-# the frozen configs costs about as much as a short session's log.
+# the frozen configs, whose enum fields hash in Python, costs about 3 µs.
 _PROGRAMS: dict[tuple, "_SessionProgram"] = {}
 _MAX_PROGRAMS = 256
 _last_program: tuple = (None,) * 5
@@ -401,13 +401,14 @@ _MATCH_LINES = {matched: f"token match={matched}" for matched in (False, True)}
 
 
 class _SessionProgram:
-    """What every session of one scenario shares, built once: the log
-    lines that hold no drawn value, the tamper check's verdict and log line
-    for each error count (from :func:`tamper_check`), the kernel-key
-    columns that hold no drawn value, and in SWAP mode the relay lines of
-    each position by drawn value.  Kernel tables are looked up per session
-    through :func:`~qauthsim.qsim.slot_kernels`; :meth:`run` makes the
-    draws :func:`run_session` documents, in its order."""
+    """What every session of one scenario shares: the log lines that hold
+    no drawn value, the kernel-key columns that hold no drawn value, in
+    SWAP mode each position's relay-line prefix, and the tamper check's
+    verdict and log line for each error count (through :func:`tamper_check`,
+    each built the first time a session has that count).  Kernel tables
+    are looked up per session through :func:`~qauthsim.qsim.slot_kernels`;
+    :meth:`run` makes the draws :func:`run_session` documents, in its
+    order."""
 
     __slots__ = ("photon", "p_loss", "k", "d", "total", "revealed", "swap",
                  "planted", "ghz", "request", "preamble", "checks",

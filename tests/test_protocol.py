@@ -384,8 +384,7 @@ def test_equal_configs_give_the_same_sessions(mode, rule, attack):
 
     cfg = _cfg(k=3, d=5, mode=mode, rule=rule, reveal_count=None)
     atk = AttackConfig(AttackKind(attack))
-    if atk.kind is not AttackKind.SERVER_GHZ and atk.kind is not \
-            AttackKind.SERVER_PRODUCT:
+    if atk.kind in (AttackKind.INTERCEPT_RESEND, AttackKind.PNS):
         atk = replace(atk, path=TapPath.BOTH)
     photon = PhotonCountModel(0.5)
     twin_cfg, twin_atk, twin_photon = replace(cfg), replace(atk), replace(photon)

@@ -860,7 +860,8 @@ def test_random_source_is_deterministic_per_stream():
 
 
 def test_random_source_seeds_the_stdlib_generator():
-    # the stream is random.Random seeded with the SHA-256 of the address
+    # the stream is random.Random seeded with the SHA-256 of the address,
+    # each part of it taken modulo 2**64
     rand = RandomSource(2 ** 64 + 99, 7)
     digest = hashlib.sha256(b"qauthsim/99/7").digest()
     reference = random.Random(int.from_bytes(digest, "big"))
