@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, repeat
 from operator import eq
 from typing import TYPE_CHECKING
 
@@ -62,6 +63,10 @@ class AttackKind(Enum):
     SERVER_PRODUCT = "server_product"
     SERVER_GHZ = "server_ghz"
 
+    # identity hash, as ``channel.Path`` has: a session-program key hashes
+    # its configs' enum fields
+    __hash__ = object.__hash__
+
 
 class TapPath(Enum):
     TO_ALICE = "to_alice"
@@ -75,10 +80,14 @@ class TapPath(Enum):
             return (Path.TO_BOB,)
         return (Path.TO_ALICE, Path.TO_BOB)
 
+    __hash__ = object.__hash__
+
 
 class BasisChoice(Enum):
     RANDOM_PER_SLOT = "random_per_slot"
     FIXED = "fixed"
+
+    __hash__ = object.__hash__
 
 
 class LocationKnowledge(Enum):
@@ -86,12 +95,16 @@ class LocationKnowledge(Enum):
     AFTER_MEASUREMENT = "after_measurement"
     REALTIME = "realtime"
 
+    __hash__ = object.__hash__
+
 
 _TAP_KINDS = (AttackKind.INTERCEPT_RESEND, AttackKind.SUBSET_GUESS, AttackKind.PNS)
 # Aliases: hot paths compare members by identity without the class lookup.
 _INTERCEPT_RESEND, _SUBSET_GUESS, _PNS = _TAP_KINDS
 _RANDOM_PER_SLOT = BasisChoice.RANDOM_PER_SLOT
 _REALTIME = LocationKnowledge.REALTIME
+# a 0 or 1 byte negated
+_NOT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 @dataclass(frozen=True)
@@ -261,12 +274,12 @@ def draw_taps(eve: EveState, plan: "SessionPlan", photon: PhotonCountModel,
             for position, drawn in zip(targets, rand.bits(len(targets))):
                 row[position] = drawn
         elif counted:
-            sample = photon.sample
-            for position in targets:
-                if sample(rand) >= 2:
-                    eve.split_positions.add((path, position))
-                else:
-                    row[position] = bit
+            # a photon count is 1 where its uniform draw is below p1
+            single = rand.below(len(targets), photon.p1)
+            eve.split_positions.update(
+                zip(repeat(path), compress(targets, single.translate(_NOT))))
+            for position in compress(targets, single):
+                row[position] = bit
         else:
             for position in targets:
                 row[position] = bit

@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
 from typing import Callable, Iterable, TYPE_CHECKING
 
 from . import qsim
@@ -173,15 +174,19 @@ def build_streams(plan: "SessionPlan", model: PhotonCountModel,
 def draw_loss(slots: int, p_loss: float, rand: RandomSource) -> list[int]:
     """Loss marks for one session: each of the ``slots`` photons on each
     path is lost independently with probability p_loss, one uniform draw
-    per photon, the initiator's path first.  Returns the positions lost on
-    either path, sorted; no draw at p_loss = 0."""
+    per photon (:meth:`~qauthsim.qsim.RandomSource.below`), the initiator's
+    path first.  Returns the positions lost on either path, sorted; no draw
+    at p_loss = 0."""
     if not 0.0 <= p_loss < 1.0:
         raise ValueError("p_loss must be in [0, 1)")
     if p_loss == 0.0:
         return []
-    uniform = rand.uniform
-    marks = [uniform() < p_loss for _ in range(2 * slots)]
-    return [p for p in range(slots) if marks[p] or marks[slots + p]]
+    marks = rand.below(2 * slots, p_loss)
+    # each mark is a 0 or 1 byte, so OR-ing the paths' marks as integers
+    # ORs them position by position
+    either = (int.from_bytes(marks[:slots], "little")
+              | int.from_bytes(marks[slots:], "little"))
+    return list(compress(range(slots), either.to_bytes(slots, "little")))
 
 
 def apply_loss(stream: QuantumStream, p_loss: float, rand: RandomSource) -> int:

@@ -12,13 +12,26 @@ outcomes, an exact ratio of integers.
 
 Two projection helpers (:func:`_project_qubit`, :func:`_project_pair`)
 serve every use, and every measurement outcome is drawn by one exact rule,
-:meth:`RandomSource.categorical`.  Sessions sample from per-slot kernels
-(:func:`slot_kernels`): given the relay's layout and the adversary's
-session-level draws, each slot is an independent register of at most five
-qubits, and the joint outcome of all its reads is one categorical draw from
-an exact table of integer weights, built once per key by the helpers.  The
-relay-step oracle (:func:`swap_enumerate`) projects onto every outcome with
-the same helpers and reports exact :class:`fractions.Fraction` values.
+:meth:`RandomSource.categorical`.  An outcome table holds the running sums
+S_j of its integer weights, their total T, and the dyadic thresholds
+t_j = ceil(2**53 * S_j / T) / 2**53; a draw u = N / 2**53 (N an integer)
+selects ``bisect_right(thresholds, u)``, which is the integer rule's
+outcome, since 2**53 * S_j <= N * T <=> ceil(2**53 * S_j / T) <= N <=>
+t_j <= u.  Sessions sample from per-slot kernels (:func:`slot_kernels`):
+given the relay's layout and the adversary's session-level draws, each
+slot is an independent register of at most five qubits, and the joint
+outcome of all its reads is one categorical draw from an exact table of
+integer weights, built once per key by the helpers.  The relay-step oracle
+(:func:`swap_enumerate`) projects onto every outcome with the same helpers
+and reports exact :class:`fractions.Fraction` values.
+
+A session's draws are made in bulk (:meth:`RandomSource.below`,
+:meth:`~RandomSource.sample_partition`, :meth:`~RandomSource.bit_pairs`,
+:meth:`~RandomSource.quarters`, :meth:`~RandomSource.outcomes`), and each
+bulk draw consumes exactly the generator words, in the same order, of the
+scalar loop it replaces, so the two give the same values and leave the
+stream at the same point.  Only this module reads the generator's word
+layout (see :class:`RandomSource`).
 
 :class:`StateRegister` is off the session path: through
 :func:`basis_distribution` and :func:`swap_enumerate` it is the reference
@@ -26,11 +39,10 @@ the kernels are tested against, and :func:`measure_in_basis` and
 :func:`measure_bell` sample registers that tests build.  A register
 points at a shared, immutable state that carries the edges out of it,
 built by the same helpers on first use: per measurement an outcome table
-of cumulative weights with one child state per outcome, and per constant
-front the grafted state.  A measurement draws once from that table and
-moves to the child.  Prepared registers start at module-constant states;
-a constructor-built register starts a graph of its own, which dies with
-it.
+with one child state per outcome, and per constant front the grafted
+state.  A measurement draws once from that table and moves to the child.
+Prepared registers start at module-constant states; a constructor-built
+register starts a graph of its own, which dies with it.
 
 Index convention: qubit 0 is the leftmost tensor factor, so basis index
 ``i`` assigns qubit ``q`` the bit ``(i >> (n - 1 - q)) & 1``.  Pair-basis
@@ -41,24 +53,32 @@ which makes the four labels a Klein four-group with PHI_PLUS as identity.
 from __future__ import annotations
 
 import hashlib
+import math
 from _random import Random as _MersenneTwister
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from operator import mul
 from typing import Sequence
 
 _MASK64 = (1 << 64) - 1
 _TWO53 = float(1 << 53)
-# each byte's top bit, as a byte
+# each byte's top bit, that bit doubled, and its top two bits, as bytes
 _TOP_BIT = bytes([byte >> 7 for byte in range(256)])
+_TOP_BIT_TWICE = bytes([byte >> 7 << 1 for byte in range(256)])
+_TOP_TWO_BITS = bytes([byte >> 6 for byte in range(256)])
 
 
 class MeasBasis(Enum):
     RECTILINEAR = "rectilinear"
     DIAGONAL = "diagonal"
+
+    # members are singletons compared by identity, so the identity hash
+    # agrees with equality; Enum's own hash is a Python-level call
+    __hash__ = object.__hash__
 
 
 class BellKind(Enum):
@@ -135,6 +155,20 @@ class RandomSource:
     composite draws (sampling without replacement, bounded integers) are
     implemented here so their draw pattern is pinned by this module rather
     than by stdlib internals.
+
+    The same words, in bulk: underneath is a Mersenne Twister that emits
+    32-bit words.  ``getrandbits(w)`` for w <= 32 is the top w bits of one
+    word; ``getrandbits(32 * n)`` packs n words, the first least
+    significant; ``random()`` reads two words w1, w2 and returns
+    ``N / 2**53`` with ``N = (w1 >> 5) << 26 | w2 >> 6``.  Each bulk draw
+    consumes exactly the words of the scalar loop it replaces, in the same
+    order, and returns the same values: :meth:`bits`, :meth:`bit_pairs`
+    and :meth:`quarters` (loops of :meth:`bit` and ``randbelow(4)``) and
+    :meth:`below` (a loop of ``uniform() < p``) each take their words in
+    one ``getrandbits`` call; :meth:`sample_partition` is one Fisher-Yates
+    pass of :meth:`randbelow` draws; :meth:`outcomes` is a loop of
+    :meth:`categorical` with no Python-level call per slot.  No module
+    outside this one reads that layout.
     """
 
     __slots__ = ("master_seed", "stream_id", "_rng")
@@ -150,16 +184,57 @@ class RandomSource:
     def bit(self) -> int:
         return self._rng.getrandbits(1)
 
+    def _top_bytes(self, count: int) -> bytes:
+        """The top byte of each of the next ``count`` words, in order: every
+        fourth byte of ``count`` packed words, little-endian."""
+        return self._rng.getrandbits(32 * count).to_bytes(4 * count, "little")[3::4]
+
     def bits(self, count: int) -> tuple[int, ...]:
-        """``count`` draws of :meth:`bit`.  ``getrandbits(1)`` is the top bit
-        of one 32-bit output, and ``getrandbits(32 * count)`` packs
-        ``count`` outputs, the first least significant: the top bit of
-        every fourth byte, little-endian."""
-        packed = self._rng.getrandbits(32 * count).to_bytes(4 * count, "little")
-        return tuple(packed[3::4].translate(_TOP_BIT))
+        """``count`` draws of :meth:`bit`, each the top bit of a word."""
+        return tuple(self._top_bytes(count).translate(_TOP_BIT))
+
+    def bit_pairs(self, count: int) -> bytes:
+        """``count`` values ``2 * a + b``, where a and b are two draws of
+        :meth:`bit` in that order."""
+        top = self._top_bytes(2 * count)
+        # no byte exceeds 3, so the packed sum carries nothing between bytes
+        pairs = (int.from_bytes(top[::2].translate(_TOP_BIT_TWICE), "little")
+                 + int.from_bytes(top[1::2].translate(_TOP_BIT), "little"))
+        return pairs.to_bytes(count, "little")
+
+    def quarters(self, count: int) -> bytes:
+        """``count`` draws of ``randbelow(4)``, each the top two bits of a
+        word (a bound of 4 never rejects)."""
+        return self._top_bytes(count).translate(_TOP_TWO_BITS)
 
     def uniform(self) -> float:
         return self._rng.random()
+
+    def below(self, count: int, p: float) -> bytes:
+        """``count`` marks, each 1 where a draw of :meth:`uniform` is below
+        ``p`` and 0 elsewhere.
+
+        A draw is ``N / 2**53``, so it is below p exactly when
+        ``N < p * 2**53``.  The top byte of N is the top byte of the draw's
+        first word, and a per-p table decides each draw from it: every N
+        with that top byte is below p, none is, or the byte holds the edge
+        ``p * 2**53``; only there is N assembled and compared.
+        """
+        table = _BELOW_TABLES.get(p) or _below_table(p)
+        packed = self._rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+        marks = packed[3::8].translate(table)
+        edge = marks.find(_EDGE)
+        if edge < 0:
+            return marks
+        marks = bytearray(marks)
+        limit = p * _TWO53
+        while edge >= 0:
+            at = 8 * edge
+            first = int.from_bytes(packed[at:at + 4], "little")
+            second = int.from_bytes(packed[at + 4:at + 8], "little")
+            marks[edge] = ((first >> 5) << 26 | second >> 6) < limit
+            edge = marks.find(_EDGE, edge + 1)
+        return bytes(marks)
 
     def randbelow(self, bound: int) -> int:
         if bound <= 0:
@@ -173,24 +248,45 @@ class RandomSource:
             if value < bound:
                 return value
 
-    def sample_positions(self, universe: int, count: int) -> tuple[int, ...]:
-        """``count`` distinct positions drawn from range(universe), sorted."""
+    def _shuffled(self, universe: int, count: int) -> list[int]:
+        """range(universe) after the first ``count`` steps of a Fisher-Yates
+        shuffle: step i swaps position i with i + randbelow(universe - i).
+
+        The steps walk a cached schedule of (i, bound, width).  A step with
+        bound 1 draws nothing and swaps a position with itself, so the
+        schedule leaves it out.  A step is rejection-sampled, so how many
+        words it takes is known only as it goes; each step draws its own,
+        since batching the words cost more per step than the calls it saved.
+        """
         if not 0 <= count <= universe:
             raise ValueError("cannot sample %d of %d positions" % (count, universe))
-        # randbelow(universe - i) for each i, inlined: the same draws
         pool = list(range(universe))
         g = self._rng.getrandbits
-        for i in range(count):
-            bound = universe - i
-            j = 0
-            if bound > 1:
-                width = (bound - 1).bit_length()
+        for i, bound, width in _SCHEDULES.get((universe, count)) or _schedule(universe, count):
+            j = g(width)
+            while j >= bound:
                 j = g(width)
-                while j >= bound:
-                    j = g(width)
             j += i
             pool[i], pool[j] = pool[j], pool[i]
-        return tuple(sorted(pool[:count]))
+        return pool
+
+    def sample_positions(self, universe: int, count: int) -> tuple[int, ...]:
+        """``count`` distinct positions drawn from range(universe), sorted."""
+        pool = self._shuffled(universe, count)
+        del pool[count:]
+        pool.sort()
+        return tuple(pool)
+
+    def sample_partition(self, universe: int, count: int
+                         ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The positions :meth:`sample_positions` draws, and the rest of
+        range(universe), each sorted, from the same draws."""
+        pool = self._shuffled(universe, count)
+        rest = pool[count:]
+        del pool[count:]
+        pool.sort()
+        rest.sort()
+        return tuple(pool), tuple(rest)
 
     def bell_label(self) -> BellLabel:
         return BellLabel.from_bits(self.bit(), self.bit())
@@ -198,26 +294,69 @@ class RandomSource:
     def basis(self) -> MeasBasis:
         return BASIS_OF_BIT[self._rng.getrandbits(1)]
 
-    def categorical(self, cumulative: Sequence[int], total: int) -> int:
+    def categorical(self, thresholds: Sequence[float]) -> int:
         """Index of the outcome one uniform draw selects, exactly.
 
-        ``cumulative`` holds the running sums of integer outcome weights,
-        each shifted left by 53, and ``total`` their sum.  A draw u is a
-        multiple of 2**-53, so ``bisect_right`` finds the first j with
-        u * total < w[0] + ... + w[j] by integer comparison alone.
+        With integer outcome weights, running sums S_j and total T,
+        ``thresholds[j]`` is the dyadic t_j = ceil(S_j * 2**53 / T) / 2**53,
+        exact in a float.  The draw u = N / 2**53 selects the first j with
+        u * T < S_j, and ``bisect_right`` finds it by one float comparison
+        per step: N integer, so S_j * 2**53 <= N * T <=>
+        ceil(S_j * 2**53 / T) <= N <=> t_j <= u.
         """
-        return bisect_right(cumulative, int(self._rng.random() * _TWO53) * total)
+        return bisect_right(thresholds, self._rng.random())
+
+    def outcomes(self, tables: Sequence[tuple]) -> list:
+        """One outcome per kernel table (see :func:`slot_kernels`), in order:
+        :meth:`categorical` over each table's thresholds, with no draw where
+        a table has a single outcome."""
+        random = self._rng.random
+        return [outcomes[bisect_right(thresholds, random())] if cumulative
+                else outcomes[0]
+                for cumulative, _, outcomes, thresholds in tables]
+
+
+_SCHEDULES: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
+
+
+def _schedule(universe: int, count: int) -> tuple[tuple[int, int, int], ...]:
+    """Steps (i, bound, width) of :meth:`RandomSource._shuffled` that draw:
+    ``randbelow(bound)`` takes the first ``getrandbits(width)`` below the
+    bound."""
+    if len(_SCHEDULES) >= 1024:
+        _SCHEDULES.clear()
+    steps = tuple([(i, universe - i, (universe - i - 1).bit_length())
+                   for i in range(count) if universe - i > 1])
+    return _SCHEDULES.setdefault((universe, count), steps)
+
+
+# Per probability p, the verdict of a draw's first top byte: 1 (below p),
+# 0 (not below) or _EDGE (the byte holds p * 2**53; assemble N).
+_EDGE = 2
+_BELOW_TABLES: dict[float, bytes] = {}
+
+
+def _below_table(p: float) -> bytes:
+    if len(_BELOW_TABLES) >= 1024:
+        _BELOW_TABLES.clear()
+    # N < p * 2**53 <=> N < limit for the integer N; top byte b spans
+    # [b << 45, (b + 1) << 45)
+    limit = math.ceil(p * _TWO53)
+    table = bytes([1 if (b + 1) << 45 <= limit else 0 if b << 45 >= limit
+                   else _EDGE for b in range(256)])
+    return _BELOW_TABLES.setdefault(p, table)
 
 
 class _State:
     """One immutable register state: the integer vector ``amps`` over ``n``
     qubits, and the edges out of it, each built on first use.
 
-    ``qubit_tables`` (keyed ``2 * qubit + diagonal``; hashing an Enum member
-    is a Python-level call) and ``pair_tables`` (keyed ``(first, second)``)
-    hold outcome tables: the cumulative weights shifted left by 53, the
-    total, and each outcome's child state (None at weight zero).  ``grafts``
-    maps a constant front state to this state with that front ahead.
+    ``qubit_tables`` (keyed ``2 * qubit + diagonal``) and ``pair_tables``
+    (keyed ``(first, second)``) hold outcome tables: the running sums of the
+    integer weights, the total, each outcome's child state (None at weight
+    zero), and the thresholds :meth:`RandomSource.categorical` draws
+    against.  ``grafts`` maps a constant front state to this state with
+    that front ahead.
     """
 
     __slots__ = ("amps", "n", "qubit_tables", "pair_tables", "grafts")
@@ -231,13 +370,11 @@ class _State:
 
     def tabulate(self, tables: dict, key, projections: Sequence[Sequence[int]]) -> tuple:
         """Store and return the outcome table of ``projections``."""
-        cumulative, total = [], 0
-        for projection in projections:
-            total += _weight(projection)
-            cumulative.append(total << 53)
+        cumulative = tuple(accumulate(map(_weight, projections)))
         children = tuple(_State(tuple(p), self.n) if any(p) else None
                          for p in projections)
-        return tables.setdefault(key, (tuple(cumulative), total, children))
+        return tables.setdefault(key, (cumulative, cumulative[-1], children,
+                                       _thresholds(cumulative)))
 
 
 class StateRegister:
@@ -344,6 +481,15 @@ def _weight(amps: Sequence[int]) -> int:
     return sum(map(mul, amps, amps))
 
 
+def _thresholds(cumulative: Sequence[int]) -> tuple[float, ...]:
+    """The draw thresholds t_j = ceil(S_j * 2**53 / T) / 2**53 of running
+    sums S_j with total T = S_last (see :meth:`RandomSource.categorical`).
+    Each numerator is an integer of at most 53 bits, so each t_j is an exact
+    float."""
+    total = cumulative[-1]
+    return tuple([-(-(s << 53) // total) / _TWO53 for s in cumulative])
+
+
 def _project_qubit(amps: Sequence[int], n: int, qubit: int,
                    basis: MeasBasis) -> tuple[list[int], list[int]]:
     """Projections of one qubit onto outcomes 0 and 1 of ``basis``.
@@ -411,8 +557,8 @@ def measure_in_basis(register: StateRegister, qubit: int, basis: MeasBasis,
             raise ValueError("qubit index out of range")
         table = state.tabulate(state.qubit_tables, key,
                                _project_qubit(state.amps, state.n, qubit, basis))
-    cumulative, total, children = table
-    idx = rand.categorical(cumulative, total)
+    _, _, children, thresholds = table
+    idx = rand.categorical(thresholds)
     register.state = children[idx]
     return idx
 
@@ -440,8 +586,8 @@ def measure_bell(register: StateRegister, first: int, second: int,
             raise ValueError("pair measurement needs two distinct qubits in range")
         table = state.tabulate(state.pair_tables, key,
                                _project_pair(state.amps, n, first, second))
-    cumulative, total, children = table
-    idx = rand.categorical(cumulative, total)
+    _, _, children, thresholds = table
+    idx = rand.categorical(thresholds)
     register.state = children[idx]
     return BELL_ORDER[idx]
 
@@ -497,10 +643,12 @@ def slot_kernels(keys: Sequence[tuple]) -> list[tuple]:
     lengths of the projected vectors are exact integer weights, here
     divided by their gcd.
 
-    Returns (cumulative, total, outcomes) for
-    :meth:`RandomSource.categorical`, with ``cumulative`` None when one
-    outcome has all the weight; each outcome is a tuple over the fields
-    EVE_A .. RELAY, None where nothing read.
+    Returns (cumulative, total, outcomes, thresholds): the running sums of
+    the weights, None when one outcome has all the weight, and no draw is
+    made; their total; each outcome, a tuple over the fields EVE_A ..
+    RELAY, None where nothing read; and the thresholds
+    :meth:`RandomSource.categorical` draws against, (1.0,) for a single
+    outcome.  :meth:`RandomSource.outcomes` draws a session's slots.
     """
     tables = list(map(_KERNELS.get, keys))
     if None in tables:
@@ -537,12 +685,9 @@ def _build_kernel(source: int, tap_a: int | None, tap_b: int | None,
     scale = gcd(*weights)
     outcomes = tuple([tuple(fields) for fields, _ in leaves])
     if len(outcomes) == 1:
-        return None, 1, outcomes
-    cumulative, total = [], 0
-    for weight in weights:
-        total += weight // scale
-        cumulative.append(total << 53)
-    return tuple(cumulative), total, outcomes
+        return None, 1, outcomes, (1.0,)
+    cumulative = tuple(accumulate([weight // scale for weight in weights]))
+    return cumulative, cumulative[-1], outcomes, _thresholds(cumulative)
 
 
 def _read_leaves(leaves: list, n: int, reads: list) -> list:

@@ -2,10 +2,21 @@
 
 import json
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qauthsim import protocol
+from qauthsim.adversary import (
+    AttackConfig,
+    AttackKind,
+    EveState,
+    LocationKnowledge,
+    TapPath,
+    draw_taps,
+)
+from qauthsim.channel import Path, PhotonCountModel, draw_loss
 from qauthsim.harness import (
     ScenarioSpec,
     _summarize,
@@ -176,6 +187,120 @@ def test_plan_draws_match_per_slot_reference(k, d, seed):
     assert plan.tamper == TamperSpec(positions, tuple(bases), tuple(values))
     assert plan.key_positions == tuple(p for p in range(k + d)
                                        if p not in positions)
+    _assert_in_step(rand, twin)
+
+
+@pytest.mark.parametrize("universe,count", [
+    (0, 0), (5, 0), (58, 0), (1, 1), (2, 2), (7, 7), (58, 58), (58, 57),
+    (58, 41), (300, 200)])
+def test_sample_partition_matches_randbelow_reference(universe, count):
+    # count == universe ends on a bound of 1, which draws no word
+    for stream in range(12):
+        rand, twin = RandomSource(37, stream), RandomSource(37, stream)
+        chosen, rest = rand.sample_partition(universe, count)
+        positions = _reference_sample(twin, universe, count)
+        assert chosen == positions
+        assert rest == tuple(p for p in range(universe) if p not in positions)
+        _assert_in_step(rand, twin)
+
+
+@pytest.mark.parametrize("k", [1, 2, 17])
+def test_plans_without_detection_slots_draw_nothing(k):
+    rand, twin = RandomSource(38, k), RandomSource(38, k)
+    plan = plan_session(_cfg(k=k, d=0), rand)
+    assert plan.tamper == TamperSpec((), (), ())
+    assert plan.key_positions == tuple(range(k)) and plan.twin_sources == ()
+    _assert_in_step(rand, twin)
+
+
+# --- the session path's bulk draws against the scalar loops they replace ------
+
+# p = 0.5 is decided by a draw's top byte alone; at 0.02, 1e-12 and 0.999 the
+# bytes 5, 0 and 255 hold the edge p * 2**53, and draws there are compared
+# exactly
+_PROBABILITIES = (0.5, 0.02, 1e-12, 0.999)
+
+
+def _edge_byte(p):
+    """The top byte whose draws straddle p, or None."""
+    limit = Fraction(p) * 2 ** 53
+    byte = int(limit) >> 45
+    return None if limit == byte << 45 else byte
+
+
+@pytest.mark.parametrize("p", _PROBABILITIES)
+@pytest.mark.parametrize("count", [0, 1, 7, 20000])
+def test_below_matches_the_uniform_loop(p, count):
+    rand, twin = RandomSource(39, count), RandomSource(39, count)
+    marks = rand.below(count, p)
+    draws = [twin.uniform() for _ in range(count)]
+    assert marks == bytes([u < p for u in draws])
+    _assert_in_step(rand, twin)
+    if count == 20000:
+        # the long stream reaches the edge byte, on both sides of p where
+        # p is not at an extreme
+        edge = [u < p for u in draws if int(u * 2 ** 53) >> 45 == _edge_byte(p)]
+        assert (p == 0.5) == (not edge)
+        if p in (0.02, 0.999):
+            assert set(edge) == {False, True}
+
+
+@pytest.mark.parametrize("p", (0.0,) + _PROBABILITIES)
+@pytest.mark.parametrize("slots", [0, 1, 58])
+def test_draw_loss_matches_the_uniform_loop(p, slots):
+    for stream in range(25):
+        rand, twin = RandomSource(40, stream), RandomSource(40, stream)
+        lost = draw_loss(slots, p, rand)
+        # no draw at p = 0; else one per photon, the initiator's path first
+        marks = [twin.uniform() < p for _ in range(2 * slots)] if p else []
+        assert lost == [q for q in range(slots)
+                        if marks and (marks[q] or marks[slots + q])]
+        _assert_in_step(rand, twin)
+
+
+def _reference_pns_taps(eve, plan, photon, rand):
+    """draw_taps for a PNS attack, one photon count at a time."""
+    attack = eve.attack
+    total = plan.total_slots
+    targets = (plan.key_positions if attack.location_knowledge
+               is LocationKnowledge.REALTIME else range(total))
+    bit = int(plan.config.key_basis is MeasBasis.DIAGONAL)
+    rows = {}
+    for path in attack.path.channel_paths():
+        row = rows[path] = [None] * total
+        for position in targets:
+            if photon.sample(rand) >= 2:
+                eve.split_positions.add((path, position))
+            else:
+                row[position] = bit
+    return rows.get(Path.TO_ALICE), rows.get(Path.TO_BOB)
+
+
+@pytest.mark.parametrize("p1", (1.0,) + _PROBABILITIES)
+@pytest.mark.parametrize("tap_path", list(TapPath))
+@pytest.mark.parametrize("knowledge", [LocationKnowledge.NEVER,
+                                       LocationKnowledge.REALTIME])
+def test_pns_photon_counts_match_the_sample_loop(p1, tap_path, knowledge):
+    attack = AttackConfig(AttackKind.PNS, path=tap_path,
+                          location_knowledge=knowledge)
+    photon = PhotonCountModel(p1)
+    for stream in range(10):
+        plan = plan_session(_cfg(k=17, d=41), RandomSource(41, stream))
+        rand, twin = RandomSource(42, stream), RandomSource(42, stream)
+        eve, twin_eve = EveState(attack), EveState(attack)
+        assert draw_taps(eve, plan, photon, rand) == \
+            _reference_pns_taps(twin_eve, plan, photon, twin)
+        assert eve.split_positions == twin_eve.split_positions
+        _assert_in_step(rand, twin)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 17, 41, 100])
+def test_packed_bit_draws_match_the_scalar_loops(count):
+    # swap mode's created labels, and a plan's basis and value bits
+    rand, twin = RandomSource(43, count), RandomSource(43, count)
+    assert rand.quarters(count) == bytes([twin.randbelow(4) for _ in range(count)])
+    assert rand.bit_pairs(count) == bytes([2 * twin.bit() + twin.bit()
+                                           for _ in range(count)])
     _assert_in_step(rand, twin)
 
 
@@ -389,6 +514,10 @@ def test_equal_configs_give_the_same_sessions(mode, rule, attack):
     photon = PhotonCountModel(0.5)
     twin_cfg, twin_atk, twin_photon = replace(cfg), replace(atk), replace(photon)
     assert twin_cfg == cfg and twin_cfg is not cfg
+    assert (hash(twin_cfg), hash(twin_atk), hash(twin_photon)) == \
+        (hash(cfg), hash(atk), hash(photon))
+    assert protocol._program(twin_cfg, twin_atk, twin_photon, 0.0) is \
+        protocol._program(cfg, atk, photon, 0.0)
     for t in range(12):
         kwargs = {"p_loss": 0.01 * (t % 3)}
         out = run_session(cfg, atk, RandomSource(35, t), photon=photon, **kwargs)
@@ -397,6 +526,17 @@ def test_equal_configs_give_the_same_sessions(mode, rule, attack):
         assert _session_record(twin) == _session_record(out)
         assert twin.events.digest() == out.events.digest()
         assert twin.plan.config is twin_cfg and twin.eve.attack is twin_atk
+
+
+def test_config_enums_hash_by_identity():
+    # members are singletons, so the C-level identity hash agrees with
+    # equality and spares a session-program key Enum's Python-level hash
+    from qauthsim.adversary import BasisChoice
+
+    for enum in (ProtocolMode, BeliefRule, MeasBasis, AttackKind, TapPath,
+                 BasisChoice, LocationKnowledge, Path):
+        assert enum.__hash__ is object.__hash__, enum
+        assert len({hash(member) for member in enum}) == len(enum)
 
 
 def test_threshold_monotone():

@@ -11,8 +11,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
@@ -379,11 +381,26 @@ def _at(state):
     return reg
 
 
+def _assert_thresholds(cumulative, total, thresholds):
+    """Each threshold is t_j = ceil(C_j / total) / 2**53 for the running sum
+    S_j and C_j = S_j * 2**53, and at u = t_j and just below it the package's
+    draw rule picks the outcome the integer rule picks: the first j with
+    floor(u * 2**53) * total < C_j."""
+    scaled = [s << 53 for s in cumulative]
+    assert len(thresholds) == len(scaled)
+    for c, t in zip(scaled, thresholds):
+        assert Fraction(t) == Fraction(math.ceil(Fraction(c, total)), 2 ** 53)
+        for u in (t, math.nextafter(t, 0.0)):
+            if u < 1.0:  # t = 1.0 closes the last outcome; no draw reaches it
+                assert _FixedDraw(u).categorical(thresholds) == \
+                    bisect_right(scaled, int(u * 2 ** 53) * total), (t, u)
+
+
 def _table_weights(table):
-    cumulative, total, _children = table
-    steps = [c >> 53 for c in cumulative]
-    assert steps[-1] == total
-    return [Fraction(hi - lo, total) for lo, hi in zip([0] + steps, steps)]
+    cumulative, total, _children, thresholds = table
+    assert cumulative[-1] == total
+    _assert_thresholds(cumulative, total, thresholds)
+    return [Fraction(hi - lo, total) for lo, hi in zip((0, *cumulative), cumulative)]
 
 
 def test_state_graph_is_closed_and_exact():
@@ -729,17 +746,39 @@ def _reference_slot(key):
 
 
 def _kernel_distribution(key):
-    cumulative, total, outcomes = qsim.slot_kernels([key])[0]
+    cumulative, total, outcomes, _thresholds = qsim.slot_kernels([key])[0]
     if cumulative is None:
         assert len(outcomes) == 1
         return {outcomes[0]: Fraction(1)}
-    steps = [c >> 53 for c in cumulative]
-    assert steps[-1] == total and len(steps) == len(outcomes)
-    assert all(c == step << 53 for c, step in zip(cumulative, steps))
-    weights = [hi - lo for lo, hi in zip([0] + steps, steps)]
+    assert cumulative[-1] == total and len(cumulative) == len(outcomes)
+    weights = [hi - lo for lo, hi in zip((0, *cumulative), cumulative)]
     assert all(w > 0 for w in weights)
     assert len(set(outcomes)) == len(outcomes)
     return {out: Fraction(w, total) for out, w in zip(outcomes, weights)}
+
+
+@pytest.mark.parametrize("key", REACHABLE_KEYS, ids=repr)
+def test_kernel_thresholds_are_exact_dyadic_bounds(key):
+    cumulative, total, outcomes, thresholds = qsim.slot_kernels([key])[0]
+    if cumulative is None:
+        assert thresholds == (1.0,) and len(outcomes) == 1
+    else:
+        _assert_thresholds(cumulative, total, thresholds)
+
+
+def test_outcomes_match_the_integer_rule_loop():
+    # one bulk draw over every reachable kernel, twice over, against one
+    # integer-rule draw per table with more than one outcome
+    tables = qsim.slot_kernels(REACHABLE_KEYS) * 2
+    assert RandomSource(1, 0).outcomes([]) == []
+    for stream in range(40):
+        bulk, scalar = RandomSource(53, stream), RandomSource(53, stream)
+        want = [outcomes[bisect_right([s << 53 for s in cumulative],
+                                      int(scalar.uniform() * 2 ** 53) * total)]
+                if cumulative else outcomes[0]
+                for cumulative, total, outcomes, _ in tables]
+        assert bulk.outcomes(tables) == want
+        assert (bulk.bits(16), bulk.uniform()) == (scalar.bits(16), scalar.uniform())
 
 
 @pytest.mark.parametrize("key", REACHABLE_KEYS, ids=repr)
@@ -907,6 +946,27 @@ def _registers(draw):
     if not any(amps):
         amps[0] = 1
     return StateRegister(amps)
+
+
+@given(reg=_registers(), qubit=st.integers(0, 7),
+       basis=st.sampled_from(list(MeasBasis)))
+@settings(max_examples=120, deadline=None)
+def test_arbitrary_register_tables_hold_exact_thresholds(reg, qubit, basis):
+    # weights of arbitrary integer vectors need not sum to a power of two,
+    # so ceil(C_j / total) rounds here, which no session table does
+    qubit %= reg.num_qubits
+    state = reg.state
+    probs = basis_distribution(reg, qubit, basis)
+    measure_in_basis(reg, qubit, basis, _FixedDraw(0.0))
+    table = state.qubit_tables[2 * qubit + (basis is MeasBasis.DIAGONAL)]
+    assert _table_weights(table) == list(probs)
+
+
+@given(weights=st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=9).filter(any))
+@settings(max_examples=200, deadline=None)
+def test_thresholds_of_any_weights_bound_the_integer_rule(weights):
+    cumulative = tuple(accumulate(weights))
+    _assert_thresholds(cumulative, cumulative[-1], qsim._thresholds(cumulative))
 
 
 @given(reg=_registers(), seed=st.integers(0, 2**32 - 1),
