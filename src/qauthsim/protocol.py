@@ -194,7 +194,9 @@ def plan_session(cfg: SessionConfig, rand: RandomSource) -> SessionPlan:
     """Relay-side draw: uniform tamper subset, then per-slot basis and value.
     The 2d bits alternate basis bit, value bit, slot by slot: the draws of
     ``rand.basis()`` then ``rand.bit()`` for each slot, read as each
-    slot's twin source 2 * basis bit + value."""
+    slot's twin source 2 * basis bit + value.  :func:`run_session` draws
+    a plan only for a stream whose photons all arrived, after its loss
+    marks."""
     positions, key_positions = rand.sample_partition(cfg.total_slots, cfg.d)
     twins = rand.bit_pairs(cfg.d)
     bases = tuple([_BASIS_OF_TWIN[twin] for twin in twins])
@@ -299,19 +301,20 @@ def alice_swap_step(slot: PhotonSlot, cfg: SessionConfig, rand: RandomSource,
     return SwapRecord(slot.position, created, outcome, kept, believed, key_bit)
 
 
-def _error_rate(errors: int | None, d: int) -> float | None:
+def _error_rate(errors: int, d: int) -> float:
     """errors / d; 0.0 at d = 0, where the check passes vacuously."""
-    return None if errors is None else errors / max(d, 1)
+    return errors / max(d, 1)
 
 
 @dataclass
 class SessionOutcome:
-    """How one session ended.  ``alice_tamper_errors`` and
-    ``bob_tamper_errors`` count the detection slots each party read wrong,
-    None when that party's check never ran."""
+    """How one session ended.  ``plan`` is the relay's layout, None for a
+    lost stream, which ends before a layout is drawn.
+    ``alice_tamper_errors`` and ``bob_tamper_errors`` count the detection
+    slots each party read wrong, None when that party's check never ran."""
 
     status: SessionStatus
-    plan: SessionPlan
+    plan: SessionPlan | None
     alice_tamper_errors: int | None = None
     bob_tamper_errors: int | None = None
     alice_key_bits: tuple[int, ...] | None = None
@@ -325,11 +328,17 @@ class SessionOutcome:
 
     @property
     def alice_tamper_error_rate(self) -> float | None:
-        return _error_rate(self.alice_tamper_errors, self.plan.config.d)
+        return self._rate(self.alice_tamper_errors)
 
     @property
     def bob_tamper_error_rate(self) -> float | None:
-        return _error_rate(self.bob_tamper_errors, self.plan.config.d)
+        return self._rate(self.bob_tamper_errors)
+
+    def _rate(self, errors: int | None) -> float | None:
+        # a check that never ran may be a lost stream's, which has no plan
+        if errors is None:
+            return None
+        return _error_rate(errors, self.plan.config.d)
 
     def key_matches(self) -> int | None:
         """Key slots where both parties hold the same bit, of k; None
@@ -355,13 +364,16 @@ def run_session(cfg: SessionConfig, attack: AttackConfig | None,
     The photon-count model and loss probability are channel properties and
     default to ideal (exactly one photon per slot, no loss).
 
-    Draw order: the plan, the loss marks (a lost photon ends the session
-    there, before any slot is read), the adversary's session-level draws
-    (:func:`draw_taps`), then the slots: the key slots' planted bits or
-    created pair labels, and one categorical draw per slot from its exact
-    kernel.  All reads of a slot come from that one draw, so a party's bits
-    exist before its step; in SWAP mode the responder's bits are reported
-    only once the initiator has passed.
+    Draw order: the loss marks, the plan, the adversary's session-level
+    draws (:func:`draw_taps`), then the slots: the key slots' planted bits
+    or created pair labels, and one categorical draw per slot from its
+    exact kernel.  A lost photon ends the session at its loss marks, before
+    its layout or any slot is drawn: nothing a lost stream reports depends
+    on them, and the draws are independent, so drawing them only for the
+    streams that arrive keeps every outcome's law.  All reads of a slot
+    come from its one draw, so a party's bits exist before its step; in
+    SWAP mode the responder's bits are reported only once the initiator
+    has passed.
 
     What depends only on the scenario (cfg, attack, photon, p_loss) is
     built once into a :class:`_SessionProgram` and reused by every session
@@ -463,15 +475,16 @@ class _SessionProgram:
         add = log.add
         eve = EveState(attack)
         add("1", "alice", self.request)
-        plan = plan_session(cfg, rand)
         for step, party, text in self.preamble:
             add(step, party, text)
         lost = draw_loss(self.total, self.p_loss, rand)
         if lost:
+            # nothing of a lost stream reads the layout, so none is drawn
             add("3", "server", f"lost slots {lost}")
-            return SessionOutcome(SessionStatus.INCOMPLETE_STREAM, plan,
+            return SessionOutcome(SessionStatus.INCOMPLETE_STREAM, None,
                                   eve=eve, events=log)
 
+        plan = plan_session(cfg, rand)
         taps = draw_taps(eve, plan, self.photon, rand)
         decoys, keys, created = self.read_slots(plan, eve, taps, rand)
         values = plan.tamper.values

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -699,6 +701,18 @@ class TestProbabilityParse:
 
 
 class TestCLI:
+    def test_python_m_runs_the_command(self):
+        # a checkout runs the command as ``python -m qauthsim``, uninstalled
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "qauthsim", "params", "0.5"],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "k = 1" in done.stdout
+
     def test_params_exit_codes(self, capsys):
         assert main(["params", "2**-17"]) == 0
         out = capsys.readouterr().out

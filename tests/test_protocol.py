@@ -473,8 +473,57 @@ def test_sessions_read_the_layout_from_the_plan(monkeypatch, mode, rule,
 def test_loss_gives_incomplete_stream():
     out = run_session(_cfg(), None, RandomSource(30, 0), p_loss=0.4)
     assert out.status is SessionStatus.INCOMPLETE_STREAM
+    assert out.plan is None
     assert out.token is None
     assert out.alice_key_bits is None
+    assert out.alice_tamper_error_rate is None
+    assert out.bob_tamper_error_rate is None
+
+
+@pytest.mark.parametrize("p_loss", [0.02, 0.1])
+@pytest.mark.parametrize("attack", ["none", "intercept_resend", "pns",
+                                    "server_ghz"])
+@pytest.mark.parametrize("mode,rule", [(ProtocolMode.BASE, None),
+                                       (ProtocolMode.SWAP, BeliefRule.COMPOSED)])
+def test_loss_marks_come_before_the_plan(monkeypatch, mode, rule, attack,
+                                         p_loss):
+    # Against a twin stream that draws the loss marks by hand: a stream
+    # whose photons all arrive is the p_loss = 0 session of the draws that
+    # follow its marks, field for field, and a lost one draws nothing after
+    # its marks, so neither needs a layout.
+    cfg = _cfg(k=3, d=4, mode=mode, rule=rule)
+    atk = AttackConfig(AttackKind(attack))
+    if atk.kind in (AttackKind.INTERCEPT_RESEND, AttackKind.PNS):
+        atk = replace(atk, path=TapPath.BOTH)
+    photon = PhotonCountModel(0.5)
+    slots = cfg.total_slots
+    lost = {}
+    for t in range(40):
+        rand, twin = RandomSource(43, t), RandomSource(43, t)
+        out = run_session(cfg, atk, rand, photon=photon, p_loss=p_loss)
+        marks = twin.below(2 * slots, p_loss)
+        if any(marks):
+            assert out.status is SessionStatus.INCOMPLETE_STREAM
+            assert out.plan is None
+            assert out.events.entries[-1] == ("3", "server", "lost slots %s" % [
+                q for q in range(slots) if marks[q] or marks[slots + q]])
+            lost[t] = _session_record(out)
+        else:
+            ref = run_session(cfg, atk, twin, photon=photon)
+            assert _session_record(out) == _session_record(ref)
+            assert out.events.digest() == ref.events.digest()
+            assert out.plan.config is cfg
+        assert rand._rng.getstate() == twin._rng.getstate()
+    assert 0 < len(lost) < 40
+
+    def refuse(*args):
+        raise AssertionError("a lost stream drew a layout")
+
+    monkeypatch.setattr(protocol, "plan_session", refuse)
+    for t, record in lost.items():
+        out = run_session(cfg, atk, RandomSource(43, t), photon=photon,
+                          p_loss=p_loss)
+        assert _session_record(out) == record
 
 
 @pytest.mark.parametrize("p_loss", [1.0, -0.1])
@@ -518,14 +567,22 @@ def test_equal_configs_give_the_same_sessions(mode, rule, attack):
         (hash(cfg), hash(atk), hash(photon))
     assert protocol._program(twin_cfg, twin_atk, twin_photon, 0.0) is \
         protocol._program(cfg, atk, photon, 0.0)
+    lost = 0
     for t in range(12):
-        kwargs = {"p_loss": 0.01 * (t % 3)}
+        kwargs = {"p_loss": 0.05 * (t % 3)}
         out = run_session(cfg, atk, RandomSource(35, t), photon=photon, **kwargs)
         twin = run_session(twin_cfg, twin_atk, RandomSource(35, t),
                            photon=twin_photon, **kwargs)
         assert _session_record(twin) == _session_record(out)
         assert twin.events.digest() == out.events.digest()
-        assert twin.plan.config is twin_cfg and twin.eve.attack is twin_atk
+        assert twin.eve.attack is twin_atk
+        if twin.status is SessionStatus.INCOMPLETE_STREAM:
+            # a lost stream ends before its layout is drawn
+            lost += 1
+            assert twin.plan is None
+        else:
+            assert twin.plan.config is twin_cfg
+    assert lost
 
 
 def test_config_enums_hash_by_identity():
