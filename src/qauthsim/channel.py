@@ -173,15 +173,19 @@ def build_streams(plan: "SessionPlan", model: PhotonCountModel,
 
 def draw_loss(slots: int, p_loss: float, rand: RandomSource) -> list[int]:
     """Loss marks for one session: each of the ``slots`` photons on each
-    path is lost independently with probability p_loss, one uniform draw
-    per photon (:meth:`~qauthsim.qsim.RandomSource.below`), the initiator's
-    path first.  Returns the positions lost on either path, sorted; no draw
-    at p_loss = 0."""
+    path is lost independently with probability p_loss, one mark per
+    photon from the stream's loss substream
+    (:meth:`~qauthsim.qsim.RandomSource.loss_marks`), the initiator's path
+    first.  Returns the positions lost on either path, sorted.  The marks
+    touch none of the stream's other draws, so a lost stream never seeds
+    its twister, and an arriving one draws the rest of its session as the
+    p_loss = 0 session of the same stream would; no mark is drawn at
+    p_loss = 0."""
     if not 0.0 <= p_loss < 1.0:
         raise ValueError("p_loss must be in [0, 1)")
     if p_loss == 0.0:
         return []
-    marks = rand.below(2 * slots, p_loss)
+    marks = rand.loss_marks(2 * slots, p_loss)
     # each mark is a 0 or 1 byte, so OR-ing the paths' marks as integers
     # ORs them position by position
     either = (int.from_bytes(marks[:slots], "little")

@@ -370,7 +370,11 @@ def run_session(cfg: SessionConfig, attack: AttackConfig | None,
     exact kernel.  A lost photon ends the session at its loss marks, before
     its layout or any slot is drawn: nothing a lost stream reports depends
     on them, and the draws are independent, so drawing them only for the
-    streams that arrive keeps every outcome's law.  All reads of a slot
+    streams that arrive keeps every outcome's law.  The loss marks come
+    from the stream's own loss substream
+    (:meth:`~qauthsim.qsim.RandomSource.loss_marks`) and everything after
+    them from its twister, so a stream whose photons all arrive is exactly
+    the p_loss = 0 session of the same (seed, trial).  All reads of a slot
     come from its one draw, so a party's bits exist before its step; in
     SWAP mode the responder's bits are reported only once the initiator
     has passed.

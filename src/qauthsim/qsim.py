@@ -30,8 +30,11 @@ A session's draws are made in bulk (:meth:`RandomSource.below`,
 :meth:`~RandomSource.quarters`, :meth:`~RandomSource.outcomes`), and each
 bulk draw consumes exactly the generator words, in the same order, of the
 scalar loop it replaces, so the two give the same values and leave the
-stream at the same point.  Only this module reads the generator's word
-layout (see :class:`RandomSource`).
+stream at the same point.  A session's loss marks
+(:meth:`RandomSource.loss_marks`) come from a SHAKE-128 substream of their
+own, and the Mersenne Twister behind every other draw is seeded only when
+it is first drawn from, so a lost stream never seeds it.  Only this module
+reads either stream's layout (see :class:`RandomSource`).
 
 :class:`StateRegister` is off the session path: through
 :func:`basis_distribution` and :func:`swap_enumerate` it is the reference
@@ -52,7 +55,7 @@ which makes the four labels a Klein four-group with PHI_PLUS as identity.
 
 from __future__ import annotations
 
-import hashlib
+from hashlib import sha256, shake_128
 import math
 from _random import Random as _MersenneTwister
 from bisect import bisect_right
@@ -147,28 +150,41 @@ def bell_compose(a: BellLabel, b: BellLabel) -> BellLabel:
 
 
 class RandomSource:
-    """Deterministic random stream addressed by (master_seed, stream_id).
+    """Deterministic random streams addressed by (master_seed, stream_id).
 
-    The pair is hashed into the generator seed, so distinct stream ids give
-    unrelated sequences and a given pair replays the same draws on any
-    platform.  Only ``getrandbits``/``random`` are consumed underneath;
+    The pair addresses two streams, each a counter-based stream in the
+    sense of Salmon, Moraes, Dror & Shaw ("Parallel random numbers: as
+    easy as 1, 2, 3", SC 2011): a given pair replays the same draws on any
+    platform, and distinct pairs give unrelated sequences.
+
+    - The loss substream (:meth:`loss_marks`) is the SHAKE-128 output of
+      ``b"qauthsim/loss/<seed>/<stream>"``, 8 bytes per mark.
+    - Every other draw comes from a Mersenne Twister seeded with the
+      SHA-256 of ``b"qauthsim/<seed>/<stream>"``.  The twister is seeded
+      lazily, on its first draw (each draw method takes
+      ``self._rng or self._seed()``), so a stream that draws only its loss
+      marks computes neither the hash nor the twister's state, and a
+      stream that draws both gets the same twister draws as one that never
+      read its loss substream.
+
+    Only ``getrandbits``/``random`` are consumed from the twister;
     composite draws (sampling without replacement, bounded integers) are
     implemented here so their draw pattern is pinned by this module rather
     than by stdlib internals.
 
-    The same words, in bulk: underneath is a Mersenne Twister that emits
-    32-bit words.  ``getrandbits(w)`` for w <= 32 is the top w bits of one
-    word; ``getrandbits(32 * n)`` packs n words, the first least
-    significant; ``random()`` reads two words w1, w2 and returns
-    ``N / 2**53`` with ``N = (w1 >> 5) << 26 | w2 >> 6``.  Each bulk draw
-    consumes exactly the words of the scalar loop it replaces, in the same
-    order, and returns the same values: :meth:`bits`, :meth:`bit_pairs`
-    and :meth:`quarters` (loops of :meth:`bit` and ``randbelow(4)``) and
+    The same words, in bulk: the twister emits 32-bit words.
+    ``getrandbits(w)`` for w <= 32 is the top w bits of one word;
+    ``getrandbits(32 * n)`` packs n words, the first least significant;
+    ``random()`` reads two words w1, w2 and returns ``N / 2**53`` with
+    ``N = (w1 >> 5) << 26 | w2 >> 6``.  Each bulk draw consumes exactly
+    the words of the scalar loop it replaces, in the same order, and
+    returns the same values: :meth:`bits`, :meth:`bit_pairs` and
+    :meth:`quarters` (loops of :meth:`bit` and ``randbelow(4)``) and
     :meth:`below` (a loop of ``uniform() < p``) each take their words in
     one ``getrandbits`` call; :meth:`sample_partition` is one Fisher-Yates
     pass of :meth:`randbelow` draws; :meth:`outcomes` is a loop of
     :meth:`categorical` with no Python-level call per slot.  No module
-    outside this one reads that layout.
+    outside this one reads either stream's layout.
     """
 
     __slots__ = ("master_seed", "stream_id", "_rng")
@@ -176,18 +192,24 @@ class RandomSource:
     def __init__(self, master_seed: int, stream_id: int = 0) -> None:
         self.master_seed = master_seed & _MASK64
         self.stream_id = stream_id & _MASK64
-        digest = hashlib.sha256(b"qauthsim/%d/%d" % (self.master_seed, self.stream_id)).digest()
+        self._rng = None
+
+    def _seed(self) -> _MersenneTwister:
+        """The twister, seeded on first use."""
+        digest = sha256(b"qauthsim/%d/%d" % (self.master_seed, self.stream_id)).digest()
         # the C generator that random.Random extends, seeded as
         # random.Random(seed) seeds it, without that class's Python frames
-        self._rng = _MersenneTwister(int.from_bytes(digest, "big"))
+        rng = self._rng = _MersenneTwister(int.from_bytes(digest, "big"))
+        return rng
 
     def bit(self) -> int:
-        return self._rng.getrandbits(1)
+        return (self._rng or self._seed()).getrandbits(1)
 
     def _top_bytes(self, count: int) -> bytes:
         """The top byte of each of the next ``count`` words, in order: every
         fourth byte of ``count`` packed words, little-endian."""
-        return self._rng.getrandbits(32 * count).to_bytes(4 * count, "little")[3::4]
+        rng = self._rng or self._seed()
+        return rng.getrandbits(32 * count).to_bytes(4 * count, "little")[3::4]
 
     def bits(self, count: int) -> tuple[int, ...]:
         """``count`` draws of :meth:`bit`, each the top bit of a word."""
@@ -208,33 +230,22 @@ class RandomSource:
         return self._top_bytes(count).translate(_TOP_TWO_BITS)
 
     def uniform(self) -> float:
-        return self._rng.random()
+        return (self._rng or self._seed()).random()
 
     def below(self, count: int, p: float) -> bytes:
         """``count`` marks, each 1 where a draw of :meth:`uniform` is below
-        ``p`` and 0 elsewhere.
+        ``p`` and 0 elsewhere: :func:`_marks_below` over the draws' words."""
+        rng = self._rng or self._seed()
+        return _marks_below(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), p)
 
-        A draw is ``N / 2**53``, so it is below p exactly when
-        ``N < p * 2**53``.  The top byte of N is the top byte of the draw's
-        first word, and a per-p table decides each draw from it: every N
-        with that top byte is below p, none is, or the byte holds the edge
-        ``p * 2**53``; only there is N assembled and compared.
-        """
-        table = _BELOW_TABLES.get(p) or _below_table(p)
-        packed = self._rng.getrandbits(64 * count).to_bytes(8 * count, "little")
-        marks = packed[3::8].translate(table)
-        edge = marks.find(_EDGE)
-        if edge < 0:
-            return marks
-        marks = bytearray(marks)
-        limit = p * _TWO53
-        while edge >= 0:
-            at = 8 * edge
-            first = int.from_bytes(packed[at:at + 4], "little")
-            second = int.from_bytes(packed[at + 4:at + 8], "little")
-            marks[edge] = ((first >> 5) << 26 | second >> 6) < limit
-            edge = marks.find(_EDGE, edge + 1)
-        return bytes(marks)
+    def loss_marks(self, count: int, p: float) -> bytes:
+        """``count`` loss marks from the loss substream: the same rule as
+        :meth:`below` (:func:`_marks_below`), over 8 bytes of SHAKE-128
+        output per mark in place of two twister words.  The twister is
+        neither seeded nor advanced.  Each call reads the substream from its
+        start, so a stream draws its loss marks in one call."""
+        address = b"qauthsim/loss/%d/%d" % (self.master_seed, self.stream_id)
+        return _marks_below(shake_128(address).digest(8 * count), p)
 
     def randbelow(self, bound: int) -> int:
         if bound <= 0:
@@ -242,7 +253,7 @@ class RandomSource:
         if bound == 1:
             return 0
         width = (bound - 1).bit_length()
-        g = self._rng.getrandbits
+        g = (self._rng or self._seed()).getrandbits
         while True:
             value = g(width)
             if value < bound:
@@ -261,7 +272,7 @@ class RandomSource:
         if not 0 <= count <= universe:
             raise ValueError("cannot sample %d of %d positions" % (count, universe))
         pool = list(range(universe))
-        g = self._rng.getrandbits
+        g = (self._rng or self._seed()).getrandbits
         for i, bound, width in _SCHEDULES.get((universe, count)) or _schedule(universe, count):
             j = g(width)
             while j >= bound:
@@ -292,7 +303,7 @@ class RandomSource:
         return BellLabel.from_bits(self.bit(), self.bit())
 
     def basis(self) -> MeasBasis:
-        return BASIS_OF_BIT[self._rng.getrandbits(1)]
+        return BASIS_OF_BIT[(self._rng or self._seed()).getrandbits(1)]
 
     def categorical(self, thresholds: Sequence[float]) -> int:
         """Index of the outcome one uniform draw selects, exactly.
@@ -304,13 +315,13 @@ class RandomSource:
         per step: N integer, so S_j * 2**53 <= N * T <=>
         ceil(S_j * 2**53 / T) <= N <=> t_j <= u.
         """
-        return bisect_right(thresholds, self._rng.random())
+        return bisect_right(thresholds, (self._rng or self._seed()).random())
 
     def outcomes(self, tables: Sequence[tuple]) -> list:
         """One outcome per kernel table (see :func:`slot_kernels`), in order:
         :meth:`categorical` over each table's thresholds, with no draw where
         a table has a single outcome."""
-        random = self._rng.random
+        random = (self._rng or self._seed()).random
         return [outcomes[bisect_right(thresholds, random())] if cumulative
                 else outcomes[0]
                 for cumulative, _, outcomes, thresholds in tables]
@@ -345,6 +356,34 @@ def _below_table(p: float) -> bytes:
     table = bytes([1 if (b + 1) << 45 <= limit else 0 if b << 45 >= limit
                    else _EDGE for b in range(256)])
     return _BELOW_TABLES.setdefault(p, table)
+
+
+def _marks_below(packed: bytes, p: float) -> bytes:
+    """One mark per 8 bytes of ``packed``: 1 where the draw they hold is
+    below ``p``, 0 elsewhere.
+
+    The 8 bytes are two little-endian 32-bit words w1, w2, and the draw is
+    ``N / 2**53`` with ``N = (w1 >> 5) << 26 | w2 >> 6``, as ``random()``
+    builds it from two twister words; so the draw is below p exactly when
+    ``N < p * 2**53``.  The top byte of N is the top byte of w1, and a per-p
+    table decides each draw from it: every N with that top byte is below p,
+    none is, or the byte holds the edge ``p * 2**53``; only there is N
+    assembled and compared.
+    """
+    table = _BELOW_TABLES.get(p) or _below_table(p)
+    marks = packed[3::8].translate(table)
+    edge = marks.find(_EDGE)
+    if edge < 0:
+        return marks
+    marks = bytearray(marks)
+    limit = p * _TWO53
+    while edge >= 0:
+        at = 8 * edge
+        first = int.from_bytes(packed[at:at + 4], "little")
+        second = int.from_bytes(packed[at + 4:at + 8], "little")
+        marks[edge] = ((first >> 5) << 26 | second >> 6) < limit
+        edge = marks.find(_EDGE, edge + 1)
+    return bytes(marks)
 
 
 class _State:

@@ -1,5 +1,6 @@
 """Session state machine: planning, key algebra, events, end-to-end runs."""
 
+import hashlib
 import json
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -245,17 +246,60 @@ def test_below_matches_the_uniform_loop(p, count):
             assert set(edge) == {False, True}
 
 
+def _loss_substream(seed, stream, count):
+    """The first 8 * count bytes of a stream's SHAKE-128 loss substream."""
+    return hashlib.shake_128(b"qauthsim/loss/%d/%d" % (seed, stream)).digest(8 * count)
+
+
+def _reference_loss_marks(seed, stream, count, p):
+    """Loss marks one at a time, each decided in exact integer arithmetic
+    by its own 8 substream bytes: two little-endian words w1, w2 and
+    N = (w1 >> 5) << 26 | w2 >> 6, below p exactly when N < p * 2**53."""
+    data = _loss_substream(seed, stream, count)
+    limit = Fraction(p) * 2 ** 53
+    marks = []
+    for at in range(0, 8 * count, 8):
+        w1 = int.from_bytes(data[at:at + 4], "little")
+        w2 = int.from_bytes(data[at + 4:at + 8], "little")
+        marks.append(((w1 >> 5) << 26 | w2 >> 6) < limit)
+    return marks
+
+
 @pytest.mark.parametrize("p", (0.0,) + _PROBABILITIES)
 @pytest.mark.parametrize("slots", [0, 1, 58])
-def test_draw_loss_matches_the_uniform_loop(p, slots):
+def test_draw_loss_matches_the_uniform_loop(monkeypatch, p, slots):
+    if p == 0.0:
+        def refuse(*args):
+            raise AssertionError("a lossless stream drew loss marks")
+
+        monkeypatch.setattr(RandomSource, "loss_marks", refuse)
     for stream in range(25):
-        rand, twin = RandomSource(40, stream), RandomSource(40, stream)
+        rand = RandomSource(40, stream)
         lost = draw_loss(slots, p, rand)
-        # no draw at p = 0; else one per photon, the initiator's path first
-        marks = [twin.uniform() < p for _ in range(2 * slots)] if p else []
+        # no mark at p = 0; else one per photon, the initiator's path first
+        marks = _reference_loss_marks(40, stream, 2 * slots, p) if p else []
         assert lost == [q for q in range(slots)
                         if marks and (marks[q] or marks[slots + q])]
-        _assert_in_step(rand, twin)
+        # the marks never seed the twister
+        assert rand._rng is None
+
+
+@pytest.mark.parametrize("p", _PROBABILITIES)
+@pytest.mark.parametrize("count", [0, 1, 7, 20000])
+def test_loss_marks_read_the_substream_bytes(p, count):
+    rand = RandomSource(41, count)
+    marks = _reference_loss_marks(41, count, count, p)
+    assert rand.loss_marks(count, p) == bytes(marks)
+    assert rand._rng is None
+    if count == 20000:
+        # the long stream reaches the edge byte, on both sides of p where
+        # p is not at an extreme
+        tops = _loss_substream(41, count, count)[3::8]
+        edge = [mark for mark, top in zip(marks, tops)
+                if top == _edge_byte(p)]
+        assert (p == 0.5) == (not edge)
+        if p in (0.02, 0.999):
+            assert set(edge) == {False, True}
 
 
 def _reference_pns_taps(eve, plan, photon, rand):
@@ -487,10 +531,10 @@ def test_loss_gives_incomplete_stream():
                                        (ProtocolMode.SWAP, BeliefRule.COMPOSED)])
 def test_loss_marks_come_before_the_plan(monkeypatch, mode, rule, attack,
                                          p_loss):
-    # Against a twin stream that draws the loss marks by hand: a stream
-    # whose photons all arrive is the p_loss = 0 session of the draws that
-    # follow its marks, field for field, and a lost one draws nothing after
-    # its marks, so neither needs a layout.
+    # A stream whose photons all arrive is the p_loss = 0 session of the
+    # same (seed, trial), field for field and twister state for twister
+    # state; a lost one draws nothing after its loss marks, so it needs no
+    # layout and never seeds its twister.
     cfg = _cfg(k=3, d=4, mode=mode, rule=rule)
     atk = AttackConfig(AttackKind(attack))
     if atk.kind in (AttackKind.INTERCEPT_RESEND, AttackKind.PNS):
@@ -499,21 +543,23 @@ def test_loss_marks_come_before_the_plan(monkeypatch, mode, rule, attack,
     slots = cfg.total_slots
     lost = {}
     for t in range(40):
-        rand, twin = RandomSource(43, t), RandomSource(43, t)
+        rand = RandomSource(43, t)
         out = run_session(cfg, atk, rand, photon=photon, p_loss=p_loss)
-        marks = twin.below(2 * slots, p_loss)
-        if any(marks):
+        marked = draw_loss(slots, p_loss, RandomSource(43, t))
+        if marked:
             assert out.status is SessionStatus.INCOMPLETE_STREAM
             assert out.plan is None
-            assert out.events.entries[-1] == ("3", "server", "lost slots %s" % [
-                q for q in range(slots) if marks[q] or marks[slots + q]])
+            assert out.events.entries[-1] == ("3", "server",
+                                              "lost slots %s" % marked)
+            assert rand._rng is None
             lost[t] = _session_record(out)
         else:
-            ref = run_session(cfg, atk, twin, photon=photon)
+            ref_rand = RandomSource(43, t)
+            ref = run_session(cfg, atk, ref_rand, photon=photon)
             assert _session_record(out) == _session_record(ref)
             assert out.events.digest() == ref.events.digest()
             assert out.plan.config is cfg
-        assert rand._rng.getstate() == twin._rng.getstate()
+            assert rand._rng.getstate() == ref_rand._rng.getstate()
     assert 0 < len(lost) < 40
 
     def refuse(*args):

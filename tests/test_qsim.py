@@ -8,6 +8,7 @@ arithmetic in qauthsim.qsim.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import math
 import random
@@ -15,6 +16,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -907,6 +909,52 @@ def test_random_source_seeds_the_stdlib_generator():
     assert [rand.uniform() for _ in range(5)] == \
         [reference.random() for _ in range(5)]
     assert rand.bits(40) == tuple(reference.getrandbits(1) for _ in range(40))
+
+
+def test_random_source_seeds_its_twister_on_first_draw():
+    # neither construction nor the loss substream seeds the twister, and a
+    # stream that read its loss marks draws what a fresh one draws
+    rand, fresh = RandomSource(12, 3), RandomSource(12, 3)
+    assert rand._rng is None
+    rand.loss_marks(40, 0.5)
+    assert rand._rng is None
+    assert [rand.uniform() for _ in range(5)] == [fresh.uniform() for _ in range(5)]
+    assert rand._rng.getstate() == fresh._rng.getstate()
+
+
+# what reads the layout of a RandomSource's streams
+_STREAM_NAMES = {"_rng", "getrandbits", "shake_128"}
+
+
+def _stream_reads(path):
+    """(line, name) of each use of a stream-layout name in a module: an
+    attribute, a bare name or an imported name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in _STREAM_NAMES:
+            found.append((getattr(node, "lineno", None), name))
+    return found
+
+
+def test_only_qsim_reads_the_stream_layout():
+    # No package module but qsim reads the twister (``_rng``,
+    # ``getrandbits``) or the loss substream (``shake_128``); every draw
+    # goes through RandomSource's methods.
+    package = Path(qsim.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert package / "qsim.py" in modules
+    assert _stream_reads(package / "qsim.py")  # the guard sees the names
+    offenders = {path.name: reads for path in modules
+                 if path.name != "qsim.py" and (reads := _stream_reads(path))}
+    assert not offenders
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 31, 32, 33, 82, 200])
