@@ -289,7 +289,7 @@ def draw_taps(eve: EveState, plan: "SessionPlan", photon: PhotonCountModel,
 def finish_session(eve: EveState, rand: RandomSource) -> None:
     """Post-session adversary action: measure any retained third qubits.
     Never touches party state.  A retained qubit is always its register's
-    last, since grafts only go in front; the call goes through the module,
+    last, since qubits are only added in front; the call goes through the module,
     so a wrapper installed there sees it."""
     for position, reg in eve.retained:
         eve.server_record[position] = qsim.measure_in_basis(

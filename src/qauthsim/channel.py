@@ -88,8 +88,9 @@ class PhotonSlot:
     the photon count and loss flag.
 
     The qubit is held as ``tail``, its distance from the register's last
-    qubit: :meth:`StateRegister.extend_front` only grafts qubits in front,
-    so the tail of a slot's qubit never changes while its index grows.
+    qubit, and its index is read as ``register.n - 1 - tail``:
+    :meth:`StateRegister.extend_front` only adds qubits in front, so the
+    tail of a slot's qubit never changes while its index grows.
     """
 
     __slots__ = ("position", "register", "tail", "photon_count", "lost")
@@ -98,20 +99,20 @@ class PhotonSlot:
                  photon_count: int = 1) -> None:
         self.position = position
         self.register = register
-        self.tail = register.state.n - 1 - index
+        self.tail = register.n - 1 - index
         self.photon_count = photon_count
         self.lost = False
 
     @property
     def qubit_index(self) -> int:
-        return self.register.num_qubits - 1 - self.tail
+        return self.register.n - 1 - self.tail
 
     def measure(self, basis: MeasBasis, rand: RandomSource) -> int:
         if self.lost:
             raise ChannelError(f"slot {self.position} was lost in transit")
         # through the module, so a wrapper installed there sees the call
         register = self.register
-        return qsim.measure_in_basis(register, register.state.n - 1 - self.tail,
+        return qsim.measure_in_basis(register, register.n - 1 - self.tail,
                                      basis, rand)
 
     def __repr__(self) -> str:
@@ -227,9 +228,7 @@ class KeystreamCipher:
 
     Pluggable stand-in for a real authenticated cipher.  Not security-reviewed;
     good enough to make "Eve reads but cannot usefully modify" executable.
-    No session calls it.  Each instance keeps the last keystream it hashed,
-    one (nonce, length) at a time, so opening what it has just sealed reuses
-    the seal's keystream; the tag is checked on every open.
+    No session calls it.
     """
 
     TAG_LEN = 16
@@ -238,26 +237,20 @@ class KeystreamCipher:
         if len(key) < 16:
             raise ValueError("key must be at least 16 bytes")
         self._key = bytes(key)
-        # ((nonce, length), keystream) of the last keystream hashed
-        self._last: tuple[tuple[int, int] | None, int] = (None, 0)
 
     def _stream(self, nonce: int, length: int) -> int:
         """The keystream as one big-endian integer.  Block ``i`` is SHA-256
         of key, nonce and ``i``; the key and nonce prefix is hashed once and
         its state copied for each block."""
-        hashed, stream = self._last
-        if hashed != (nonce, length):
-            prefix = hashlib.sha256(self._key + b"|ks|%d|" % nonce)
-            out = bytearray()
-            counter = 0
-            while len(out) < length:
-                block = prefix.copy()
-                block.update(b"%d" % counter)
-                out.extend(block.digest())
-                counter += 1
-            stream = int.from_bytes(out[:length], "big")
-            self._last = ((nonce, length), stream)
-        return stream
+        prefix = hashlib.sha256(self._key + b"|ks|%d|" % nonce)
+        out = bytearray()
+        counter = 0
+        while len(out) < length:
+            block = prefix.copy()
+            block.update(b"%d" % counter)
+            out.extend(block.digest())
+            counter += 1
+        return int.from_bytes(out[:length], "big")
 
     def _xor(self, nonce: int, data: bytes) -> bytes:
         """``data`` XOR the keystream, computed as one integer XOR."""

@@ -39,13 +39,10 @@ reads either stream's layout (see :class:`RandomSource`).
 :class:`StateRegister` is off the session path: through
 :func:`basis_distribution` and :func:`swap_enumerate` it is the reference
 the kernels are tested against, and :func:`measure_in_basis` and
-:func:`measure_bell` sample registers that tests build.  A register
-points at a shared, immutable state that carries the edges out of it,
-built by the same helpers on first use: per measurement an outcome table
-with one child state per outcome, and per constant front the grafted
-state.  A measurement draws once from that table and moves to the child.
-Prepared registers start at module-constant states; a constructor-built
-register starts a graph of its own, which dies with it.
+:func:`measure_bell` sample registers that tests build.  A register holds
+its integer vector; a measurement projects it onto every outcome with the
+same helpers, draws once by the projections' weights, and keeps the chosen
+projection.
 
 Index convention: qubit 0 is the leftmost tensor factor, so basis index
 ``i`` assigns qubit ``q`` the bit ``(i >> (n - 1 - q)) & 1``.  Pair-basis
@@ -386,42 +383,11 @@ def _marks_below(packed: bytes, p: float) -> bytes:
     return bytes(marks)
 
 
-class _State:
-    """One immutable register state: the integer vector ``amps`` over ``n``
-    qubits, and the edges out of it, each built on first use.
-
-    ``qubit_tables`` (keyed ``2 * qubit + diagonal``) and ``pair_tables``
-    (keyed ``(first, second)``) hold outcome tables: the running sums of the
-    integer weights, the total, each outcome's child state (None at weight
-    zero), and the thresholds :meth:`RandomSource.categorical` draws
-    against.  ``grafts`` maps a constant front state to this state with
-    that front ahead.
-    """
-
-    __slots__ = ("amps", "n", "qubit_tables", "pair_tables", "grafts")
-
-    def __init__(self, amps: tuple[int, ...], n: int) -> None:
-        self.amps = amps
-        self.n = n
-        self.qubit_tables: dict[int, tuple] = {}
-        self.pair_tables: dict[tuple[int, int], tuple] = {}
-        self.grafts: dict[_State, _State] = {}
-
-    def tabulate(self, tables: dict, key, projections: Sequence[Sequence[int]]) -> tuple:
-        """Store and return the outcome table of ``projections``."""
-        cumulative = tuple(accumulate(map(_weight, projections)))
-        children = tuple(_State(tuple(p), self.n) if any(p) else None
-                         for p in projections)
-        return tables.setdefault(key, (cumulative, cumulative[-1], children,
-                                       _thresholds(cumulative)))
-
-
 class StateRegister:
-    """Pure state over 1..8 qubits as an unnormalized integer vector: a
-    pointer to an immutable :class:`_State`, which measurement and
-    :meth:`extend_front` move."""
+    """Pure state over 1..8 qubits: the unnormalized integer vector ``amps``
+    over ``n`` qubits, replaced by measurement and :meth:`extend_front`."""
 
-    __slots__ = ("state",)
+    __slots__ = ("amps", "n")
 
     def __init__(self, amplitudes: Sequence[int]) -> None:
         amps = tuple(amplitudes)
@@ -433,16 +399,17 @@ class StateRegister:
             raise ValueError("amplitudes must be integers")
         if not any(amps):
             raise ValueError("state vector is null")
-        self.state = _State(amps, num)
+        self.amps = amps
+        self.n = num
 
     @property
     def num_qubits(self) -> int:
-        return self.state.n
+        return self.n
 
     @property
     def amplitudes(self) -> list[int]:
         """A copy of the state vector: writing into it changes nothing."""
-        return list(self.state.amps)
+        return list(self.amps)
 
     def extend_front(self, front: "StateRegister") -> None:
         """Tensor ``front``'s qubits ahead of this register's.
@@ -451,46 +418,27 @@ class StateRegister:
         register survives; slots are tail-anchored, so their qubit indices
         shift automatically.
         """
-        state, head = self.state, front.state
-        grafted = state.grafts.get(head)
-        if grafted is None:
-            if state.n + head.n > 8:
-                raise ValueError("register would exceed 8 qubits")
-            grafted = _State(tuple(fa * sa for fa in head.amps for sa in state.amps),
-                             state.n + head.n)
-            if head in _CONSTANT_STATES:
-                state.grafts[head] = grafted
-        self.state = grafted
+        grown = tensor(front, self)
+        self.amps, self.n = grown.amps, grown.n
 
     def __repr__(self) -> str:
         return f"StateRegister(num_qubits={self.num_qubits})"
 
 
 # Pair states over (b_first, b_second) = 00, 01, 10, 11, in BELL_ORDER.
-_BELL_STATES = tuple(_State(amps, 2) for amps in
-                     ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, 1, -1, 0)))
-_GHZ_STATE = _State((1, 0, 0, 0, 0, 0, 0, 1), 3)
+_BELL_STATES = ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, 1, -1, 0))
+_GHZ_STATE = (1, 0, 0, 0, 0, 0, 0, 1)
 # Single qubits carrying 0 and 1 in each basis.
-_RECTILINEAR_STATES = (_State((1, 0), 1), _State((0, 1), 1))
-_DIAGONAL_STATES = (_State((1, 1), 1), _State((1, -1), 1))
-_CONSTANT_STATES = frozenset((*_BELL_STATES, _GHZ_STATE,
-                              *_RECTILINEAR_STATES, *_DIAGONAL_STATES))
-
-
-def _constant_register(state: _State) -> StateRegister:
-    """Register at one of the module's constant states, built without the
-    constructor's validation."""
-    register = object.__new__(StateRegister)
-    register.state = state
-    return register
+_RECTILINEAR_STATES = ((1, 0), (0, 1))
+_DIAGONAL_STATES = ((1, 1), (1, -1))
 
 
 def prepare_bell(label: BellLabel) -> StateRegister:
-    return _constant_register(_BELL_STATES[(label.kind_bit << 1) | label.phase_bit])
+    return StateRegister(_BELL_STATES[(label.kind_bit << 1) | label.phase_bit])
 
 
 def prepare_ghz() -> StateRegister:
-    return _constant_register(_GHZ_STATE)
+    return StateRegister(_GHZ_STATE)
 
 
 def prepare_polarized(value: int, basis: MeasBasis) -> StateRegister:
@@ -498,14 +446,14 @@ def prepare_polarized(value: int, basis: MeasBasis) -> StateRegister:
     if value not in (0, 1):
         raise ValueError("value must be a bit")
     states = _RECTILINEAR_STATES if basis is _RECTILINEAR else _DIAGONAL_STATES
-    return _constant_register(states[value])
+    return StateRegister(states[value])
 
 
 def tensor(a: StateRegister, b: StateRegister) -> StateRegister:
     """New register with a's qubits indexed first."""
-    if a.num_qubits + b.num_qubits > 8:
+    if a.n + b.n > 8:
         raise ValueError("register would exceed 8 qubits")
-    return StateRegister([x * y for x in a.state.amps for y in b.state.amps])
+    return StateRegister([x * y for x in a.amps for y in b.amps])
 
 
 # ---------------------------------------------------------------------------
@@ -580,35 +528,31 @@ def _project_pair(amps: Sequence[int], n: int, first: int,
     return out
 
 
+def _collapse(register: StateRegister, projections: Sequence[Sequence[int]],
+              rand: RandomSource) -> int:
+    """Draw one outcome of ``projections`` by their exact weights and move
+    the register to its projection; returns the outcome's index."""
+    idx = rand.categorical(_thresholds(tuple(accumulate(map(_weight, projections)))))
+    register.amps = tuple(projections[idx])
+    return idx
+
+
 def measure_in_basis(register: StateRegister, qubit: int, basis: MeasBasis,
                      rand: RandomSource) -> int:
     """Born-rule measurement of one qubit; moves the register to the outcome."""
-    state = register.state
-    if basis is _DIAGONAL:
-        key = 2 * qubit + 1
-    elif basis is _RECTILINEAR:
-        key = 2 * qubit
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    table = state.qubit_tables.get(key)
-    if table is None:
-        if not 0 <= qubit < state.n:
-            raise ValueError("qubit index out of range")
-        table = state.tabulate(state.qubit_tables, key,
-                               _project_qubit(state.amps, state.n, qubit, basis))
-    _, _, children, thresholds = table
-    idx = rand.categorical(thresholds)
-    register.state = children[idx]
-    return idx
+    if not 0 <= qubit < register.n:
+        raise ValueError("qubit index out of range")
+    return _collapse(register, _project_qubit(register.amps, register.n, qubit, basis),
+                     rand)
 
 
 def basis_distribution(register: StateRegister, qubit: int,
                        basis: MeasBasis) -> tuple[Fraction, Fraction]:
     """Exact Born probabilities (p0, p1) for one qubit, without collapsing."""
-    n = register.num_qubits
+    n = register.n
     if not 0 <= qubit < n:
         raise ValueError("qubit index out of range")
-    w0, w1 = map(_weight, _project_qubit(register.state.amps, n, qubit, basis))
+    w0, w1 = map(_weight, _project_qubit(register.amps, n, qubit, basis))
     return Fraction(w0, w0 + w1), Fraction(w1, w0 + w1)
 
 
@@ -616,19 +560,11 @@ def measure_bell(register: StateRegister, first: int, second: int,
                  rand: RandomSource) -> BellLabel:
     """Projective pair-basis measurement of two qubits, outcomes in
     BELL_ORDER; moves the register to the outcome."""
-    state = register.state
-    key = (first, second)
-    table = state.pair_tables.get(key)
-    if table is None:
-        n = state.n
-        if first == second or not (0 <= first < n and 0 <= second < n):
-            raise ValueError("pair measurement needs two distinct qubits in range")
-        table = state.tabulate(state.pair_tables, key,
-                               _project_pair(state.amps, n, first, second))
-    _, _, children, thresholds = table
-    idx = rand.categorical(thresholds)
-    register.state = children[idx]
-    return BELL_ORDER[idx]
+    n = register.n
+    if first == second or not (0 <= first < n and 0 <= second < n):
+        raise ValueError("pair measurement needs two distinct qubits in range")
+    return BELL_ORDER[_collapse(register, _project_pair(register.amps, n, first, second),
+                                rand)]
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +582,7 @@ def measure_bell(register: StateRegister, first: int, second: int,
 PAIR_SOURCE = 4
 TRIPLE_SOURCE = 5
 _SOURCE_STATES = tuple(
-    [_State(tuple(a * b for a in half.amps for b in half.amps), 2)
+    [tuple([a * b for a in half for b in half])
      for half in (*_RECTILINEAR_STATES, *_DIAGONAL_STATES)]
     + [_BELL_STATES[0], _GHZ_STATE])
 
@@ -668,7 +604,7 @@ def slot_kernels(keys: Sequence[tuple]) -> list[tuple]:
     A key is (source, tap_a, tap_b, basis, created): a source index; the
     basis bit eve reads alice's and bob's photon in, None where she does not
     read it; the parties' basis bit; and the created pair's index in
-    BELL_ORDER for a relay step, else None.  The relay step grafts the
+    BELL_ORDER for a relay step, else None.  The relay step puts the
     created pair in front of the source's qubits.
 
     The reads: eve reads each photon she taps; alice reads her photon in
@@ -698,7 +634,8 @@ def slot_kernels(keys: Sequence[tuple]) -> list[tuple]:
 
 def _build_kernel(source: int, tap_a: int | None, tap_b: int | None,
                   basis: int, created: int | None) -> tuple:
-    state = _SOURCE_STATES[source]
+    amps = _SOURCE_STATES[source]
+    n = 3 if source == TRIPLE_SOURCE else 2
     party = BASIS_OF_BIT[basis]
     # (field, qubit, basis) on the source's qubits; alice's photon is 0
     reads = []
@@ -711,13 +648,13 @@ def _build_kernel(source: int, tap_a: int | None, tap_b: int | None,
         reads.append((SERVER, 2, _RECTILINEAR))
     if created is None:
         reads.append((ALICE, 0, party))
-    leaves = _read_leaves([([None] * 6, state.amps)], state.n, reads)
+    leaves = _read_leaves([([None] * 6, amps)], n, reads)
     if created is not None:
         # the relay step: graft the created pair in front, then read
-        front = _BELL_STATES[created].amps
+        front = _BELL_STATES[created]
         grafted = [(fields, [f * a for f in front for a in vec])
                    for fields, vec in leaves]
-        leaves = _read_leaves(grafted, state.n + 2,
+        leaves = _read_leaves(grafted, n + 2,
                               [(RELAY, (1, 2), None), (ALICE, 0, _RECTILINEAR)])
 
     weights = [_weight(vec) for _, vec in leaves]
@@ -839,7 +776,7 @@ def swap_enumerate(created: BellLabel, source: SourceKind,
     reg = tensor(prepare_bell(created), src)
     n = reg.num_qubits
     rest_axes = [0] + list(range(3, n))
-    projections = _project_pair(reg.state.amps, n, 1, 2)
+    projections = _project_pair(reg.amps, n, 1, 2)
     weights = [_weight(p) for p in projections]
     total = sum(weights)
 

@@ -191,9 +191,8 @@ class TestKeystreamCipher:
         assert {n: cipher.open(n, blob) for n, blob in blobs.items()} == texts
 
     def test_one_instance_seals_as_fresh_ones_do(self):
-        # an instance reuses the last keystream it hashed; what it seals
-        # must still equal a fresh instance's bytes, and what it sealed
-        # earlier under another (nonce, length) must still open
+        # what an instance seals must equal a fresh instance's bytes, and
+        # what it sealed earlier under another (nonce, length) must still open
         key = bytes(range(16))
         cipher = KeystreamCipher(key)
         text = bytes(range(256)) * 3

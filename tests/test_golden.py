@@ -191,8 +191,9 @@ def test_sessions_sample_only_the_slot_kernels(monkeypatch):
     # The per-slot kernels are the one session sampler.  With the kernel
     # cache emptied, the per-photon path patched to raise everywhere it is
     # bound (photon slots, streams, taps, the relay step, single-qubit and
-    # pair measurement, grafting), every pinned scenario still reproduces
-    # its digests: its kernels are built and sampled without any of them.
+    # pair measurement, grafting, building a register or a tensor product),
+    # every pinned scenario still reproduces its digests: its kernels are
+    # built and sampled without any of them.
     import qauthsim
     from qauthsim import adversary, channel, harness, protocol, qsim
 
@@ -200,13 +201,14 @@ def test_sessions_sample_only_the_slot_kernels(monkeypatch):
         raise AssertionError("a session took the per-photon path")
 
     names = ("build_streams", "apply_tap", "alice_swap_step",
-             "measure_in_basis", "measure_bell")
+             "measure_in_basis", "measure_bell", "tensor")
     for module in (qauthsim, qsim, channel, adversary, protocol, harness):
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(channel.PhotonSlot, "__init__", refuse)
     monkeypatch.setattr(qsim.StateRegister, "extend_front", refuse)
+    monkeypatch.setattr(qsim.StateRegister, "__init__", refuse)
     saved = dict(qsim._KERNELS)
     qsim._KERNELS.clear()
     try:

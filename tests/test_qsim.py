@@ -268,22 +268,9 @@ def _check_sampler(name, make, measure, reference, labels):
 SESSION_REGISTERS = _session_registers()
 
 
-def _cold(make):
-    """A constructor-built register with the vector ``make`` gives: its state
-    starts a graph of its own, so every draw reads a table built for it."""
-    return lambda: StateRegister(make().amplitudes)
-
-
-# each register at the shared prepared states, with the tables as earlier
-# tests left them, then "-cold" from a fresh graph
-@pytest.mark.parametrize("name,make,relay,cold",
-                         [(*entry, cold) for cold in (False, True)
-                          for entry in SESSION_REGISTERS],
-                         ids=[entry[0] + ("-cold" if cold else "")
-                              for cold in (False, True) for entry in SESSION_REGISTERS])
-def test_engine_matches_reference_on_session_registers(name, make, relay, cold):
-    if cold:
-        make = _cold(make)
+@pytest.mark.parametrize("name,make,relay", SESSION_REGISTERS,
+                         ids=[entry[0] for entry in SESSION_REGISTERS])
+def test_engine_matches_reference_on_session_registers(name, make, relay):
     state = make().amplitudes
     n = make().num_qubits
     for qubit in range(n):
@@ -302,10 +289,10 @@ def test_engine_matches_reference_on_session_registers(name, make, relay, cold):
                        reference, BELL_ORDER)
 
 
-def test_amplitudes_are_a_copy_of_the_shared_state():
-    # two registers collapsed by the same draw share the child state; writing
-    # into one's amplitudes changes neither it, the other, nor the table the
-    # next register of that state reads
+def test_amplitudes_are_a_copy_after_collapse():
+    # two registers collapsed by the same draw hold the same vector; writing
+    # into one's amplitudes changes neither it, the other, nor what the next
+    # register prepared alike draws
     decoy = partial(prepare_polarized, 0, MeasBasis.DIAGONAL)
     grafted = partial(_grafted, BellLabel.PSI_MINUS,
                       partial(prepare_bell, BellLabel.PHI_PLUS))
@@ -321,7 +308,6 @@ def test_amplitudes_are_a_copy_of_the_shared_state():
             reg, other = make(), make()
             measure(reg, _FixedDraw(u))
             measure(other, _FixedDraw(u))
-            assert reg.state is other.state
             collapsed = reg.amplitudes
             reg.amplitudes[:] = [7] * len(collapsed)
             assert reg.amplitudes == collapsed == other.amplitudes
@@ -330,8 +316,8 @@ def test_amplitudes_are_a_copy_of_the_shared_state():
 
 
 def test_pair_tables_keyed_by_both_qubits():
-    # one register state measured on every ordered pair of its qubits, so a
-    # table reused across pairs would hand one pair another's weights
+    # one register state measured on every ordered pair of its qubits: each
+    # pair must draw by its own weights, not another pair's
     make = partial(_grafted, BellLabel.PHI_MINUS, prepare_ghz)
     state, n = make().amplitudes, make().num_qubits
     vecs = [BELL_VECS[label] for label in BELL_ORDER]
@@ -361,27 +347,7 @@ def test_prepared_registers_are_independent():
         assert second.amplitudes is not second.amplitudes
 
 
-# --- the state graph the sessions walk ---------------------------------------
-
-# every distinct state (up to a scalar) reachable from the prepared constants
-# under the session's operations; see test_state_graph_is_closed_and_exact
-STATE_GRAPH_BOUND = 4000
-
-
-def _ray(amps):
-    """The vector divided by the gcd of its entries, first nonzero positive."""
-    g = math.gcd(*amps)
-    if next(a for a in amps if a) < 0:
-        g = -g
-    return tuple(a // g for a in amps)
-
-
-def _at(state):
-    """A register at ``state``, without moving any other register."""
-    reg = prepare_ghz()
-    reg.state = state
-    return reg
-
+# --- the draw thresholds ------------------------------------------------------
 
 def _assert_thresholds(cumulative, total, thresholds):
     """Each threshold is t_j = ceil(C_j / total) / 2**53 for the running sum
@@ -396,78 +362,6 @@ def _assert_thresholds(cumulative, total, thresholds):
             if u < 1.0:  # t = 1.0 closes the last outcome; no draw reaches it
                 assert _FixedDraw(u).categorical(thresholds) == \
                     bisect_right(scaled, int(u * 2 ** 53) * total), (t, u)
-
-
-def _table_weights(table):
-    cumulative, total, _children, thresholds = table
-    assert cumulative[-1] == total
-    _assert_thresholds(cumulative, total, thresholds)
-    return [Fraction(hi - lo, total) for lo, hi in zip((0, *cumulative), cumulative)]
-
-
-def test_state_graph_is_closed_and_exact():
-    # Walk the edges out of the nine prepared constant states: measuring any
-    # qubit in either basis, grafting each pair-state front onto a
-    # not-yet-grafted state of at most three qubits (the relay's 5a), and
-    # the relay's pair measurement of the created half against the received
-    # qubit on a grafted state.  Stabilizer states project onto stabilizer
-    # states, so up to a scalar the walk closes.  Every table must hold the
-    # exact weights of the reference helpers, and every child the projection.
-    roots = [prepare_bell(label).state for label in BELL_ORDER]
-    roots.append(prepare_ghz().state)
-    roots += [prepare_polarized(v, b).state for v in (0, 1) for b in MeasBasis]
-    todo = [(state, False) for state in roots]
-    seen = set()
-    while todo:
-        state, grafted = todo.pop()
-        key = (_ray(state.amps), grafted)
-        if key in seen:
-            continue
-        seen.add(key)
-        assert len(seen) <= STATE_GRAPH_BOUND
-        n = state.n
-        edges = []
-        for qubit in range(n):
-            for basis in MeasBasis:
-                measure_in_basis(_at(state), qubit, basis, _FixedDraw(0.0))
-                table = state.qubit_tables[2 * qubit + (basis is MeasBasis.DIAGONAL)]
-                assert _table_weights(table) == \
-                    list(basis_distribution(_at(state), qubit, basis)), (state.amps, qubit)
-                edges.append((table, qsim._project_qubit(state.amps, n, qubit, basis)))
-        if grafted:
-            measure_bell(_at(state), 1, 2, _FixedDraw(0.0))
-            table = state.pair_tables[(1, 2)]
-            projections = qsim._project_pair(state.amps, n, 1, 2)
-            weights = [qsim._weight(p) for p in projections]
-            assert _table_weights(table) == [Fraction(w, sum(weights)) for w in weights]
-            edges.append((table, projections))
-        for table, projections in edges:
-            for child, projection in zip(table[2], projections):
-                assert (child is None) == (not any(projection))
-                if child is not None:
-                    assert child.amps == tuple(projection) and child.n == n
-                    todo.append((child, grafted))
-        if not grafted and n <= 3:
-            for label in BELL_ORDER:
-                front = prepare_bell(label)
-                reg = _at(state)
-                reg.extend_front(front)
-                assert state.grafts[front.state] is reg.state
-                assert reg.amplitudes == tensor(front, _at(state)).amplitudes
-                todo.append((reg.state, True))
-    assert len(seen) <= STATE_GRAPH_BOUND
-    print(f"{len(seen)} states")
-
-
-def test_grafts_of_built_fronts_are_not_kept():
-    # only constant fronts are memoized: a constructor-built front would
-    # otherwise stay alive in the prepared state's graph
-    reg = prepare_bell(BellLabel.PHI_PLUS)
-    base = reg.state
-    reg.extend_front(StateRegister([1, 0, 0, 1]))
-    assert reg.amplitudes == tensor(prepare_bell(BellLabel.PHI_PLUS),
-                                    prepare_bell(BellLabel.PHI_PLUS)).amplitudes
-    assert all(front in qsim._CONSTANT_STATES for front in base.grafts)
 
 
 # --- single-qubit measurement ---------------------------------------------------
@@ -999,15 +893,21 @@ def _registers(draw):
 @given(reg=_registers(), qubit=st.integers(0, 7),
        basis=st.sampled_from(list(MeasBasis)))
 @settings(max_examples=120, deadline=None)
-def test_arbitrary_register_tables_hold_exact_thresholds(reg, qubit, basis):
+def test_arbitrary_register_draws_follow_the_integer_rule(reg, qubit, basis):
     # weights of arbitrary integer vectors need not sum to a power of two,
-    # so ceil(C_j / total) rounds here, which no session table does
+    # so ceil(S_0 * 2**53 / T) rounds here, which no session table does.  At
+    # the threshold t_0 and at the float just below it, the draw must pick
+    # the integer rule's outcome for N = floor(u * 2**53): 0 exactly when
+    # N * T < S_0 * 2**53, i.e. N < p0 * 2**53
     qubit %= reg.num_qubits
-    state = reg.state
-    probs = basis_distribution(reg, qubit, basis)
-    measure_in_basis(reg, qubit, basis, _FixedDraw(0.0))
-    table = state.qubit_tables[2 * qubit + (basis is MeasBasis.DIAGONAL)]
-    assert _table_weights(table) == list(probs)
+    p0, _ = basis_distribution(reg, qubit, basis)
+    t0 = math.ceil(p0 * 2 ** 53) / 2 ** 53
+    for u in (t0, math.nextafter(t0, 0.0)):
+        if u < 1.0:  # t = 1.0 closes the last outcome; no draw reaches it
+            drawn = StateRegister(reg.amplitudes)
+            want = 0 if int(u * 2 ** 53) < p0 * 2 ** 53 else 1
+            assert measure_in_basis(drawn, qubit, basis, _FixedDraw(u)) == want, u
+            assert basis_distribution(drawn, qubit, basis)[want] == 1
 
 
 @given(weights=st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=9).filter(any))
