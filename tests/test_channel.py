@@ -206,6 +206,19 @@ class TestKeystreamCipher:
         for nonce, plain, blob in sealed:
             assert cipher.open(nonce, blob) == plain
 
+    def test_keystream_of_a_short_message_prefixes_a_long_one(self):
+        # sealing zeros exposes the keystream: under one nonce a short
+        # message's is the start of a long one's, each 32-byte block differs,
+        # and another nonce gives another stream
+        cipher = KeystreamCipher(b"k" * 16)
+        tag = KeystreamCipher.TAG_LEN
+        short = cipher.seal(3, bytes(10))[:-tag]
+        long = cipher.seal(3, bytes(100))[:-tag]
+        assert long[:10] == short
+        assert len({long[i:i + 32] for i in (0, 32, 64)}) == 3
+        assert cipher.seal(4, bytes(100))[:-tag] != long
+        assert cipher.open(3, cipher.seal(3, long)) == long
+
     @pytest.mark.parametrize("fault", ["body", "tag", "nonce"])
     def test_fault_after_seal_rejected(self, fault):
         cipher = KeystreamCipher(b"k" * 16)

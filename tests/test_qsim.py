@@ -268,9 +268,22 @@ def _check_sampler(name, make, measure, reference, labels):
 SESSION_REGISTERS = _session_registers()
 
 
-@pytest.mark.parametrize("name,make,relay", SESSION_REGISTERS,
-                         ids=[entry[0] for entry in SESSION_REGISTERS])
-def test_engine_matches_reference_on_session_registers(name, make, relay):
+def _cold(make):
+    """A register the constructor builds from a copy of the vector ``make``
+    gives, with no history of preparation or :meth:`extend_front`."""
+    return lambda: StateRegister(make().amplitudes)
+
+
+# each register as a session prepares it, then "-cold" rebuilt by the
+# constructor from its vector
+@pytest.mark.parametrize("name,make,relay,cold",
+                         [(*entry, cold) for cold in (False, True)
+                          for entry in SESSION_REGISTERS],
+                         ids=[entry[0] + ("-cold" if cold else "")
+                              for cold in (False, True) for entry in SESSION_REGISTERS])
+def test_engine_matches_reference_on_session_registers(name, make, relay, cold):
+    if cold:
+        make = _cold(make)
     state = make().amplitudes
     n = make().num_qubits
     for qubit in range(n):
@@ -779,6 +792,47 @@ def test_extend_front_matches_tensor():
     expected = tensor(prepare_bell(BellLabel.PSI_PLUS), prepare_bell(BellLabel.PHI_MINUS))
     reg.extend_front(prepare_bell(BellLabel.PSI_PLUS))
     assert reg.amplitudes == expected.amplitudes
+
+
+def test_extend_front_leaves_the_front_untouched():
+    # the grown register holds a vector of its own: the front keeps its
+    # vector, and measuring either one afterwards leaves the other alone
+    reg = prepare_ghz()
+    front = StateRegister([0, 1, -1, 0])
+    reg.extend_front(front)
+    grown = reg.amplitudes
+    assert (front.amplitudes, front.num_qubits) == ([0, 1, -1, 0], 2)
+    measure_in_basis(front, 0, MeasBasis.RECTILINEAR, _FixedDraw(0.0))
+    assert reg.amplitudes == grown and reg.num_qubits == 5
+    measure_bell(reg, 1, 2, _FixedDraw(0.0))
+    assert front.amplitudes == [0, 1, 0, 0]
+
+
+def test_measurement_keeps_the_integer_projection():
+    # a measured register holds |e><e| applied to its vector for the drawn
+    # outcome's integer eigenvector e: exact integers, not a rescaled copy
+    # (a diagonal decoy measured diagonally holds (2, 2), not (1, 1))
+    for name, make, relay in SESSION_REGISTERS:
+        state, n = make().amplitudes, make().num_qubits
+        cases = [((qubit,), QUBIT_VECS[basis],
+                  partial(lambda q, b, reg, rand: measure_in_basis(reg, q, b, rand),
+                          qubit, basis))
+                 for qubit in range(n) for basis in MeasBasis]
+        if relay is not None:
+            cases.append((relay, [BELL_VECS[label] for label in BELL_ORDER],
+                          lambda reg, rand: measure_bell(reg, *relay, rand)))
+        for qubits, vecs, measure in cases:
+            reference = _reference_measurement(state, n, qubits, vecs)
+            low = Fraction(0)
+            for index, (vec, (prob, post)) in enumerate(zip(vecs, reference)):
+                if prob:
+                    reg = make()
+                    got = measure(reg, _FixedDraw(float(low)))
+                    assert got in (index, BELL_ORDER[index]), (name, qubits, index)
+                    norm = sum(x * x for x in vec)
+                    assert reg.amplitudes == [norm * a for a in post], (name, qubits, index)
+                    assert all(type(a) is int for a in reg.amplitudes), name
+                low += prob
 
 
 def test_random_source_is_deterministic_per_stream():
