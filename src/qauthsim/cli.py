@@ -10,13 +10,14 @@ written.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .harness import (
     ScenarioError,
+    _json_value,
     emit_report,
     load_scenario,
     params_report,
@@ -150,8 +151,6 @@ def _cmd_params(args) -> int:
         return 2
     try:
         if args.out_format == "json":
-            from .harness import _json_value
-
             text = _json_value(doc) + "\n"
         else:
             text = params_text(doc)
@@ -185,8 +184,6 @@ def _cmd_run(args) -> int:
     if args.out is not None:
         overrides["out_path"] = args.out
     if overrides:
-        from dataclasses import replace
-
         try:
             spec = replace(spec, **overrides)
         except ScenarioError as exc:
@@ -223,8 +220,6 @@ def _cmd_oracle(args) -> int:
     table = swap_enumerate(created, source, product_bit=args.product_bit)
 
     if args.out_format == "json":
-        from .harness import _json_value
-
         doc = {
             "created": created.short(),
             "source": source.value,

@@ -8,7 +8,9 @@ metric with its closed-form prediction where one exists, and grades the
 pair with a 4-sigma rule.  Each metric is an integer count of successes
 over n integer samples: a trial (accept, evasion), or a slot (detection
 errors over d, matching key bits over k, known key positions over k); its
-mean is count / n.  Where the normal approximation behind the 4-sigma rule
+mean is count / n.  A scenario's tally is a fold of the per-trial integer
+tallies, which merge exactly in trial order, also when the trials are cut
+into pieces.  Where the normal approximation behind the 4-sigma rule
 fails (n a (1 - a) < 9, rare events) that count is graded with exact
 binomial tails at the same one-sided level.
 
@@ -39,6 +41,8 @@ from .adversary import (
     BasisChoice,
     LocationKnowledge,
     TapPath,
+    _PNS,
+    _SUBSET_GUESS,
     _TAP_KINDS,
     eve_knowledge_report,
 )
@@ -511,90 +515,28 @@ def _subset_terms(k: int, d: int, g: int,
 
 # --- scenario execution -----------------------------------------------------------
 
-# The metrics a trial can count, in the order it counts them.  A report
-# lists its metrics by first use, trial by trial, then its predictions.
+# The metrics a trial can count, in the order it counts them.
 _TALLIED = ("accept_rate", "alice_tamper_error_rate", "bob_tamper_error_rate",
             "key_match_fraction", "eve_key_knowledge", "server_copy_match",
             "evasion_rate", "evasion_rate_vs_approx", "subset_success")
-(_ACCEPT, _ALICE, _BOB, _MATCH, _KNOWLEDGE, _COPY, _EVASION, _EVASION_APPROX,
- _SUBSET) = range(len(_TALLIED))
+# Aliases: the per-trial code compares members by identity without the
+# class lookup.
+_ACCEPTED, _LOST = SessionStatus.AUTH_ACCEPT, SessionStatus.INCOMPLETE_STREAM
 
 
 def run_scenario(spec: ScenarioSpec) -> AggregateReport:
     cfg = spec.session
-    attack = spec.attack
-    kind = attack.kind if attack else AttackKind.NONE
-    tapped = attack.path.channel_paths() if kind in _TAP_KINDS else ()
-    k, d = cfg.k, cfg.d
-    seed, photon, p_loss = spec.seed, spec.photon, spec.p_loss
+    kind = spec.attack.kind if spec.attack else AttackKind.NONE
+    tapped = spec.attack.path.channel_paths() if kind in _TAP_KINDS else ()
     checks = tuple([_CHECKS[path] for path in tapped or _CHECKS])
-    approx = kind is AttackKind.PNS and len(tapped) == 1
-    subset = kind is AttackKind.SUBSET_GUESS
-    accept = SessionStatus.AUTH_ACCEPT
 
-    # per tallied metric: hits and samples, both ints, so tallies merge
-    # exactly in any order, and the trial that first counted it
-    hits = [0] * len(_TALLIED)
-    samples = [0] * len(_TALLIED)
-    first = [0] * len(_TALLIED)
     trial_results: list[TrialResult] = []
+    tallies: dict[str, list[int]] = {}
     for trial in range(spec.trials):
-        rand = RandomSource(seed, trial)
-        out = run_session(cfg, attack, rand, photon=photon, p_loss=p_loss)
-        report = eve_knowledge_report(out)
-        certain, copy_hits = report.certain, report.copy_hits
+        row, counts = _trial(spec, checks, trial)
+        trial_results.append(row)
+        _merge(tallies, counts)
 
-        # bools count as 0 or 1
-        hits[_ACCEPT] += out.status is accept
-        hits[_KNOWLEDGE] += certain
-        alice_errors = out.alice_tamper_errors
-        if alice_errors is not None and d:
-            if not samples[_ALICE]:
-                first[_ALICE] = trial
-            hits[_ALICE] += alice_errors
-            samples[_ALICE] += d
-        bob_errors = out.bob_tamper_errors
-        if bob_errors is not None and d:
-            if not samples[_BOB]:
-                first[_BOB] = trial
-            hits[_BOB] += bob_errors
-            samples[_BOB] += d
-        matches = out.key_matches()
-        if matches is not None:
-            if not samples[_MATCH]:
-                first[_MATCH] = trial
-            hits[_MATCH] += matches
-            samples[_MATCH] += k
-        if copy_hits is not None:
-            if not samples[_COPY]:
-                first[_COPY] = trial
-            hits[_COPY] += copy_hits
-            samples[_COPY] += k
-        evaded = _evaded(out, checks)
-        if evaded is not None:
-            if not samples[_EVASION]:
-                first[_EVASION] = first[_EVASION_APPROX] = first[_SUBSET] = trial
-            hits[_EVASION] += evaded
-            samples[_EVASION] += 1
-            if approx:
-                hits[_EVASION_APPROX] += evaded
-                samples[_EVASION_APPROX] += 1
-            if subset:
-                hits[_SUBSET] += evaded and certain == k
-                samples[_SUBSET] += 1
-
-        trial_results.append(TrialResult(
-            trial, out.status.value, out.alice_tamper_error_rate,
-            out.bob_tamper_error_rate,
-            None if matches is None else matches / k, out.token_matched,
-            certain / k, None if copy_hits is None else copy_hits / k,
-            out.events.digest()))
-    samples[_ACCEPT] = spec.trials
-    samples[_KNOWLEDGE] = spec.trials * k
-
-    used = sorted([i for i in range(len(_TALLIED)) if samples[i]],
-                  key=lambda i: (first[i], i))
-    tallies = {_TALLIED[i]: (hits[i], samples[i]) for i in used}
     predictions = analytic_predictions(spec)
     names = list(tallies)
     names += [name for name in predictions if name not in tallies]
@@ -611,6 +553,63 @@ def run_scenario(spec: ScenarioSpec) -> AggregateReport:
         attack_kind=kind.value, metrics=metrics, trial_results=trial_results)
 
 
+def _trial(spec: ScenarioSpec, checks: tuple,
+           trial: int) -> tuple[TrialResult, dict[str, tuple[int, int]]]:
+    """Trial ``trial`` of ``spec``, on its own random stream: its report row,
+    and its tally, which maps each metric the trial counted to (hits,
+    samples), in ``_TALLIED`` order.  A lost stream counts only
+    ``accept_rate`` and ``eve_key_knowledge``.  ``checks`` is as
+    :func:`_evaded` takes it."""
+    cfg = spec.session
+    k, d = cfg.k, cfg.d
+    out = run_session(cfg, spec.attack, RandomSource(spec.seed, trial),
+                      photon=spec.photon, p_loss=spec.p_loss)
+    report = eve_knowledge_report(out)
+    certain, copy_hits = report.certain, report.copy_hits
+    matches = out.key_matches()
+    row = TrialResult(
+        trial, out.status.value, out.alice_tamper_error_rate,
+        out.bob_tamper_error_rate,
+        None if matches is None else matches / k, out.token_matched,
+        certain / k, None if copy_hits is None else copy_hits / k,
+        out.events.digest())
+
+    # bools count as 0 or 1
+    counts = {"accept_rate": (out.status is _ACCEPTED, 1)}
+    if out.alice_tamper_errors is not None and d:
+        counts["alice_tamper_error_rate"] = (out.alice_tamper_errors, d)
+    if out.bob_tamper_errors is not None and d:
+        counts["bob_tamper_error_rate"] = (out.bob_tamper_errors, d)
+    if matches is not None:
+        counts["key_match_fraction"] = (matches, k)
+    counts["eve_key_knowledge"] = (certain, k)
+    if copy_hits is not None:
+        counts["server_copy_match"] = (copy_hits, k)
+    evaded = _evaded(out, checks)
+    if evaded is not None:
+        counts["evasion_rate"] = (evaded, 1)
+        kind = spec.attack.kind if spec.attack else None
+        if kind is _PNS and len(checks) == 1:
+            counts["evasion_rate_vs_approx"] = (evaded, 1)
+        elif kind is _SUBSET_GUESS:
+            counts["subset_success"] = (evaded and certain == k, 1)
+    return row, counts
+
+
+def _merge(tally: dict[str, list[int]], later: dict) -> None:
+    """Add the counts of ``later``, a tally of later trials, into ``tally``.
+    Counts are integers, so pieces of a run merge exactly; a metric new to
+    ``tally`` goes after those it holds, so metrics keep their first use in
+    trial order."""
+    for name, (hits, n) in later.items():
+        try:
+            cell = tally[name]
+        except KeyError:
+            cell = tally[name] = [0, 0]
+        cell[0] += hits
+        cell[1] += n
+
+
 # each path's party, and the outcome field of that party's error count
 _CHECKS = {Path.TO_ALICE: ("alice", attrgetter("alice_tamper_errors")),
            Path.TO_BOB: ("bob", attrgetter("bob_tamper_errors"))}
@@ -621,7 +620,7 @@ def _evaded(out, checks: tuple) -> bool | None:
     ``_CHECKS`` entry of each tapped path, of both when nothing taps.  None
     when a needed check never ran (lost stream, or the session aborted
     first)."""
-    if out.status is SessionStatus.INCOMPLETE_STREAM:
+    if out.status is _LOST:
         return None
     for party, errors in checks:
         if party in out.failed_checks:

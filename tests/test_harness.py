@@ -9,6 +9,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -265,6 +266,28 @@ class TestParsing:
             run_scenario(replace(spec, trials=1))
 
 
+@st.composite
+def _small_scenarios(draw):
+    """Small scenarios of every attack kind, on a lossless channel or one
+    that loses most streams, so that some metrics first appear after trial
+    0."""
+    k, d = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    session = {"k": k, "d": d, "mode": draw(st.sampled_from(["base", "swap"]))}
+    if session["mode"] == "swap":
+        session["belief_rule"] = draw(st.sampled_from(list(BeliefRule))).value
+    attack = {"kind": draw(st.sampled_from(list(AttackKind))).value}
+    if attack["kind"] in ("intercept_resend", "pns", "subset_guess"):
+        attack["path"] = draw(st.sampled_from(list(TapPath))).value
+    if attack["kind"] == "subset_guess":
+        attack["guess_count"] = draw(st.integers(1, k + d))
+    photon = {"p1": draw(st.sampled_from([1.0, 0.5])),
+              "p_loss": draw(st.sampled_from([0.0, 0.3]))}
+    return parse_scenario({"seed": draw(st.integers(0, 2 ** 16)),
+                           "trials": draw(st.integers(0, 12)),
+                           "session": session, "attack": attack,
+                           "photon": photon})
+
+
 class TestDeterminism:
     def test_rerun_identical(self):
         spec = load_scenario(json.dumps(_doc(
@@ -286,6 +309,46 @@ class TestDeterminism:
         a = run_scenario(load_scenario(json.dumps(_doc(seed=1))))
         b = run_scenario(load_scenario(json.dumps(_doc(seed=2))))
         assert render_report(a, "csv") != render_report(b, "csv")
+
+    @given(spec=_small_scenarios(), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_tallies_merge_in_pieces(self, spec, data):
+        # a scenario's tally is the fold of its trials' tallies: cut the
+        # trials anywhere, fold each piece, merge the pieces in order, and
+        # get the one-piece tally, in the same metric order
+        calls = []
+
+        def record(*args):
+            row, counts = real(*args)
+            calls.append((row, counts))
+            return row, counts
+
+        real = harness._trial
+        with mock.patch.object(harness, "_trial", record):
+            report = run_scenario(spec)
+        assert [row for row, _ in calls] == report.trial_results
+        for row, counts in calls:
+            assert list(counts) == [n for n in harness._TALLIED if n in counts]
+            if row.status == "incomplete_stream":
+                assert list(counts) == ["accept_rate", "eve_key_knowledge"]
+
+        # summed directly: each metric in order of the trial that first
+        # counted it
+        tallies = [counts for _, counts in calls]
+        names = dict.fromkeys(name for counts in tallies for name in counts)
+        whole = {name: [sum(c[name][i] for c in tallies if name in c)
+                        for i in (0, 1)] for name in names}
+        cuts = data.draw(st.lists(st.integers(0, spec.trials), max_size=4))
+        bounds = [0, *sorted(cuts), spec.trials]
+        merged = {}
+        for start, stop in zip(bounds, bounds[1:]):
+            piece = {}
+            for counts in tallies[start:stop]:
+                harness._merge(piece, counts)
+            harness._merge(merged, piece)
+        assert list(merged.items()) == list(whole.items())
+        assert [(name, *cell) for name, cell in merged.items()] == [
+            (m.name, m.count, m.n) for m in report.metrics if m.n]
 
 
 class TestReports:
