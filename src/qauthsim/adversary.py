@@ -44,6 +44,7 @@ from .channel import (
     build_streams,
 )
 from .qsim import (
+    BASIS_OF_BIT,
     MeasBasis,
     RandomSource,
     StateRegister,
@@ -103,8 +104,14 @@ _TAP_KINDS = (AttackKind.INTERCEPT_RESEND, AttackKind.SUBSET_GUESS, AttackKind.P
 _INTERCEPT_RESEND, _SUBSET_GUESS, _PNS = _TAP_KINDS
 _RANDOM_PER_SLOT = BasisChoice.RANDOM_PER_SLOT
 _REALTIME = LocationKnowledge.REALTIME
-# a 0 or 1 byte negated
+# a 0 or 1 byte negated; a basis bit as its tap code, 1 + the bit; by
+# basis bit b, a 0 or 1 mark as the tap code of a read in basis b where it
+# is 1; and by basis bit b, a tap code as 1 where it reads in basis b, else 0
 _NOT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_READ_IN = bytes.maketrans(b"\x00\x01", b"\x01\x02")
+_READ_WHERE = tuple([bytes.maketrans(b"\x01", bytes([1 + bit])) for bit in (0, 1)])
+_IN_BASIS = tuple([bytes([int(code == 1 + bit) for code in range(256)])
+                   for bit in (0, 1)])
 
 
 @dataclass(frozen=True)
@@ -131,17 +138,43 @@ class AttackConfig:
 
 @dataclass
 class EveState:
-    """Everything the adversary accumulates across one session."""
+    """Everything the adversary accumulates across one session.
+
+    A session keeps its taps' reads as ``rows``, one per tapped path:
+    (path, positions, codes, outcomes, field).  ``positions`` are the
+    slots in the order they were read, ``codes`` each slot's tap code
+    (0 unread, 1 + basis bit read, as :func:`draw_taps` gives them),
+    ``outcomes`` each slot's kernel outcome and ``field`` the outcome field
+    that holds eve's read.  ``measured`` maps (path, position) to the read
+    (bit, basis); it is built from the rows on first access, and can be
+    written as a dict after that."""
 
     attack: AttackConfig | None
-    measured: dict[tuple[Path, int], tuple[int, MeasBasis]] = field(default_factory=dict)
     split_positions: set[tuple[Path, int]] = field(default_factory=set)
     server_record: dict[int, int] = field(default_factory=dict)
     retained: list[tuple[int, StateRegister]] = field(default_factory=list)
+    rows: tuple[tuple, ...] = ()
+    _measured: dict[tuple[Path, int], tuple[int, MeasBasis]] | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def kind(self) -> AttackKind:
         return self.attack.kind if self.attack is not None else AttackKind.NONE
+
+    @property
+    def measured(self) -> dict[tuple[Path, int], tuple[int, MeasBasis]]:
+        measured = self._measured
+        if measured is None:
+            measured = self._measured = {
+                (path, position): (out[read], BASIS_OF_BIT[code - 1])
+                for path, positions, codes, outcomes, read in self.rows
+                for position, code, out in zip(positions, codes, outcomes)
+                if code}
+        return measured
+
+    @measured.setter
+    def measured(self, value: dict) -> None:
+        self._measured = value
 
 
 def _emit_server_product(plan: "SessionPlan", model: PhotonCountModel,
@@ -235,7 +268,7 @@ def stage_attack(plan: "SessionPlan", photon: PhotonCountModel, p_loss: float,
 
 
 def draw_taps(eve: EveState, plan: "SessionPlan", photon: PhotonCountModel,
-              rand: RandomSource) -> tuple[list | None, list | None]:
+              rand: RandomSource) -> tuple[bytes | None, bytes | None]:
     """The in-flight taps' session-level draws: the subset guess, then per
     tapped path in path order, slot by slot in position order over the
     slots the tap targets, a PNS tap's photon count (none from an ideal
@@ -247,8 +280,9 @@ def draw_taps(eve: EveState, plan: "SessionPlan", photon: PhotonCountModel,
     ``eve``; every other targeted slot is read.  A blind intercept-resend
     tap (no realtime knowledge) reads in its random or fixed basis, every
     other tap in the key basis.  Returns, for the initiator's and the
-    responder's path, the basis bit each position is read in (None where
-    it is not), or None for an untapped path."""
+    responder's path, a row of one tap code per position: 0 where the slot
+    is not read, 1 + the basis bit it is read in where it is; None for an
+    untapped path."""
     attack = eve.attack
     kind = eve.kind
     if kind not in _TAP_KINDS:
@@ -262,28 +296,32 @@ def draw_taps(eve: EveState, plan: "SessionPlan", photon: PhotonCountModel,
         targets = plan.key_positions
     else:
         targets = range(total)
+    count = len(targets)
     counted = kind is _PNS and photon.p1 < 1.0
     blind = kind is _INTERCEPT_RESEND and not realtime
     random_basis = blind and attack.basis_choice is _RANDOM_PER_SLOT
     basis = attack.fixed_basis if blind else plan.config.key_basis
     bit = int(basis is MeasBasis.DIAGONAL)
-    reads: dict[Path, list] = {}
+    rows: dict[Path, bytes] = {}
     for path in attack.path.channel_paths():
-        row = reads[path] = [None] * total
+        # the tap code of each target, in target order
         if random_basis:
-            for position, drawn in zip(targets, rand.bits(len(targets))):
-                row[position] = drawn
+            codes = bytes(rand.bits(count)).translate(_READ_IN)
         elif counted:
             # a photon count is 1 where its uniform draw is below p1
-            single = rand.below(len(targets), photon.p1)
+            single = rand.below(count, photon.p1)
             eve.split_positions.update(
                 zip(repeat(path), compress(targets, single.translate(_NOT))))
-            for position in compress(targets, single):
-                row[position] = bit
+            codes = single.translate(_READ_WHERE[bit])
         else:
-            for position in targets:
-                row[position] = bit
-    return reads.get(Path.TO_ALICE), reads.get(Path.TO_BOB)
+            codes = bytes([1 + bit]) * count
+        if count < total:
+            row = bytearray(total)
+            for position, code in zip(targets, codes):
+                row[position] = code
+            codes = bytes(row)
+        rows[path] = codes
+    return rows.get(Path.TO_ALICE), rows.get(Path.TO_BOB)
 
 
 def finish_session(eve: EveState, rand: RandomSource) -> None:
@@ -321,18 +359,24 @@ def eve_knowledge_report(outcome: "SessionOutcome") -> KnowledgeReport:
     measurement in the very basis the parties use (direct-readout mode only),
     or a split photon at a key slot measured once bases are public.  Relay
     compromises are scored separately by the key slots where the relay's
-    record equals the responder's bit; the relay records every key slot."""
+    record equals the responder's bit; the relay records every key slot.
+
+    The reads come from ``eve.rows``, whose slots a session reads detection
+    slots first, then the key slots in ``plan.key_positions`` order."""
     eve, plan = outcome.eve, outcome.plan
-    if not (eve.measured or eve.split_positions or eve.server_record):
+    if not (eve.rows or eve.split_positions or eve.server_record):
         return _NO_KNOWLEDGE  # honest sessions, and every lost stream
     cfg = plan.config
     certain: set[int] = set()
     # protocol imports this module, so the mode is read by its value
     if cfg.mode.value == "base":
-        key_set = set(plan.key_positions)
-        key_basis = cfg.key_basis
-        certain.update([pos for (_path, pos), (_bit, basis) in eve.measured.items()
-                        if basis is key_basis and pos in key_set])
+        key_positions, d = plan.key_positions, cfg.d
+        # a key slot read in the key basis
+        in_key_basis = _IN_BASIS[cfg.key_basis is MeasBasis.DIAGONAL]
+        for _path, _positions, codes, _outcomes, _field in eve.rows:
+            certain.update(compress(key_positions,
+                                    codes[d:].translate(in_key_basis)))
+        key_set = set(key_positions)
         certain.update([pos for _path, pos in eve.split_positions
                         if pos in key_set])
 

@@ -24,8 +24,9 @@ token exists, and only if the initiator passed.
 kernel (:func:`~qauthsim.qsim.slot_kernels`), and assembles both parties'
 bits, the relay steps and the event log from the outcomes.  What a session
 does that depends only on its scenario (the fixed log lines, the tamper
-check's verdict per error count, the relay lines per position) is built
-once per scenario into a session program.  The per-photon relay step
+check's verdict per error count, the relay lines per position, the
+kernel table of each slot code) is built once per scenario into a session
+program.  The per-photon relay step
 :func:`alice_swap_step` is off the session path.
 """
 
@@ -36,7 +37,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from hashlib import sha256
-from itertools import chain
 from operator import eq, itemgetter, ne
 from typing import NamedTuple
 
@@ -414,28 +414,31 @@ def _program(cfg: SessionConfig, attack: AttackConfig | None,
 
 # a slot outcome's field, as a function
 _READ = tuple(map(itemgetter, range(RELAY + 1)))
-# kernel basis bit of each twin source (2 * basis bit + value), and the
-# kernel key of an untapped detection slot by its source
-_TWIN_BASIS = (0, 0, 1, 1)
-_UNTAPPED_DECOY_KEYS = tuple([(source, None, None, basis, None)
-                              for source, basis in enumerate(_TWIN_BASIS)])
+# A slot's code is 36 * group + low + 4 * tap_a + 12 * tap_b, below 216:
+# group 0 for a detection slot, whose low part is its twin source; group 1
+# for a key slot read directly and 2 + the created label for one read
+# through the relay step, whose low part is the relay's planted bit (0
+# without one); and the tap codes of :func:`draw_taps`.  A key slot's code
+# by its created label (see ``read_slots``), and a tap code's basis bit.
+_GROUP = 36
+_CREATED_CODES = bytes([_GROUP * (2 + label) for label in range(4)]).ljust(256, b"\0")
+_TAP_BASIS = (None, 0, 1)
 _MATCH_LINES = {matched: f"token match={matched}" for matched in (False, True)}
 
 
 class _SessionProgram:
     """What every session of one scenario shares: the log lines that hold
-    no drawn value, the kernel-key columns that hold no drawn value, in
-    SWAP mode each position's relay-line prefix, and the tamper check's
-    verdict and log line for each error count (through :func:`tamper_check`,
-    each built the first time a session has that count).  Kernel tables
-    are looked up per session through :func:`~qauthsim.qsim.slot_kernels`;
-    :meth:`run` makes the draws :func:`run_session` documents, in its
-    order."""
+    no drawn value, in SWAP mode each position's relay-line prefix, the
+    tamper check's verdict and log line for each error count (through
+    :func:`tamper_check`), and the kernel table of each slot code (see
+    :meth:`read_slots`, through :func:`~qauthsim.qsim.slot_kernels`), each
+    built the first time a session needs it.  :meth:`run` makes the draws
+    :func:`run_session` documents, in its order."""
 
     __slots__ = ("photon", "p_loss", "k", "d", "total", "revealed", "swap",
                  "planted", "ghz", "request", "preamble", "checks",
-                 "threshold", "key_sources", "planted_source", "key_bases",
-                 "nones", "decoy_nones", "key_rule", "positions")
+                 "threshold", "key_source", "key_basis", "key_codes",
+                 "tables", "known", "key_rule", "positions")
 
     def __init__(self, cfg: SessionConfig, attack: AttackConfig | None,
                  photon: PhotonCountModel, p_loss: float) -> None:
@@ -457,16 +460,18 @@ class _SessionProgram:
         self.threshold = cfg.error_threshold
         self.checks = [None] * (d + 1)
 
-        key_basis = int(cfg.key_basis is MeasBasis.DIAGONAL)
+        key_basis = self.key_basis = int(cfg.key_basis is MeasBasis.DIAGONAL)
         self.planted = kind is AttackKind.SERVER_PRODUCT
         self.ghz = kind is AttackKind.SERVER_GHZ
-        # the relay's planted product pairs: source 2 * key basis + bit
-        self.planted_source = 2 * key_basis
-        self.key_sources = (TRIPLE_SOURCE if self.ghz else PAIR_SOURCE,) * k
-        self.key_bases = (key_basis,) * k
-        # the tap and created-label columns of a slot that has none
-        self.nones = (None,) * total
-        self.decoy_nones = (None,) * d
+        # a key slot's source, plus its planted bit: the relay's planted
+        # product pairs are source 2 * key basis + bit
+        self.key_source = (2 * key_basis if self.planted
+                           else TRIPLE_SOURCE if self.ghz else PAIR_SOURCE)
+        # the key slots' codes with no planted bit, tap or relay step
+        self.key_codes = bytes([_GROUP]) * k
+        # kernel tables by slot code, and the codes that have one
+        self.tables = [None] * (6 * _GROUP)
+        self.known = b""
         self.key_rule = self.positions = None
         if self.swap:
             self.key_rule = _KEY_RULES[cfg.belief_rule]
@@ -569,54 +574,77 @@ class _SessionProgram:
         Draw order: the relay's planted bits (a product-pair compromise),
         the created pair labels (SWAP mode), then one categorical draw per
         slot, detection slots first, none where a kernel has a single
-        outcome (:meth:`~qauthsim.qsim.RandomSource.outcomes`).  Eve's reads
-        and the compromised relay's record go on ``eve``."""
+        outcome (:meth:`~qauthsim.qsim.RandomSource.outcomes`).
+
+        Each slot's kernel is found by its code (see ``_GROUP``), one byte
+        per slot in draw order, built by bytewise arithmetic on the
+        plan's twin sources, the planted bits, the created labels and the
+        tap rows; :meth:`kernel_key` decodes a code.  Eve's reads go on
+        ``eve.rows``, one row per tapped path, and the compromised relay's
+        record on ``eve.server_record``."""
+        k, d = self.k, self.d
         key_positions = plan.key_positions
-        key_sources = self.key_sources
+        key_codes = self.key_codes
+        planted = created = None
         if self.planted:
             # the relay plants twin photons carrying a bit it records
-            planted = rand.bits(self.k)
+            planted = rand.bits(k)
             eve.server_record.update(zip(key_positions, planted))
-            key_sources = tuple([self.planted_source + bit for bit in planted])
-        created = None
-        nones = self.nones
         if self.swap:
-            created = rand.quarters(self.k)
+            created = rand.quarters(k)
+            key_codes = created.translate(_CREATED_CODES)
+        if planted:
+            key_codes = bytes(map(int.__add__, key_codes, planted))
+        codes = bytes(plan.twin_sources) + key_codes
 
-        # each slot's kernel key (source, tap_a, tap_b, basis, created),
-        # detection slots first, built column by column
-        twins = plan.twin_sources
-        tap_a, tap_b = taps
-        tapped = tap_a is not None or tap_b is not None
+        tapped = taps != (None, None)
         if tapped:
             positions = plan.tamper.positions + key_positions
-            # each path's read basis bit by slot, in that order
-            columns = [list(map(row.__getitem__, positions)) if row else nones
+            # each tapped path's tap codes in draw order, weighted into the
+            # slot codes; no code reaches 256, so no byte carries
+            columns = [None if row is None
+                       else bytes(map(row.__getitem__, positions))
                        for row in taps]
-            keys = list(zip(chain(twins, key_sources), *columns,
-                            chain([_TWIN_BASIS[twin] for twin in twins],
-                                  self.key_bases),
-                            chain(self.decoy_nones, created) if created
-                            else nones))
-        else:
-            keys = [_UNTAPPED_DECOY_KEYS[twin] for twin in twins]
-            keys += zip(key_sources, nones, nones, self.key_bases,
-                        created or nones)
-        outs = rand.outcomes(slot_kernels(keys))
+            code = int.from_bytes(codes, "little")
+            for column, weight in zip(columns, (4, 12)):
+                if column is not None:
+                    code += weight * int.from_bytes(column, "little")
+            codes = code.to_bytes(self.total, "little")
+        missing = codes.translate(None, self.known)
+        if missing:
+            self.resolve(missing)
+        outs = rand.outcomes(list(map(self.tables.__getitem__, codes)))
 
         if tapped:
-            # eve's reads, path by path, each in slot order
-            eve.measured.update([
-                ((path, p), (out[field], BASIS_OF_BIT[basis]))
+            eve.rows = tuple([
+                (path, positions, column, outs, field)
                 for path, column, field in ((_TO_ALICE, columns[0], EVE_A),
                                             (_TO_BOB, columns[1], EVE_B))
-                for p, out, basis in zip(positions, outs, column)
-                if basis is not None])
-        d = self.d
+                if column is not None])
         if self.ghz:
             eve.server_record.update(zip(key_positions,
                                          [out[SERVER] for out in outs[d:]]))
         return outs[:d], outs[d:], created
+
+    def resolve(self, codes: bytes) -> None:
+        """Look up the kernel table of each of ``codes`` once, through
+        :func:`~qauthsim.qsim.slot_kernels`, for the sessions that follow."""
+        new = set(codes)
+        for code in new:
+            self.tables[code] = slot_kernels([self.kernel_key(code)])[0]
+        self.known += bytes(sorted(new))
+
+    def kernel_key(self, code: int) -> tuple:
+        """The kernel key (source, tap_a, tap_b, basis, created) of a slot
+        code of this program."""
+        group, rest = divmod(code, _GROUP)
+        low, taps = rest & 3, rest >> 2
+        tap_a, tap_b = _TAP_BASIS[taps % 3], _TAP_BASIS[taps // 3]
+        if not group:
+            # a detection slot: twin source 2 * basis bit + value
+            return low, tap_a, tap_b, low >> 1, None
+        return (self.key_source + low, tap_a, tap_b, self.key_basis,
+                group - 2 if group > 1 else None)
 
     def relay(self, add, key_positions: tuple, created: bytes,
               keys: list) -> tuple[SwapRecord, ...]:

@@ -624,6 +624,12 @@ def slot_kernels(keys: Sequence[tuple]) -> list[tuple]:
     RELAY, None where nothing read; and the thresholds
     :meth:`RandomSource.categorical` draws against, (1.0,) for a single
     outcome.  :meth:`RandomSource.outcomes` draws a session's slots.
+
+    Sessions do not call this per slot: each session program keeps its
+    tables by a one-byte slot code and resolves a code here once, the
+    first time one of its sessions forms it (see
+    ``protocol._SessionProgram.read_slots``), so the tables are built only
+    in this memo.
     """
     tables = list(map(_KERNELS.get, keys))
     if None in tables:

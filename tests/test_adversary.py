@@ -344,3 +344,63 @@ def test_empty_knowledge_is_one_shared_report():
     assert reports[0] is reports[1]
     assert reports[0] == KnowledgeReport((), None)
     assert (reports[0].certain, reports[0].copy_hits) == (0, None)
+
+
+def _certain_by_the_measured_dict(out):
+    """The knowledge rule on the per-slot dict: key slots read in the key
+    basis, and split key slots, in direct-readout mode only."""
+    eve, plan = out.eve, out.plan
+    cfg = plan.config
+    if cfg.mode is not ProtocolMode.BASE:
+        return ()
+    key_set = set(plan.key_positions)
+    certain = {pos for (_path, pos), (_bit, basis) in eve.measured.items()
+               if basis is cfg.key_basis and pos in key_set}
+    certain |= {pos for _path, pos in eve.split_positions if pos in key_set}
+    return tuple(sorted(certain))
+
+
+_TAP_ATTACKS = [
+    dict(kind=AttackKind.INTERCEPT_RESEND),
+    dict(kind=AttackKind.INTERCEPT_RESEND, basis_choice=BasisChoice.FIXED,
+         fixed_basis=MeasBasis.DIAGONAL),
+    dict(kind=AttackKind.INTERCEPT_RESEND, basis_choice=BasisChoice.FIXED),
+    dict(kind=AttackKind.INTERCEPT_RESEND,
+         location_knowledge=LocationKnowledge.REALTIME),
+    dict(kind=AttackKind.SUBSET_GUESS, guess_count=5),
+    dict(kind=AttackKind.PNS),
+    dict(kind=AttackKind.PNS, location_knowledge=LocationKnowledge.REALTIME)]
+
+
+@pytest.mark.parametrize("attack", _TAP_ATTACKS, ids=repr)
+@pytest.mark.parametrize("path", list(TapPath))
+@pytest.mark.parametrize("mode,key_basis", [
+    (ProtocolMode.BASE, MeasBasis.RECTILINEAR),
+    (ProtocolMode.BASE, MeasBasis.DIAGONAL),
+    (ProtocolMode.SWAP, MeasBasis.RECTILINEAR)])
+def test_knowledge_from_rows_equals_the_measured_dict_rule(attack, path, mode,
+                                                           key_basis):
+    cfg = _cfg(k=6, d=5, mode=mode, key_basis=key_basis,
+               rule=BeliefRule.COMPOSED if mode is ProtocolMode.SWAP else None)
+    atk = AttackConfig(path=path, **attack)
+    paths = len(path.channel_paths())
+    for trial in range(12):
+        out = run_session(cfg, atk, RandomSource(95, trial),
+                          photon=PhotonCountModel(0.5))
+        eve = out.eve
+        assert len(eve.rows) == paths
+        # a session builds no per-slot dict, and the report reads the rows
+        report = eve_knowledge_report(out)
+        assert eve._measured is None
+        assert report.certain_positions == _certain_by_the_measured_dict(out)
+
+
+def test_measured_is_a_writable_view_of_the_rows():
+    atk = AttackConfig(AttackKind.INTERCEPT_RESEND, path=TapPath.BOTH)
+    out = run_session(_cfg(k=3, d=2), atk, RandomSource(96, 0))
+    measured = out.eve.measured
+    assert len(measured) == 2 * 5 and out.eve.measured is measured
+    measured[(Path.TO_BOB, 0)] = (1, MeasBasis.DIAGONAL)
+    assert out.eve.measured[(Path.TO_BOB, 0)] == (1, MeasBasis.DIAGONAL)
+    out.eve.measured = {}
+    assert out.eve.measured == {}

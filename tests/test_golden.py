@@ -211,6 +211,10 @@ def test_sessions_sample_only_the_slot_kernels(monkeypatch):
     monkeypatch.setattr(qsim.StateRegister, "__init__", refuse)
     saved = dict(qsim._KERNELS)
     qsim._KERNELS.clear()
+    # session programs keep the kernel tables they looked up: with none
+    # left, every table is built again through ``slot_kernels``
+    monkeypatch.setattr(protocol, "_PROGRAMS", {})
+    monkeypatch.setattr(protocol, "_last_program", (None,) * 5)
     try:
         for name, doc in sorted(SCENARIOS.items()):
             report = run_scenario(parse_scenario(doc))

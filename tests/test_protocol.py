@@ -12,6 +12,7 @@ from qauthsim import protocol
 from qauthsim.adversary import (
     AttackConfig,
     AttackKind,
+    BasisChoice,
     EveState,
     LocationKnowledge,
     TapPath,
@@ -302,6 +303,12 @@ def test_loss_marks_read_the_substream_bytes(p, count):
             assert set(edge) == {False, True}
 
 
+def _tap_row(total, reads):
+    """A draw_taps row: 0 for an unread slot, 1 + the basis bit for a read
+    one, from {position: basis bit}."""
+    return bytes([1 + reads[p] if p in reads else 0 for p in range(total)])
+
+
 def _reference_pns_taps(eve, plan, photon, rand):
     """draw_taps for a PNS attack, one photon count at a time."""
     attack = eve.attack
@@ -311,12 +318,39 @@ def _reference_pns_taps(eve, plan, photon, rand):
     bit = int(plan.config.key_basis is MeasBasis.DIAGONAL)
     rows = {}
     for path in attack.path.channel_paths():
-        row = rows[path] = [None] * total
+        reads = {}
         for position in targets:
             if photon.sample(rand) >= 2:
                 eve.split_positions.add((path, position))
             else:
-                row[position] = bit
+                reads[position] = bit
+        rows[path] = _tap_row(total, reads)
+    return rows.get(Path.TO_ALICE), rows.get(Path.TO_BOB)
+
+
+def _reference_read_taps(eve, plan, rand):
+    """draw_taps for an intercept-resend or subset-guess attack, one basis
+    bit at a time."""
+    attack = eve.attack
+    total = plan.total_slots
+    realtime = attack.location_knowledge is LocationKnowledge.REALTIME
+    if attack.kind is AttackKind.SUBSET_GUESS:
+        targets = rand.sample_positions(total, attack.guess_count)
+    elif realtime:
+        targets = plan.key_positions
+    else:
+        targets = range(total)
+    blind = attack.kind is AttackKind.INTERCEPT_RESEND and not realtime
+    basis = attack.fixed_basis if blind else plan.config.key_basis
+    rows = {}
+    for path in attack.path.channel_paths():
+        reads = {}
+        for position in targets:
+            if blind and attack.basis_choice is BasisChoice.RANDOM_PER_SLOT:
+                reads[position] = rand.bit()
+            else:
+                reads[position] = int(basis is MeasBasis.DIAGONAL)
+        rows[path] = _tap_row(total, reads)
     return rows.get(Path.TO_ALICE), rows.get(Path.TO_BOB)
 
 
@@ -335,6 +369,33 @@ def test_pns_photon_counts_match_the_sample_loop(p1, tap_path, knowledge):
         assert draw_taps(eve, plan, photon, rand) == \
             _reference_pns_taps(twin_eve, plan, photon, twin)
         assert eve.split_positions == twin_eve.split_positions
+        _assert_in_step(rand, twin)
+
+
+_READ_ATTACKS = [
+    *[dict(kind=AttackKind.INTERCEPT_RESEND, basis_choice=choice,
+           fixed_basis=basis, location_knowledge=knowledge)
+      for choice in BasisChoice for basis in MeasBasis
+      for knowledge in LocationKnowledge],
+    *[dict(kind=AttackKind.SUBSET_GUESS, guess_count=count)
+      for count in (1, 9, 58)]]
+
+
+@pytest.mark.parametrize("attack", _READ_ATTACKS, ids=repr)
+@pytest.mark.parametrize("tap_path", list(TapPath))
+@pytest.mark.parametrize("key_basis", list(MeasBasis))
+def test_tap_rows_match_the_per_slot_loop(attack, tap_path, key_basis):
+    attack = AttackConfig(path=tap_path, **attack)
+    photon = PhotonCountModel(0.5)  # read taps draw no photon count
+    for stream in range(6):
+        plan = plan_session(_cfg(k=17, d=41, key_basis=key_basis),
+                            RandomSource(44, stream))
+        rand, twin = RandomSource(45, stream), RandomSource(45, stream)
+        eve, twin_eve = EveState(attack), EveState(attack)
+        rows = draw_taps(eve, plan, photon, rand)
+        assert rows == _reference_read_taps(twin_eve, plan, twin)
+        assert all(row is None or type(row) is bytes for row in rows)
+        assert not eve.split_positions
         _assert_in_step(rand, twin)
 
 

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qauthsim import qsim
+from qauthsim import protocol, qsim
 from qauthsim.channel import PhotonSlot
 from qauthsim.harness import _summarize
 from qauthsim.qsim import (
@@ -758,13 +758,21 @@ _KEY_SCENARIOS = [
         {"kind": "subset_guess", "guess_count": 3})]
 
 
-def test_sessions_build_exactly_the_reachable_kernels():
+def _empty_programs(monkeypatch):
+    # session programs keep the kernel tables they looked up: with none
+    # left, every table a session reads is looked up in ``qsim._KERNELS``
+    monkeypatch.setattr(protocol, "_PROGRAMS", {})
+    monkeypatch.setattr(protocol, "_last_program", (None,) * 5)
+
+
+def test_sessions_build_exactly_the_reachable_kernels(monkeypatch):
     # every kernel a session builds is one the tests above check, and
     # sessions of every attack, mode and key basis build all of them
     from qauthsim.harness import parse_scenario, run_scenario
 
     saved = dict(qsim._KERNELS)
     qsim._KERNELS.clear()
+    _empty_programs(monkeypatch)
     try:
         for doc in _KEY_SCENARIOS:
             run_scenario(parse_scenario({"seed": 5, "trials": 40,
@@ -773,6 +781,62 @@ def test_sessions_build_exactly_the_reachable_kernels():
     finally:
         qsim._KERNELS.update(saved)
     assert built == set(REACHABLE_KEYS), (built ^ set(REACHABLE_KEYS))
+
+
+_TAP_CODE = {None: 0, 0: 1, 1: 2}
+
+
+def _layout_keys(spec):
+    """{slot code: kernel key} for every code the code layout lets a
+    session program of ``spec`` form: 36 * group + low + 4 * tap code a +
+    12 * tap code b, where group 0 is a detection slot (low: its twin
+    source), group 1 a directly read key slot and 2 + label a relay-step
+    key slot (low: the planted bit), and a tap code is 0 unread, 1 + the
+    basis bit read."""
+    cfg, attack = spec.session, spec.attack
+    kind = attack.kind.value if attack is not None else "none"
+    basis = int(cfg.key_basis is MeasBasis.DIAGONAL)
+    taps = [(a, b) for a in _TAP_CODE for b in _TAP_CODE]
+
+    def code(group, low, a, b):
+        return 36 * group + low + 4 * _TAP_CODE[a] + 12 * _TAP_CODE[b]
+
+    keys = {code(0, twin, a, b): (twin, a, b, twin >> 1, None)
+            for twin in range(4) for a, b in taps}
+    source = {"server_product": 2 * basis, "server_ghz": _TRIPLE}.get(kind, _PAIR)
+    lows = (0, 1) if kind == "server_product" else (0,)
+    labels = range(4) if cfg.mode.value == "swap" else (None,)
+    keys.update({code(1 if label is None else 2 + label, low, a, b):
+                 (source + low, a, b, basis, label)
+                 for low in lows for label in labels for a, b in taps})
+    assert len(keys) == 36 + 9 * len(lows) * len(labels)
+    assert max(keys) < 216
+    return keys
+
+
+def test_slot_codes_resolve_to_their_kernels(monkeypatch):
+    # a session program finds a slot's table by its code; each table it
+    # holds, whether a session or this test resolved it, is the memo's
+    # table of the key the code stands for
+    from qauthsim.harness import parse_scenario, run_scenario
+
+    _empty_programs(monkeypatch)
+    for doc in _KEY_SCENARIOS:
+        spec = parse_scenario({"seed": 5, "trials": 40,
+                               "photon": {"p1": 0.5}, **doc})
+        run_scenario(spec)
+        program = protocol._program(spec.session, spec.attack, spec.photon,
+                                    spec.p_loss)
+        keys = _layout_keys(spec)
+        formed = set(program.known)
+        assert formed and formed <= set(keys), doc
+        assert {code for code, table in enumerate(program.tables)
+                if table is not None} == formed
+        for code, key in sorted(keys.items()):
+            assert program.kernel_key(code) == key
+            if code not in formed:
+                program.resolve(bytes([code]))
+            assert program.tables[code] is qsim.slot_kernels([key])[0]
 
 
 # --- slots, randomness, arbitrary registers ---------------------------------------
