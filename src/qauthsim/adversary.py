@@ -258,7 +258,7 @@ def stage_attack(plan: "SessionPlan", photon: PhotonCountModel, p_loss: float,
         skip = frozenset(range(plan.total_slots)).difference(guessed)
     elif attack.location_knowledge is LocationKnowledge.REALTIME:
         # decrypted control traffic names the detection slots
-        skip = frozenset(plan.tamper.positions)
+        skip = frozenset(plan.positions)
     else:
         skip = frozenset()
     streams = {Path.TO_ALICE: stream_a, Path.TO_BOB: stream_b}

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from hashlib import sha256
 from operator import eq, itemgetter, ne
 from typing import NamedTuple
@@ -57,6 +57,7 @@ from .qsim import (
     BellLabel,
     MeasBasis,
     RandomSource,
+    _Memo,
     bell_compose,
     measure_bell,
     measure_in_basis,
@@ -169,16 +170,26 @@ class TamperSpec:
 
 @dataclass(frozen=True)
 class SessionPlan:
-    """The relay's layout.  ``twin_sources`` holds each detection slot's
-    kernel source index, 2 * basis bit + value (see
-    :func:`~qauthsim.qsim.slot_kernels`); ``decoys`` maps each detection
-    slot's position to its (value, basis), the argument order of
-    ``prepare_polarized``."""
+    """The relay's layout: the detection slots' ``positions``, the
+    ``key_positions``, and ``twin_sources``, one byte per detection slot
+    in position order holding its kernel source index, 2 * basis bit +
+    value (see :func:`~qauthsim.qsim.slot_kernels`).  Two views are built
+    from these on first use, off the session path: ``tamper``, the layout
+    as the control message :class:`TamperSpec`, and ``decoys``, which maps
+    each detection slot's position to its (value, basis), the argument
+    order of ``prepare_polarized``."""
 
     config: SessionConfig
-    tamper: TamperSpec
+    positions: tuple[int, ...]
     key_positions: tuple[int, ...]
-    twin_sources: tuple[int, ...]
+    twin_sources: bytes
+
+    @cached_property
+    def tamper(self) -> TamperSpec:
+        twins = self.twin_sources
+        return TamperSpec(self.positions,
+                          tuple([_BASIS_OF_TWIN[twin] for twin in twins]),
+                          tuple(twins.translate(_VALUE_OF_TWIN)))
 
     @cached_property
     def decoys(self) -> dict[int, tuple[int, MeasBasis]]:
@@ -193,16 +204,12 @@ class SessionPlan:
 def plan_session(cfg: SessionConfig, rand: RandomSource) -> SessionPlan:
     """Relay-side draw: uniform tamper subset, then per-slot basis and value.
     The 2d bits alternate basis bit, value bit, slot by slot: the draws of
-    ``rand.basis()`` then ``rand.bit()`` for each slot, read as each
-    slot's twin source 2 * basis bit + value.  :func:`run_session` draws
-    a plan only for a stream whose photons all arrived, after its loss
-    marks."""
+    ``rand.basis()`` then ``rand.bit()`` for each slot, kept as each
+    slot's twin source byte 2 * basis bit + value.  :func:`run_session`
+    draws a plan only for a stream whose photons all arrived, after its
+    loss marks."""
     positions, key_positions = rand.sample_partition(cfg.total_slots, cfg.d)
-    twins = rand.bit_pairs(cfg.d)
-    bases = tuple([_BASIS_OF_TWIN[twin] for twin in twins])
-    return SessionPlan(cfg, TamperSpec(positions, bases,
-                                       tuple(twins.translate(_VALUE_OF_TWIN))),
-                       key_positions, tuple(twins))
+    return SessionPlan(cfg, positions, key_positions, rand.bit_pairs(cfg.d))
 
 
 def believed_state(created: BellLabel, outcome: BellLabel,
@@ -380,36 +387,20 @@ def run_session(cfg: SessionConfig, attack: AttackConfig | None,
     has passed.
 
     What depends only on the scenario (cfg, attack, photon, p_loss) is
-    built once into a :class:`_SessionProgram` and reused by every session
-    of that scenario; the draws are the same either way.
+    built once into a :class:`_SessionProgram`, kept by :func:`_program`
+    for every session of an equal scenario; the draws are the same either
+    way.
     """
     return _program(cfg, attack, photon or _IDEAL_SOURCE, p_loss).run(
         cfg, attack, rand)
 
 
-# Programs by scenario.  A run of trials passes the same config objects
-# each time, so the last program used is found by identity first: hashing
-# the frozen configs' fields still costs about 0.6 µs.
-_PROGRAMS: dict[tuple, "_SessionProgram"] = {}
-_MAX_PROGRAMS = 256
-_last_program: tuple = (None,) * 5
-
-
+@lru_cache(maxsize=256)
 def _program(cfg: SessionConfig, attack: AttackConfig | None,
              photon: PhotonCountModel, p_loss: float) -> "_SessionProgram":
-    global _last_program
-    last_cfg, last_attack, last_photon, last_loss, program = _last_program
-    if (cfg is last_cfg and attack is last_attack and photon is last_photon
-            and p_loss == last_loss):
-        return program
-    key = (cfg, attack, photon, p_loss)
-    program = _PROGRAMS.get(key)
-    if program is None:
-        if len(_PROGRAMS) >= _MAX_PROGRAMS:
-            _PROGRAMS.clear()
-        program = _PROGRAMS[key] = _SessionProgram(cfg, attack, photon, p_loss)
-    _last_program = (*key, program)
-    return program
+    """The session program of a scenario, found by equality of its
+    frozen configs."""
+    return _SessionProgram(cfg, attack, photon, p_loss)
 
 
 # a slot outcome's field, as a function
@@ -428,17 +419,18 @@ _MATCH_LINES = {matched: f"token match={matched}" for matched in (False, True)}
 
 class _SessionProgram:
     """What every session of one scenario shares: the log lines that hold
-    no drawn value, in SWAP mode each position's relay-line prefix, the
-    tamper check's verdict and log line for each error count (through
-    :func:`tamper_check`), and the kernel table of each slot code (see
-    :meth:`read_slots`, through :func:`~qauthsim.qsim.slot_kernels`), each
-    built the first time a session needs it.  :meth:`run` makes the draws
-    :func:`run_session` documents, in its order."""
+    no drawn value, in SWAP mode each position's relay-line prefix, and
+    two memos, each filled the first time a session needs an entry:
+    ``checks``, the tamper check's verdict and log line by error count
+    (:meth:`check`), and ``tables``, the kernel table by slot code (see
+    :meth:`read_slots`; :meth:`kernel_key` decodes a code, and
+    :func:`~qauthsim.qsim.slot_kernels` gives its table).  :meth:`run`
+    makes the draws :func:`run_session` documents, in its order."""
 
     __slots__ = ("photon", "p_loss", "k", "d", "total", "revealed", "swap",
                  "planted", "ghz", "request", "preamble", "checks",
                  "threshold", "key_source", "key_basis", "key_codes",
-                 "tables", "known", "key_rule", "positions")
+                 "tables", "key_rule", "positions")
 
     def __init__(self, cfg: SessionConfig, attack: AttackConfig | None,
                  photon: PhotonCountModel, p_loss: float) -> None:
@@ -449,16 +441,14 @@ class _SessionProgram:
         kind = attack.kind if attack is not None else AttackKind.NONE
         self.request = f"request k={k} d={d} mode={cfg.mode.value}"
         # step 2: the relay sends each party the layout, which both read
-        # from ``plan.tamper``; step 3: it emits one photon per slot on each
-        # path
+        # from the plan; step 3: it emits one photon per slot on each path
         parties = ("alice", "bob")
         self.preamble = tuple(
             [("2", "server", f"tamper spec sent to {party}") for party in parties]
             + [("3", "server", f"emitted {total} slots to {party}")
                for party in parties])
-        # by error count, each built on first use (see ``check``)
         self.threshold = cfg.error_threshold
-        self.checks = [None] * (d + 1)
+        self.checks = _Memo(self.check)
 
         key_basis = self.key_basis = int(cfg.key_basis is MeasBasis.DIAGONAL)
         self.planted = kind is AttackKind.SERVER_PRODUCT
@@ -469,9 +459,8 @@ class _SessionProgram:
                            else TRIPLE_SOURCE if self.ghz else PAIR_SOURCE)
         # the key slots' codes with no planted bit, tap or relay step
         self.key_codes = bytes([_GROUP]) * k
-        # kernel tables by slot code, and the codes that have one
-        self.tables = [None] * (6 * _GROUP)
-        self.known = b""
+        self.tables = _Memo(
+            lambda code: slot_kernels([self.kernel_key(code)])[0])
         self.key_rule = self.positions = None
         if self.swap:
             self.key_rule = _KEY_RULES[cfg.belief_rule]
@@ -496,7 +485,7 @@ class _SessionProgram:
         plan = plan_session(cfg, rand)
         taps = draw_taps(eve, plan, self.photon, rand)
         decoys, keys, created = self.read_slots(plan, eve, taps, rand)
-        values = plan.tamper.values
+        values = plan.twin_sources.translate(_VALUE_OF_TWIN)
         swap = self.swap
         bob_errors = bob_key = token = matched = records = None
 
@@ -538,7 +527,7 @@ class _SessionProgram:
                               failed, eve, log)
 
     def arrival(self, add, step: str, party: str, field: int, decoys: list,
-                keys: list | None, values: tuple) -> tuple:
+                keys: list | None, values: bytes) -> tuple:
         """One party's arrival check: its detection-slot bits, then its key
         bits when ``keys`` is given, each on a log line, then the tamper
         check.  Returns (errors, passed, key bits or None)."""
@@ -550,20 +539,18 @@ class _SessionProgram:
             key = tuple(map(read, keys))
             add(step, party, "measured key=" + _bits(key))
         errors = sum(map(ne, obs, values))
-        passed, line = self.checks[errors] or self.check(errors)
+        passed, line = self.checks[errors]
         add(step, party, line)
         return errors, passed, key
 
     def check(self, errors: int) -> tuple[bool, str]:
         """The tamper check's verdict at ``errors`` detection errors, and
-        its log line, kept for the sessions that follow."""
+        its log line."""
         d = self.d
         passed, _ = tamper_check((1,) * errors + (0,) * (d - errors), (0,) * d,
                                  self.threshold)
         rate = _error_rate(errors, d)
-        check = self.checks[errors] = (
-            passed, f"tamper check rate={rate:.6f} pass={passed}")
-        return check
+        return passed, f"tamper check rate={rate:.6f} pass={passed}"
 
     def read_slots(self, plan: SessionPlan, eve: EveState, taps: tuple,
                    rand: RandomSource) -> tuple[list, list, bytes | None]:
@@ -576,10 +563,10 @@ class _SessionProgram:
         slot, detection slots first, none where a kernel has a single
         outcome (:meth:`~qauthsim.qsim.RandomSource.outcomes`).
 
-        Each slot's kernel is found by its code (see ``_GROUP``), one byte
-        per slot in draw order, built by bytewise arithmetic on the
-        plan's twin sources, the planted bits, the created labels and the
-        tap rows; :meth:`kernel_key` decodes a code.  Eve's reads go on
+        Each slot's kernel is found in ``tables`` by its code (see
+        ``_GROUP``), one byte per slot in draw order, built by bytewise
+        arithmetic on the plan's twin sources, the planted bits, the
+        created labels and the tap rows.  Eve's reads go on
         ``eve.rows``, one row per tapped path, and the compromised relay's
         record on ``eve.server_record``."""
         k, d = self.k, self.d
@@ -595,11 +582,11 @@ class _SessionProgram:
             key_codes = created.translate(_CREATED_CODES)
         if planted:
             key_codes = bytes(map(int.__add__, key_codes, planted))
-        codes = bytes(plan.twin_sources) + key_codes
+        codes = plan.twin_sources + key_codes
 
         tapped = taps != (None, None)
         if tapped:
-            positions = plan.tamper.positions + key_positions
+            positions = plan.positions + key_positions
             # each tapped path's tap codes in draw order, weighted into the
             # slot codes; no code reaches 256, so no byte carries
             columns = [None if row is None
@@ -610,9 +597,6 @@ class _SessionProgram:
                 if column is not None:
                     code += weight * int.from_bytes(column, "little")
             codes = code.to_bytes(self.total, "little")
-        missing = codes.translate(None, self.known)
-        if missing:
-            self.resolve(missing)
         outs = rand.outcomes(list(map(self.tables.__getitem__, codes)))
 
         if tapped:
@@ -625,14 +609,6 @@ class _SessionProgram:
             eve.server_record.update(zip(key_positions,
                                          [out[SERVER] for out in outs[d:]]))
         return outs[:d], outs[d:], created
-
-    def resolve(self, codes: bytes) -> None:
-        """Look up the kernel table of each of ``codes`` once, through
-        :func:`~qauthsim.qsim.slot_kernels`, for the sessions that follow."""
-        new = set(codes)
-        for code in new:
-            self.tables[code] = slot_kernels([self.kernel_key(code)])[0]
-        self.known += bytes(sorted(new))
 
     def kernel_key(self, code: int) -> tuple:
         """The kernel key (source, tap_a, tap_b, basis, created) of a slot

@@ -59,6 +59,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 from operator import mul
@@ -70,6 +71,21 @@ _TWO53 = float(1 << 53)
 _TOP_BIT = bytes([byte >> 7 for byte in range(256)])
 _TOP_BIT_TWICE = bytes([byte >> 7 << 1 for byte in range(256)])
 _TOP_TWO_BITS = bytes([byte >> 6 for byte in range(256)])
+
+
+class _Memo(dict):
+    """A dict that builds each missing key's value, ``build(key)``, on
+    first lookup and keeps it."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 class MeasBasis(Enum):
@@ -260,17 +276,18 @@ class RandomSource:
         """range(universe) after the first ``count`` steps of a Fisher-Yates
         shuffle: step i swaps position i with i + randbelow(universe - i).
 
-        The steps walk a cached schedule of (i, bound, width).  A step with
-        bound 1 draws nothing and swaps a position with itself, so the
-        schedule leaves it out.  A step is rejection-sampled, so how many
-        words it takes is known only as it goes; each step draws its own,
-        since batching the words cost more per step than the calls it saved.
+        The steps walk the schedule :func:`_schedule` keeps per (universe,
+        count).  A step with bound 1 draws nothing and swaps a position
+        with itself, so the schedule leaves it out.  A step is
+        rejection-sampled, so how many words it takes is known only as it
+        goes; each step draws its own, since batching the words cost more
+        per step than the calls it saved.
         """
         if not 0 <= count <= universe:
             raise ValueError("cannot sample %d of %d positions" % (count, universe))
         pool = list(range(universe))
         g = (self._rng or self._seed()).getrandbits
-        for i, bound, width in _SCHEDULES.get((universe, count)) or _schedule(universe, count):
+        for i, bound, width in _schedule(universe, count):
             j = g(width)
             while j >= bound:
                 j = g(width)
@@ -324,35 +341,27 @@ class RandomSource:
                 for cumulative, _, outcomes, thresholds in tables]
 
 
-_SCHEDULES: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
-
-
+@lru_cache(maxsize=1024)
 def _schedule(universe: int, count: int) -> tuple[tuple[int, int, int], ...]:
     """Steps (i, bound, width) of :meth:`RandomSource._shuffled` that draw:
     ``randbelow(bound)`` takes the first ``getrandbits(width)`` below the
     bound."""
-    if len(_SCHEDULES) >= 1024:
-        _SCHEDULES.clear()
-    steps = tuple([(i, universe - i, (universe - i - 1).bit_length())
-                   for i in range(count) if universe - i > 1])
-    return _SCHEDULES.setdefault((universe, count), steps)
+    return tuple([(i, universe - i, (universe - i - 1).bit_length())
+                  for i in range(count) if universe - i > 1])
 
 
 # Per probability p, the verdict of a draw's first top byte: 1 (below p),
 # 0 (not below) or _EDGE (the byte holds p * 2**53; assemble N).
 _EDGE = 2
-_BELOW_TABLES: dict[float, bytes] = {}
 
 
+@lru_cache(maxsize=1024)
 def _below_table(p: float) -> bytes:
-    if len(_BELOW_TABLES) >= 1024:
-        _BELOW_TABLES.clear()
     # N < p * 2**53 <=> N < limit for the integer N; top byte b spans
     # [b << 45, (b + 1) << 45)
     limit = math.ceil(p * _TWO53)
-    table = bytes([1 if (b + 1) << 45 <= limit else 0 if b << 45 >= limit
-                   else _EDGE for b in range(256)])
-    return _BELOW_TABLES.setdefault(p, table)
+    return bytes([1 if (b + 1) << 45 <= limit else 0 if b << 45 >= limit
+                  else _EDGE for b in range(256)])
 
 
 def _marks_below(packed: bytes, p: float) -> bytes:
@@ -362,13 +371,12 @@ def _marks_below(packed: bytes, p: float) -> bytes:
     The 8 bytes are two little-endian 32-bit words w1, w2, and the draw is
     ``N / 2**53`` with ``N = (w1 >> 5) << 26 | w2 >> 6``, as ``random()``
     builds it from two twister words; so the draw is below p exactly when
-    ``N < p * 2**53``.  The top byte of N is the top byte of w1, and a per-p
-    table decides each draw from it: every N with that top byte is below p,
-    none is, or the byte holds the edge ``p * 2**53``; only there is N
-    assembled and compared.
+    ``N < p * 2**53``.  The top byte of N is the top byte of w1, and the
+    table :func:`_below_table` keeps per p decides each draw from it: every
+    N with that top byte is below p, none is, or the byte holds the edge
+    ``p * 2**53``; only there is N assembled and compared.
     """
-    table = _BELOW_TABLES.get(p) or _below_table(p)
-    marks = packed[3::8].translate(table)
+    marks = packed[3::8].translate(_below_table(p))
     edge = marks.find(_EDGE)
     if edge < 0:
         return marks
@@ -592,9 +600,9 @@ _SOURCE_STATES = tuple(
 # in BELL_ORDER.
 EVE_A, EVE_B, ALICE, BOB, SERVER, RELAY = range(6)
 
-# Tables by key.  Each is a pure function of its key and immutable, so one
-# process-wide memo serves every caller alike.
-_KERNELS: dict[tuple, tuple] = {}
+# Tables by key, each built on first lookup.  Each is a pure function of
+# its key and immutable, so one process-wide memo serves every caller alike.
+_KERNELS = _Memo(lambda key: _build_kernel(*key))
 
 
 def slot_kernels(keys: Sequence[tuple]) -> list[tuple]:
@@ -626,16 +634,12 @@ def slot_kernels(keys: Sequence[tuple]) -> list[tuple]:
     outcome.  :meth:`RandomSource.outcomes` draws a session's slots.
 
     Sessions do not call this per slot: each session program keeps its
-    tables by a one-byte slot code and resolves a code here once, the
-    first time one of its sessions forms it (see
+    tables in a memo by one-byte slot code, which looks a code's key up
+    here the first time one of its sessions forms it (see
     ``protocol._SessionProgram.read_slots``), so the tables are built only
     in this memo.
     """
-    tables = list(map(_KERNELS.get, keys))
-    if None in tables:
-        tables = [table or _KERNELS.setdefault(key, _build_kernel(*key))
-                  for key, table in zip(keys, tables)]
-    return tables
+    return list(map(_KERNELS.__getitem__, keys))
 
 
 def _build_kernel(source: int, tap_a: int | None, tap_b: int | None,

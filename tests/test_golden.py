@@ -189,11 +189,12 @@ def test_scenario_report_digests(name):
 
 def test_sessions_sample_only_the_slot_kernels(monkeypatch):
     # The per-slot kernels are the one session sampler.  With the kernel
-    # cache emptied, the per-photon path patched to raise everywhere it is
-    # bound (photon slots, streams, taps, the relay step, single-qubit and
-    # pair measurement, grafting, building a register or a tensor product),
-    # every pinned scenario still reproduces its digests: its kernels are
-    # built and sampled without any of them.
+    # cache emptied, and the per-photon path (photon slots, streams, taps,
+    # the relay step, single-qubit and pair measurement, grafting, building
+    # a register or a tensor product) and the layout's control message
+    # patched to raise everywhere they are bound, every pinned scenario
+    # still reproduces its digests: its kernels are built and sampled
+    # without any of them.
     import qauthsim
     from qauthsim import adversary, channel, harness, protocol, qsim
 
@@ -209,12 +210,12 @@ def test_sessions_sample_only_the_slot_kernels(monkeypatch):
     monkeypatch.setattr(channel.PhotonSlot, "__init__", refuse)
     monkeypatch.setattr(qsim.StateRegister, "extend_front", refuse)
     monkeypatch.setattr(qsim.StateRegister, "__init__", refuse)
+    monkeypatch.setattr(protocol.TamperSpec, "__init__", refuse)
     saved = dict(qsim._KERNELS)
     qsim._KERNELS.clear()
     # session programs keep the kernel tables they looked up: with none
     # left, every table is built again through ``slot_kernels``
-    monkeypatch.setattr(protocol, "_PROGRAMS", {})
-    monkeypatch.setattr(protocol, "_last_program", (None,) * 5)
+    protocol._program.cache_clear()
     try:
         for name, doc in sorted(SCENARIOS.items()):
             report = run_scenario(parse_scenario(doc))

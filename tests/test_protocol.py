@@ -112,11 +112,12 @@ class TestPlanning:
         assert not set(plan.decoys) & set(plan.key_positions)
 
     def test_twin_sources_field(self):
-        # a plain field that plan_session fills: 2 * basis bit + value
+        # a bytes field that plan_session fills, 2 * basis bit + value, and
+        # that the layout's control message is built from
         plan = plan_session(_cfg(k=3, d=9), RandomSource(5, 1))
         assert "twin_sources" in {f.name for f in fields(plan)}
         tamper = plan.tamper
-        assert plan.twin_sources == tuple(
+        assert plan.twin_sources == bytes(
             2 * (basis is MeasBasis.DIAGONAL) + value
             for basis, value in zip(tamper.bases, tamper.values))
 
@@ -211,7 +212,7 @@ def test_plans_without_detection_slots_draw_nothing(k):
     rand, twin = RandomSource(38, k), RandomSource(38, k)
     plan = plan_session(_cfg(k=k, d=0), rand)
     assert plan.tamper == TamperSpec((), (), ())
-    assert plan.key_positions == tuple(range(k)) and plan.twin_sources == ()
+    assert plan.key_positions == tuple(range(k)) and plan.twin_sources == b""
     _assert_in_step(rand, twin)
 
 
@@ -701,6 +702,29 @@ def test_config_enums_hash_by_identity():
                  BasisChoice, LocationKnowledge, Path):
         assert enum.__hash__ is object.__hash__, enum
         assert len({hash(member) for member in enum}) == len(enum)
+
+
+def test_each_scenario_compiles_once():
+    # a run of trials builds its session program on the first trial and
+    # finds it on every later one, lost streams included; equal configs
+    # share it; and every memo on the session path is bounded
+    from qauthsim import qsim
+
+    spec = parse_scenario({"seed": 14, "trials": 30, "photon": {"p_loss": 0.05},
+                           "session": {"k": 3, "d": 4}})
+    protocol._program.cache_clear()
+    run_scenario(spec)
+    info = protocol._program.cache_info()
+    assert (info.misses, info.hits) == (1, spec.trials - 1)
+    program = protocol._program(spec.session, spec.attack, spec.photon,
+                                spec.p_loss)
+    twin = replace(spec.session)
+    assert twin == spec.session and twin is not spec.session
+    assert protocol._program(twin, spec.attack, spec.photon,
+                             spec.p_loss) is program
+    assert protocol._program.cache_info().misses == 1
+    for memo in (protocol._program, qsim._schedule, qsim._below_table):
+        assert memo.cache_parameters()["maxsize"] is not None, memo
 
 
 def test_threshold_monotone():

@@ -758,21 +758,20 @@ _KEY_SCENARIOS = [
         {"kind": "subset_guess", "guess_count": 3})]
 
 
-def _empty_programs(monkeypatch):
+def _empty_programs():
     # session programs keep the kernel tables they looked up: with none
     # left, every table a session reads is looked up in ``qsim._KERNELS``
-    monkeypatch.setattr(protocol, "_PROGRAMS", {})
-    monkeypatch.setattr(protocol, "_last_program", (None,) * 5)
+    protocol._program.cache_clear()
 
 
-def test_sessions_build_exactly_the_reachable_kernels(monkeypatch):
+def test_sessions_build_exactly_the_reachable_kernels():
     # every kernel a session builds is one the tests above check, and
     # sessions of every attack, mode and key basis build all of them
     from qauthsim.harness import parse_scenario, run_scenario
 
     saved = dict(qsim._KERNELS)
     qsim._KERNELS.clear()
-    _empty_programs(monkeypatch)
+    _empty_programs()
     try:
         for doc in _KEY_SCENARIOS:
             run_scenario(parse_scenario({"seed": 5, "trials": 40,
@@ -814,13 +813,13 @@ def _layout_keys(spec):
     return keys
 
 
-def test_slot_codes_resolve_to_their_kernels(monkeypatch):
+def test_slot_codes_resolve_to_their_kernels():
     # a session program finds a slot's table by its code; each table it
-    # holds, whether a session or this test resolved it, is the memo's
-    # table of the key the code stands for
+    # holds, whether a session or this test looked it up, is the kernel
+    # memo's table of the key the code stands for
     from qauthsim.harness import parse_scenario, run_scenario
 
-    _empty_programs(monkeypatch)
+    _empty_programs()
     for doc in _KEY_SCENARIOS:
         spec = parse_scenario({"seed": 5, "trials": 40,
                                "photon": {"p1": 0.5}, **doc})
@@ -828,14 +827,10 @@ def test_slot_codes_resolve_to_their_kernels(monkeypatch):
         program = protocol._program(spec.session, spec.attack, spec.photon,
                                     spec.p_loss)
         keys = _layout_keys(spec)
-        formed = set(program.known)
+        formed = set(program.tables)
         assert formed and formed <= set(keys), doc
-        assert {code for code, table in enumerate(program.tables)
-                if table is not None} == formed
         for code, key in sorted(keys.items()):
             assert program.kernel_key(code) == key
-            if code not in formed:
-                program.resolve(bytes([code]))
             assert program.tables[code] is qsim.slot_kernels([key])[0]
 
 
