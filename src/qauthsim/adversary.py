@@ -134,6 +134,13 @@ class AttackConfig:
         if (self.kind not in _TAP_KINDS
                 and self.location_knowledge is not LocationKnowledge.NEVER):
             raise ValueError("location knowledge only applies to in-flight taps")
+        # hashed once, as ``PhotonCountModel`` is
+        object.__setattr__(self, "_hash", hash((
+            self.kind, self.path, self.basis_choice, self.fixed_basis,
+            self.guess_count, self.location_knowledge)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass
@@ -146,8 +153,8 @@ class EveState:
     (0 unread, 1 + basis bit read, as :func:`draw_taps` gives them),
     ``outcomes`` each slot's kernel outcome and ``field`` the outcome field
     that holds eve's read.  ``measured`` maps (path, position) to the read
-    (bit, basis); it is built from the rows on first access, and can be
-    written as a dict after that."""
+    (bit, basis); it is built from the rows on first access, and the
+    per-photon tap :func:`_tap` writes its reads into that dict."""
 
     attack: AttackConfig | None
     split_positions: set[tuple[Path, int]] = field(default_factory=set)
@@ -171,10 +178,6 @@ class EveState:
                 for position, code, out in zip(positions, codes, outcomes)
                 if code}
         return measured
-
-    @measured.setter
-    def measured(self, value: dict) -> None:
-        self._measured = value
 
 
 def _emit_server_product(plan: "SessionPlan", model: PhotonCountModel,

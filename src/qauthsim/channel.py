@@ -76,6 +76,11 @@ class PhotonCountModel:
     def __post_init__(self) -> None:
         if not 0.0 < self.p1 <= 1.0:
             raise ValueError("p1 must be in (0, 1]")
+        # hashed once: a session-program key hashes it for every session
+        object.__setattr__(self, "_hash", hash((self.p1,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def sample(self, rand: RandomSource) -> int:
         if self.p1 >= 1.0:

@@ -669,38 +669,25 @@ def _json_value(value) -> str:
 # a trial row as a JSON object: its field names are fixed, its values cells
 _JSON_ROW = "{" + ",".join([encode_basestring_ascii(name).replace("%", "%%")
                             + ":%s" for name in TRIAL_FIELDS]) + "}"
-_CSV_COMMAS = len(TRIAL_FIELDS) - 1
 
 
 def _json_row(trial: TrialResult) -> str:
     return _JSON_ROW % tuple([_json_value(value) for value in trial])
 
 
-def _csv_row(trial) -> str:
-    """A trial row's cells (:func:`_fmt`) as ``csv.writer`` writes them,
-    less the line end.  The writer quotes a cell holding a comma, a quote
-    or a line break; a row with such a cell goes through it."""
-    cells = [_fmt(value) for value in trial]
-    line = ",".join(cells)
-    if line.count(",") == _CSV_COMMAS and '"' not in line and "\n" not in line:
-        return line
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(cells)
-    return buf.getvalue()[:-1]
-
-
-_CSV_HEADER = _csv_row(TRIAL_FIELDS)
-
-
 def render_report(report: AggregateReport, out_format: str) -> str:
     if out_format == "csv":
-        lines = [_CSV_HEADER, *map(_csv_row, report.trial_results)]
-    elif out_format == "json":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(TRIAL_FIELDS)
+        writer.writerows([[_fmt(value) for value in trial]
+                          for trial in report.trial_results])
+        return buf.getvalue()
+    if out_format == "json":
         lines = [*map(_json_row, report.trial_results),
                  _json_value(report.aggregate_row())]
-    else:
-        raise ValueError(f"unknown report format {out_format!r}")
-    return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n"
+    raise ValueError(f"unknown report format {out_format!r}")
 
 
 def emit_report(report: AggregateReport, out_format: str,

@@ -22,12 +22,14 @@ token exists, and only if the initiator passed.
 
 :func:`run_session` samples every slot whole, with one draw from its exact
 kernel (:func:`~qauthsim.qsim.slot_kernels`), and assembles both parties'
-bits, the relay steps and the event log from the outcomes.  What a session
-does that depends only on its scenario (the fixed log lines, the tamper
-check's verdict per error count, the relay lines per position, the
-kernel table of each slot code) is built once per scenario into a session
-program.  The per-photon relay step
-:func:`alice_swap_step` is off the session path.
+bits and the event log from the outcomes; in SWAP mode the relay step
+keeps only the initiator's key bits and writes each slot's created label
+and pair outcome on its 5a-5c log lines.  What depends only on the scenario
+(the fixed log lines, the tamper check's verdict per error count, the relay
+lines per position, the kernel table of each slot code) is built once per
+scenario into a session program.  The per-photon relay step
+:func:`alice_swap_step` and its :class:`SwapRecord` are off the session
+path.
 """
 
 from __future__ import annotations
@@ -128,6 +130,13 @@ class SessionConfig:
                 # the pair-kind correlation tables the relay step relies on
                 # hold in the computational basis only
                 raise ValueError("SWAP mode requires the rectilinear key basis")
+        # hashed once by the fields __eq__ compares, as PhotonCountModel is
+        object.__setattr__(self, "_hash", hash((
+            self.k, self.d, self.mode, self.belief_rule, self.error_threshold,
+            self.key_basis, self.revealed)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def total_slots(self) -> int:
@@ -258,7 +267,7 @@ def tamper_check(observed: tuple[int, ...], expected: tuple[int, ...],
 
 
 class SwapRecord(NamedTuple):
-    """One relay step at a key slot."""
+    """One per-photon relay step at a key slot (:func:`alice_swap_step`)."""
 
     position: int
     created: BellLabel
@@ -280,9 +289,6 @@ class EventLog:
 
     def add(self, step: str, party: str, payload: str) -> None:
         self.entries.append((step, party, payload))
-
-    def lines(self) -> list[str]:
-        return list(map("\t".join, self.entries))
 
     def text(self) -> str:
         return "\n".join(map("\t".join, self.entries))
@@ -318,7 +324,9 @@ class SessionOutcome:
     """How one session ended.  ``plan`` is the relay's layout, None for a
     lost stream, which ends before a layout is drawn.
     ``alice_tamper_errors`` and ``bob_tamper_errors`` count the detection
-    slots each party read wrong, None when that party's check never ran."""
+    slots each party read wrong, None when that party's check never ran.
+    In SWAP mode the relay step (5a-5c) keeps ``alice_key_bits``; each key
+    slot's created label and pair outcome are only on its ``events``."""
 
     status: SessionStatus
     plan: SessionPlan | None
@@ -328,7 +336,6 @@ class SessionOutcome:
     bob_key_bits: tuple[int, ...] | None = None
     token: tuple[int, ...] | None = None
     token_matched: bool | None = None
-    swap_records: tuple[SwapRecord, ...] | None = None
     failed_checks: tuple[str, ...] = ()
     eve: EveState | None = None
     events: EventLog = field(default_factory=EventLog)
@@ -487,7 +494,7 @@ class _SessionProgram:
         decoys, keys, created = self.read_slots(plan, eve, taps, rand)
         values = plan.twin_sources.translate(_VALUE_OF_TWIN)
         swap = self.swap
-        bob_errors = bob_key = token = matched = records = None
+        bob_errors = bob_key = token = matched = None
 
         # step 4: arrival checks; in BASE mode both parties also read their keys
         alice_errors, passed, alice_key = self.arrival(
@@ -503,8 +510,7 @@ class _SessionProgram:
         if passed:
             # step 5 (relay sub-steps 5a-5c per key slot in SWAP mode), the token
             if swap:
-                records = self.relay(add, plan.key_positions, created, keys)
-                alice_key = tuple([r.key_bit for r in records])
+                alice_key = self.relay(add, plan.key_positions, created, keys)
             token = make_token(alice_key, self.revealed)
             add("5", "alice", "token=" + _bits(token))  # in clear: no shared key
             if swap:
@@ -523,8 +529,8 @@ class _SessionProgram:
             status = SessionStatus.TAMPER_ABORT
             add("6", "server", "restart: tamper threshold exceeded")
         return SessionOutcome(status, plan, alice_errors, bob_errors,
-                              alice_key, bob_key, token, matched, records,
-                              failed, eve, log)
+                              alice_key, bob_key, token, matched, failed,
+                              eve, log)
 
     def arrival(self, add, step: str, party: str, field: int, decoys: list,
                 keys: list | None, values: bytes) -> tuple:
@@ -623,37 +629,31 @@ class _SessionProgram:
                 group - 2 if group > 1 else None)
 
     def relay(self, add, key_positions: tuple, created: bytes,
-              keys: list) -> tuple[SwapRecord, ...]:
+              keys: list) -> tuple[int, ...]:
         """Steps 5a-5c at each key slot, from the slot's kernel outcome: the
         pair outcome and the kept bit, and the key bit under the session's
-        belief rule."""
+        belief rule.  Returns the initiator's key bits in position order."""
         key_rule, positions = self.key_rule, self.positions
-        records = []
+        key = []
         for position, label, out in zip(key_positions, created, keys):
             outcome, kept = out[RELAY], out[ALICE]
-            believed, key_bit = key_rule[label][outcome][kept]
+            key_bit = key_rule[label][outcome][kept]
             at = positions[position]
             add("5a", "alice", at + _CREATED_TEXT[label])
             add("5b", "alice", at + _OUTCOME_TEXT[outcome])
             add("5c", "alice", at + _KEPT_TEXT[kept][key_bit])
-            records.append(SwapRecord(position, BELL_ORDER[label],
-                                      BELL_ORDER[outcome], kept, believed,
-                                      key_bit))
-        return tuple(records)
+            key.append(key_bit)
+        return tuple(key)
 
 
 def _key_rule(rule: BeliefRule) -> tuple:
     """By created label and pair outcome (indices in BELL_ORDER) and by
-    kept bit: the believed label and the key bit under ``rule``."""
-    table = []
-    for created in BELL_ORDER:
-        row = []
-        for outcome in BELL_ORDER:
-            believed = believed_state(created, outcome, rule)
-            row.append(tuple([(believed, derive_key_bit(believed, kept))
-                              for kept in (0, 1)]))
-        table.append(tuple(row))
-    return tuple(table)
+    kept bit: the key bit under ``rule``."""
+    return tuple([
+        tuple([tuple([derive_key_bit(believed_state(created, outcome, rule),
+                                     kept) for kept in (0, 1)])
+               for outcome in BELL_ORDER])
+        for created in BELL_ORDER])
 
 
 _KEY_RULES = {rule: _key_rule(rule) for rule in BeliefRule}

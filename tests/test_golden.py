@@ -190,18 +190,18 @@ def test_scenario_report_digests(name):
 def test_sessions_sample_only_the_slot_kernels(monkeypatch):
     # The per-slot kernels are the one session sampler.  With the kernel
     # cache emptied, and the per-photon path (photon slots, streams, taps,
-    # the relay step, single-qubit and pair measurement, grafting, building
-    # a register or a tensor product) and the layout's control message
-    # patched to raise everywhere they are bound, every pinned scenario
-    # still reproduces its digests: its kernels are built and sampled
-    # without any of them.
+    # the relay step and its record, single-qubit and pair measurement,
+    # grafting, building a register or a tensor product) and the layout's
+    # control message patched to raise everywhere they are bound, every
+    # pinned scenario still reproduces its digests: its kernels are built
+    # and sampled without any of them.
     import qauthsim
     from qauthsim import adversary, channel, harness, protocol, qsim
 
     def refuse(*args, **kwargs):
         raise AssertionError("a session took the per-photon path")
 
-    names = ("build_streams", "apply_tap", "alice_swap_step",
+    names = ("build_streams", "apply_tap", "alice_swap_step", "SwapRecord",
              "measure_in_basis", "measure_bell", "tensor")
     for module in (qauthsim, qsim, channel, adversary, protocol, harness):
         for name in names:

@@ -383,8 +383,8 @@ class TestReports:
 
     def test_row_formatters_match_the_writers(self):
         # every value type a row cell can hold, each in every column: the
-        # compiled row formatters against csv.writer over _fmt cells and
-        # _json_value over the row dict, and _json_value against json.dumps
+        # reports against csv.writer over _fmt cells and _json_value over
+        # the row dict, and _json_value against json.dumps
         values = [None, True, False, 0.0, 1 / 3, 7, "plain", -2.5e-300,
                   2 ** 70, float("inf"), float("nan"), "a,b", 'say "hi"',
                   "two\nlines", "cr\rtab\t", "na\u00efve 100%"]

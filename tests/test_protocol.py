@@ -40,8 +40,33 @@ from qauthsim.protocol import (
     run_session,
     tamper_check,
 )
-from qauthsim.qsim import BellKind, BellLabel, MeasBasis, RandomSource, bell_compose
+from qauthsim.qsim import (
+    BELL_ORDER,
+    BellKind,
+    BellLabel,
+    MeasBasis,
+    RandomSource,
+    bell_compose,
+)
 from qauthsim.secparams import forgery_prob
+
+_LABEL_OF_TEXT = {label.short(): label for label in BELL_ORDER}
+
+
+def _relay_steps(out):
+    """A session's relay steps, read from its 5a and 5c log entries:
+    (position, created label, key bit) per key slot, in log order."""
+    created, key = {}, {}
+    for step, _party, text in out.events.entries:
+        if step in ("5a", "5c"):
+            items = dict(item.split("=") for item in text.split(" "))
+            position = int(items["pos"])
+            if step == "5a":
+                created[position] = _LABEL_OF_TEXT[items["created"]]
+            else:
+                key[position] = int(items["key"])
+    assert list(created) == list(key)
+    return [(position, created[position], key[position]) for position in created]
 
 
 def _cfg(k=8, d=8, mode=ProtocolMode.BASE, rule=None, **kw):
@@ -479,7 +504,10 @@ class TestHonestSessions:
             out = run_session(cfg, None, RandomSource(11, t))
             assert out.status is SessionStatus.AUTH_ACCEPT
             assert out.key_matches() == cfg.k
-            assert len(out.swap_records) == cfg.k
+            steps = _relay_steps(out)
+            assert [position for position, _, _ in steps] == \
+                list(out.plan.key_positions)
+            assert tuple([bit for _, _, bit in steps]) == out.alice_key_bits
 
     def test_swap_measured_mismatch_is_psi_kind_created(self):
         # under the MEASURED rule an honest session garbles exactly the
@@ -489,9 +517,9 @@ class TestHonestSessions:
         for t in range(80):
             out = run_session(cfg, None, RandomSource(12, t))
             bob_at = dict(zip(out.plan.key_positions, out.bob_key_bits))
-            for rec in out.swap_records:
-                agree = rec.key_bit == bob_at[rec.position]
-                assert agree == (rec.created.kind is BellKind.PHI)
+            for position, created, key_bit in _relay_steps(out):
+                agree = key_bit == bob_at[position]
+                assert agree == (created.kind is BellKind.PHI)
                 seen_mismatch |= not agree
         assert seen_mismatch
 
@@ -673,8 +701,22 @@ def test_equal_configs_give_the_same_sessions(mode, rule, attack):
     assert twin_cfg == cfg and twin_cfg is not cfg
     assert (hash(twin_cfg), hash(twin_atk), hash(twin_photon)) == \
         (hash(cfg), hash(atk), hash(photon))
-    assert protocol._program(twin_cfg, twin_atk, twin_photon, 0.0) is \
-        protocol._program(cfg, atk, photon, 0.0)
+    program = protocol._program(cfg, atk, photon, 0.0)
+    assert protocol._program(twin_cfg, twin_atk, twin_photon, 0.0) is program
+    # each config hashes the fields its __eq__ compares: the count the token
+    # reveals, not the reveal_count it was given
+    for config in (cfg, atk, photon):
+        assert hash(config) == hash(tuple([
+            getattr(config, f.name) for f in fields(config) if f.compare]))
+    assert protocol._program(replace(cfg, reveal_count=3), atk, photon,
+                             0.0) is program
+    # replacing a compared field builds a new config with its own hash
+    for key in ((replace(cfg, k=4), atk, photon),
+                (replace(cfg, reveal_count=2), atk, photon),
+                (replace(cfg, error_threshold=0.25), atk, photon),
+                (cfg, replace(atk, path=TapPath.TO_ALICE), photon),
+                (cfg, atk, replace(photon, p1=0.75))):
+        assert protocol._program(*key, 0.0) is not program
     lost = 0
     for t in range(12):
         kwargs = {"p_loss": 0.05 * (t % 3)}
@@ -758,7 +800,7 @@ def test_swap_alice_abort_leaves_no_key_material():
             break
     assert aborted is not None
     assert aborted.failed_checks == ("alice",)
-    assert aborted.swap_records is None
+    assert _relay_steps(aborted) == []
     assert aborted.alice_key_bits is None
     assert aborted.token is None
     # the responder never measured either: no bits, no error count, no line
