@@ -64,10 +64,6 @@ class AttackKind(Enum):
     SERVER_PRODUCT = "server_product"
     SERVER_GHZ = "server_ghz"
 
-    # identity hash, as ``channel.Path`` has: a session-program key hashes
-    # its configs' enum fields
-    __hash__ = object.__hash__
-
 
 class TapPath(Enum):
     TO_ALICE = "to_alice"
@@ -81,22 +77,16 @@ class TapPath(Enum):
             return (Path.TO_BOB,)
         return (Path.TO_ALICE, Path.TO_BOB)
 
-    __hash__ = object.__hash__
-
 
 class BasisChoice(Enum):
     RANDOM_PER_SLOT = "random_per_slot"
     FIXED = "fixed"
-
-    __hash__ = object.__hash__
 
 
 class LocationKnowledge(Enum):
     NEVER = "never"
     AFTER_MEASUREMENT = "after_measurement"
     REALTIME = "realtime"
-
-    __hash__ = object.__hash__
 
 
 _TAP_KINDS = (AttackKind.INTERCEPT_RESEND, AttackKind.SUBSET_GUESS, AttackKind.PNS)
@@ -309,7 +299,7 @@ def draw_taps(eve: EveState, plan: "SessionPlan", photon: PhotonCountModel,
     for path in attack.path.channel_paths():
         # the tap code of each target, in target order
         if random_basis:
-            codes = bytes(rand.bits(count)).translate(_READ_IN)
+            codes = rand.bits(count).translate(_READ_IN)
         elif counted:
             # a photon count is 1 where its uniform draw is below p1
             single = rand.below(count, photon.p1)

@@ -226,9 +226,6 @@ class TrialResult(NamedTuple):
     server_copy_match: float | None
     event_log_digest: str
 
-    def to_row(self) -> dict:
-        return dict(zip(TRIAL_FIELDS, self))
-
 
 TRIAL_FIELDS = TrialResult._fields
 

@@ -71,10 +71,6 @@ class ProtocolMode(Enum):
     BASE = "base"
     SWAP = "swap"
 
-    # identity hash, as ``channel.Path`` has: a session-program key hashes
-    # its configs' enum fields
-    __hash__ = object.__hash__
-
 
 class BeliefRule(Enum):
     """What the initiator believes the far pair is after her joint measurement.
@@ -89,14 +85,18 @@ class BeliefRule(Enum):
     COMPOSED = "composed"
     MEASURED = "measured"
 
-    __hash__ = object.__hash__
-
 
 class SessionStatus(Enum):
     AUTH_ACCEPT = "auth_accept"
     AUTH_REJECT = "auth_reject"
     TAMPER_ABORT = "tamper_abort"
     INCOMPLETE_STREAM = "incomplete_stream"
+
+
+# the most slots (k + d) a session may have: a session allocates per-slot
+# bytes, so an unbounded size fails deep in a run; the largest sizing
+# ``qauthsim params`` prints (k + d = 223440) fits
+MAX_SLOTS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,8 @@ class SessionConfig:
             raise ValueError("k must be at least 1")
         if self.d < 0:
             raise ValueError("d must be non-negative")
+        if self.k + self.d > MAX_SLOTS:
+            raise ValueError(f"k + d must be at most {MAX_SLOTS}")
         if not 1 <= self.revealed <= self.k:
             raise ValueError("reveal_count must be in 1..k")
         if not 0.0 <= self.error_threshold < 1.0:
@@ -143,9 +145,6 @@ class SessionConfig:
         return self.k + self.d
 
 
-# basis by its value, without the Enum constructor's lookup, and back
-_BASES = {basis.value: basis for basis in MeasBasis}
-_BASIS_VALUES = {basis: value for value, basis in _BASES.items()}
 _TO_ALICE, _TO_BOB = Path.TO_ALICE, Path.TO_BOB
 _IDEAL_SOURCE = PhotonCountModel()
 # a twin source's (2 * basis bit + value) basis, and its value as a byte
@@ -164,7 +163,7 @@ class TamperSpec:
     def encode(self) -> bytes:
         doc = {
             "positions": list(self.positions),
-            "bases": [_BASIS_VALUES[b] for b in self.bases],
+            "bases": [b.value for b in self.bases],
             "values": list(self.values),
         }
         return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
@@ -173,7 +172,7 @@ class TamperSpec:
     def decode(cls, raw: bytes) -> "TamperSpec":
         doc = json.loads(raw.decode())
         return cls(tuple(doc["positions"]),
-                   tuple([_BASES[b] for b in doc["bases"]]),
+                   tuple([MeasBasis(b) for b in doc["bases"]]),
                    tuple(doc["values"]))
 
 
@@ -182,9 +181,8 @@ class SessionPlan:
     """The relay's layout: the detection slots' ``positions``, the
     ``key_positions``, and ``twin_sources``, one byte per detection slot
     in position order holding its kernel source index, 2 * basis bit +
-    value (see :func:`~qauthsim.qsim.slot_kernels`).  Two views are built
-    from these on first use, off the session path: ``tamper``, the layout
-    as the control message :class:`TamperSpec`, and ``decoys``, which maps
+    value (see :func:`~qauthsim.qsim.slot_kernels`).  One view is built
+    from these on first use, off the session path: ``decoys``, which maps
     each detection slot's position to its (value, basis), the argument
     order of ``prepare_polarized``."""
 
@@ -194,16 +192,9 @@ class SessionPlan:
     twin_sources: bytes
 
     @cached_property
-    def tamper(self) -> TamperSpec:
-        twins = self.twin_sources
-        return TamperSpec(self.positions,
-                          tuple([_BASIS_OF_TWIN[twin] for twin in twins]),
-                          tuple(twins.translate(_VALUE_OF_TWIN)))
-
-    @cached_property
     def decoys(self) -> dict[int, tuple[int, MeasBasis]]:
-        tamper = self.tamper
-        return dict(zip(tamper.positions, zip(tamper.values, tamper.bases)))
+        return {position: (twin & 1, _BASIS_OF_TWIN[twin])
+                for position, twin in zip(self.positions, self.twin_sources)}
 
     @property
     def total_slots(self) -> int:

@@ -92,10 +92,6 @@ class MeasBasis(Enum):
     RECTILINEAR = "rectilinear"
     DIAGONAL = "diagonal"
 
-    # members are singletons compared by identity, so the identity hash
-    # agrees with equality; Enum's own hash is a Python-level call
-    __hash__ = object.__hash__
-
 
 class BellKind(Enum):
     PHI = 0
@@ -143,11 +139,8 @@ BELL_ORDER: tuple[BellLabel, ...] = (
     BellLabel.PSI_PLUS,
     BellLabel.PSI_MINUS,
 )
-# Aliases: hot paths compare bases by identity without the class lookup.
-_RECTILINEAR = MeasBasis.RECTILINEAR
-_DIAGONAL = MeasBasis.DIAGONAL
 # the basis a random bit selects (see RandomSource.basis)
-BASIS_OF_BIT: tuple[MeasBasis, MeasBasis] = (_RECTILINEAR, _DIAGONAL)
+BASIS_OF_BIT: tuple[MeasBasis, MeasBasis] = (MeasBasis.RECTILINEAR, MeasBasis.DIAGONAL)
 
 _SHORT_TO_LABEL = {label.short(): label for label in BELL_ORDER}
 
@@ -224,9 +217,9 @@ class RandomSource:
         rng = self._rng or self._seed()
         return rng.getrandbits(32 * count).to_bytes(4 * count, "little")[3::4]
 
-    def bits(self, count: int) -> tuple[int, ...]:
+    def bits(self, count: int) -> bytes:
         """``count`` draws of :meth:`bit`, each the top bit of a word."""
-        return tuple(self._top_bytes(count).translate(_TOP_BIT))
+        return self._top_bytes(count).translate(_TOP_BIT)
 
     def bit_pairs(self, count: int) -> bytes:
         """``count`` values ``2 * a + b``, where a and b are two draws of
@@ -453,7 +446,7 @@ def prepare_polarized(value: int, basis: MeasBasis) -> StateRegister:
     """Single qubit carrying ``value`` in ``basis``."""
     if value not in (0, 1):
         raise ValueError("value must be a bit")
-    states = _RECTILINEAR_STATES if basis is _RECTILINEAR else _DIAGONAL_STATES
+    states = _RECTILINEAR_STATES if basis is MeasBasis.RECTILINEAR else _DIAGONAL_STATES
     return StateRegister(states[value])
 
 
@@ -494,10 +487,10 @@ def _project_qubit(amps: Sequence[int], n: int, qubit: int,
     (a0 + a1) * (1, 1) and (a0 - a1) * (1, -1) there.
     """
     mask = 1 << (n - 1 - qubit)
-    if basis is _RECTILINEAR:
+    if basis is MeasBasis.RECTILINEAR:
         return ([0 if i & mask else a for i, a in enumerate(amps)],
                 [a if i & mask else 0 for i, a in enumerate(amps)])
-    if basis is not _DIAGONAL:
+    if basis is not MeasBasis.DIAGONAL:
         raise ValueError(f"unknown basis {basis!r}")
     zero = [0] * len(amps)
     one = [0] * len(amps)
@@ -655,7 +648,7 @@ def _build_kernel(source: int, tap_a: int | None, tap_b: int | None,
         reads.append((EVE_B, 1, BASIS_OF_BIT[tap_b]))
     reads.append((BOB, 1, party))
     if source == TRIPLE_SOURCE:
-        reads.append((SERVER, 2, _RECTILINEAR))
+        reads.append((SERVER, 2, MeasBasis.RECTILINEAR))
     if created is None:
         reads.append((ALICE, 0, party))
     leaves = _read_leaves([([None] * 6, amps)], n, reads)
@@ -664,8 +657,8 @@ def _build_kernel(source: int, tap_a: int | None, tap_b: int | None,
         front = _BELL_STATES[created]
         grafted = [(fields, [f * a for f in front for a in vec])
                    for fields, vec in leaves]
-        leaves = _read_leaves(grafted, n + 2,
-                              [(RELAY, (1, 2), None), (ALICE, 0, _RECTILINEAR)])
+        leaves = _read_leaves(grafted, n + 2, [(RELAY, (1, 2), None),
+                                               (ALICE, 0, MeasBasis.RECTILINEAR)])
 
     weights = [_weight(vec) for _, vec in leaves]
     scale = gcd(*weights)

@@ -81,11 +81,10 @@ class TestInterceptResend:
         same_err = cross_n = 0
         for t in range(1500):
             out = run_session(cfg, atk, RandomSource(41, t))
-            spec = out.plan.tamper
-            for i, pos in enumerate(spec.positions):
+            for pos, (value, basis) in out.plan.decoys.items():
                 bit, _basis = out.eve.measured[(Path.TO_BOB, pos)]
-                if spec.bases[i] is MeasBasis.RECTILINEAR:
-                    same_err += bit != spec.values[i]
+                if basis is MeasBasis.RECTILINEAR:
+                    same_err += bit != value
                 else:
                     cross_n += 1
         assert same_err == 0
@@ -160,7 +159,7 @@ class TestLocationKnowledge:
             # tapped exactly the key slots, each in the key basis
             tapped = {pos for _path, pos in out.eve.measured}
             assert tapped == set(out.plan.key_positions)
-            assert tapped.isdisjoint(out.plan.tamper.positions)
+            assert tapped.isdisjoint(out.plan.positions)
             assert all(basis is cfg.key_basis
                        for _bit, basis in out.eve.measured.values())
 
@@ -231,11 +230,10 @@ class TestPNS:
                      if path is Path.TO_BOB}
             if not split:
                 continue
-            spec = out.plan.tamper
             touched = {pos for path, pos in out.eve.measured
                        if path is Path.TO_BOB}
             # errors can only come from single-photon (measured) slots
-            assert out.bob_tamper_errors <= len(touched & set(spec.positions))
+            assert out.bob_tamper_errors <= len(touched & set(out.plan.positions))
 
     def test_evasion_exact_model(self):
         m = _run(72, 4000, {"k": 1, "d": 8}, _PNS_BOB, p1=0.5).metric(

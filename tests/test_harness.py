@@ -12,7 +12,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qauthsim import cli, harness
 from qauthsim.adversary import AttackKind, BasisChoice, LocationKnowledge, TapPath
@@ -65,6 +65,9 @@ def _doc(**over):
 # sections that used to read as absent because they are falsy
 MALFORMED_SECTIONS = [("photon", v) for v in (False, [], 0, "")]
 MALFORMED_SECTIONS += [("outputs", v) for v in (0, "", [])]
+# sessions past the slot bound: one slot over it, and one too large for a
+# bytes object's length
+OVERSIZED_SESSIONS = [{"k": 2 ** 18 - 40, "d": 41}, {"k": 10 ** 20, "d": 1}]
 
 _FIELD_NAMES = tuple(name for table in (
     harness._TOP_FIELDS, harness._SESSION_FIELDS, harness._ATTACK_FIELDS,
@@ -253,6 +256,14 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="photon.p1"):
             parse_scenario(_doc(photon={"p1": 10 ** 400}))
 
+    @pytest.mark.parametrize("session", OVERSIZED_SESSIONS)
+    def test_oversized_session_rejected(self, session):
+        with pytest.raises(ScenarioError, match=r"^session: k \+ d must be at most"):
+            load_scenario(json.dumps(_doc(session=session)))
+        # the bound itself is a session size
+        spec = load_scenario(json.dumps(_doc(session={"k": 2 ** 18 - 41, "d": 41})))
+        assert spec.session.total_slots == 2 ** 18
+
     @given(doc=_json_documents())
     @settings(max_examples=150, deadline=None)
     def test_any_json_value_parses_or_raises_scenario_error(self, doc):
@@ -399,11 +410,11 @@ class TestReports:
         for trial in trials:
             writer.writerow([_fmt(value) for value in trial])
         assert render_report(report, "csv") == buf.getvalue()
-        lines = [_json_value(trial.to_row()) for trial in trials]
+        lines = [_json_value(trial._asdict()) for trial in trials]
         lines.append(_json_value(report.aggregate_row()))
         assert render_report(report, "json") == "\n".join(lines) + "\n"
         for trial in trials:
-            assert _json_value(trial.to_row()) == _dumps(trial.to_row())
+            assert _json_value(trial._asdict()) == _dumps(trial._asdict())
         nested = {"a": [1, 2.5, None, (True, "x")], 3: {"y": float("-inf")}}
         assert _json_value(nested) == _dumps(nested)
 
@@ -884,6 +895,7 @@ class TestCLI:
         ({"attack": {"kind": "none", "guess_count": 3}}, "guess_count"),
         ({"attack": {"kind": "subset_guess", "guess_count": 9}},
          "attack.guess_count"),
+        *(({"session": session}, "session") for session in OVERSIZED_SESSIONS),
     ])
     def test_run_malformed_document_exit_2(self, over, field, tmp_path, capsys):
         scenario = tmp_path / "s.json"
@@ -963,6 +975,7 @@ class TestCLI:
 # --- the CLI's exit contract on arbitrary argv ---------------------------------
 
 _SCENARIO_TEXT = json.dumps(_doc(trials=2, session={"k": 1, "d": 1}))
+_OVERSIZED_TEXT = json.dumps(_doc(trials=1, session=OVERSIZED_SESSIONS[1]))
 # what each subcommand accepts, plus values each flag rejects
 _CLI_POSITIONALS = {
     "params": ["0.5", "2**-17", "1e-6", "1/3", "2^-40", "1e-99999999", "0",
@@ -1012,7 +1025,8 @@ def _cli_argv(draw):
 
 
 @given(argv=_cli_argv(),
-       stdin=st.sampled_from(["", _SCENARIO_TEXT, "{nope", "[]"]))
+       stdin=st.sampled_from(["", _SCENARIO_TEXT, "{nope", "[]", _OVERSIZED_TEXT]))
+@example(argv=["run", "-"], stdin=_OVERSIZED_TEXT)
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_cli_exit_contract(argv, stdin, tmp_path, monkeypatch, capsys):

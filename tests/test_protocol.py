@@ -121,30 +121,27 @@ class TestPlanning:
     def test_partition(self):
         cfg = _cfg(k=5, d=7)
         plan = plan_session(cfg, RandomSource(1, 0))
-        assert len(plan.tamper.positions) == 7
+        assert len(plan.positions) == 7
         assert len(plan.key_positions) == 5
-        both = set(plan.tamper.positions) | set(plan.key_positions)
+        both = set(plan.positions) | set(plan.key_positions)
         assert both == set(range(12))
-        assert list(plan.tamper.positions) == sorted(plan.tamper.positions)
+        assert list(plan.positions) == sorted(plan.positions)
 
     def test_lookup(self):
         plan = plan_session(_cfg(), RandomSource(2, 0))
-        tamper = plan.tamper
-        assert plan.decoys == {
-            pos: (tamper.values[i], tamper.bases[i])
-            for i, pos in enumerate(tamper.positions)}
-        assert list(plan.decoys) == list(tamper.positions)
+        assert list(plan.decoys) == list(plan.positions)
+        assert all(value in (0, 1) and isinstance(basis, MeasBasis)
+                   for value, basis in plan.decoys.values())
         assert not set(plan.decoys) & set(plan.key_positions)
 
     def test_twin_sources_field(self):
         # a bytes field that plan_session fills, 2 * basis bit + value, and
-        # that the layout's control message is built from
+        # that the detection slots' (value, basis) view is built from
         plan = plan_session(_cfg(k=3, d=9), RandomSource(5, 1))
         assert "twin_sources" in {f.name for f in fields(plan)}
-        tamper = plan.tamper
         assert plan.twin_sources == bytes(
             2 * (basis is MeasBasis.DIAGONAL) + value
-            for basis, value in zip(tamper.bases, tamper.values))
+            for value, basis in plan.decoys.values())
 
     def test_deterministic(self):
         a = plan_session(_cfg(), RandomSource(3, 4))
@@ -158,7 +155,7 @@ class TestPlanning:
         n = 4000
         for t in range(n):
             plan = plan_session(cfg, RandomSource(4, t))
-            for p in plan.tamper.positions:
+            for p in plan.positions:
                 counts[p] += 1
         for p, c in enumerate(counts):
             m = _summarize(f"position {p}", c, n, cfg.d / cfg.total_slots)
@@ -212,7 +209,8 @@ def test_plan_draws_match_per_slot_reference(k, d, seed):
     for _ in positions:
         bases.append(twin.basis())
         values.append(twin.bit())
-    assert plan.tamper == TamperSpec(positions, tuple(bases), tuple(values))
+    assert plan.positions == positions
+    assert plan.decoys == dict(zip(positions, zip(values, bases)))
     assert plan.key_positions == tuple(p for p in range(k + d)
                                        if p not in positions)
     _assert_in_step(rand, twin)
@@ -236,7 +234,7 @@ def test_sample_partition_matches_randbelow_reference(universe, count):
 def test_plans_without_detection_slots_draw_nothing(k):
     rand, twin = RandomSource(38, k), RandomSource(38, k)
     plan = plan_session(_cfg(k=k, d=0), rand)
-    assert plan.tamper == TamperSpec((), (), ())
+    assert plan.positions == () and plan.decoys == {}
     assert plan.key_positions == tuple(range(k)) and plan.twin_sources == b""
     _assert_in_step(rand, twin)
 
@@ -438,7 +436,10 @@ def test_packed_bit_draws_match_the_scalar_loops(count):
 @settings(max_examples=150, deadline=None)
 @given(**_sizes)
 def test_tamper_spec_encode_is_canonical_json(k, d, seed):
-    spec = plan_session(_cfg(k=k, d=d), RandomSource(seed, 2)).tamper
+    plan = plan_session(_cfg(k=k, d=d), RandomSource(seed, 2))
+    decoys = plan.decoys.values()
+    spec = TamperSpec(plan.positions, tuple([basis for _, basis in decoys]),
+                      tuple([value for value, _ in decoys]))
     doc = {"positions": list(spec.positions),
            "bases": [b.value for b in spec.bases],
            "values": list(spec.values)}
@@ -736,14 +737,11 @@ def test_equal_configs_give_the_same_sessions(mode, rule, attack):
 
 
 def test_config_enums_hash_by_identity():
-    # members are singletons, so the C-level identity hash agrees with
-    # equality and spares a session-program key Enum's Python-level hash
-    from qauthsim.adversary import BasisChoice
-
-    for enum in (ProtocolMode, BeliefRule, MeasBasis, AttackKind, TapPath,
-                 BasisChoice, LocationKnowledge, Path):
-        assert enum.__hash__ is object.__hash__, enum
-        assert len({hash(member) for member in enum}) == len(enum)
+    # Path's members are singletons, so the C-level identity hash agrees
+    # with equality; a PNS tap hashes a (path, position) key for every
+    # split slot.  The other config enums keep Enum's hash by name.
+    assert Path.__hash__ is object.__hash__
+    assert len({hash(member) for member in Path}) == len(Path)
 
 
 def test_each_scenario_compiles_once():

@@ -915,7 +915,7 @@ def test_random_source_seeds_the_stdlib_generator():
     reference = random.Random(int.from_bytes(digest, "big"))
     assert [rand.uniform() for _ in range(5)] == \
         [reference.random() for _ in range(5)]
-    assert rand.bits(40) == tuple(reference.getrandbits(1) for _ in range(40))
+    assert rand.bits(40) == bytes(reference.getrandbits(1) for _ in range(40))
 
 
 def test_random_source_seeds_its_twister_on_first_draw():
@@ -969,7 +969,7 @@ def test_random_source_bits_are_single_bit_draws(count):
     # bits(n) packs n draws of getrandbits(1), and leaves the stream where
     # n single draws would
     packed, single = RandomSource(8, count), RandomSource(8, count)
-    assert packed.bits(count) == tuple(single.bit() for _ in range(count))
+    assert packed.bits(count) == bytes(single.bit() for _ in range(count))
     assert packed.uniform() == single.uniform()
 
 
