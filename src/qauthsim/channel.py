@@ -31,7 +31,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress
 from typing import Callable, Iterable, TYPE_CHECKING
 
 from . import qsim
@@ -181,22 +180,25 @@ def draw_loss(slots: int, p_loss: float, rand: RandomSource) -> list[int]:
     """Loss marks for one session: each of the ``slots`` photons on each
     path is lost independently with probability p_loss, one mark per
     photon from the stream's loss substream
-    (:meth:`~qauthsim.qsim.RandomSource.loss_marks`), the initiator's path
-    first.  Returns the positions lost on either path, sorted.  The marks
-    touch none of the stream's other draws, so a lost stream never seeds
-    its twister, and an arriving one draws the rest of its session as the
-    p_loss = 0 session of the same stream would; no mark is drawn at
-    p_loss = 0."""
+    (:meth:`~qauthsim.qsim.RandomSource.loss_marks`, one substream byte per
+    mark and 6 more for the rare mark that byte leaves open), the
+    initiator's path first.  Returns the positions lost on either path,
+    sorted.  The marks touch none of the stream's other draws, so a lost
+    stream never seeds its twister, and an arriving one draws the rest of
+    its session as the p_loss = 0 session of the same stream would; no
+    mark is drawn at p_loss = 0."""
     if not 0.0 <= p_loss < 1.0:
         raise ValueError("p_loss must be in [0, 1)")
     if p_loss == 0.0:
         return []
     marks = rand.loss_marks(2 * slots, p_loss)
-    # each mark is a 0 or 1 byte, so OR-ing the paths' marks as integers
-    # ORs them position by position
-    either = (int.from_bytes(marks[:slots], "little")
-              | int.from_bytes(marks[slots:], "little"))
-    return list(compress(range(slots), either.to_bytes(slots, "little")))
+    # few photons are lost, so each lost mark is found by a byte search
+    lost = []
+    at = marks.find(1)
+    while at >= 0:
+        lost.append(at % slots)
+        at = marks.find(1, at + 1)
+    return sorted(set(lost))
 
 
 def apply_loss(stream: QuantumStream, p_loss: float, rand: RandomSource) -> int:

@@ -109,11 +109,19 @@ class ScenarioSpec:
             raise ScenarioError("photon.p_loss must be in [0, 1)")
         if self.out_format not in ("json", "csv"):
             raise ScenarioError("outputs.format must be 'json' or 'csv'")
+        _check_out_path(self.out_path)
         guesses = self.attack.guess_count if self.attack else None
         if guesses is not None and guesses > self.session.total_slots:
             raise ScenarioError(
                 f"attack.guess_count must be at most k + d = "
                 f"{self.session.total_slots}, got {guesses}")
+
+
+def _check_out_path(path: str | None) -> None:
+    """Refuse a report path no file can have: ``open`` raises ValueError,
+    not OSError, on a NUL character."""
+    if path is not None and "\0" in path:
+        raise ScenarioError("outputs.path must not contain a NUL character")
 
 
 # Each section's fields and their JSON types: int, float (any number), str,
@@ -480,18 +488,20 @@ def _lossless_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, s
 
     if kind is AttackKind.SUBSET_GUESS:
         g = attack.guess_count
-        terms = _subset_terms(cfg.k, cfg.d, g, slot_pass)
+        terms, denom = _subset_terms(cfg.k, cfg.d, g, slot_pass)
         if not base_mode:
             # swap mode never gives certain key knowledge
             out["subset_success"] = (0.0, None)
         elif any_flip:
             # success is the guess that covers every key slot
-            out["subset_success"] = (float(terms.get(g - cfg.k, 0)), None)
+            out["subset_success"] = (
+                float(Fraction(terms.get(g - cfg.k, 0), denom)), None)
         out["eve_key_knowledge"] = (
             (g / cfg.total_slots if base_mode else 0.0),
             "hypergeometric mean coverage")
         if any_flip and cfg.d > 0:
-            out["evasion_rate"] = (float(sum(terms.values())), None)
+            out["evasion_rate"] = (
+                float(Fraction(sum(terms.values()), denom)), None)
         # guessed slots are read in the public key basis: no key disturbance
         out["key_match_fraction"] = (1.0, None)
         return out
@@ -499,15 +509,19 @@ def _lossless_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, s
     return out
 
 
-def _subset_terms(k: int, d: int, g: int,
-                  slot_pass: Fraction) -> dict[int, Fraction]:
+def _subset_terms(k: int, d: int, g: int, slot_pass: Fraction
+                  ) -> tuple[dict[int, int], int]:
     """P(T = j) * slot_pass ** j for every count j of detection slots that a
-    uniform g-subset of the k + d positions can hold; their sum is
-    E[slot_pass ** T]."""
-    denom = math.comb(k + d, g)
-    return {j: Fraction(math.comb(d, j) * math.comb(k, g - j), denom)
-            * slot_pass ** j
-            for j in range(max(0, g - k), min(d, g) + 1)}
+    uniform g-subset of the k + d positions can hold, as integer numerators
+    over one common denominator; their sum over it is E[slot_pass ** T].
+
+    With slot_pass = a / b and J the largest j, term j is
+    C(d, j) C(k, g - j) a**j b**(J - j) over C(k + d, g) b**J."""
+    a, b = slot_pass.numerator, slot_pass.denominator
+    top = min(d, g)
+    return ({j: math.comb(d, j) * math.comb(k, g - j) * a ** j * b ** (top - j)
+             for j in range(max(0, g - k), top + 1)},
+            math.comb(k + d, g) * b ** top)
 
 
 # --- scenario execution -----------------------------------------------------------
@@ -691,6 +705,7 @@ def emit_report(report: AggregateReport, out_format: str,
                 path: str | None) -> str:
     text = render_report(report, out_format)
     if path is not None:
+        _check_out_path(path)
         try:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)

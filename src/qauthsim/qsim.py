@@ -164,7 +164,8 @@ class RandomSource:
     platform, and distinct pairs give unrelated sequences.
 
     - The loss substream (:meth:`loss_marks`) is the SHAKE-128 output of
-      ``b"qauthsim/loss/<seed>/<stream>"``, 8 bytes per mark.
+      ``b"qauthsim/loss/<seed>/<stream>"``: one byte per mark, then 6
+      bytes for each mark that byte leaves undecided.
     - Every other draw comes from a Mersenne Twister seeded with the
       SHA-256 of ``b"qauthsim/<seed>/<stream>"``.  The twister is seeded
       lazily, on its first draw (each draw method takes
@@ -245,13 +246,40 @@ class RandomSource:
         return _marks_below(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), p)
 
     def loss_marks(self, count: int, p: float) -> bytes:
-        """``count`` loss marks from the loss substream: the same rule as
-        :meth:`below` (:func:`_marks_below`), over 8 bytes of SHAKE-128
-        output per mark in place of two twister words.  The twister is
-        neither seeded nor advanced.  Each call reads the substream from its
-        start, so a stream draws its loss marks in one call."""
-        address = b"qauthsim/loss/%d/%d" % (self.master_seed, self.stream_id)
-        return _marks_below(shake_128(address).digest(8 * count), p)
+        """``count`` loss marks from the loss substream, each 1 with
+        probability ceil(p * 2**53) / 2**53, the law of :meth:`below`, and
+        0 elsewhere.  The twister is neither seeded nor advanced.
+
+        Byte i of the substream is mark i's top byte, and
+        :func:`_below_table` decides it as it decides a twister draw's.
+        Only the edge byte e = ceil(p * 2**53) >> 45 leaves a mark open;
+        such a mark takes a 45-bit remainder r from the next 6-byte
+        reserve after the ``count`` top bytes, in mark order (the reserve
+        read as a little-endian integer, shifted right by 3), and is lost
+        iff ``(e << 45) + r < ceil(p * 2**53)``, which is ``N < p * 2**53``
+        for the 53-bit N = (e << 45) + r.  The first read holds one
+        reserve; a stream with more edge marks reads again for all of
+        them, and since the output is prefix-stable no byte already read
+        moves.  Each call reads the substream from its start, so a stream
+        draws its loss marks in one call."""
+        xof = shake_128(b"qauthsim/loss/%d/%d" % (self.master_seed, self.stream_id))
+        packed = xof.digest(count + _RESERVE)
+        marks = packed[:count].translate(_below_table(p))
+        edge = marks.find(_EDGE)
+        if edge < 0:
+            return marks
+        edges = marks.count(_EDGE)
+        if edges > 1:
+            packed = xof.digest(count + _RESERVE * edges)
+        # the edge byte's own share of the limit: r is below it iff lost
+        rest = math.ceil(p * _TWO53) & _MASK45
+        marks = bytearray(marks)
+        at = count
+        while edge >= 0:
+            marks[edge] = int.from_bytes(packed[at:at + _RESERVE], "little") >> 3 < rest
+            at += _RESERVE
+            edge = marks.find(_EDGE, edge + 1)
+        return bytes(marks)
 
     def randbelow(self, bound: int) -> int:
         if bound <= 0:
@@ -343,9 +371,12 @@ def _schedule(universe: int, count: int) -> tuple[tuple[int, int, int], ...]:
                   for i in range(count) if universe - i > 1])
 
 
-# Per probability p, the verdict of a draw's first top byte: 1 (below p),
-# 0 (not below) or _EDGE (the byte holds p * 2**53; assemble N).
+# Per probability p, the verdict of a draw's top byte: 1 (below p), 0 (not
+# below) or _EDGE (the byte holds p * 2**53; the low 45 bits of N decide).
 _EDGE = 2
+# the bytes of a loss mark's remainder, whose top 45 bits it reads
+_RESERVE = 6
+_MASK45 = (1 << 45) - 1
 
 
 @lru_cache(maxsize=1024)
@@ -358,8 +389,8 @@ def _below_table(p: float) -> bytes:
 
 
 def _marks_below(packed: bytes, p: float) -> bytes:
-    """One mark per 8 bytes of ``packed``: 1 where the draw they hold is
-    below ``p``, 0 elsewhere.
+    """The marks of :meth:`RandomSource.below`: one per 8 bytes of
+    ``packed``, 1 where the draw they hold is below ``p``, 0 elsewhere.
 
     The 8 bytes are two little-endian 32-bit words w1, w2, and the draw is
     ``N / 2**53`` with ``N = (w1 >> 5) << 26 | w2 >> 6``, as ``random()``

@@ -21,12 +21,14 @@ grading, so a report with a ``fail`` verdict cannot stay pinned.
 The two lossy scenarios, ``lossy-pns`` and
 ``paper-swap-composed-lossy-pns``, are pinned to loss marks drawn from
 each stream's own SHAKE-128 loss substream, ahead of a layout drawn only
-when every photon arrived.  Drawing the marks from the stream's Mersenne
-Twister, ahead of its layout, gave other digests for them with the same
-law.  With the marks on their own substream, an arriving lossy stream
-draws exactly what the lossless session of the same (seed, trial) draws.
-At p_loss = 0 no loss mark is drawn, so every other scenario reads the
-same draws either way.
+when every photon arrived, each mark decided by one substream byte and,
+at the edge byte only, a 6-byte remainder read after all the marks' bytes.
+Three earlier layouts gave other digests for them with the same law:
+marks from the stream's Mersenne Twister after its layout, then ahead of
+it, then 8 substream bytes per mark.  With the marks on their own
+substream, an arriving lossy stream draws exactly what the lossless
+session of the same (seed, trial) draws.  At p_loss = 0 no loss mark is
+drawn, so every other scenario reads the same draws either way.
 """
 
 import hashlib
@@ -124,10 +126,10 @@ GOLDEN_SCENARIOS = {
     'base-server_product': {'csv': 'fc81a0cf6e0e8b9abcf89eb92cf9f3654e8321888d7132a74ff7176f44c1b5cb', 'json': '3f54b08661ab2a03d4654f17cd2336cd5ddeffb52f912396834b52d92e8cf9ce'},
     'base-subset': {'csv': '9c265fe0e16613bab6fbeb3504ff50958ff66e00ce57290114acac21d948bd75', 'json': '6915c6693d75df382f4675478ba6018f82fe69ffd859413ec31f4c4e2c08320a'},
     'fixed-basis-intercept': {'csv': '78aba2c28acfd4684e4a01dd055203b9f43bd538213dc8794c2079fd5e5488ab', 'json': '7239a6355513b299ad68d733ed99895404a5eae742f6a4a8adbc29a56f086b2a'},
-    'lossy-pns': {'csv': '167a4f855db80012a31d7563fdda35beeee371bc9a62864dc709befb66ba7cb1', 'json': 'e10a6ed033781f8f92851dd6187e1f7df06855063bf598242163472c3f58dc47'},
+    'lossy-pns': {'csv': 'de42d0b8f175ce2a6ffd5c4305bf170631bce3bcd130ccb4c3f0393f5a92f94b', 'json': '1e9602dc83069bbfde9383c0e10f1ecff7a25da972117cbabbf154225b0d00a4'},
     'paper-base-none': {'csv': '1ac12db235045057f419188bb9d6dd5e7bf9e236c73925ce8370371e8170cc95', 'json': 'f7ed4b87d5406f50e2921f4f33242fe8d301727c14919861ce2f472195f9f819'},
     'paper-base-subset': {'csv': '138e5228274c3a1d621e63fe567abe37343e983a9ead67d76d958e3c021bb52c', 'json': 'e18a34aa83d253b7e5442373537c0460d84f73b3030ed78f4366796c02e676f5'},
-    'paper-swap-composed-lossy-pns': {'csv': '27eb5c99fcb42a493eb8cb799f164eddbf17734de3da1d182fe49c1a82bd53fb', 'json': 'aaecc32f74ffd1acd6ca579c6c4b7e00bb22169995d3f2846599c45d02ab21aa'},
+    'paper-swap-composed-lossy-pns': {'csv': '29c3d97aae62b9fcb3cf1a0c4dcf6868e361056c3465a92642fed97b8badd91f', 'json': 'd2c290dcc919acdfad5179c137933ff071e408e55d5c3b6191443c6c5fe01cf8'},
     'paper-swap-composed-none': {'csv': '82eb32f275702d7b022c004f57aa2554ce10d76fffd35bf2f8ab1858e41f2a5c', 'json': 'e2609a8a5d52fee7d2f1ef8454842c8fd0884d13905f547a4e87b8c9f13bd197'},
     'paper-swap-composed-server_ghz': {'csv': '0346365010dbbca5dd7cb8f8ff4b256db468e05e8be64ad6309250c2da1af56f', 'json': 'cb053a1b16bbbdd75eee5f756d84783a74ac0795abbd3f11d7fb751004d32681'},
     'realtime-intercept': {'csv': 'fb64b3b7801e0d5447c82f888347fd412f3f0162c811a4ca6da9b8e110fd3e5e', 'json': '0c98a8544d9fceb3dd4c1a34da36bba18f219af1b256be3b7a8bcdfa98ed3093'},

@@ -667,6 +667,20 @@ class TestMetrics:
         assert harness.analytic_predictions(spec)["evasion_rate"] == (
             float(want), None)
 
+    @pytest.mark.parametrize("k,d,g", [(17, 41, 17), (2, 3, 5), (2, 3, 2),
+                                       (4, 0, 3), (1, 8, 1), (5, 2, 6)])
+    @pytest.mark.parametrize("slot_pass", [Fraction(0), Fraction(9, 16),
+                                           Fraction(5, 8) ** 2, Fraction(1)])
+    def test_subset_terms_sum_exactly(self, k, d, g, slot_pass):
+        # the integer numerators over one denominator are the hypergeometric
+        # terms P(T = j) * slot_pass ** j, each an exact Fraction
+        terms, denom = harness._subset_terms(k, d, g, slot_pass)
+        want = {j: Fraction(math.comb(d, j) * math.comb(k, g - j),
+                            math.comb(k + d, g)) * slot_pass ** j
+                for j in range(max(0, g - k), min(d, g) + 1)}
+        assert {j: Fraction(n, denom) for j, n in terms.items()} == want
+        assert Fraction(sum(terms.values()), denom) == sum(want.values())
+
     def test_swap_responder_rate_closed_forms(self):
         def bob_rate(attack, p1=1.0, threshold=0.0):
             spec = parse_scenario(_doc(
@@ -844,6 +858,18 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write report") and err.count("\n") == 1
 
+    def test_nul_out_path_is_an_input_error(self, tmp_path, capsys):
+        # open() raises ValueError, not OSError, on a NUL: the spec refuses
+        # the path before any file is opened, and so does emit_report
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(_doc(trials=2)))
+        assert main(["run", str(scenario), "--out", "a\x00b"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: outputs.path") and err.count("\n") == 1
+        report = run_scenario(load_scenario(scenario.read_text()))
+        with pytest.raises(ScenarioError, match="outputs.path"):
+            harness.emit_report(report, "json", "a\x00b")
+
     def test_params_json(self, capsys):
         assert main(["params", "0.5", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -896,6 +922,7 @@ class TestCLI:
         ({"attack": {"kind": "subset_guess", "guess_count": 9}},
          "attack.guess_count"),
         *(({"session": session}, "session") for session in OVERSIZED_SESSIONS),
+        ({"outputs": {"path": "a\x00b"}}, "outputs.path"),
     ])
     def test_run_malformed_document_exit_2(self, over, field, tmp_path, capsys):
         scenario = tmp_path / "s.json"
@@ -976,6 +1003,11 @@ class TestCLI:
 
 _SCENARIO_TEXT = json.dumps(_doc(trials=2, session={"k": 1, "d": 1}))
 _OVERSIZED_TEXT = json.dumps(_doc(trials=1, session=OVERSIZED_SESSIONS[1]))
+_NUL_PATH_TEXT = json.dumps(_doc(trials=1, outputs={"path": "a\x00b"}))
+# what run - may read on stdin, by name
+_CLI_STDIN = {"empty": "", "scenario": _SCENARIO_TEXT, "not-json": "{nope",
+              "array": "[]", "oversized": _OVERSIZED_TEXT,
+              "nul-path": _NUL_PATH_TEXT}
 # what each subcommand accepts, plus values each flag rejects
 _CLI_POSITIONALS = {
     "params": ["0.5", "2**-17", "1e-6", "1/3", "2^-40", "1e-99999999", "0",
@@ -1024,8 +1056,7 @@ def _cli_argv(draw):
     return argv
 
 
-@given(argv=_cli_argv(),
-       stdin=st.sampled_from(["", _SCENARIO_TEXT, "{nope", "[]", _OVERSIZED_TEXT]))
+@given(argv=_cli_argv(), stdin=st.sampled_from(list(_CLI_STDIN.values())))
 @example(argv=["run", "-"], stdin=_OVERSIZED_TEXT)
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1038,3 +1069,15 @@ def test_cli_exit_contract(argv, stdin, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     assert main(argv) in (0, 1, 2)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", _CLI_STDIN)
+def test_cli_run_stdin_contract(name, tmp_path, monkeypatch, capsys):
+    # each stdin sample reaches run - every time, not only when the property
+    # test happens to draw it
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_CLI_STDIN[name]))
+    code = main(["run", "-"])
+    captured = capsys.readouterr()
+    assert code == (0 if name == "scenario" else 2)
+    assert "Traceback" not in captured.err

@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import math
 from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qauthsim import protocol
+from qauthsim import protocol, qsim
 from qauthsim.adversary import (
     AttackConfig,
     AttackKind,
@@ -271,22 +272,28 @@ def test_below_matches_the_uniform_loop(p, count):
             assert set(edge) == {False, True}
 
 
-def _loss_substream(seed, stream, count):
-    """The first 8 * count bytes of a stream's SHAKE-128 loss substream."""
-    return hashlib.shake_128(b"qauthsim/loss/%d/%d" % (seed, stream)).digest(8 * count)
+def _loss_substream(seed, stream, size):
+    """The first ``size`` bytes of a stream's SHAKE-128 loss substream."""
+    return hashlib.shake_128(b"qauthsim/loss/%d/%d" % (seed, stream)).digest(size)
 
 
 def _reference_loss_marks(seed, stream, count, p):
-    """Loss marks one at a time, each decided in exact integer arithmetic
-    by its own 8 substream bytes: two little-endian words w1, w2 and
-    N = (w1 >> 5) << 26 | w2 >> 6, below p exactly when N < p * 2**53."""
-    data = _loss_substream(seed, stream, count)
+    """Loss marks one at a time from one long substream read, each decided
+    in exact integer arithmetic: mark i's top byte is byte i, and a mark
+    whose top byte is the edge byte takes the next unread 6-byte reserve
+    after the ``count`` top bytes, whose top 45 bits are its remainder r.
+    A mark is lost exactly when N = (top << 45) + r is below p * 2**53; off
+    the edge byte every r gives the same verdict, so r = 0 stands in."""
+    data = _loss_substream(seed, stream, 7 * count)
     limit = Fraction(p) * 2 ** 53
-    marks = []
-    for at in range(0, 8 * count, 8):
-        w1 = int.from_bytes(data[at:at + 4], "little")
-        w2 = int.from_bytes(data[at + 4:at + 8], "little")
-        marks.append(((w1 >> 5) << 26 | w2 >> 6) < limit)
+    edge = _edge_byte(p)
+    marks, reserve = [], count
+    for top in data[:count]:
+        rest = 0
+        if top == edge:
+            rest = int.from_bytes(data[reserve:reserve + 6], "little") >> 3
+            reserve += 6
+        marks.append((top << 45) + rest < limit)
     return marks
 
 
@@ -317,14 +324,112 @@ def test_loss_marks_read_the_substream_bytes(p, count):
     assert rand.loss_marks(count, p) == bytes(marks)
     assert rand._rng is None
     if count == 20000:
-        # the long stream reaches the edge byte, on both sides of p where
-        # p is not at an extreme
-        tops = _loss_substream(41, count, count)[3::8]
+        # the long stream reaches the edge byte many times, so it reads its
+        # substream twice, on both sides of p where p is not at an extreme
+        tops = _loss_substream(41, count, count)
         edge = [mark for mark, top in zip(marks, tops)
                 if top == _edge_byte(p)]
         assert (p == 0.5) == (not edge)
         if p in (0.02, 0.999):
             assert set(edge) == {False, True}
+
+
+_MASK45 = (1 << 45) - 1
+
+
+class _FakeXOF:
+    """Stands in for ``shake_128``: every address gets the output ``data``
+    and then zero bytes, and each read's length is recorded."""
+
+    def __init__(self, data):
+        self.data = data
+        self.reads = []
+
+    def __call__(self, address):
+        return self
+
+    def digest(self, size):
+        self.reads.append(size)
+        return (self.data + bytes(size))[:size]
+
+
+def _remainder(r):
+    """A 6-byte reserve whose top 45 bits are r."""
+    return (r << 3).to_bytes(6, "little")
+
+
+def _fake_marks(monkeypatch, p, tops, remainders):
+    """The marks ``loss_marks`` draws from a substream of the given top
+    bytes, then one reserve per remainder, and the fake's reads."""
+    xof = _FakeXOF(bytes(tops) + b"".join(map(_remainder, remainders)))
+    monkeypatch.setattr(qsim, "shake_128", xof)
+    return RandomSource(3, 4).loss_marks(len(tops), p), xof.reads
+
+
+def _limit(p):
+    return math.ceil(Fraction(p) * 2 ** 53)
+
+
+@pytest.mark.parametrize("p", _PROBABILITIES)
+def test_loss_marks_decide_each_top_byte_exactly(monkeypatch, p):
+    # every top byte with the extreme remainders, and the edge byte with the
+    # remainders on either side of p: each verdict is N < ceil(p * 2**53)
+    limit = _limit(p)
+    cases = [(top, r) for top in range(256) for r in (0, _MASK45)]
+    edge = _edge_byte(p)
+    if edge is not None:
+        rest = limit - (edge << 45)
+        cases += [(edge, rest - 1), (edge, rest)]
+    for top, r in cases:
+        marks, reads = _fake_marks(monkeypatch, p, [top], [r])
+        assert marks == bytes([(top << 45) + r < limit]), (top, r)
+        assert reads == [1 + 6]
+
+
+@pytest.mark.parametrize("p", _PROBABILITIES[1:])
+def test_loss_marks_read_again_for_every_edge_mark(monkeypatch, p):
+    # edge marks that outnumber the first read's one reserve take the
+    # reserves in mark order from a second, longer read
+    edge = _edge_byte(p)
+    rest = _limit(p) - (edge << 45)
+    other = (edge + 128) % 256
+    tops = [edge, other, edge, edge, other, edge, edge]
+    remainders = [rest - 1, rest, 0, _MASK45, rest]
+    marks, reads = _fake_marks(monkeypatch, p, tops, remainders)
+    own = iter(remainders)
+    assert marks == bytes([(top << 45) + (next(own) if top == edge else 0)
+                           < _limit(p) for top in tops])
+    assert reads == [len(tops) + 6, len(tops) + 6 * len(remainders)]
+    # one edge mark needs no second read
+    marks, reads = _fake_marks(monkeypatch, p, [other, edge, other], [rest - 1])
+    assert marks[1] == 1 and reads == [3 + 6]
+
+
+@pytest.mark.parametrize("p", _PROBABILITIES)
+def test_loss_mark_law_is_exact(monkeypatch, p):
+    # The lost share of the (top byte, remainder) space, counted from the
+    # verdicts loss_marks gives, is ceil(p * 2**53) / 2**53: a top byte
+    # whose extreme remainders agree decides every remainder alike (the
+    # verdict is N < limit, monotone in r), and the one byte where they
+    # differ is lost exactly below the remainder where its verdict flips.
+    def lost(top, r):
+        return _fake_marks(monkeypatch, p, [top], [r])[0] == b"\x01"
+
+    share, flips = 0, []
+    for top in range(256):
+        low, high = lost(top, 0), lost(top, _MASK45)
+        if low == high:
+            share += low << 45
+            continue
+        flips.append(top)
+        assert low and not high
+        first, last = 0, _MASK45  # lost at first, kept at last
+        while last - first > 1:
+            middle = (first + last) // 2
+            first, last = (middle, last) if lost(top, middle) else (first, middle)
+        share += last
+    assert flips == ([] if _edge_byte(p) is None else [_edge_byte(p)])
+    assert share == _limit(p)
 
 
 def _tap_row(total, reads):
@@ -748,8 +853,6 @@ def test_each_scenario_compiles_once():
     # a run of trials builds its session program on the first trial and
     # finds it on every later one, lost streams included; equal configs
     # share it; and every memo on the session path is bounded
-    from qauthsim import qsim
-
     spec = parse_scenario({"seed": 14, "trials": 30, "photon": {"p_loss": 0.05},
                            "session": {"k": 3, "d": 4}})
     protocol._program.cache_clear()
