@@ -360,16 +360,6 @@ def _summarize(name: str, hits: int, n: int, analytic: float | None,
 
 # --- analytic predictions --------------------------------------------------------
 
-def _accept_and_match(spec: ScenarioSpec) -> tuple[float, float]:
-    """Closed-form accept rate and per-slot key match for source-level
-    behavior (honest or compromised relay): the belief rule decides both."""
-    cfg = spec.session
-    if cfg.mode is ProtocolMode.BASE or cfg.belief_rule is BeliefRule.COMPOSED:
-        return 1.0, 1.0
-    # MEASURED: each slot agrees iff the created pair was phi-kind
-    return float(forgery_prob(cfg.revealed)), 0.5
-
-
 def analytic_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, str | None]]:
     """Metric name -> (expected value, note).  Only metrics with a defensible
     closed form appear; everything else stays ungraded.
@@ -394,118 +384,105 @@ def analytic_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, st
 
 
 def _lossless_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, str | None]]:
-    """The closed forms on a channel that loses no photon."""
-    cfg = spec.session
-    attack = spec.attack
+    """The closed forms on a channel that loses no photon.  A relay (honest
+    or compromised) and a realtime tap disturb no detection slot; every
+    other tap is blind.  The belief rule then decides the key match, and the
+    accept rate of a token that no check can stop, alike for every attack."""
+    cfg, attack = spec.session, spec.attack
     kind = attack.kind if attack else AttackKind.NONE
-    out: dict[str, tuple[float | None, str | None]] = {}
+    base_mode = cfg.mode is ProtocolMode.BASE
     d_note = "vacuous: no detection slots" if cfg.d == 0 else None
-
-    if kind in (AttackKind.NONE, AttackKind.SERVER_PRODUCT,
-                AttackKind.SERVER_GHZ):
-        accept, match = _accept_and_match(spec)
-        out["accept_rate"] = (accept, None)
-        out["key_match_fraction"] = (match, None)
-        out["alice_tamper_error_rate"] = (0.0, d_note)
-        out["bob_tamper_error_rate"] = (0.0, d_note)
-        out["evasion_rate"] = (1.0, d_note)
-        out["eve_key_knowledge"] = (0.0, None)
+    undisturbed = {"alice_tamper_error_rate": (0.0, d_note),
+                   "bob_tamper_error_rate": (0.0, d_note),
+                   "evasion_rate": (1.0, d_note)}
+    if kind not in _TAP_KINDS:
+        out = {"accept_rate": (1.0, None), "key_match_fraction": (1.0, None),
+               **undisturbed, "eve_key_knowledge": (0.0, None)}
         if kind is not AttackKind.NONE:
             out["server_copy_match"] = (1.0, None)
-        return out
+    elif attack.location_knowledge is LocationKnowledge.REALTIME:
+        out = {"accept_rate": (1.0, "detection slots skipped entirely"),
+               **undisturbed, "key_match_fraction": (1.0, None),
+               "eve_key_knowledge": (1.0 if base_mode else 0.0, None)}
+    else:
+        out = _blind_tap_predictions(spec, base_mode, d_note)
+    if not base_mode and cfg.belief_rule is BeliefRule.MEASURED:
+        # a key bit agrees iff the created pair was phi-kind, a chance of
+        # 1/2 whatever reached the slot
+        out["key_match_fraction"] = (0.5, None)
+        if "accept_rate" in out:
+            out["accept_rate"] = (float(forgery_prob(cfg.revealed)),
+                                  out["accept_rate"][1])
+    return out
 
-    base_mode = cfg.mode is ProtocolMode.BASE
+
+def _blind_tap_predictions(spec: ScenarioSpec, base_mode: bool,
+                           d_note: str | None) -> dict:
+    """The closed forms of a tap without realtime knowledge of the layout,
+    from three numbers per tapped path: ``g``, the slots it targets (a
+    guess's g of the k + d, else all); ``reads``, the chance that a
+    targeted photon is read rather than split (p1 under PNS, else 1); and
+    ``miss``, the chance that a key-slot read falls outside the key basis
+    (1/2 for a fresh random basis per read, 1 for a fixed basis off the
+    key basis, else 0)."""
+    cfg, attack = spec.session, spec.attack
+    k, d, total = cfg.k, cfg.d, cfg.total_slots
+    guess = attack.kind is AttackKind.SUBSET_GUESS
+    pns = attack.kind is AttackKind.PNS
+    g = attack.guess_count if guess else total
+    reads = Fraction(spec.photon.p1) if pns else Fraction(1)
+    if attack.kind is not AttackKind.INTERCEPT_RESEND:
+        miss = Fraction(0)
+    elif attack.basis_choice is BasisChoice.RANDOM_PER_SLOT:
+        miss = Fraction(1, 2)
+    else:
+        miss = Fraction(attack.fixed_basis is not cfg.key_basis)
     paths = attack.path.channel_paths()
-    both = len(paths) == 2
+    n, both = len(paths), len(paths) == 2
     # the evasion closed forms below assume that any detection error aborts
     any_flip = cfg.error_threshold == 0.0
 
-    if attack.location_knowledge is LocationKnowledge.REALTIME:
-        out["accept_rate"] = (1.0, "detection slots skipped entirely")
-        out["alice_tamper_error_rate"] = (0.0, d_note)
-        out["bob_tamper_error_rate"] = (0.0, d_note)
-        out["evasion_rate"] = (1.0, d_note)
-        out["key_match_fraction"] = (1.0, None)
-        out["eve_key_knowledge"] = (1.0 if base_mode else 0.0, None)
-        return out
-
-    # A tap reads a detection slot on each tapped path (PNS: only when the
-    # slot carries one photon), and a read errs with chance 1/2 when its
-    # basis misses the slot's.  The twin photons share their preparation
-    # basis, so one read basis for the whole session (fixed, or the key
-    # basis) misses on both paths at once with chance 1/2; a fresh random
-    # basis per read misses independently on each path.
-    reads = Fraction(spec.photon.p1) if kind is AttackKind.PNS else Fraction(1)
-    independent = (kind is AttackKind.INTERCEPT_RESEND
-                   and attack.basis_choice is BasisChoice.RANDOM_PER_SLOT)
-    if independent:
-        slot_pass = (1 - reads / 4) ** len(paths)
-    else:
-        miss_pass = 1 - reads / 2  # one path passes a missed slot
-        slot_pass = (1 + miss_pass ** len(paths)) / 2
-    # per tapped path and slot; a guess touches g of the k + d slots
-    err = reads / 4
-    if kind is AttackKind.SUBSET_GUESS:
-        err *= Fraction(attack.guess_count, cfg.total_slots)
-    out["alice_tamper_error_rate"] = (
-        float(err) if Path.TO_ALICE in paths else 0.0, d_note)
+    # A read errs with chance 1/2 when its basis misses the detection
+    # slot's.  Twin photons share their preparation basis, so a read basis
+    # kept for the session (miss 0 or 1) misses on both paths at once; a
+    # fresh random basis per read misses on each path independently.
+    independent = 0 < miss < 1
+    miss_pass = 1 - reads / 2  # one path passes a missed slot
+    slot_pass = (1 - reads / 4) ** n if independent else (1 + miss_pass ** n) / 2
+    err = reads * Fraction(g, 4 * total)  # per tapped path and detection slot
+    out = {"alice_tamper_error_rate": (
+        float(err) if Path.TO_ALICE in paths else 0.0, d_note)}
     if base_mode or not both or independent:
         out["bob_tamper_error_rate"] = (
             float(err) if Path.TO_BOB in paths else 0.0, d_note)
-    elif any_flip and kind is not AttackKind.SUBSET_GUESS:
-        # in swap mode the responder checks only after the initiator passed;
-        # when any flip aborts, that conditions each responder slot on its
-        # twin having read true
+    elif any_flip and not guess:
+        # the responder checks only after the initiator passed, which
+        # conditions each responder slot on its twin having read true (a
+        # guess's targets are one g-subset, not drawn slot by slot)
         out["bob_tamper_error_rate"] = (float(err * miss_pass / (1 - err)),
                                         d_note)
-
-    if kind is AttackKind.INTERCEPT_RESEND:
-        if any_flip:
-            out["evasion_rate"] = (float(slot_pass ** cfg.d), d_note)
-        if independent:
-            # certain where any tapped path read in the key basis
-            know = 1 - 0.5 ** len(paths)
-            match = 0.75 if not both else None
-        elif attack.fixed_basis is cfg.key_basis:
-            know, match = 1.0, 1.0
-        else:
-            know, match = 0.0, (0.5 if not both else None)
-        out["eve_key_knowledge"] = (know if base_mode else 0.0, None)
-        if match is not None:
-            out["key_match_fraction"] = (match, None)
-        return out
-
-    if kind is AttackKind.PNS:
-        if any_flip:
-            out["evasion_rate"] = (float(slot_pass ** cfg.d), d_note)
-        if any_flip and not both:
+    # E[slot_pass ** T] over T, the detection slots among the g targets
+    terms, denom = _subset_terms(k, d, g, slot_pass)
+    if guess and (any_flip or not base_mode):
+        # success: the guess covers every key slot and evades; swap mode
+        # never gives certain key knowledge
+        out["subset_success"] = (
+            terms.get(g - k, 0) / denom if base_mode else 0.0, None)
+    if any_flip:
+        out["evasion_rate"] = (sum(terms.values()) / denom, d_note)
+        if pns and not both:
             out["evasion_rate_vs_approx"] = (
-                pns_approx_evasion(cfg.d, spec.photon.p1),
+                pns_approx_evasion(d, spec.photon.p1),
                 "first-order approximation, shown for comparison; ungraded")
-        out["eve_key_knowledge"] = (1.0 if base_mode else 0.0, None)
-        out["key_match_fraction"] = (1.0, None)
-        return out
-
-    if kind is AttackKind.SUBSET_GUESS:
-        g = attack.guess_count
-        terms, denom = _subset_terms(cfg.k, cfg.d, g, slot_pass)
-        if not base_mode:
-            # swap mode never gives certain key knowledge
-            out["subset_success"] = (0.0, None)
-        elif any_flip:
-            # success is the guess that covers every key slot
-            out["subset_success"] = (
-                float(Fraction(terms.get(g - cfg.k, 0), denom)), None)
-        out["eve_key_knowledge"] = (
-            (g / cfg.total_slots if base_mode else 0.0),
-            "hypergeometric mean coverage")
-        if any_flip and cfg.d > 0:
-            out["evasion_rate"] = (
-                float(Fraction(sum(terms.values()), denom)), None)
-        # guessed slots are read in the public key basis: no key disturbance
-        out["key_match_fraction"] = (1.0, None)
-        return out
-
+    # a targeted key slot is known unless every tapped path's read missed
+    # the key basis; swap mode never gives certain knowledge
+    know = Fraction(g, total) * (1 - miss ** n) if base_mode else 0
+    out["eve_key_knowledge"] = (
+        float(know), "hypergeometric mean coverage" if guess else None)
+    # a read off the key basis leaves the bit a fair coin; no form is given
+    # for such reads on both paths
+    if not both or not miss:
+        out["key_match_fraction"] = (float(1 - miss / 2), None)
     return out
 
 
@@ -526,10 +503,6 @@ def _subset_terms(k: int, d: int, g: int, slot_pass: Fraction
 
 # --- scenario execution -----------------------------------------------------------
 
-# The metrics a trial can count, in the order it counts them.
-_TALLIED = ("accept_rate", "alice_tamper_error_rate", "bob_tamper_error_rate",
-            "key_match_fraction", "eve_key_knowledge", "server_copy_match",
-            "evasion_rate", "evasion_rate_vs_approx", "subset_success")
 # Aliases: the per-trial code compares members by identity without the
 # class lookup.
 _ACCEPTED, _LOST = SessionStatus.AUTH_ACCEPT, SessionStatus.INCOMPLETE_STREAM
@@ -568,7 +541,7 @@ def _trial(spec: ScenarioSpec, checks: tuple,
            trial: int) -> tuple[TrialResult, dict[str, tuple[int, int]]]:
     """Trial ``trial`` of ``spec``, on its own random stream: its report row,
     and its tally, which maps each metric the trial counted to (hits,
-    samples), in ``_TALLIED`` order.  A lost stream counts only
+    samples), in the order it counts them.  A lost stream counts only
     ``accept_rate`` and ``eve_key_knowledge``.  ``checks`` is as
     :func:`_evaded` takes it."""
     cfg = spec.session

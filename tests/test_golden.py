@@ -13,6 +13,10 @@ base subset guessing with g=17 and the swap-mode triple relay.  Their
 58-position universe is the only one here wide enough that
 ``sample_positions`` draws 6-bit ``randbelow`` values.
 
+One more digest pins ``analytic_predictions`` over a grid of specs
+(:func:`prediction_grid`): every closed form's value and note, in order,
+so that no form moves unnoticed.  Only a change to a form re-pins it.
+
 A change that keeps the random-draw pattern must leave every digest as it
 is.  A change that alters the draw pattern on purpose re-pins the table
 and says why.  Every pinned scenario report must also pass its own
@@ -32,11 +36,29 @@ drawn, so every other scenario reads the same draws either way.
 """
 
 import hashlib
+from itertools import product
 
 import pytest
 
+from qauthsim.adversary import (
+    AttackConfig,
+    AttackKind,
+    BasisChoice,
+    LocationKnowledge,
+    TapPath,
+)
+from qauthsim.channel import PhotonCountModel
 from qauthsim.cli import main
-from qauthsim.harness import parse_scenario, render_report, run_scenario, verify_tables
+from qauthsim.harness import (
+    ScenarioSpec,
+    analytic_predictions,
+    parse_scenario,
+    render_report,
+    run_scenario,
+    verify_tables,
+)
+from qauthsim.protocol import BeliefRule, ProtocolMode, SessionConfig
+from qauthsim.qsim import MeasBasis
 
 
 def _scenario(mode="base", rule=None, attack=None, photon=None, k=4, d=4,
@@ -101,6 +123,51 @@ ORACLE_CASES = [
 ]
 
 
+def prediction_grid():
+    """The specs whose closed forms are pinned, in order: sizes with and
+    without detection slots up to the paper's (k=17, d=41); the full and a
+    1-bit token; any-flip checks and a 0.34 threshold; base mode in either
+    key basis (and once with a belief rule it ignores) and swap mode under
+    each rule; no attack, each relay compromise, and on every path under
+    every location knowledge an intercept in a random basis or either fixed
+    basis, PNS, and a guess of 1, k and k + d slots; an ideal and a
+    multi-photon source, each lossless and lossy."""
+    rect, diag = MeasBasis.RECTILINEAR, MeasBasis.DIAGONAL
+    modes = ((ProtocolMode.BASE, None, rect), (ProtocolMode.BASE, None, diag),
+             (ProtocolMode.BASE, BeliefRule.MEASURED, rect),
+             (ProtocolMode.SWAP, BeliefRule.COMPOSED, rect),
+             (ProtocolMode.SWAP, BeliefRule.MEASURED, rect))
+    sizes = ((1, 0), (1, 1), (1, 3), (2, 3), (3, 0), (4, 4), (17, 41))
+    for (k, d), reveal, threshold, (mode, rule, basis) in product(
+            sizes, (None, 1), (0.0, 0.34), modes):
+        cfg = SessionConfig(k, d, reveal, mode, rule, threshold, basis)
+        attacks = [None, AttackConfig(AttackKind.SERVER_PRODUCT),
+                   AttackConfig(AttackKind.SERVER_GHZ)]
+        for path, knowledge in product(TapPath, LocationKnowledge):
+            for choice, fixed in ((BasisChoice.RANDOM_PER_SLOT, rect),
+                                  (BasisChoice.FIXED, rect),
+                                  (BasisChoice.FIXED, diag)):
+                attacks.append(AttackConfig(
+                    AttackKind.INTERCEPT_RESEND, path, choice, fixed,
+                    location_knowledge=knowledge))
+            attacks.append(AttackConfig(AttackKind.PNS, path,
+                                        location_knowledge=knowledge))
+            if knowledge is not LocationKnowledge.REALTIME:
+                attacks += [AttackConfig(AttackKind.SUBSET_GUESS, path,
+                                         guess_count=g,
+                                         location_knowledge=knowledge)
+                            for g in sorted({1, k, k + d})]
+        for attack, p1, p_loss in product(attacks, (1.0, 0.3), (0.0, 0.05)):
+            yield ScenarioSpec(1, 1, cfg, attack, PhotonCountModel(p1), p_loss)
+
+
+def predictions_digest() -> str:
+    """The digest of every grid spec's predictions: (name, (value, note))
+    in order, one spec per line."""
+    return _sha("\n".join([repr(list(analytic_predictions(spec).items()))
+                           for spec in prediction_grid()]))
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -144,6 +211,8 @@ GOLDEN_SCENARIOS = {
 }
 
 GOLDEN_VERIFY_TABLES = '8adf12990ececaf152d0a51585b3c5d1caf89d49879075788606723d00bee0bd'
+
+GOLDEN_PREDICTIONS = 'b2f5c06c5ca62dae808dc574dc8a2191dd4f82f556d045eaed344d6744174f88'
 
 GOLDEN_ORACLE = {
     'phi+/entangled_phi_plus/0/text': 'c1ea6ff42083babe73df3ef68f5cf522de909d1cac7146717e30fdc37ffed3d2',
@@ -228,6 +297,10 @@ def test_sessions_sample_only_the_slot_kernels(monkeypatch):
 
 def test_verify_tables_digest():
     assert _sha(verify_tables().text()) == GOLDEN_VERIFY_TABLES
+
+
+def test_analytic_predictions_digest():
+    assert predictions_digest() == GOLDEN_PREDICTIONS
 
 
 def _oracle_key(case, fmt: str) -> str:

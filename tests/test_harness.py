@@ -277,6 +277,13 @@ class TestParsing:
             run_scenario(replace(spec, trials=1))
 
 
+# the metrics a trial can count, in the order it counts them
+_TALLY_ORDER = ("accept_rate", "alice_tamper_error_rate",
+                "bob_tamper_error_rate", "key_match_fraction",
+                "eve_key_knowledge", "server_copy_match", "evasion_rate",
+                "evasion_rate_vs_approx", "subset_success")
+
+
 @st.composite
 def _small_scenarios(draw):
     """Small scenarios of every attack kind, on a lossless channel or one
@@ -339,7 +346,7 @@ class TestDeterminism:
             report = run_scenario(spec)
         assert [row for row, _ in calls] == report.trial_results
         for row, counts in calls:
-            assert list(counts) == [n for n in harness._TALLIED if n in counts]
+            assert list(counts) == [n for n in _TALLY_ORDER if n in counts]
             if row.status == "incomplete_stream":
                 assert list(counts) == ["accept_rate", "eve_key_knowledge"]
 
@@ -490,7 +497,8 @@ class TestMetrics:
         None,
         {"kind": "intercept_resend", "path": "both"},
         {"kind": "server_ghz"},
-    ], ids=["honest", "intercept-both", "server_ghz"])
+        {"kind": "subset_guess", "path": "to_bob", "guess_count": 2},
+    ], ids=["honest", "intercept-both", "server_ghz", "subset"])
     def test_zero_detection_slots(self, attack):
         doc = _doc(seed=9, trials=40,
                    session={"k": 3, "d": 0, "mode": "swap",
@@ -505,11 +513,36 @@ class TestMetrics:
             assert m.note == "vacuous: no detection slots"
         evasion = report.metric("evasion_rate")
         assert (evasion.mean, evasion.verdict) == (1.0, "pass")
+        assert evasion.note == "vacuous: no detection slots"
         rows = list(csv.DictReader(io.StringIO(render_report(report, "csv"))))
         assert len(rows) == 40
         for row in rows:
             assert row["alice_tamper_error_rate"] == "0"
             assert row["bob_tamper_error_rate"] == "0"
+
+    @pytest.mark.parametrize("attack", [
+        {"kind": "intercept_resend", "location_knowledge": "realtime"},
+        {"kind": "pns", "path": "to_bob"},
+        {"kind": "intercept_resend", "path": "to_bob", "basis_choice": "fixed"},
+        {"kind": "subset_guess", "path": "to_bob", "guess_count": 3},
+        {"kind": "intercept_resend", "path": "to_bob"},
+        {"kind": "intercept_resend", "path": "both"},
+    ], ids=["realtime-intercept", "pns", "fixed-intercept", "subset",
+            "random-intercept", "random-intercept-both"])
+    def test_measured_rule_tap_forms_pass(self, attack):
+        # under the measured rule a key bit agrees with the responder's iff
+        # the created pair was phi-kind, whatever a tap did to the slot: key
+        # match is 1/2, and a token that no check can stop (realtime taps
+        # skip every detection slot) passes at 2^-reveal
+        doc = _doc(seed=3, trials=3000, attack=attack,
+                   session={"k": 4, "d": 4, "mode": "swap",
+                            "belief_rule": "measured"})
+        report = run_scenario(parse_scenario(doc))
+        assert report.all_pass, report.failures()
+        assert report.metric("key_match_fraction").analytic == 0.5
+        realtime = attack.get("location_knowledge") == "realtime"
+        assert report.metric("accept_rate").analytic == (
+            1 / 16 if realtime else None)
 
     @pytest.mark.parametrize("doc", [
         _doc(seed=12, trials=200, session={"k": 17, "d": 41},

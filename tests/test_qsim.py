@@ -743,6 +743,31 @@ def test_untapped_kernels_match_basis_distribution(key):
         assert [got.get((b,), Fraction(0)) for b in (0, 1)] == list(want)
 
 
+# every key slot a relay step reads, as (source, tap_a, tap_b, basis)
+_SWAP_KEY_SLOTS = sorted({key[:4] for key in REACHABLE_KEYS
+                          if key[4] is not None}, key=repr)
+
+
+@pytest.mark.parametrize("slot", _SWAP_KEY_SLOTS, ids=repr)
+def test_belief_rules_key_agreement_over_the_created_pairs(slot):
+    # averaged over the four created pairs, which a session draws
+    # uniformly: the measured rule's key bit equals bob's with chance
+    # exactly 1/2 whatever reached the slot, and the composed rule's with
+    # the chance that alice's direct read of the same slot does
+    direct = sum(pr for out, pr in _kernel_distribution((*slot, None)).items()
+                 if out[2] == out[3])
+    for rule, want in ((protocol.BeliefRule.MEASURED, Fraction(1, 2)),
+                       (protocol.BeliefRule.COMPOSED, direct)):
+        agree = Fraction(0)
+        for index, created in enumerate(BELL_ORDER):
+            for out, pr in _kernel_distribution((*slot, index)).items():
+                believed = protocol.believed_state(created, BELL_ORDER[out[5]],
+                                                   rule)
+                if protocol.derive_key_bit(believed, out[2]) == out[3]:
+                    agree += pr / 4
+        assert agree == want, rule
+
+
 _KEY_SCENARIOS = [
     {"session": {"k": 3, "d": 4, "mode": mode, **extra}, "attack": attack}
     for mode, extra in (("base", {}), ("base", {"key_basis": "diagonal"}),
