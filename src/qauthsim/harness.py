@@ -12,7 +12,9 @@ mean is count / n.  A scenario's tally is a fold of the per-trial integer
 tallies, which merge exactly in trial order, also when the trials are cut
 into pieces.  Where the normal approximation behind the 4-sigma rule
 fails (n a (1 - a) < 9, rare events) that count is graded with exact
-binomial tails at the same one-sided level.
+binomial tails at the same one-sided level.  A form that assumes one
+detection error aborts asks the session's own check,
+:func:`~qauthsim.protocol.tamper_check`, and is ungraded where it passes.
 
 verify_tables() checks the exact pair-algebra claims by enumeration: state
 composition, the honest relay key-bit rule, and the compromised-relay
@@ -55,6 +57,7 @@ from .protocol import (
     believed_state,
     derive_key_bit,
     run_session,
+    tamper_check,
 )
 from .qsim import (
     BellKind,
@@ -386,15 +389,16 @@ def analytic_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, st
 def _lossless_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, str | None]]:
     """The closed forms on a channel that loses no photon.  A relay (honest
     or compromised) and a realtime tap disturb no detection slot; every
-    other tap is blind.  The belief rule then decides the key match, and the
-    accept rate of a token that no check can stop, alike for every attack."""
+    other tap is blind.  With no detection slot the error rates and evasion
+    are the vacuous 0 and 1.  The belief rule then decides the key match,
+    and the accept rate of a token that no check can stop, alike for every
+    attack."""
     cfg, attack = spec.session, spec.attack
     kind = attack.kind if attack else AttackKind.NONE
     base_mode = cfg.mode is ProtocolMode.BASE
-    d_note = "vacuous: no detection slots" if cfg.d == 0 else None
-    undisturbed = {"alice_tamper_error_rate": (0.0, d_note),
-                   "bob_tamper_error_rate": (0.0, d_note),
-                   "evasion_rate": (1.0, d_note)}
+    undisturbed = {"alice_tamper_error_rate": (0.0, None),
+                   "bob_tamper_error_rate": (0.0, None),
+                   "evasion_rate": (1.0, None)}
     if kind not in _TAP_KINDS:
         out = {"accept_rate": (1.0, None), "key_match_fraction": (1.0, None),
                **undisturbed, "eve_key_knowledge": (0.0, None)}
@@ -405,7 +409,13 @@ def _lossless_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, s
                **undisturbed, "key_match_fraction": (1.0, None),
                "eve_key_knowledge": (1.0 if base_mode else 0.0, None)}
     else:
-        out = _blind_tap_predictions(spec, base_mode, d_note)
+        out = _blind_tap_predictions(spec, base_mode)
+    if cfg.d == 0:
+        # no detection slot, so no check can fail, whatever the attack
+        vacuous = "vacuous: no detection slots"
+        out.update(alice_tamper_error_rate=(0.0, vacuous),
+                   bob_tamper_error_rate=(0.0, vacuous),
+                   evasion_rate=(1.0, vacuous))
     if not base_mode and cfg.belief_rule is BeliefRule.MEASURED:
         # a key bit agrees iff the created pair was phi-kind, a chance of
         # 1/2 whatever reached the slot
@@ -416,8 +426,7 @@ def _lossless_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, s
     return out
 
 
-def _blind_tap_predictions(spec: ScenarioSpec, base_mode: bool,
-                           d_note: str | None) -> dict:
+def _blind_tap_predictions(spec: ScenarioSpec, base_mode: bool) -> dict:
     """The closed forms of a tap without realtime knowledge of the layout,
     from three numbers per tapped path: ``g``, the slots it targets (a
     guess's g of the k + d, else all); ``reads``, the chance that a
@@ -439,8 +448,9 @@ def _blind_tap_predictions(spec: ScenarioSpec, base_mode: bool,
         miss = Fraction(attack.fixed_basis is not cfg.key_basis)
     paths = attack.path.channel_paths()
     n, both = len(paths), len(paths) == 2
-    # the evasion closed forms below assume that any detection error aborts
-    any_flip = cfg.error_threshold == 0.0
+    # the evasion closed forms below hold where one detection error aborts,
+    # as the session's own check decides; with no detection slot none can
+    any_flip = d == 0 or not tamper_check(1, d, cfg.error_threshold)
 
     # A read errs with chance 1/2 when its basis misses the detection
     # slot's.  Twin photons share their preparation basis, so a read basis
@@ -451,16 +461,16 @@ def _blind_tap_predictions(spec: ScenarioSpec, base_mode: bool,
     slot_pass = (1 - reads / 4) ** n if independent else (1 + miss_pass ** n) / 2
     err = reads * Fraction(g, 4 * total)  # per tapped path and detection slot
     out = {"alice_tamper_error_rate": (
-        float(err) if Path.TO_ALICE in paths else 0.0, d_note)}
+        float(err) if Path.TO_ALICE in paths else 0.0, None)}
     if base_mode or not both or independent:
         out["bob_tamper_error_rate"] = (
-            float(err) if Path.TO_BOB in paths else 0.0, d_note)
+            float(err) if Path.TO_BOB in paths else 0.0, None)
     elif any_flip and not guess:
         # the responder checks only after the initiator passed, which
         # conditions each responder slot on its twin having read true (a
         # guess's targets are one g-subset, not drawn slot by slot)
         out["bob_tamper_error_rate"] = (float(err * miss_pass / (1 - err)),
-                                        d_note)
+                                        None)
     # E[slot_pass ** T] over T, the detection slots among the g targets
     terms, denom = _subset_terms(k, d, g, slot_pass)
     if guess and (any_flip or not base_mode):
@@ -469,7 +479,7 @@ def _blind_tap_predictions(spec: ScenarioSpec, base_mode: bool,
         out["subset_success"] = (
             terms.get(g - k, 0) / denom if base_mode else 0.0, None)
     if any_flip:
-        out["evasion_rate"] = (sum(terms.values()) / denom, d_note)
+        out["evasion_rate"] = (sum(terms.values()) / denom, None)
         if pns and not both:
             out["evasion_rate_vs_approx"] = (
                 pns_approx_evasion(d, spec.photon.p1),

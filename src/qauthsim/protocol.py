@@ -16,7 +16,9 @@ Event log step ids follow the protocol's own numbering (1 request,
 2 tamper spec, 3 emission, 4 arrival measurements and checks, 5 token with
 relay sub-steps 5a-5d, 6 verdict); see README for the step map.  Each
 party's arrival check is the same routine: measure the detection slots (and
-in BASE mode the key slots), then run the tamper check.  Both parties run it
+in BASE mode the key slots), then run the tamper check on the error count.
+:func:`tamper_check` is the one statement of its rule; the harness's closed
+forms ask it whether one detection error aborts.  Both parties run it
 at step 4 in BASE mode; in SWAP mode the responder runs it at 5d, after the
 token exists, and only if the initiator passed.
 
@@ -244,17 +246,17 @@ def authenticate(token: tuple[int, ...], receiver_bits: tuple[int, ...]) -> bool
     return all(map(eq, token, receiver_bits))
 
 
-def tamper_check(observed: tuple[int, ...], expected: tuple[int, ...],
-                 threshold: float) -> tuple[bool, int]:
-    """Returns (passed, errors): the check passes when the error rate
-    errors / d is at most ``threshold``.  Zero detection slots pass
-    vacuously."""
-    if len(observed) != len(expected):
-        raise ValueError("observed/expected length mismatch")
-    if not observed:
-        return True, 0
-    errors = sum(map(ne, observed, expected))
-    return errors / len(observed) <= threshold, errors
+def _error_rate(errors: int, d: int) -> float:
+    """errors / d; 0.0 at d = 0, where the check passes vacuously."""
+    return errors / max(d, 1)
+
+
+def tamper_check(errors: int, slots: int, threshold: float) -> bool:
+    """The tamper check: it passes when the error rate errors / slots is at
+    most ``threshold``.  Zero detection slots pass vacuously."""
+    if not 0 <= errors <= slots:
+        raise ValueError("errors must be in 0..slots")
+    return _error_rate(errors, slots) <= threshold
 
 
 class SwapRecord(NamedTuple):
@@ -303,11 +305,6 @@ def alice_swap_step(slot: PhotonSlot, cfg: SessionConfig, rand: RandomSource,
     key_bit = derive_key_bit(believed, kept)
     log.add("5c", "alice", f"pos={slot.position} kept={kept} key={key_bit}")
     return SwapRecord(slot.position, created, outcome, kept, believed, key_bit)
-
-
-def _error_rate(errors: int, d: int) -> float:
-    """errors / d; 0.0 at d = 0, where the check passes vacuously."""
-    return errors / max(d, 1)
 
 
 @dataclass
@@ -543,10 +540,8 @@ class _SessionProgram:
     def check(self, errors: int) -> tuple[bool, str]:
         """The tamper check's verdict at ``errors`` detection errors, and
         its log line."""
-        d = self.d
-        passed, _ = tamper_check((1,) * errors + (0,) * (d - errors), (0,) * d,
-                                 self.threshold)
-        rate = _error_rate(errors, d)
+        passed = tamper_check(errors, self.d, self.threshold)
+        rate = _error_rate(errors, self.d)
         return passed, f"tamper check rate={rate:.6f} pass={passed}"
 
     def read_slots(self, plan: SessionPlan, eve: EveState, taps: tuple,

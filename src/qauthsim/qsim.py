@@ -186,11 +186,12 @@ class RandomSource:
     ``N = (w1 >> 5) << 26 | w2 >> 6``.  Each bulk draw consumes exactly
     the words of the scalar loop it replaces, in the same order, and
     returns the same values: :meth:`bits`, :meth:`bit_pairs` and
-    :meth:`quarters` (loops of :meth:`bit` and ``randbelow(4)``) and
+    :meth:`quarters` (loops of :meth:`bit` and ``getrandbits(2)``) and
     :meth:`below` (a loop of ``uniform() < p``) each take their words in
     one ``getrandbits`` call; :meth:`sample_partition` is one Fisher-Yates
-    pass of :meth:`randbelow` draws; :meth:`outcomes` is a loop of
-    :meth:`categorical` with no Python-level call per slot.  No module
+    pass of bounded draws, each the first ``getrandbits(width)`` below its
+    bound, width the bit length of bound - 1; :meth:`outcomes` is a loop
+    of :meth:`categorical` with no Python-level call per slot.  No module
     outside this one reads either stream's layout.
     """
 
@@ -232,8 +233,8 @@ class RandomSource:
         return pairs.to_bytes(count, "little")
 
     def quarters(self, count: int) -> bytes:
-        """``count`` draws of ``randbelow(4)``, each the top two bits of a
-        word (a bound of 4 never rejects)."""
+        """``count`` draws of ``getrandbits(2)``, each the top two bits of a
+        word."""
         return self._top_bytes(count).translate(_TOP_TWO_BITS)
 
     def uniform(self) -> float:
@@ -281,21 +282,10 @@ class RandomSource:
             edge = marks.find(_EDGE, edge + 1)
         return bytes(marks)
 
-    def randbelow(self, bound: int) -> int:
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        if bound == 1:
-            return 0
-        width = (bound - 1).bit_length()
-        g = (self._rng or self._seed()).getrandbits
-        while True:
-            value = g(width)
-            if value < bound:
-                return value
-
     def _shuffled(self, universe: int, count: int) -> list[int]:
         """range(universe) after the first ``count`` steps of a Fisher-Yates
-        shuffle: step i swaps position i with i + randbelow(universe - i).
+        shuffle: step i swaps position i with i + j, j the first
+        ``getrandbits(width)`` below ``universe - i``.
 
         The steps walk the schedule :func:`_schedule` keeps per (universe,
         count).  A step with bound 1 draws nothing and swaps a position
@@ -365,8 +355,7 @@ class RandomSource:
 @lru_cache(maxsize=1024)
 def _schedule(universe: int, count: int) -> tuple[tuple[int, int, int], ...]:
     """Steps (i, bound, width) of :meth:`RandomSource._shuffled` that draw:
-    ``randbelow(bound)`` takes the first ``getrandbits(width)`` below the
-    bound."""
+    each takes the first ``getrandbits(width)`` below its bound."""
     return tuple([(i, universe - i, (universe - i - 1).bit_length())
                   for i in range(count) if universe - i > 1])
 

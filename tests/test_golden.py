@@ -11,7 +11,8 @@ basis.  Five more run at the paper's sizing (k=17, d=41, 10 trials): base
 and swap honest, swap PNS on both paths over a lossy multi-photon source,
 base subset guessing with g=17 and the swap-mode triple relay.  Their
 58-position universe is the only one here wide enough that
-``sample_positions`` draws 6-bit ``randbelow`` values.
+``sample_positions`` draws by ``getrandbits(6)`` rejection (bounds 33 to
+58).
 
 One more digest pins ``analytic_predictions`` over a grid of specs
 (:func:`prediction_grid`): every closed form's value and note, in order,
@@ -21,6 +22,11 @@ A change that keeps the random-draw pattern must leave every digest as it
 is.  A change that alters the draw pattern on purpose re-pins the table
 and says why.  Every pinned scenario report must also pass its own
 grading, so a report with a ``fail`` verdict cannot stay pinned.
+
+Run as a script (``python tests/test_golden.py``, with ``src`` on the path
+as pytest puts it), this module prints every pinned digest's current value
+in its table's format, so that a deliberate re-pin is copied, not worked
+out by hand.
 
 The two lossy scenarios, ``lossy-pns`` and
 ``paper-swap-composed-lossy-pns``, are pinned to loss marks drawn from
@@ -36,7 +42,9 @@ drawn, so every other scenario reads the same draws either way.
 """
 
 import hashlib
+import tempfile
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -212,7 +220,7 @@ GOLDEN_SCENARIOS = {
 
 GOLDEN_VERIFY_TABLES = '8adf12990ececaf152d0a51585b3c5d1caf89d49879075788606723d00bee0bd'
 
-GOLDEN_PREDICTIONS = 'b2f5c06c5ca62dae808dc574dc8a2191dd4f82f556d045eaed344d6744174f88'
+GOLDEN_PREDICTIONS = '96922553dfa9d8d5107eb281e8a090c88ab1fe3fcea94273d582adc39e9f45c0'
 
 GOLDEN_ORACLE = {
     'phi+/entangled_phi_plus/0/text': 'c1ea6ff42083babe73df3ef68f5cf522de909d1cac7146717e30fdc37ffed3d2',
@@ -311,3 +319,26 @@ def _oracle_key(case, fmt: str) -> str:
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda case: "/".join(map(str, case)))
 def test_oracle_dump_digests(case, fmt, tmp_path):
     assert oracle_digest(case, fmt, tmp_path) == GOLDEN_ORACLE[_oracle_key(case, fmt)]
+
+
+def pinned_tables() -> str:
+    """Every pinned digest's current value, written as the tables above."""
+    lines = ["GOLDEN_SCENARIOS = {"]
+    for name in sorted(SCENARIOS):
+        report = run_scenario(parse_scenario(SCENARIOS[name]))
+        lines.append(f"    {name!r}: {scenario_digests(report)!r},")
+    lines += ["}", "",
+              f"GOLDEN_VERIFY_TABLES = {_sha(verify_tables().text())!r}", "",
+              f"GOLDEN_PREDICTIONS = {predictions_digest()!r}", "",
+              "GOLDEN_ORACLE = {"]
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in ORACLE_CASES:
+            for fmt in ("text", "json"):
+                digest = oracle_digest(case, fmt, Path(tmp))
+                lines.append(f"    {_oracle_key(case, fmt)!r}: {digest!r},")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    print(pinned_tables())

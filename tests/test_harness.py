@@ -493,16 +493,20 @@ class TestMetrics:
         assert _summarize("rate", 23, 1000, 0.01).verdict == "fail"
         assert _summarize("rate", 22, 1000, 0.01).verdict == "pass"
 
-    @pytest.mark.parametrize("attack", [
-        None,
-        {"kind": "intercept_resend", "path": "both"},
-        {"kind": "server_ghz"},
-        {"kind": "subset_guess", "path": "to_bob", "guess_count": 2},
-    ], ids=["honest", "intercept-both", "server_ghz", "subset"])
-    def test_zero_detection_slots(self, attack):
+    @pytest.mark.parametrize("attack,threshold", [
+        (None, 0.0),
+        ({"kind": "intercept_resend", "path": "both"}, 0.0),
+        ({"kind": "server_ghz"}, 0.0),
+        ({"kind": "subset_guess", "path": "to_bob", "guess_count": 2}, 0.0),
+        ({"kind": "subset_guess", "path": "both", "guess_count": 2}, 0.0),
+        ({"kind": "intercept_resend", "path": "both"}, 0.34),
+    ], ids=["honest", "intercept-both", "server_ghz", "subset", "subset-both",
+            "intercept-both-threshold"])
+    def test_zero_detection_slots(self, attack, threshold):
         doc = _doc(seed=9, trials=40,
                    session={"k": 3, "d": 0, "mode": "swap",
-                            "belief_rule": "composed"})
+                            "belief_rule": "composed",
+                            "error_threshold": threshold})
         if attack is not None:
             doc["attack"] = attack
         report = run_scenario(parse_scenario(doc))
@@ -589,6 +593,7 @@ class TestMetrics:
         assert evasion.mean == pytest.approx(0.84375, abs=0.03)
         assert report.metric("bob_tamper_error_rate").verdict == "pass"
 
+    @pytest.mark.parametrize("d", [3, 1])
     @pytest.mark.parametrize("attack,forms", [
         ({"kind": "intercept_resend", "path": "to_bob"}, {"evasion_rate"}),
         ({"kind": "pns", "path": "to_bob"},
@@ -596,16 +601,40 @@ class TestMetrics:
         ({"kind": "subset_guess", "guess_count": 3},
          {"evasion_rate", "subset_success"}),
     ])
-    def test_threshold_drops_only_any_flip_predictions(self, attack, forms):
+    def test_threshold_drops_only_any_flip_predictions(self, attack, forms, d):
         def predicted(threshold):
             spec = parse_scenario(_doc(
-                session={"k": 1, "d": 3, "error_threshold": threshold},
+                session={"k": 2, "d": d, "error_threshold": threshold},
                 attack=attack, photon={"p1": 0.5}))
             return set(harness.analytic_predictions(spec))
 
+        # one detection error in 3 passes a 0.34 threshold; one in 1 aborts,
+        # as under the any-flip check
         strict = predicted(0.0)
         assert forms <= strict
-        assert strict - predicted(0.34) == forms
+        assert strict - predicted(0.34) == (forms if d == 3 else set())
+
+    @pytest.mark.parametrize("session,attack", [
+        ({}, {"kind": "intercept_resend", "path": "to_bob"}),
+        ({}, {"kind": "pns", "path": "to_bob"}),
+        ({}, {"kind": "subset_guess", "guess_count": 2}),
+        ({"mode": "swap", "belief_rule": "composed"},
+         {"kind": "intercept_resend", "path": "both", "basis_choice": "fixed"}),
+    ], ids=["intercept", "pns", "subset", "swap-fixed-intercept-both"])
+    def test_threshold_below_one_error_keeps_any_flip_forms(self, session,
+                                                            attack):
+        # one detection error in one is a rate of 1 > 0.34, so every error
+        # aborts and the any-flip forms are graded
+        doc = _doc(seed=5, trials=3000, attack=attack, photon={"p1": 0.5},
+                   session={"k": 2, "d": 1, "error_threshold": 0.34, **session})
+        report = run_scenario(parse_scenario(doc))
+        assert report.all_pass, report.failures()
+        graded = {m.name for m in report.metrics if m.verdict == "pass"}
+        assert "evasion_rate" in graded
+        if attack["kind"] == "subset_guess":
+            assert "subset_success" in graded
+        if session:
+            assert "bob_tamper_error_rate" in graded
 
     @pytest.mark.parametrize("session,attack,p1", [
         ({"k": 4, "d": 4}, None, 1.0),

@@ -1009,15 +1009,6 @@ def test_random_source_sample_positions_shape():
         rand.sample_positions(3, 4)
 
 
-def test_randbelow_bounds():
-    rand = RandomSource(6, 0)
-    assert rand.randbelow(1) == 0
-    draws = [rand.randbelow(6) for _ in range(2000)]
-    assert set(draws) == {0, 1, 2, 3, 4, 5}
-    with pytest.raises(ValueError):
-        rand.randbelow(0)
-
-
 @st.composite
 def _registers(draw):
     n = draw(st.integers(min_value=1, max_value=4))
