@@ -141,10 +141,12 @@ class EveState:
     (path, positions, codes, outcomes, field).  ``positions`` are the
     slots in the order they were read, ``codes`` each slot's tap code
     (0 unread, 1 + basis bit read, as :func:`draw_taps` gives them),
-    ``outcomes`` each slot's kernel outcome and ``field`` the outcome field
-    that holds eve's read.  ``measured`` maps (path, position) to the read
-    (bit, basis); it is built from the rows on first access, and the
-    per-photon tap :func:`_tap` writes its reads into that dict."""
+    ``outcomes`` each slot's outcome code (see
+    :func:`~qauthsim.qsim.outcome_code`) and ``field`` the outcome field
+    that holds eve's read, the shift of its bit in the code.  ``measured``
+    maps (path, position) to the read (bit, basis); it is built from the
+    rows on first access, and the per-photon tap :func:`_tap` writes its
+    reads into that dict."""
 
     attack: AttackConfig | None
     split_positions: set[tuple[Path, int]] = field(default_factory=set)
@@ -163,7 +165,7 @@ class EveState:
         measured = self._measured
         if measured is None:
             measured = self._measured = {
-                (path, position): (out[read], BASIS_OF_BIT[code - 1])
+                (path, position): (out >> read & 1, BASIS_OF_BIT[code - 1])
                 for path, positions, codes, outcomes, read in self.rows
                 for position, code, out in zip(positions, codes, outcomes)
                 if code}

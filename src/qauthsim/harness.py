@@ -33,6 +33,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import NamedTuple
@@ -372,13 +373,26 @@ def analytic_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, st
     complete sessions keeps its lossless form.  accept_rate is scaled by
     the chance that all 2 (k + d) photons arrive.  eve_key_knowledge is
     recorded on every trial and counts nothing on a lost session, where no
-    slot is read, so under loss it stays graded only where its form is 0."""
-    out = _lossless_predictions(spec)
-    if spec.p_loss > 0.0:
+    slot is read, so under loss it stays graded only where its form is 0.
+
+    The forms read only the session, the attack, the photon source and
+    p_loss, so :func:`_predictions` keeps them per equal tuple of those
+    frozen configs, as ``protocol._program`` keeps session programs; each
+    call returns a dict of its own."""
+    return dict(_predictions(spec.session, spec.attack, spec.photon,
+                             spec.p_loss))
+
+
+@lru_cache(maxsize=256)
+def _predictions(cfg: SessionConfig, attack: AttackConfig | None,
+                 photon: PhotonCountModel, p_loss: float
+                 ) -> dict[str, tuple[float | None, str | None]]:
+    out = _lossless_predictions(cfg, attack, photon)
+    if p_loss > 0.0:
         if "accept_rate" in out:
             accept, note = out["accept_rate"]
-            arrive = 1 - Fraction(spec.p_loss)
-            survive = arrive ** (2 * spec.session.total_slots)
+            arrive = 1 - Fraction(p_loss)
+            survive = arrive ** (2 * cfg.total_slots)
             out["accept_rate"] = (float(Fraction(accept) * survive), note)
         knowledge = out.get("eve_key_knowledge")
         if knowledge is not None and knowledge[0] != 0.0:
@@ -386,14 +400,15 @@ def analytic_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, st
     return out
 
 
-def _lossless_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, str | None]]:
+def _lossless_predictions(cfg: SessionConfig, attack: AttackConfig | None,
+                          photon: PhotonCountModel
+                          ) -> dict[str, tuple[float | None, str | None]]:
     """The closed forms on a channel that loses no photon.  A relay (honest
     or compromised) and a realtime tap disturb no detection slot; every
     other tap is blind.  With no detection slot the error rates and evasion
     are the vacuous 0 and 1.  The belief rule then decides the key match,
     and the accept rate of a token that no check can stop, alike for every
     attack."""
-    cfg, attack = spec.session, spec.attack
     kind = attack.kind if attack else AttackKind.NONE
     base_mode = cfg.mode is ProtocolMode.BASE
     undisturbed = {"alice_tamper_error_rate": (0.0, None),
@@ -409,7 +424,7 @@ def _lossless_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, s
                **undisturbed, "key_match_fraction": (1.0, None),
                "eve_key_knowledge": (1.0 if base_mode else 0.0, None)}
     else:
-        out = _blind_tap_predictions(spec, base_mode)
+        out = _blind_tap_predictions(cfg, attack, photon, base_mode)
     if cfg.d == 0:
         # no detection slot, so no check can fail, whatever the attack
         vacuous = "vacuous: no detection slots"
@@ -426,7 +441,8 @@ def _lossless_predictions(spec: ScenarioSpec) -> dict[str, tuple[float | None, s
     return out
 
 
-def _blind_tap_predictions(spec: ScenarioSpec, base_mode: bool) -> dict:
+def _blind_tap_predictions(cfg: SessionConfig, attack: AttackConfig,
+                           photon: PhotonCountModel, base_mode: bool) -> dict:
     """The closed forms of a tap without realtime knowledge of the layout,
     from three numbers per tapped path: ``g``, the slots it targets (a
     guess's g of the k + d, else all); ``reads``, the chance that a
@@ -434,12 +450,11 @@ def _blind_tap_predictions(spec: ScenarioSpec, base_mode: bool) -> dict:
     ``miss``, the chance that a key-slot read falls outside the key basis
     (1/2 for a fresh random basis per read, 1 for a fixed basis off the
     key basis, else 0)."""
-    cfg, attack = spec.session, spec.attack
     k, d, total = cfg.k, cfg.d, cfg.total_slots
     guess = attack.kind is AttackKind.SUBSET_GUESS
     pns = attack.kind is AttackKind.PNS
     g = attack.guess_count if guess else total
-    reads = Fraction(spec.photon.p1) if pns else Fraction(1)
+    reads = Fraction(photon.p1) if pns else Fraction(1)
     if attack.kind is not AttackKind.INTERCEPT_RESEND:
         miss = Fraction(0)
     elif attack.basis_choice is BasisChoice.RANDOM_PER_SLOT:
@@ -482,7 +497,7 @@ def _blind_tap_predictions(spec: ScenarioSpec, base_mode: bool) -> dict:
         out["evasion_rate"] = (sum(terms.values()) / denom, None)
         if pns and not both:
             out["evasion_rate_vs_approx"] = (
-                pns_approx_evasion(d, spec.photon.p1),
+                pns_approx_evasion(d, photon.p1),
                 "first-order approximation, shown for comparison; ungraded")
     # a targeted key slot is known unless every tapped path's read missed
     # the key basis; swap mode never gives certain knowledge

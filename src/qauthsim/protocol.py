@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from hashlib import sha256
-from operator import eq, itemgetter, ne
+from operator import eq
 from typing import NamedTuple
 
 from .adversary import AttackConfig, AttackKind, EveState, draw_taps
@@ -53,6 +53,7 @@ from .qsim import (
     BOB,
     EVE_A,
     EVE_B,
+    FIELD_BITS,
     PAIR_SOURCE,
     RELAY,
     SERVER,
@@ -149,9 +150,9 @@ class SessionConfig:
 
 _TO_ALICE, _TO_BOB = Path.TO_ALICE, Path.TO_BOB
 _IDEAL_SOURCE = PhotonCountModel()
-# a twin source's (2 * basis bit + value) basis, and its value as a byte
+# a twin source's (2 * basis bit + value) basis, and its value as text
 _BASIS_OF_TWIN = (BASIS_OF_BIT[0],) * 2 + (BASIS_OF_BIT[1],) * 2
-_VALUE_OF_TWIN = bytes([source & 1 for source in range(256)])
+_VALUE_TEXT = bytes([b"01"[source & 1] for source in range(256)])
 
 
 @dataclass(frozen=True)
@@ -205,13 +206,12 @@ class SessionPlan:
 
 def plan_session(cfg: SessionConfig, rand: RandomSource) -> SessionPlan:
     """Relay-side draw: uniform tamper subset, then per-slot basis and value.
-    The 2d bits alternate basis bit, value bit, slot by slot: the draws of
-    ``rand.basis()`` then ``rand.bit()`` for each slot, kept as each
-    slot's twin source byte 2 * basis bit + value.  :func:`run_session`
-    draws a plan only for a stream whose photons all arrived, after its
-    loss marks."""
+    Each detection slot's twin source byte, 2 * basis bit + value, is one
+    uniform draw of two bits (``rand.quarters``), in position order.
+    :func:`run_session` draws a plan only for a stream whose photons all
+    arrived, after its loss marks."""
     positions, key_positions = rand.sample_partition(cfg.total_slots, cfg.d)
-    return SessionPlan(cfg, positions, key_positions, rand.bit_pairs(cfg.d))
+    return SessionPlan(cfg, positions, key_positions, rand.quarters(cfg.d))
 
 
 def believed_state(created: BellLabel, outcome: BellLabel,
@@ -368,12 +368,13 @@ def run_session(cfg: SessionConfig, attack: AttackConfig | None,
 
     Draw order: the loss marks, the plan, the adversary's session-level
     draws (:func:`draw_taps`), then the slots: the key slots' planted bits
-    or created pair labels, and one categorical draw per slot from its
-    exact kernel.  A lost photon ends the session at its loss marks, before
-    its layout or any slot is drawn: nothing a lost stream reports depends
-    on them, and the draws are independent, so drawing them only for the
-    streams that arrive keeps every outcome's law.  The loss marks come
-    from the stream's own loss substream
+    or created pair labels, and one word per slot, whose top byte draws
+    the slot's outcome from its exact kernel.  A lost photon ends the
+    session at its loss marks, before its layout or any slot is drawn:
+    nothing a lost stream reports depends on them, and the draws are
+    independent, so drawing them only for the streams that arrive keeps
+    every outcome's law.  The loss marks come from the stream's own loss
+    substream
     (:meth:`~qauthsim.qsim.RandomSource.loss_marks`) and everything after
     them from its twister, so a stream whose photons all arrive is exactly
     the p_loss = 0 session of the same (seed, trial).  All reads of a slot
@@ -398,8 +399,6 @@ def _program(cfg: SessionConfig, attack: AttackConfig | None,
     return _SessionProgram(cfg, attack, photon, p_loss)
 
 
-# a slot outcome's field, as a function
-_READ = tuple(map(itemgetter, range(RELAY + 1)))
 # A slot's code is 36 * group + low + 4 * tap_a + 12 * tap_b, below 216:
 # group 0 for a detection slot, whose low part is its twin source; group 1
 # for a key slot read directly and 2 + the created label for one read
@@ -410,22 +409,29 @@ _GROUP = 36
 _CREATED_CODES = bytes([_GROUP * (2 + label) for label in range(4)]).ljust(256, b"\0")
 _TAP_BASIS = (None, 0, 1)
 _MATCH_LINES = {matched: f"token match={matched}" for matched in (False, True)}
+# by field ALICE .. SERVER, an outcome code's bit of that field as text
+_FIELD_TEXT = tuple([bits.translate(_BIT_TEXT) for bits in FIELD_BITS])
+# A relay step's index, created label << 3 | pair outcome << 1 | kept bit,
+# is the sum of its created label's part and its outcome code's part.
+_CREATED_INDEX = bytes([label << 3 for label in range(4)]).ljust(256, b"\0")
+_OUTCOME_INDEX = bytes([(code >> RELAY) << 1 | code & 1 for code in range(128)]
+                       ).ljust(256, b"\0")
 
 
 class _SessionProgram:
     """What every session of one scenario shares: the log lines that hold
-    no drawn value, in SWAP mode each position's relay-line prefix, and
-    two memos, each filled the first time a session needs an entry:
+    no drawn value, in SWAP mode the key bit by relay-step index, and two
+    memos, each filled the first time a session needs an entry:
     ``checks``, the tamper check's verdict and log line by error count
-    (:meth:`check`), and ``tables``, the kernel table by slot code (see
-    :meth:`read_slots`; :meth:`kernel_key` decodes a code, and
+    (:meth:`check`), and ``tables``, the outcome code table by slot code
+    (see :meth:`read_slots`; :meth:`kernel_key` decodes a code, and
     :func:`~qauthsim.qsim.slot_kernels` gives its table).  :meth:`run`
     makes the draws :func:`run_session` documents, in its order."""
 
     __slots__ = ("photon", "p_loss", "k", "d", "total", "revealed", "swap",
                  "planted", "ghz", "request", "preamble", "checks",
                  "threshold", "key_source", "key_basis", "key_codes",
-                 "tables", "key_rule", "positions")
+                 "tables", "key_table")
 
     def __init__(self, cfg: SessionConfig, attack: AttackConfig | None,
                  photon: PhotonCountModel, p_loss: float) -> None:
@@ -455,12 +461,8 @@ class _SessionProgram:
         # the key slots' codes with no planted bit, tap or relay step
         self.key_codes = bytes([_GROUP]) * k
         self.tables = _Memo(
-            lambda code: slot_kernels([self.kernel_key(code)])[0])
-        self.key_rule = self.positions = None
-        if self.swap:
-            self.key_rule = _KEY_RULES[cfg.belief_rule]
-            # each relay line starts with its position
-            self.positions = tuple([f"pos={p} " for p in range(total)])
+            lambda code: slot_kernels([self.kernel_key(code)])[0][3])
+        self.key_table = _KEY_TABLES[cfg.belief_rule] if self.swap else None
 
     def run(self, cfg: SessionConfig, attack: AttackConfig | None,
             rand: RandomSource) -> SessionOutcome:
@@ -480,7 +482,7 @@ class _SessionProgram:
         plan = plan_session(cfg, rand)
         taps = draw_taps(eve, plan, self.photon, rand)
         decoys, keys, created = self.read_slots(plan, eve, taps, rand)
-        values = plan.twin_sources.translate(_VALUE_OF_TWIN)
+        values = int.from_bytes(plan.twin_sources.translate(_VALUE_TEXT), "big")
         swap = self.swap
         bob_errors = bob_key = token = matched = None
 
@@ -520,19 +522,23 @@ class _SessionProgram:
                               alice_key, bob_key, token, matched, failed,
                               eve, log)
 
-    def arrival(self, add, step: str, party: str, field: int, decoys: list,
-                keys: list | None, values: bytes) -> tuple:
+    def arrival(self, add, step: str, party: str, field: int, decoys: bytes,
+                keys: bytes | None, values: int) -> tuple:
         """One party's arrival check: its detection-slot bits, then its key
         bits when ``keys`` is given, each on a log line, then the tamper
-        check.  Returns (errors, passed, key bits or None)."""
-        read = _READ[field]
-        obs = bytes(map(read, decoys))
-        add(step, party, "measured obs=" + obs.translate(_BIT_TEXT).decode())
+        check.  ``decoys`` and ``keys`` hold outcome codes, ``field`` is
+        the party's, and ``values`` holds the detection slots' values as
+        text, read as one integer.  Returns (errors, passed, key bits or
+        None)."""
+        obs = decoys.translate(_FIELD_TEXT[field])
+        add(step, party, "measured obs=" + obs.decode())
         key = None
         if keys is not None:
-            key = tuple(map(read, keys))
-            add(step, party, "measured key=" + _bits(key))
-        errors = sum(map(ne, obs, values))
+            text = keys.translate(_FIELD_TEXT[field])
+            add(step, party, "measured key=" + text.decode())
+            key = tuple(keys.translate(FIELD_BITS[field]))
+        # the text of a 0 and of a 1 differ in their low bit only
+        errors = (int.from_bytes(obs, "big") ^ values).bit_count()
         passed, line = self.checks[errors]
         add(step, party, line)
         return errors, passed, key
@@ -545,17 +551,16 @@ class _SessionProgram:
         return passed, f"tamper check rate={rate:.6f} pass={passed}"
 
     def read_slots(self, plan: SessionPlan, eve: EveState, taps: tuple,
-                   rand: RandomSource) -> tuple[list, list, bytes | None]:
-        """Every slot's joint outcome (see :func:`~qauthsim.qsim.slot_kernels`):
+                   rand: RandomSource) -> tuple[bytes, bytes, bytes | None]:
+        """Every slot's outcome code (see :func:`~qauthsim.qsim.slot_kernels`):
         the detection slots', the key slots' and the key slots' created pair
         labels (None outside SWAP mode), each in position order.
 
         Draw order: the relay's planted bits (a product-pair compromise),
-        the created pair labels (SWAP mode), then one categorical draw per
-        slot, detection slots first, none where a kernel has a single
-        outcome (:meth:`~qauthsim.qsim.RandomSource.outcomes`).
+        the created pair labels (SWAP mode), then one word per slot,
+        detection slots first (:meth:`~qauthsim.qsim.RandomSource.outcomes`).
 
-        Each slot's kernel is found in ``tables`` by its code (see
+        Each slot's code table is found in ``tables`` by its slot code (see
         ``_GROUP``), one byte per slot in draw order, built by bytewise
         arithmetic on the plan's twin sources, the planted bits, the
         created labels and the tap rows.  Eve's reads go on
@@ -590,6 +595,7 @@ class _SessionProgram:
                     code += weight * int.from_bytes(column, "little")
             codes = code.to_bytes(self.total, "little")
         outs = rand.outcomes(list(map(self.tables.__getitem__, codes)))
+        keys = outs[d:]
 
         if tapped:
             eve.rows = tuple([
@@ -599,8 +605,8 @@ class _SessionProgram:
                 if column is not None])
         if self.ghz:
             eve.server_record.update(zip(key_positions,
-                                         [out[SERVER] for out in outs[d:]]))
-        return outs[:d], outs[d:], created
+                                         keys.translate(FIELD_BITS[SERVER])))
+        return outs[:d], keys, created
 
     def kernel_key(self, code: int) -> tuple:
         """The kernel key (source, tap_a, tap_b, basis, created) of a slot
@@ -615,21 +621,39 @@ class _SessionProgram:
                 group - 2 if group > 1 else None)
 
     def relay(self, add, key_positions: tuple, created: bytes,
-              keys: list) -> tuple[int, ...]:
-        """Steps 5a-5c at each key slot, from the slot's kernel outcome: the
-        pair outcome and the kept bit, and the key bit under the session's
-        belief rule.  Returns the initiator's key bits in position order."""
-        key_rule, positions = self.key_rule, self.positions
-        key = []
-        for position, label, out in zip(key_positions, created, keys):
-            outcome, kept = out[RELAY], out[ALICE]
-            key_bit = key_rule[label][outcome][kept]
-            at = positions[position]
-            add("5a", "alice", at + _CREATED_TEXT[label])
-            add("5b", "alice", at + _OUTCOME_TEXT[outcome])
-            add("5c", "alice", at + _KEPT_TEXT[kept][key_bit])
-            key.append(key_bit)
+              keys: bytes) -> tuple[int, ...]:
+        """Steps 5a-5c at each key slot, from its created label and outcome
+        code: the pair outcome and the kept bit, and the key bit under the
+        session's belief rule, all read from the slot's index created
+        label << 3 | pair outcome << 1 | kept bit.  Returns the initiator's
+        key bits in position order."""
+        index = (int.from_bytes(created.translate(_CREATED_INDEX), "big")
+                 + int.from_bytes(keys.translate(_OUTCOME_INDEX), "big")
+                 ).to_bytes(self.k, "big")
+        key = index.translate(self.key_table)
+        for position, at, bit in zip(key_positions, index, key):
+            created_lines, outcome_lines, kept_lines = _RELAY_LINES[position]
+            add("5a", "alice", created_lines[at >> 3])
+            add("5b", "alice", outcome_lines[at >> 1 & 3])
+            add("5c", "alice", kept_lines[(at & 1) << 1 | bit])
         return tuple(key)
+
+
+def _relay_lines(position: int) -> tuple:
+    """The payloads of a relay step's lines at ``position``: 5a's by
+    created label and 5b's by pair outcome (indices in BELL_ORDER), and
+    5c's by kept bit << 1 | key bit."""
+    at = f"pos={position} "
+    return (tuple([f"{at}created={label.short()}" for label in BELL_ORDER]),
+            tuple([f"{at}outcome={label.short()}" for label in BELL_ORDER]),
+            tuple([f"{at}kept={kept} key={key}"
+                   for kept in (0, 1) for key in (0, 1)]))
+
+
+# The relay lines by position, built the first time a session reaches it;
+# they depend on nothing else, so every session program shares them, and
+# positions stop below MAX_SLOTS.
+_RELAY_LINES = _Memo(_relay_lines)
 
 
 def _key_rule(rule: BeliefRule) -> tuple:
@@ -642,10 +666,12 @@ def _key_rule(rule: BeliefRule) -> tuple:
         for created in BELL_ORDER])
 
 
-_KEY_RULES = {rule: _key_rule(rule) for rule in BeliefRule}
-# the relay lines after their position: the created label and the pair
-# outcome by index in BELL_ORDER, and the kept and key bits
-_CREATED_TEXT = tuple([f"created={label.short()}" for label in BELL_ORDER])
-_OUTCOME_TEXT = tuple([f"outcome={label.short()}" for label in BELL_ORDER])
-_KEPT_TEXT = tuple([tuple([f"kept={kept} key={key}" for key in (0, 1)])
-                    for kept in (0, 1)])
+def _key_table(rule: BeliefRule) -> bytes:
+    """:func:`_key_rule` as a translation table: the key bit at each relay
+    step index created label << 3 | pair outcome << 1 | kept bit."""
+    bits = _key_rule(rule)
+    return bytes([bits[index >> 3][index >> 1 & 3][index & 1]
+                  for index in range(32)]).ljust(256, b"\0")
+
+
+_KEY_TABLES = {rule: _key_table(rule) for rule in BeliefRule}

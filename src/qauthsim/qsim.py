@@ -11,9 +11,9 @@ projection's squared length over the sum of those lengths for all the
 outcomes, an exact ratio of integers.
 
 Two projection helpers (:func:`_project_qubit`, :func:`_project_pair`)
-serve every use, and every measurement outcome is drawn by one exact rule,
-:meth:`RandomSource.categorical`.  An outcome table holds the running sums
-S_j of its integer weights, their total T, and the dyadic thresholds
+serve every use.  A register's measurement outcome is drawn by one exact
+rule, :meth:`RandomSource.categorical`.  An outcome table holds the running
+sums S_j of its integer weights, their total T, and the dyadic thresholds
 t_j = ceil(2**53 * S_j / T) / 2**53; a draw u = N / 2**53 (N an integer)
 selects ``bisect_right(thresholds, u)``, which is the integer rule's
 outcome, since 2**53 * S_j <= N * T <=> ceil(2**53 * S_j / T) <= N <=>
@@ -21,16 +21,18 @@ t_j <= u.  Sessions sample from per-slot kernels (:func:`slot_kernels`):
 given the relay's layout and the adversary's session-level draws, each
 slot is an independent register of at most five qubits, and the joint
 outcome of all its reads is one categorical draw from an exact table of
-integer weights, built once per key by the helpers.  The relay-step oracle
-(:func:`swap_enumerate`) projects onto every outcome with the same helpers
-and reports exact :class:`fractions.Fraction` values.
+integer weights, built once per key by the helpers.  Every kernel's total
+divides 256, so one word's top byte b decides a slot by the same integer
+rule, the first j with b * T < 256 * S_j: each kernel carries a 256-byte
+table of outcome codes in which outcome j owns 256 * w_j / T bytes
+(:func:`_code_table`).  The relay-step oracle (:func:`swap_enumerate`)
+projects onto every outcome with the same helpers and reports exact
+:class:`fractions.Fraction` values.
 
 A session's draws are made in bulk (:meth:`RandomSource.below`,
-:meth:`~RandomSource.sample_partition`, :meth:`~RandomSource.bit_pairs`,
-:meth:`~RandomSource.quarters`, :meth:`~RandomSource.outcomes`), and each
-bulk draw consumes exactly the generator words, in the same order, of the
-scalar loop it replaces, so the two give the same values and leave the
-stream at the same point.  A session's loss marks
+:meth:`~RandomSource.sample_partition`, :meth:`~RandomSource.quarters`,
+:meth:`~RandomSource.outcomes`), each in as few calls to the generator as
+its law allows.  A session's loss marks
 (:meth:`RandomSource.loss_marks`) come from a SHAKE-128 substream of their
 own, and the Mersenne Twister behind every other draw is seeded only when
 it is first drawn from, so a lost stream never seeds it.  Only this module
@@ -60,17 +62,17 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd
-from operator import mul
+from operator import getitem, mul
 from typing import Sequence
 
 _MASK64 = (1 << 64) - 1
 _TWO53 = float(1 << 53)
-# each byte's top bit, that bit doubled, and its top two bits, as bytes
+# each byte's top bit and its top two bits, as bytes; a 0 or 1 byte negated
 _TOP_BIT = bytes([byte >> 7 for byte in range(256)])
-_TOP_BIT_TWICE = bytes([byte >> 7 << 1 for byte in range(256)])
 _TOP_TWO_BITS = bytes([byte >> 6 for byte in range(256)])
+_NOT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 class _Memo(dict):
@@ -179,20 +181,19 @@ class RandomSource:
     implemented here so their draw pattern is pinned by this module rather
     than by stdlib internals.
 
-    The same words, in bulk: the twister emits 32-bit words.
-    ``getrandbits(w)`` for w <= 32 is the top w bits of one word;
-    ``getrandbits(32 * n)`` packs n words, the first least significant;
-    ``random()`` reads two words w1, w2 and returns ``N / 2**53`` with
-    ``N = (w1 >> 5) << 26 | w2 >> 6``.  Each bulk draw consumes exactly
-    the words of the scalar loop it replaces, in the same order, and
-    returns the same values: :meth:`bits`, :meth:`bit_pairs` and
-    :meth:`quarters` (loops of :meth:`bit` and ``getrandbits(2)``) and
-    :meth:`below` (a loop of ``uniform() < p``) each take their words in
-    one ``getrandbits`` call; :meth:`sample_partition` is one Fisher-Yates
-    pass of bounded draws, each the first ``getrandbits(width)`` below its
-    bound, width the bit length of bound - 1; :meth:`outcomes` is a loop
-    of :meth:`categorical` with no Python-level call per slot.  No module
-    outside this one reads either stream's layout.
+    The twister emits 32-bit words.  ``getrandbits(w)`` for w <= 32 is the
+    top w bits of one word; ``getrandbits(32 * n)`` packs n words, the
+    first least significant; ``random()`` reads two words w1, w2 and
+    returns ``N / 2**53`` with ``N = (w1 >> 5) << 26 | w2 >> 6``.  The
+    bulk draws take their words in one ``getrandbits`` call: :meth:`bits`
+    and :meth:`quarters` read the top one or two bits of a word per value,
+    :meth:`outcomes` the top byte of a word per slot, and :meth:`below`
+    two words per mark, the words of one ``uniform()``.
+    :meth:`sample_partition` is Floyd's algorithm (Bentley & Floyd, CACM
+    30(9), 1987) on the smaller side of the partition: m bounded draws,
+    each the first ``getrandbits(width)`` below its bound, width the bit
+    length of bound - 1.  No module outside this one reads either stream's
+    layout.
     """
 
     __slots__ = ("master_seed", "stream_id", "_rng")
@@ -222,15 +223,6 @@ class RandomSource:
     def bits(self, count: int) -> bytes:
         """``count`` draws of :meth:`bit`, each the top bit of a word."""
         return self._top_bytes(count).translate(_TOP_BIT)
-
-    def bit_pairs(self, count: int) -> bytes:
-        """``count`` values ``2 * a + b``, where a and b are two draws of
-        :meth:`bit` in that order."""
-        top = self._top_bytes(2 * count)
-        # no byte exceeds 3, so the packed sum carries nothing between bytes
-        pairs = (int.from_bytes(top[::2].translate(_TOP_BIT_TWICE), "little")
-                 + int.from_bytes(top[1::2].translate(_TOP_BIT), "little"))
-        return pairs.to_bytes(count, "little")
 
     def quarters(self, count: int) -> bytes:
         """``count`` draws of ``getrandbits(2)``, each the top two bits of a
@@ -282,47 +274,41 @@ class RandomSource:
             edge = marks.find(_EDGE, edge + 1)
         return bytes(marks)
 
-    def _shuffled(self, universe: int, count: int) -> list[int]:
-        """range(universe) after the first ``count`` steps of a Fisher-Yates
-        shuffle: step i swaps position i with i + j, j the first
-        ``getrandbits(width)`` below ``universe - i``.
+    def _chosen(self, universe: int, count: int) -> bytearray:
+        """One mark per position of range(universe): 1 at each of ``count``
+        distinct positions drawn uniformly, 0 elsewhere.
 
-        The steps walk the schedule :func:`_schedule` keeps per (universe,
-        count).  A step with bound 1 draws nothing and swaps a position
-        with itself, so the schedule leaves it out.  A step is
-        rejection-sampled, so how many words it takes is known only as it
-        goes; each step draws its own, since batching the words cost more
-        per step than the calls it saved.
-        """
+        Floyd's algorithm draws the smaller side, m = min(count, universe -
+        count) positions: for j = universe - m .. universe - 1, t is the
+        first ``getrandbits(j.bit_length())`` below j + 1, and t is marked,
+        or j where t already is.  Every m-subset comes out of m! of the
+        (universe)! / (universe - m)! accepted draw sequences, so each is
+        equally likely; where m is the rest, the marks are negated."""
         if not 0 <= count <= universe:
             raise ValueError("cannot sample %d of %d positions" % (count, universe))
-        pool = list(range(universe))
+        side = min(count, universe - count)
+        marks = bytearray(universe)
         g = (self._rng or self._seed()).getrandbits
-        for i, bound, width in _schedule(universe, count):
-            j = g(width)
-            while j >= bound:
-                j = g(width)
-            j += i
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool
+        for j in range(universe - side, universe):
+            width = j.bit_length()
+            t = g(width)
+            while t > j:
+                t = g(width)
+            marks[j if marks[t] else t] = 1
+        return marks if side == count else marks.translate(_NOT)
 
     def sample_positions(self, universe: int, count: int) -> tuple[int, ...]:
         """``count`` distinct positions drawn from range(universe), sorted."""
-        pool = self._shuffled(universe, count)
-        del pool[count:]
-        pool.sort()
-        return tuple(pool)
+        return tuple(compress(range(universe), self._chosen(universe, count)))
 
     def sample_partition(self, universe: int, count: int
                          ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The positions :meth:`sample_positions` draws, and the rest of
         range(universe), each sorted, from the same draws."""
-        pool = self._shuffled(universe, count)
-        rest = pool[count:]
-        del pool[count:]
-        pool.sort()
-        rest.sort()
-        return tuple(pool), tuple(rest)
+        marks = self._chosen(universe, count)
+        positions = range(universe)
+        return (tuple(compress(positions, marks)),
+                tuple(compress(positions, marks.translate(_NOT))))
 
     def bell_label(self) -> BellLabel:
         return BellLabel.from_bits(self.bit(), self.bit())
@@ -342,22 +328,11 @@ class RandomSource:
         """
         return bisect_right(thresholds, (self._rng or self._seed()).random())
 
-    def outcomes(self, tables: Sequence[tuple]) -> list:
-        """One outcome per kernel table (see :func:`slot_kernels`), in order:
-        :meth:`categorical` over each table's thresholds, with no draw where
-        a table has a single outcome."""
-        random = (self._rng or self._seed()).random
-        return [outcomes[bisect_right(thresholds, random())] if cumulative
-                else outcomes[0]
-                for cumulative, _, outcomes, thresholds in tables]
-
-
-@lru_cache(maxsize=1024)
-def _schedule(universe: int, count: int) -> tuple[tuple[int, int, int], ...]:
-    """Steps (i, bound, width) of :meth:`RandomSource._shuffled` that draw:
-    each takes the first ``getrandbits(width)`` below its bound."""
-    return tuple([(i, universe - i, (universe - i - 1).bit_length())
-                  for i in range(count) if universe - i > 1])
+    def outcomes(self, tables: Sequence[bytes]) -> bytes:
+        """One outcome code per 256-byte code table (see
+        :func:`slot_kernels`), in order: ``table[b]`` for the top byte b of
+        the slot's word."""
+        return bytes(map(getitem, tables, self._top_bytes(len(tables))))
 
 
 # Per probability p, the verdict of a draw's top byte: 1 (below p), 0 (not
@@ -607,11 +582,24 @@ _SOURCE_STATES = tuple(
      for half in (*_RECTILINEAR_STATES, *_DIAGONAL_STATES)]
     + [_BELL_STATES[0], _GHZ_STATE])
 
-# Fields of a slot outcome, in order: eve's read on alice's path and on
-# bob's, alice's bit (her kept qubit in the relay step), bob's bit, the
-# relay's retained qubit, and the relay step's pair outcome, by its index
-# in BELL_ORDER.
-EVE_A, EVE_B, ALICE, BOB, SERVER, RELAY = range(6)
+# Fields of a slot outcome, in order: alice's bit (her kept qubit in the
+# relay step), bob's bit, eve's read on alice's path and on bob's, the
+# relay's retained qubit, and the relay step's pair outcome, by its index in
+# BELL_ORDER.  A slot's outcome code is one byte that holds each field at
+# its own index as a bit shift: bits 0-4 the five one-bit reads, bits 5-6
+# the pair outcome, and 0 where a field is not read.
+ALICE, BOB, EVE_A, EVE_B, SERVER, RELAY = range(6)
+# by field ALICE .. SERVER, each outcome code's bit of that field, as bytes
+FIELD_BITS = tuple([bytes([code >> field & 1 for code in range(256)])
+                    for field in range(RELAY)])
+
+
+def outcome_code(fields: Sequence[int | None]) -> int:
+    """The outcome code of a tuple over the fields ALICE .. RELAY, None
+    where a field is not read."""
+    return sum([value << shift for shift, value in enumerate(fields)
+                if value is not None])
+
 
 # Tables by key, each built on first lookup.  Each is a pure function of
 # its key and immutable, so one process-wide memo serves every caller alike.
@@ -639,12 +627,12 @@ def slot_kernels(keys: Sequence[tuple]) -> list[tuple]:
     lengths of the projected vectors are exact integer weights, here
     divided by their gcd.
 
-    Returns (cumulative, total, outcomes, thresholds): the running sums of
-    the weights, None when one outcome has all the weight, and no draw is
-    made; their total; each outcome, a tuple over the fields EVE_A ..
-    RELAY, None where nothing read; and the thresholds
-    :meth:`RandomSource.categorical` draws against, (1.0,) for a single
-    outcome.  :meth:`RandomSource.outcomes` draws a session's slots.
+    Returns (cumulative, total, outcomes, codes): the running sums of the
+    weights; their total, which divides 256; each outcome, a tuple over the fields ALICE .. RELAY, None
+    where nothing read; and the 256-byte table :func:`_code_table` builds,
+    which maps a word's top byte to the code (:func:`outcome_code`) of the
+    outcome it draws.  :meth:`RandomSource.outcomes` draws a session's
+    slots from these tables.
 
     Sessions do not call this per slot: each session program keeps its
     tables in a memo by one-byte slot code, which looks a code's key up
@@ -682,11 +670,26 @@ def _build_kernel(source: int, tap_a: int | None, tap_b: int | None,
 
     weights = [_weight(vec) for _, vec in leaves]
     scale = gcd(*weights)
+    weights = [weight // scale for weight in weights]
     outcomes = tuple([tuple(fields) for fields, _ in leaves])
-    if len(outcomes) == 1:
-        return None, 1, outcomes, (1.0,)
-    cumulative = tuple(accumulate([weight // scale for weight in weights]))
-    return cumulative, cumulative[-1], outcomes, _thresholds(cumulative)
+    cumulative = tuple(accumulate(weights))
+    return (cumulative, cumulative[-1], outcomes,
+            _code_table(weights, list(map(outcome_code, outcomes))))
+
+
+def _code_table(weights: Sequence[int], codes: Sequence[int]) -> bytes:
+    """The 256 bytes that decide one draw of a categorical law from a
+    word's top byte b: outcome j, of integer weight w_j and code
+    ``codes[j]``, owns 256 * w_j / T consecutive bytes, in outcome order,
+    for the total T.  So b draws the first j with b * T < 256 * S_j, for
+    the running sums S_j, and each outcome has chance exactly w_j / T.
+    Raises ``ValueError`` unless T divides 256."""
+    total = sum(weights)
+    if 256 % total:
+        raise ValueError(f"an outcome total of {total} does not divide 256")
+    share = 256 // total
+    return b"".join([bytes([code]) * (weight * share)
+                     for code, weight in zip(codes, weights)])
 
 
 def _read_leaves(leaves: list, n: int, reads: list) -> list:

@@ -319,6 +319,20 @@ class TestServerCompromise:
                           RandomSource(84, 0))
         assert set(out.eve.server_record) == set(out.plan.key_positions)
 
+    def test_ghz_record_is_the_retained_qubits_read(self):
+        # the relay reads its retained qubit rectilinearly; under a diagonal
+        # key basis bob's read of the triple's second qubit is a fair coin
+        # next to it, so the record copies bob's bit on half the key slots
+        cfg = _cfg(k=4, d=2, key_basis=MeasBasis.DIAGONAL)
+        hits = n = 0
+        for t in range(600):
+            out = run_session(cfg, AttackConfig(AttackKind.SERVER_GHZ),
+                              RandomSource(85, t))
+            hits += eve_knowledge_report(out).copy_hits
+            n += cfg.k
+        m = _summarize("ghz diagonal copy", hits, n, 0.5)
+        assert m.verdict == "pass", m
+
 
 def test_honest_eve_state_is_empty():
     out = run_session(_cfg(), None, RandomSource(90, 0))

@@ -10,9 +10,8 @@ multi-photon source, realtime location knowledge and a fixed intercept
 basis.  Five more run at the paper's sizing (k=17, d=41, 10 trials): base
 and swap honest, swap PNS on both paths over a lossy multi-photon source,
 base subset guessing with g=17 and the swap-mode triple relay.  Their
-58-position universe is the only one here wide enough that
-``sample_positions`` draws by ``getrandbits(6)`` rejection (bounds 33 to
-58).
+58-position universe is the only one here wide enough that Floyd's draws
+of the 17-slot side go by ``getrandbits(6)`` rejection (bounds 42 to 58).
 
 One more digest pins ``analytic_predictions`` over a grid of specs
 (:func:`prediction_grid`): every closed form's value and note, in order,
@@ -27,6 +26,13 @@ Run as a script (``python tests/test_golden.py``, with ``src`` on the path
 as pytest puts it), this module prints every pinned digest's current value
 in its table's format, so that a deliberate re-pin is copied, not worked
 out by hand.
+
+The scenario digests are pinned to draw layout v2: the plan draws its
+smaller side by Floyd's algorithm and each twin source with one word's
+top two bits, and every slot's outcome is one word's top byte read
+through its kernel's code table.  The layout before it (a Fisher-Yates
+pass, two words per twin source, one ``random()`` per slot with more
+than one outcome) gave other digests with the same laws.
 
 The two lossy scenarios, ``lossy-pns`` and
 ``paper-swap-composed-lossy-pns``, are pinned to loss marks drawn from
@@ -194,28 +200,28 @@ def oracle_digest(case, fmt: str, tmp_path) -> str:
 
 
 GOLDEN_SCENARIOS = {
-    'base-intercept': {'csv': '44afd29abbd9c578d33fec21540d21eab76057b9c3f444ca357bae863fd127b4', 'json': '4583c7d23458be0754de31da3a9b5c6c152b8570c8325c7377561868d0107c95'},
-    'base-none': {'csv': '13f0ab0daefdaebcdb3a899a04cbd95d144748642229be9b30b31433d3ac7ef0', 'json': 'eaa1244612518f2b13d803eedb9a70cad1c773e4d43ea50c4225e1355a1da50e'},
-    'base-pns': {'csv': 'ef6112c5a7f9f125794d9fa667b85991e3aa971fb5d152d13865f19e2a14cbd5', 'json': '121b0f129703bef9ca40d4772d60d03ef186a12d10f9b1382cad00131a13dcb9'},
-    'base-server_ghz': {'csv': 'e623bcd3f9cf173e6fd778f08e232b5116fda48980f780f2f4bc689ac972a8a7', 'json': '0b9d1bcfc22ba87cec5c360c32403a0409550e03663846fb21d2b6a66de33fa7'},
-    'base-server_product': {'csv': 'fc81a0cf6e0e8b9abcf89eb92cf9f3654e8321888d7132a74ff7176f44c1b5cb', 'json': '3f54b08661ab2a03d4654f17cd2336cd5ddeffb52f912396834b52d92e8cf9ce'},
-    'base-subset': {'csv': '9c265fe0e16613bab6fbeb3504ff50958ff66e00ce57290114acac21d948bd75', 'json': '6915c6693d75df382f4675478ba6018f82fe69ffd859413ec31f4c4e2c08320a'},
-    'fixed-basis-intercept': {'csv': '78aba2c28acfd4684e4a01dd055203b9f43bd538213dc8794c2079fd5e5488ab', 'json': '7239a6355513b299ad68d733ed99895404a5eae742f6a4a8adbc29a56f086b2a'},
-    'lossy-pns': {'csv': 'de42d0b8f175ce2a6ffd5c4305bf170631bce3bcd130ccb4c3f0393f5a92f94b', 'json': '1e9602dc83069bbfde9383c0e10f1ecff7a25da972117cbabbf154225b0d00a4'},
-    'paper-base-none': {'csv': '1ac12db235045057f419188bb9d6dd5e7bf9e236c73925ce8370371e8170cc95', 'json': 'f7ed4b87d5406f50e2921f4f33242fe8d301727c14919861ce2f472195f9f819'},
-    'paper-base-subset': {'csv': '138e5228274c3a1d621e63fe567abe37343e983a9ead67d76d958e3c021bb52c', 'json': 'e18a34aa83d253b7e5442373537c0460d84f73b3030ed78f4366796c02e676f5'},
-    'paper-swap-composed-lossy-pns': {'csv': '29c3d97aae62b9fcb3cf1a0c4dcf6868e361056c3465a92642fed97b8badd91f', 'json': 'd2c290dcc919acdfad5179c137933ff071e408e55d5c3b6191443c6c5fe01cf8'},
-    'paper-swap-composed-none': {'csv': '82eb32f275702d7b022c004f57aa2554ce10d76fffd35bf2f8ab1858e41f2a5c', 'json': 'e2609a8a5d52fee7d2f1ef8454842c8fd0884d13905f547a4e87b8c9f13bd197'},
-    'paper-swap-composed-server_ghz': {'csv': '0346365010dbbca5dd7cb8f8ff4b256db468e05e8be64ad6309250c2da1af56f', 'json': 'cb053a1b16bbbdd75eee5f756d84783a74ac0795abbd3f11d7fb751004d32681'},
-    'realtime-intercept': {'csv': 'fb64b3b7801e0d5447c82f888347fd412f3f0162c811a4ca6da9b8e110fd3e5e', 'json': '0c98a8544d9fceb3dd4c1a34da36bba18f219af1b256be3b7a8bcdfa98ed3093'},
-    'swap-composed-intercept': {'csv': 'cb445368ed9eb118738d5dbd49f6a100f5aebc20f223d5098d207709e69d54a1', 'json': '00b0cd96110468ae690d5217658cfbdab77e3721e091cfb2f4657c2aa6a445ed'},
-    'swap-composed-none': {'csv': 'fb64b3b7801e0d5447c82f888347fd412f3f0162c811a4ca6da9b8e110fd3e5e', 'json': '99431987aefc50559b59899242b237f789151a545d120d7323bb5ee20d78e062'},
-    'swap-composed-pns': {'csv': 'fabd9d6cbb50aba1f20ee966d02c38ab738811053f1877b76c47588366a8bb54', 'json': '9816246344836ab8b9601b83474101aafe52f12aa6f5d72e5b06796af0ef7084'},
-    'swap-composed-server_ghz': {'csv': '5f34f089cb2dbacb69e464bf91ff74cccd9d2e04b58eed049f559cb563f960f8', 'json': '6308221a403860a0d3b72e4b0fef9d43adb280340deefaeabeaa77afd18950aa'},
-    'swap-composed-server_product': {'csv': 'aadc3f2788c75bba121f34713430f267d39837d7a0e98c286c2d9e89a2e53fca', 'json': 'b48efff593b86a6cf083ad32635e766d017a76b249b24641a8e4961aa573a80c'},
-    'swap-composed-subset': {'csv': 'fc8cf2b2cd67d49f6f6881a0aba75893906a5d67080ccc073ef67ec77c4cb0b0', 'json': '8c958ef004b687d0c1b9246240b1ff38f3ee1ae50df5dd2a7c29cbfa3f876750'},
-    'swap-measured-none': {'csv': 'a05ccafda5bf722d2ab1b3f69154295488e6d5b071e539cf5a8674e82ee9e81f', 'json': '43cf1aed9098194171debbc4fcd226b3982e2780cb3c03e504976e9ee5515b95'},
-    'swap-measured-server_product': {'csv': '99f5f04a686cd3bbd633e4c79720b8406ba5402b4a68c1df96465f3a7c35dc13', 'json': '8c864b0cd72c4cfd0001f78a05977e1290438bcc3c9394cb8f124ebfbccfffdb'},
+    'base-intercept': {'csv': '6931116eaa2495f3880a575998923e910f7c1f498d0ffb0e4507187d08758f90', 'json': '0ce0f2ad48a8affe7fa7120e9f5b6437e9219254b4ef016b78bf9a7914198711'},
+    'base-none': {'csv': '76352960ab2d76e6fd8718de8bd5c25fa3262fbfae07b2d962cface6eb056b26', 'json': '980c354217784a52a9889f30f474414a870e18bd031c07e0fe30e60a8997e13c'},
+    'base-pns': {'csv': '0e6278a7c271dd251fe2d278c4a29a7593ac9ea7db6abd4ba871d8dc2f5c1a44', 'json': 'bb27e60ad4d993fc83ede8f23c86ceaac7318409b9d8993cf5d506bad3d81700'},
+    'base-server_ghz': {'csv': 'a1c3555f2d626ac54e53fb1e63196de7fa098f56f4133740b4e8057b405c9add', 'json': '18439aea9fb7b28862436df4af7784afe94133240aeb08a124d9c12828d8c041'},
+    'base-server_product': {'csv': 'bc2efa99ba4c87b7020cecf4737accb701268199f21e9da364186bf014decf0d', 'json': '4a7d25dff521efe2834d6754431be71d18b63fbdbb1bb6caaef541c249dc7bcf'},
+    'base-subset': {'csv': 'bfee54e06a44975bcf58d7638e9bb42f21fcb806c3c0b48b6c1ad28b05478855', 'json': 'd29cc1fb3a4f02807832ded9da947607074b8a3f83424e72f31b24bb30a91f88'},
+    'fixed-basis-intercept': {'csv': '18c103c3056b528154d5afd88dce13a4c851ea8ced3d78f6486a1d87ea633586', 'json': 'be4ec9b4e0f9a7b7aa3b4f6f629a54f094ac8cd6560f196c4e4b110d11bcfc48'},
+    'lossy-pns': {'csv': '70f49df773848c03b8fafb41e5b73c612d0c3b103940184ca47f245af6da8218', 'json': 'e304d573d4bfa611316b1a3473f3274540894d44b2fc302b49eeccaa00eedd00'},
+    'paper-base-none': {'csv': '9c3f85ef7513bafb3e9b098c623579a9cb37ba3a4ea61a06bbdcea1196282c17', 'json': 'cb026ad15fe91129c4782a2fc910e83e60b697244ac2c9a57b3a09eaedba89f3'},
+    'paper-base-subset': {'csv': '7bb9460ac5b23cc5a962aae30095c03f955ae7087f8e193ea8cee0ed70fcde9c', 'json': 'fa07ece9dfa2e7163fe754541059846968235a33c0ea1b625b8aee6713945ba0'},
+    'paper-swap-composed-lossy-pns': {'csv': 'f103ebd7b3f6a02c2d4ee1072f3e579611784852c34da633e64e206ab65ba988', 'json': '6f73dfc5c3944e09fb9464e79571ff13dbadd22cc22fa9320a3b6214291c973c'},
+    'paper-swap-composed-none': {'csv': 'e6e741abda40f99d8110c04e309e2dea61463586329ad9f4eef13619e5d3e5c4', 'json': '7aece893b258f4fb25692ff74126a4e7adc71f7731fd1a2956ec5b9a222558c9'},
+    'paper-swap-composed-server_ghz': {'csv': 'cc6e061f72092cc653871fbb919f7db8b59c86bf297227e18943475920196dde', 'json': '6f885c8b7d54f4c1455593650b6b1cfcd3f3d08cb9cde04ffffa7a7846491c0d'},
+    'realtime-intercept': {'csv': '73cb96c1e167569a4a813f691306d33cedb5d3a224d9d283fd78813c2860c268', 'json': 'ccbb8bc73bd43c6daeee68964b48332473cb1e527b7ffb72817ed4231fd1ca10'},
+    'swap-composed-intercept': {'csv': '67e7d755a9cd5e52dd78a87711111429dfc271106c8858aaee1822532b6b6daa', 'json': '7b4dbd26f3179d33940f43737afaeebaaa8f46e12b940db0f960359f3b965b44'},
+    'swap-composed-none': {'csv': '73cb96c1e167569a4a813f691306d33cedb5d3a224d9d283fd78813c2860c268', 'json': '6b9447ba3695369598df5eef31baa86ce63ad76ed51d7548fc647565f417d4d8'},
+    'swap-composed-pns': {'csv': '0761693d2315ad207fdcbab27a64883d05a3c39f3152bf598fa431c96f2a4fb1', 'json': 'c9606b91eb0cdab00fa5385bc3c85dd316f78101897e59e7dce70e087cc331c6'},
+    'swap-composed-server_ghz': {'csv': '6a9757e403f8215d67cfa9d02f1c3a9192c13d4488cc45f01a234a93756256f6', 'json': '2b958caa94eabf1dd2f3df5ae95c64b43e61e475b98a77e142784741d7ad4a02'},
+    'swap-composed-server_product': {'csv': 'c7cb79fbfaff69dbb3f12d7679e658001d4e66ea2ca1eb725f3eae0d2a6ef356', 'json': '208022caf2baf2ff22c224a764d72dbd8b5733d95697e1e9f5c96e6004e87872'},
+    'swap-composed-subset': {'csv': '21d7d934bf2c6145be4cfa83a6691426534c7c3addef9a68fea5aa502200f0a8', 'json': '1caed8082d4419fed5d5c49b890ee9cf4edd75bc81d9a39f723ae2c207da15b7'},
+    'swap-measured-none': {'csv': '46ccd56a4c0885f6d278b601c7ba986488f07585d5dd0ab5984335fd6f0df498', 'json': '4a8489263066f5291ffb449a1ac9a2321a1893e9880064384c62dfb1db1ed5c7'},
+    'swap-measured-server_product': {'csv': '03686b1cad0e10e97d3aefb487bace40bd35bfc486fdf5ae05bda6b9f913e0fd', 'json': '6a3623fd00dbe3864eaa14ae72c0652c3c4e4a962af2fcba55733c0f17682d06'},
 }
 
 GOLDEN_VERIFY_TABLES = '8adf12990ececaf152d0a51585b3c5d1caf89d49879075788606723d00bee0bd'

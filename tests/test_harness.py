@@ -675,6 +675,29 @@ class TestMetrics:
         # photons arrive
         assert accept == float(Fraction(1, 4) * (1 - Fraction(0.05)) ** 8)
 
+    def test_predictions_are_kept_per_scenario_and_returned_fresh(self):
+        # the forms are computed once per (session, attack, photon, p_loss),
+        # whatever the seed, trials or outputs; each call gets its own dict,
+        # so a caller that edits one cannot change the next
+        doc = _doc(seed=3, trials=5, session={"k": 2, "d": 3},
+                   attack={"kind": "intercept_resend", "path": "both"})
+        spec = parse_scenario(doc)
+        harness._predictions.cache_clear()
+        first = harness.analytic_predictions(spec)
+        want = dict(first)
+        first["accept_rate"] = (0.0, "edited")
+        del first["evasion_rate"]
+        first["extra"] = (1.0, None)
+        other = parse_scenario({**doc, "seed": 4, "trials": 9,
+                                "outputs": {"format": "csv"}})
+        again = harness.analytic_predictions(other)
+        assert again == want and again is not first
+        assert harness.analytic_predictions(spec) == want
+        info = harness._predictions.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        lossy = harness.analytic_predictions(replace(spec, p_loss=0.05))
+        assert lossy != want and harness._predictions.cache_info().misses == 2
+
     # Twin detection photons share their preparation basis, so taps on both
     # paths err together unless each read draws a fresh basis; in swap mode
     # the responder's check runs only after the initiator passed.

@@ -3,13 +3,16 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
+from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qauthsim import protocol, qsim
+from qauthsim import harness, protocol, qsim
 from qauthsim.adversary import (
     AttackConfig,
     AttackKind,
@@ -50,6 +53,7 @@ from qauthsim.qsim import (
     bell_compose,
 )
 from qauthsim.secparams import forgery_prob
+from test_qsim import _decode
 
 _LABEL_OF_TEXT = {label.short(): label for label in BELL_ORDER}
 
@@ -182,11 +186,18 @@ def _randbelow(rand, bound):
 
 
 def _reference_sample(rand, universe, count):
-    pool = list(range(universe))
-    for i in range(count):
-        j = i + _randbelow(rand, universe - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return tuple(sorted(pool[:count]))
+    """Floyd's algorithm over the smaller side, one bounded draw at a time:
+    for j = universe - m .. universe - 1, t below j + 1 joins the side,
+    or j does where t already has; where the side is the rest, the sample
+    is its complement."""
+    side = min(count, universe - count)
+    drawn = set()
+    for j in range(universe - side, universe):
+        t = _randbelow(rand, j + 1)
+        drawn.add(j if t in drawn else t)
+    if side != count:
+        drawn = set(range(universe)) - drawn
+    return tuple(sorted(drawn))
 
 
 def _assert_in_step(a, b):
@@ -218,8 +229,10 @@ def test_plan_draws_match_per_slot_reference(k, d, seed):
     positions = _reference_sample(twin, k + d, d)
     bases, values = [], []
     for _ in positions:
-        bases.append(twin.basis())
-        values.append(twin.bit())
+        # one getrandbits(2) per slot: 2 * basis bit + value
+        twin_source = _randbelow(twin, 4)
+        bases.append((MeasBasis.RECTILINEAR, MeasBasis.DIAGONAL)[twin_source >> 1])
+        values.append(twin_source & 1)
     assert plan.positions == positions
     assert plan.decoys == dict(zip(positions, zip(values, bases)))
     assert plan.key_positions == tuple(p for p in range(k + d)
@@ -231,7 +244,8 @@ def test_plan_draws_match_per_slot_reference(k, d, seed):
     (0, 0), (5, 0), (58, 0), (1, 1), (2, 2), (7, 7), (58, 58), (58, 57),
     (58, 41), (300, 200)])
 def test_sample_partition_matches_randbelow_reference(universe, count):
-    # count == universe ends on a bound of 1, which draws no word
+    # count == universe and count == 0 draw no word; count > universe / 2
+    # draws the rest
     for stream in range(12):
         rand, twin = RandomSource(37, stream), RandomSource(37, stream)
         chosen, rest = rand.sample_partition(universe, count)
@@ -239,6 +253,87 @@ def test_sample_partition_matches_randbelow_reference(universe, count):
         assert chosen == positions
         assert rest == tuple(p for p in range(universe) if p not in positions)
         _assert_in_step(rand, twin)
+
+
+class _ScriptedDraws(RandomSource):
+    """A RandomSource whose twister returns ``script``'s values in turn,
+    each checked to be asked for at the width its bound gives."""
+
+    def __init__(self, script):
+        values = iter(script)
+
+        def getrandbits(width):
+            value, bound = next(values)
+            assert width == (bound - 1).bit_length()
+            return value
+
+        self._rng = SimpleNamespace(getrandbits=getrandbits)
+
+
+@pytest.mark.parametrize("universe", range(8))
+def test_floyd_partition_is_uniform_over_every_accepted_draw_sequence(universe):
+    # every sequence of accepted draws (t below j + 1 at each step j of the
+    # smaller side) is equally likely, and each count-subset comes out of
+    # the same number of them, with the rest as its complement
+    for count in range(universe + 1):
+        side = min(count, universe - count)
+        bounds = range(universe - side + 1, universe + 1)
+        seen = Counter()
+        for draws in product(*map(range, bounds)):
+            chosen, rest = _ScriptedDraws(zip(draws, bounds)).sample_partition(
+                universe, count)
+            assert sorted(chosen + rest) == list(range(universe))
+            seen[chosen] += 1
+        assert set(seen) == set(combinations(range(universe), count))
+        assert len(set(seen.values())) == 1, (universe, count, seen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes=st.lists(st.integers(0, 127), min_size=1, max_size=60),
+       data=st.data(), rule=st.sampled_from(list(BeliefRule)))
+def test_outcome_code_reads_match_the_tuple_decode(codes, data, rule):
+    # the session's bytewise reads of outcome codes (each field's bit, the
+    # arrival check's text, key bits and popcount error count, the relay
+    # step's key bits and lines) against a per-field tuple decode and the
+    # key rule built from believed_state and derive_key_bit
+    n = len(codes)
+    packed = bytes(codes)
+    fields = [_decode(code) for code in codes]
+    values = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    created = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    for field in range(qsim.RELAY):
+        assert packed.translate(qsim.FIELD_BITS[field]) == \
+            bytes([f[field] for f in fields])
+
+    program = protocol._program(_cfg(k=n, d=n), None, PhotonCountModel(), 0.0)
+    values_text = int.from_bytes("".join(map(str, values)).encode(), "big")
+    for field in (qsim.ALICE, qsim.BOB):
+        log = protocol.EventLog()
+        errors, passed, key = program.arrival(log.add, "4", "bob", field,
+                                              packed, packed, values_text)
+        bits = [f[field] for f in fields]
+        text = "".join(map(str, bits))
+        assert errors == sum(b != v for b, v in zip(bits, values))
+        assert key == tuple(bits)
+        assert [payload for _, _, payload in log.entries[:2]] == \
+            ["measured obs=" + text, "measured key=" + text]
+
+    swap = protocol._program(_cfg(k=n, d=0, mode=ProtocolMode.SWAP, rule=rule),
+                             None, PhotonCountModel(), 0.0)
+    positions = tuple(range(3, 3 + 2 * n, 2))
+    log = protocol.EventLog()
+    key = swap.relay(log.add, positions, bytes(created), packed)
+    rule_bits = protocol._key_rule(rule)
+    want = tuple([rule_bits[c][f[qsim.RELAY]][f[qsim.ALICE]]
+                  for c, f in zip(created, fields)])
+    assert key == want
+    assert log.entries == [
+        entry
+        for p, c, f, bit in zip(positions, created, fields, want)
+        for entry in (
+            ("5a", "alice", f"pos={p} created={BELL_ORDER[c].short()}"),
+            ("5b", "alice", f"pos={p} outcome={BELL_ORDER[f[qsim.RELAY]].short()}"),
+            ("5c", "alice", f"pos={p} kept={f[qsim.ALICE]} key={bit}"))]
 
 
 @pytest.mark.parametrize("k", [1, 2, 17])
@@ -540,11 +635,11 @@ def test_tap_rows_match_the_per_slot_loop(attack, tap_path, key_basis):
 
 @pytest.mark.parametrize("count", [0, 1, 2, 17, 41, 100])
 def test_packed_bit_draws_match_the_scalar_loops(count):
-    # swap mode's created labels, and a plan's basis and value bits
+    # swap mode's created labels and a plan's twin sources, and the planted
+    # bits of a product-pair relay
     rand, twin = RandomSource(43, count), RandomSource(43, count)
     assert rand.quarters(count) == bytes([_randbelow(twin, 4) for _ in range(count)])
-    assert rand.bit_pairs(count) == bytes([2 * twin.bit() + twin.bit()
-                                           for _ in range(count)])
+    assert rand.bits(count) == bytes([_randbelow(twin, 2) for _ in range(count)])
     _assert_in_step(rand, twin)
 
 
@@ -876,7 +971,7 @@ def test_each_scenario_compiles_once():
     assert protocol._program(twin, spec.attack, spec.photon,
                              spec.p_loss) is program
     assert protocol._program.cache_info().misses == 1
-    for memo in (protocol._program, qsim._schedule, qsim._below_table):
+    for memo in (protocol._program, harness._predictions, qsim._below_table):
         assert memo.cache_parameters()["maxsize"] is not None, memo
 
 

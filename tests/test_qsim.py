@@ -15,7 +15,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -580,6 +580,9 @@ def test_swap_enumerate_rejects_bad_inputs():
 _TAPS = (None, 0, 1)  # eve reads nothing, rectilinear, diagonal
 BASIS_OF_BIT_REF = (MeasBasis.RECTILINEAR, MeasBasis.DIAGONAL)
 _PAIR, _TRIPLE = qsim.PAIR_SOURCE, qsim.TRIPLE_SOURCE
+# a slot outcome's fields, in the order of the kernel's outcome tuples
+_ALICE, _BOB, _EVE_A, _EVE_B, _SERVER, _RELAY = (
+    qsim.ALICE, qsim.BOB, qsim.EVE_A, qsim.EVE_B, qsim.SERVER, qsim.RELAY)
 
 
 def _reachable_kernel_keys():
@@ -618,7 +621,7 @@ def _reference_slot(key):
     """The slot's joint outcome distribution by textbook projectors in
     exact rationals, read in causal order: eve on each path, alice, bob,
     the relay's retained qubit.  Outcomes are tuples over the kernel's
-    fields (eve_a, eve_b, alice, bob, server, relay index)."""
+    fields (alice, bob, eve_a, eve_b, server, relay index)."""
     source, tap_a, tap_b, basis, created = key
     state = _kernel_source_vec(source)
     alice = 0
@@ -630,17 +633,17 @@ def _reference_slot(key):
     # (field, qubits, eigenvectors); a result is the eigenvector's index
     reads = []
     if tap_a is not None:
-        reads.append((0, (alice,), QUBIT_VECS[BASIS_OF_BIT_REF[tap_a]]))
+        reads.append((_EVE_A, (alice,), QUBIT_VECS[BASIS_OF_BIT_REF[tap_a]]))
     if tap_b is not None:
-        reads.append((1, (alice + 1,), QUBIT_VECS[BASIS_OF_BIT_REF[tap_b]]))
+        reads.append((_EVE_B, (alice + 1,), QUBIT_VECS[BASIS_OF_BIT_REF[tap_b]]))
     if created is None:
-        reads.append((2, (alice,), QUBIT_VECS[party]))
+        reads.append((_ALICE, (alice,), QUBIT_VECS[party]))
     else:
-        reads.append((5, (1, alice), [BELL_VECS[label] for label in BELL_ORDER]))
-        reads.append((2, (0,), QUBIT_VECS[MeasBasis.RECTILINEAR]))
-    reads.append((3, (alice + 1,), QUBIT_VECS[party]))
+        reads.append((_RELAY, (1, alice), [BELL_VECS[label] for label in BELL_ORDER]))
+        reads.append((_ALICE, (0,), QUBIT_VECS[MeasBasis.RECTILINEAR]))
+    reads.append((_BOB, (alice + 1,), QUBIT_VECS[party]))
     if source == _TRIPLE:
-        reads.append((4, (alice + 2,), QUBIT_VECS[MeasBasis.RECTILINEAR]))
+        reads.append((_SERVER, (alice + 2,), QUBIT_VECS[MeasBasis.RECTILINEAR]))
     norm = sum(Fraction(a) ** 2 for a in state)
     leaves = [([None] * 6, [Fraction(a) for a in state])]
     for field, qubits, vecs in reads:
@@ -655,10 +658,7 @@ def _reference_slot(key):
 
 
 def _kernel_distribution(key):
-    cumulative, total, outcomes, _thresholds = qsim.slot_kernels([key])[0]
-    if cumulative is None:
-        assert len(outcomes) == 1
-        return {outcomes[0]: Fraction(1)}
+    cumulative, total, outcomes, _codes = qsim.slot_kernels([key])[0]
     assert cumulative[-1] == total and len(cumulative) == len(outcomes)
     weights = [hi - lo for lo, hi in zip((0, *cumulative), cumulative)]
     assert all(w > 0 for w in weights)
@@ -666,27 +666,72 @@ def _kernel_distribution(key):
     return {out: Fraction(w, total) for out, w in zip(outcomes, weights)}
 
 
+def _decode(code):
+    """An outcome code's fields, in the kernel's tuple order: bits 0-4 the
+    one-bit reads, bits 5-6 the pair outcome."""
+    return (code & 1, code >> 1 & 1, code >> 2 & 1, code >> 3 & 1,
+            code >> 4 & 1, code >> 5 & 3)
+
+
+def _assert_code_table(kernel):
+    """Each outcome j of weight w_j owns exactly 256 * w_j / T bytes of the
+    kernel's code table, in outcome order, each byte the outcome's code:
+    a top byte b draws the first j with b * T < 256 * S_j."""
+    cumulative, total, outcomes, codes = kernel
+    assert type(codes) is bytes and len(codes) == 256
+    assert cumulative[-1] == total and 256 % total == 0
+    for b, code in enumerate(codes):
+        out = outcomes[bisect_right([256 * s for s in cumulative], b * total)]
+        assert _decode(code) == tuple([0 if f is None else f for f in out])
+    for out, low, high in zip(outcomes, (0, *cumulative), cumulative):
+        assert codes.count(qsim.outcome_code(out)) == 256 * (high - low) // total
+
+
 @pytest.mark.parametrize("key", REACHABLE_KEYS, ids=repr)
-def test_kernel_thresholds_are_exact_dyadic_bounds(key):
-    cumulative, total, outcomes, thresholds = qsim.slot_kernels([key])[0]
-    if cumulative is None:
-        assert thresholds == (1.0,) and len(outcomes) == 1
-    else:
-        _assert_thresholds(cumulative, total, thresholds)
+def test_kernel_code_tables_give_each_outcome_its_share(key):
+    _assert_code_table(qsim.slot_kernels([key])[0])
+
+
+def test_every_kernel_key_has_a_total_dividing_256():
+    # every key of the full key space, reachable or not, builds a table
+    # whose total divides 256, so one word's top byte draws it exactly
+    totals = set()
+    for key in product(range(6), _TAPS, _TAPS, (0, 1), (None, 0, 1, 2, 3)):
+        kernel = qsim._build_kernel(*key)
+        _assert_code_table(kernel)
+        totals.add(kernel[1])
+    assert totals == {1 << i for i in range(8)}
+
+
+@pytest.mark.parametrize("weights", [[3], [1, 2], [1, 1, 1], [5, 2], [100, 27]])
+def test_code_table_needs_a_total_dividing_256(weights):
+    with pytest.raises(ValueError):
+        qsim._code_table(weights, list(range(len(weights))))
+    assert qsim._code_table([1, 3], [7, 9]) == bytes([7]) * 64 + bytes([9]) * 192
+
+
+def test_outcome_codes_pack_the_fields():
+    assert qsim.outcome_code((None,) * 6) == 0
+    for code in range(128):
+        assert qsim.outcome_code(_decode(code)) == code
 
 
 def test_outcomes_match_the_integer_rule_loop():
     # one bulk draw over every reachable kernel, twice over, against one
-    # integer-rule draw per table with more than one outcome
-    tables = qsim.slot_kernels(REACHABLE_KEYS) * 2
-    assert RandomSource(1, 0).outcomes([]) == []
+    # word's top byte per table by the integer rule, a word also where a
+    # table has one outcome
+    kernels = qsim.slot_kernels(REACHABLE_KEYS) * 2
+    tables = [codes for _, _, _, codes in kernels]
+    assert RandomSource(1, 0).outcomes([]) == b""
     for stream in range(40):
         bulk, scalar = RandomSource(53, stream), RandomSource(53, stream)
-        want = [outcomes[bisect_right([s << 53 for s in cumulative],
-                                      int(scalar.uniform() * 2 ** 53) * total)]
-                if cumulative else outcomes[0]
-                for cumulative, total, outcomes, _ in tables]
-        assert bulk.outcomes(tables) == want
+        draw = (scalar._rng or scalar._seed()).getrandbits
+        want = []
+        for cumulative, total, outcomes, _ in kernels:
+            top = draw(8)
+            out = outcomes[bisect_right([256 * s for s in cumulative], top * total)]
+            want.append(qsim.outcome_code(out))
+        assert bulk.outcomes(tables) == bytes(want)
         assert (bulk.bits(16), bulk.uniform()) == (scalar.bits(16), scalar.uniform())
 
 
@@ -719,9 +764,9 @@ def test_untapped_relay_kernels_match_swap_enumerate(source, created):
     kind, bit = _SWAP_SOURCES[source]
     table = swap_enumerate(created, kind, product_bit=bit)
     dist = _kernel_distribution((source, None, None, 0, BELL_ORDER.index(created)))
-    fields = (2, 3, 4) if source == _TRIPLE else (2, 3)
+    fields = (_ALICE, _BOB, _SERVER) if source == _TRIPLE else (_ALICE, _BOB)
     for index, out in enumerate(table.outcomes):
-        given = {cell[1:]: pr for cell, pr in _marginal(dist, (5, *fields)).items()
+        given = {cell[1:]: pr for cell, pr in _marginal(dist, (_RELAY, *fields)).items()
                  if cell[0] == index}
         assert sum(given.values()) == out.probability
         if out.probability:
@@ -737,7 +782,7 @@ def test_untapped_kernels_match_basis_distribution(key):
     source, _, _, basis, _ = key
     register = StateRegister(_kernel_source_vec(source))
     dist = _kernel_distribution(key)
-    for field, qubit in ((2, 0), (3, 1)):
+    for field, qubit in ((_ALICE, 0), (_BOB, 1)):
         want = basis_distribution(register, qubit, BASIS_OF_BIT_REF[basis])
         got = _marginal(dist, (field,))
         assert [got.get((b,), Fraction(0)) for b in (0, 1)] == list(want)
@@ -755,15 +800,15 @@ def test_belief_rules_key_agreement_over_the_created_pairs(slot):
     # exactly 1/2 whatever reached the slot, and the composed rule's with
     # the chance that alice's direct read of the same slot does
     direct = sum(pr for out, pr in _kernel_distribution((*slot, None)).items()
-                 if out[2] == out[3])
+                 if out[_ALICE] == out[_BOB])
     for rule, want in ((protocol.BeliefRule.MEASURED, Fraction(1, 2)),
                        (protocol.BeliefRule.COMPOSED, direct)):
         agree = Fraction(0)
         for index, created in enumerate(BELL_ORDER):
             for out, pr in _kernel_distribution((*slot, index)).items():
-                believed = protocol.believed_state(created, BELL_ORDER[out[5]],
-                                                   rule)
-                if protocol.derive_key_bit(believed, out[2]) == out[3]:
+                believed = protocol.believed_state(
+                    created, BELL_ORDER[out[_RELAY]], rule)
+                if protocol.derive_key_bit(believed, out[_ALICE]) == out[_BOB]:
                     agree += pr / 4
         assert agree == want, rule
 
@@ -839,9 +884,9 @@ def _layout_keys(spec):
 
 
 def test_slot_codes_resolve_to_their_kernels():
-    # a session program finds a slot's table by its code; each table it
-    # holds, whether a session or this test looked it up, is the kernel
-    # memo's table of the key the code stands for
+    # a session program finds a slot's code table by its slot code; each
+    # table it holds, whether a session or this test looked it up, is the
+    # kernel memo's code table of the key the slot code stands for
     from qauthsim.harness import parse_scenario, run_scenario
 
     _empty_programs()
@@ -856,7 +901,7 @@ def test_slot_codes_resolve_to_their_kernels():
         assert formed and formed <= set(keys), doc
         for code, key in sorted(keys.items()):
             assert program.kernel_key(code) == key
-            assert program.tables[code] is qsim.slot_kernels([key])[0]
+            assert program.tables[code] is qsim.slot_kernels([key])[0][3]
 
 
 # --- slots, randomness, arbitrary registers ---------------------------------------
