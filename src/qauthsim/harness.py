@@ -406,9 +406,10 @@ def _lossless_predictions(cfg: SessionConfig, attack: AttackConfig | None,
     """The closed forms on a channel that loses no photon.  A relay (honest
     or compromised) and a realtime tap disturb no detection slot; every
     other tap is blind.  With no detection slot the error rates and evasion
-    are the vacuous 0 and 1.  The belief rule then decides the key match,
-    and the accept rate of a token that no check can stop, alike for every
-    attack."""
+    are the vacuous 0 and 1.  Then, where a key bit agrees with the
+    responder's by a fair coin (swap mode's measured rule, under every
+    attack, or the triple relay in the diagonal key basis), the key match
+    is 1/2 and a token that no check can stop is accepted at 2^-reveal."""
     kind = attack.kind if attack else AttackKind.NONE
     base_mode = cfg.mode is ProtocolMode.BASE
     undisturbed = {"alice_tamper_error_rate": (0.0, None),
@@ -431,9 +432,17 @@ def _lossless_predictions(cfg: SessionConfig, attack: AttackConfig | None,
         out.update(alice_tamper_error_rate=(0.0, vacuous),
                    bob_tamper_error_rate=(0.0, vacuous),
                    evasion_rate=(1.0, vacuous))
-    if not base_mode and cfg.belief_rule is BeliefRule.MEASURED:
-        # a key bit agrees iff the created pair was phi-kind, a chance of
-        # 1/2 whatever reached the slot
+    # any two qubits of a GHZ triple are uncorrelated in the diagonal basis,
+    # so each diagonal key read, and the relay's rectilinear record next to
+    # bob's, agrees by a fair coin
+    ghz_diagonal = (kind is AttackKind.SERVER_GHZ
+                    and cfg.key_basis is MeasBasis.DIAGONAL)
+    if ghz_diagonal:
+        out["server_copy_match"] = (0.5, None)
+    if ghz_diagonal or (not base_mode
+                        and cfg.belief_rule is BeliefRule.MEASURED):
+        # under the measured rule a key bit agrees iff the created pair was
+        # phi-kind, a chance of 1/2 whatever reached the slot
         out["key_match_fraction"] = (0.5, None)
         if "accept_rate" in out:
             out["accept_rate"] = (float(forgery_prob(cfg.revealed)),

@@ -26,10 +26,12 @@ token exists, and only if the initiator passed.
 kernel (:func:`~qauthsim.qsim.slot_kernels`), and assembles both parties'
 bits and the event log from the outcomes; in SWAP mode the relay step
 keeps only the initiator's key bits and writes each slot's created label
-and pair outcome on its 5a-5c log lines.  What depends only on the scenario
-(the fixed log lines, the tamper check's verdict per error count, the relay
-lines per position, the kernel table of each slot code) is built once per
-scenario into a session program.  The per-photon relay step
+and pair outcome on its 5a-5c log lines, all key slots' lines as one block
+of text.  What depends only on the scenario (the fixed log lines, the
+tamper check's verdict per error count, the kernel table of each slot
+code) is built once per scenario into a session program; the relay
+step's finished lines are built once per position and shared by every
+program.  The per-photon relay step
 :func:`alice_swap_step` and its :class:`SwapRecord` are off the session
 path.
 """
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from hashlib import sha256
-from operator import eq
+from operator import eq, getitem
 from typing import NamedTuple
 
 from .adversary import AttackConfig, AttackKind, EveState, draw_taps
@@ -271,23 +273,33 @@ class SwapRecord(NamedTuple):
 
 
 class EventLog:
-    """Ordered (step id, party, payload) triples with a stable text
-    encoding: one line per entry, its three fields joined by tabs.  No
-    field holds a tab or a line break."""
+    """A session's log as finished text.  An entry (step id, party,
+    payload) is one line, its three fields joined by tabs; no field holds
+    a tab or a line break.  ``lines`` holds the text in order: each item
+    is one entry's line (:meth:`add`) or a block of lines rendered at once
+    (the relay step's 5a-5c lines, see ``_SessionProgram.relay``).
+    ``entries`` splits the text back into triples."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("lines",)
 
     def __init__(self) -> None:
-        self.entries: list[tuple[str, str, str]] = []
+        self.lines: list[str] = []
 
     def add(self, step: str, party: str, payload: str) -> None:
-        self.entries.append((step, party, payload))
+        self.lines.append(f"{step}\t{party}\t{payload}")
 
     def text(self) -> str:
-        return "\n".join(map("\t".join, self.entries))
+        return "\n".join(self.lines)
 
     def digest(self) -> str:
         return sha256(self.text().encode()).hexdigest()[:16]
+
+    @property
+    def entries(self) -> list[tuple[str, ...]]:
+        """The (step id, party, payload) triples, in order."""
+        if not self.lines:
+            return []
+        return [tuple(line.split("\t")) for line in self.text().split("\n")]
 
 
 def alice_swap_step(slot: PhotonSlot, cfg: SessionConfig, rand: RandomSource,
@@ -314,7 +326,9 @@ class SessionOutcome:
     ``alice_tamper_errors`` and ``bob_tamper_errors`` count the detection
     slots each party read wrong, None when that party's check never ran.
     In SWAP mode the relay step (5a-5c) keeps ``alice_key_bits``; each key
-    slot's created label and pair outcome are only on its ``events``."""
+    slot's created label and pair outcome are only on its ``events``, the
+    session's log as finished lines (:class:`EventLog`), where the relay
+    step's lines are one block."""
 
     status: SessionStatus
     plan: SessionPlan | None
@@ -420,18 +434,19 @@ _OUTCOME_INDEX = bytes([(code >> RELAY) << 1 | code & 1 for code in range(128)]
 
 class _SessionProgram:
     """What every session of one scenario shares: the log lines that hold
-    no drawn value, in SWAP mode the key bit by relay-step index, and two
-    memos, each filled the first time a session needs an entry:
-    ``checks``, the tamper check's verdict and log line by error count
-    (:meth:`check`), and ``tables``, the outcome code table by slot code
-    (see :meth:`read_slots`; :meth:`kernel_key` decodes a code, and
-    :func:`~qauthsim.qsim.slot_kernels` gives its table).  :meth:`run`
-    makes the draws :func:`run_session` documents, in its order."""
+    no drawn value, in SWAP mode the key bit and block pick by relay-step
+    index (see :meth:`relay`), and two memos, each filled the first time a
+    session needs an entry: ``checks``, the tamper check's verdict and log
+    line by error count (:meth:`check`), and ``tables``, the outcome code
+    table by slot code (see :meth:`read_slots`; :meth:`kernel_key` decodes
+    a code, and :func:`~qauthsim.qsim.slot_kernels` gives its table).
+    :meth:`run` makes the draws :func:`run_session` documents, in its
+    order."""
 
     __slots__ = ("photon", "p_loss", "k", "d", "total", "revealed", "swap",
                  "planted", "ghz", "request", "preamble", "checks",
                  "threshold", "key_source", "key_basis", "key_codes",
-                 "tables", "key_table")
+                 "tables", "relay_table")
 
     def __init__(self, cfg: SessionConfig, attack: AttackConfig | None,
                  photon: PhotonCountModel, p_loss: float) -> None:
@@ -462,7 +477,8 @@ class _SessionProgram:
         self.key_codes = bytes([_GROUP]) * k
         self.tables = _Memo(
             lambda code: slot_kernels([self.kernel_key(code)])[0][3])
-        self.key_table = _KEY_TABLES[cfg.belief_rule] if self.swap else None
+        self.relay_table = (_RELAY_TABLES[cfg.belief_rule] if self.swap
+                            else None)
 
     def run(self, cfg: SessionConfig, attack: AttackConfig | None,
             rand: RandomSource) -> SessionOutcome:
@@ -500,7 +516,9 @@ class _SessionProgram:
         if passed:
             # step 5 (relay sub-steps 5a-5c per key slot in SWAP mode), the token
             if swap:
-                alice_key = self.relay(add, plan.key_positions, created, keys)
+                alice_key, block = self.relay(plan.key_positions, created,
+                                              keys)
+                log.lines.append(block)
             token = make_token(alice_key, self.revealed)
             add("5", "alice", "token=" + _bits(token))  # in clear: no shared key
             if swap:
@@ -620,40 +638,44 @@ class _SessionProgram:
         return (self.key_source + low, tap_a, tap_b, self.key_basis,
                 group - 2 if group > 1 else None)
 
-    def relay(self, add, key_positions: tuple, created: bytes,
-              keys: bytes) -> tuple[int, ...]:
+    def relay(self, key_positions: tuple, created: bytes,
+              keys: bytes) -> tuple[tuple[int, ...], str]:
         """Steps 5a-5c at each key slot, from its created label and outcome
         code: the pair outcome and the kept bit, and the key bit under the
         session's belief rule, all read from the slot's index created
         label << 3 | pair outcome << 1 | kept bit.  Returns the initiator's
-        key bits in position order."""
+        key bits and the steps' log lines as one block, each in position
+        order."""
         index = (int.from_bytes(created.translate(_CREATED_INDEX), "big")
                  + int.from_bytes(keys.translate(_OUTCOME_INDEX), "big")
                  ).to_bytes(self.k, "big")
-        key = index.translate(self.key_table)
-        for position, at, bit in zip(key_positions, index, key):
-            created_lines, outcome_lines, kept_lines = _RELAY_LINES[position]
-            add("5a", "alice", created_lines[at >> 3])
-            add("5b", "alice", outcome_lines[at >> 1 & 3])
-            add("5c", "alice", kept_lines[(at & 1) << 1 | bit])
-        return tuple(key)
+        # each slot's index << 1 | key bit picks its block
+        picks = index.translate(self.relay_table)
+        block = "\n".join(map(getitem,
+                              map(_RELAY_BLOCKS.__getitem__, key_positions),
+                              picks))
+        return tuple(picks.translate(_KEY_BIT)), block
 
 
-def _relay_lines(position: int) -> tuple:
-    """The payloads of a relay step's lines at ``position``: 5a's by
-    created label and 5b's by pair outcome (indices in BELL_ORDER), and
-    5c's by kept bit << 1 | key bit."""
-    at = f"pos={position} "
-    return (tuple([f"{at}created={label.short()}" for label in BELL_ORDER]),
-            tuple([f"{at}outcome={label.short()}" for label in BELL_ORDER]),
-            tuple([f"{at}kept={kept} key={key}"
-                   for kept in (0, 1) for key in (0, 1)]))
+def _relay_blocks(position: int) -> tuple[str, ...]:
+    """The finished 5a-5c lines of a relay step at ``position``: one
+    block of three lines at each pick index << 1 | key bit, where index is
+    the step's created label << 3 | pair outcome << 1 | kept bit (labels
+    indexed in BELL_ORDER)."""
+    at = f"\talice\tpos={position} "
+    heads = [f"5a{at}created={created}\n5b{at}outcome={outcome}\n5c{at}kept="
+             for created in _LABEL_TEXT for outcome in _LABEL_TEXT]
+    return tuple([head + tail for head in heads for tail in _KEPT_KEY_TEXT])
 
 
-# The relay lines by position, built the first time a session reaches it;
-# they depend on nothing else, so every session program shares them, and
-# positions stop below MAX_SLOTS.
-_RELAY_LINES = _Memo(_relay_lines)
+_LABEL_TEXT = tuple([label.short() for label in BELL_ORDER])
+_KEPT_KEY_TEXT = tuple([f"{kept} key={key}" for kept in (0, 1)
+                        for key in (0, 1)])
+# The relay blocks by position (64 blocks, about 9 KB), built the first time
+# a session reaches it; they depend on nothing else, so every session
+# program shares them, and positions stop below MAX_SLOTS.
+_RELAY_BLOCKS = _Memo(_relay_blocks)
+_KEY_BIT = bytes([pick & 1 for pick in range(256)])
 
 
 def _key_rule(rule: BeliefRule) -> tuple:
@@ -666,12 +688,13 @@ def _key_rule(rule: BeliefRule) -> tuple:
         for created in BELL_ORDER])
 
 
-def _key_table(rule: BeliefRule) -> bytes:
-    """:func:`_key_rule` as a translation table: the key bit at each relay
-    step index created label << 3 | pair outcome << 1 | kept bit."""
+def _relay_table(rule: BeliefRule) -> bytes:
+    """:func:`_key_rule` as a translation table: a relay step's index
+    created label << 3 | pair outcome << 1 | kept bit to index << 1 | its
+    key bit under ``rule``."""
     bits = _key_rule(rule)
-    return bytes([bits[index >> 3][index >> 1 & 3][index & 1]
+    return bytes([index << 1 | bits[index >> 3][index >> 1 & 3][index & 1]
                   for index in range(32)]).ljust(256, b"\0")
 
 
-_KEY_TABLES = {rule: _key_table(rule) for rule in BeliefRule}
+_RELAY_TABLES = {rule: _relay_table(rule) for rule in BeliefRule}

@@ -226,7 +226,7 @@ GOLDEN_SCENARIOS = {
 
 GOLDEN_VERIFY_TABLES = '8adf12990ececaf152d0a51585b3c5d1caf89d49879075788606723d00bee0bd'
 
-GOLDEN_PREDICTIONS = '96922553dfa9d8d5107eb281e8a090c88ab1fe3fcea94273d582adc39e9f45c0'
+GOLDEN_PREDICTIONS = '182957316e29ed7bf4acc4f7795bb5149298091132ce46ef5a29365de5aa9076'
 
 GOLDEN_ORACLE = {
     'phi+/entangled_phi_plus/0/text': 'c1ea6ff42083babe73df3ef68f5cf522de909d1cac7146717e30fdc37ffed3d2',

@@ -446,6 +446,21 @@ class TestMetrics:
         assert report.metric("eve_key_knowledge").analytic == 0.5
         assert report.metric("accept_rate").verdict is None  # no closed form
 
+    def test_ghz_diagonal_key_basis_passes_conformance(self):
+        # GHZ's two-qubit marginals are uncorrelated in the diagonal basis:
+        # the keys, the token and the relay's record agree by fair coins
+        spec = load_scenario(json.dumps({
+            "seed": 11, "trials": 4000,
+            "session": {"k": 4, "d": 4, "reveal_count": 2,
+                        "key_basis": "diagonal"},
+            "attack": {"kind": "server_ghz"}}))
+        report = run_scenario(spec)
+        assert report.all_pass, report.failures()
+        for name, value in (("accept_rate", 0.25), ("key_match_fraction", 0.5),
+                            ("server_copy_match", 0.5)):
+            assert report.metric(name).analytic == value
+            assert report.metric(name).verdict == "pass"
+
     def test_pns_approx_row_is_ungraded(self):
         spec = load_scenario(json.dumps(_doc(
             seed=5, trials=300,

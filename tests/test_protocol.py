@@ -53,6 +53,7 @@ from qauthsim.qsim import (
     bell_compose,
 )
 from qauthsim.secparams import forgery_prob
+from test_golden import SCENARIOS as GOLDEN
 from test_qsim import _decode
 
 _LABEL_OF_TEXT = {label.short(): label for label in BELL_ORDER}
@@ -322,7 +323,8 @@ def test_outcome_code_reads_match_the_tuple_decode(codes, data, rule):
                              None, PhotonCountModel(), 0.0)
     positions = tuple(range(3, 3 + 2 * n, 2))
     log = protocol.EventLog()
-    key = swap.relay(log.add, positions, bytes(created), packed)
+    key, block = swap.relay(positions, bytes(created), packed)
+    log.lines.append(block)
     rule_bits = protocol._key_rule(rule)
     want = tuple([rule_bits[c][f[qsim.RELAY]][f[qsim.ALICE]]
                   for c, f in zip(created, fields)])
@@ -334,6 +336,52 @@ def test_outcome_code_reads_match_the_tuple_decode(codes, data, rule):
             ("5a", "alice", f"pos={p} created={BELL_ORDER[c].short()}"),
             ("5b", "alice", f"pos={p} outcome={BELL_ORDER[f[qsim.RELAY]].short()}"),
             ("5c", "alice", f"pos={p} kept={f[qsim.ALICE]} key={bit}"))]
+
+
+@pytest.mark.parametrize("rule", list(BeliefRule))
+def test_relay_blocks_match_the_lines_added_one_at_a_time(rule):
+    # every created label x pair outcome x kept bit at three positions: the
+    # relay's block is the 5a-5c lines that one add per line writes, with
+    # the key bit of the rule, alone and joined with every other case
+    rule_bits = protocol._key_rule(rule)
+    cases = list(product((0, 7, 12345), range(4), range(4), (0, 1)))
+    blocks, keys = [], []
+    program = protocol._program(
+        _cfg(k=1, d=0, mode=ProtocolMode.SWAP, rule=rule), None,
+        PhotonCountModel(), 0.0)
+    for position, created, outcome, kept in cases:
+        code = qsim.outcome_code([kept, None, None, None, None, outcome])
+        key, block = program.relay((position,), bytes([created]),
+                                   bytes([code]))
+        bit = rule_bits[created][outcome][kept]
+        log = protocol.EventLog()
+        at = f"pos={position} "
+        log.add("5a", "alice", f"{at}created={BELL_ORDER[created].short()}")
+        log.add("5b", "alice", f"{at}outcome={BELL_ORDER[outcome].short()}")
+        log.add("5c", "alice", f"{at}kept={kept} key={bit}")
+        assert key == (bit,)
+        assert block == log.text()
+        blocks.append(block)
+        keys.append(bit)
+    program = protocol._program(
+        _cfg(k=len(cases), d=0, mode=ProtocolMode.SWAP, rule=rule), None,
+        PhotonCountModel(), 0.0)
+    key, block = program.relay(
+        tuple([position for position, _, _, _ in cases]),
+        bytes([created for _, created, _, _ in cases]),
+        bytes([qsim.outcome_code([kept, None, None, None, None, outcome])
+               for _, _, outcome, kept in cases]))
+    assert key == tuple(keys)
+    assert block == "\n".join(blocks)
+
+
+def test_relay_memo_holds_the_positions_sessions_reached():
+    # the blocks are built per key position a session reaches, no other
+    protocol._RELAY_BLOCKS.clear()
+    cfg = _cfg(k=3, d=4, mode=ProtocolMode.SWAP, rule=BeliefRule.COMPOSED)
+    out = run_session(cfg, None, RandomSource(39, 0))
+    assert out.status is SessionStatus.AUTH_ACCEPT
+    assert sorted(protocol._RELAY_BLOCKS) == list(out.plan.key_positions)
 
 
 @pytest.mark.parametrize("k", [1, 2, 17])
@@ -787,6 +835,25 @@ class TestEvents:
         assert a.text() == b.text()
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
+
+    def test_empty_log_has_no_entries(self):
+        log = protocol.EventLog()
+        assert log.text() == "" and log.entries == []
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_lines_split_into_their_entries(self, name):
+        # trial 0 of every golden scenario: the text is lines of three
+        # tab-separated fields, and the entries re-join to it
+        spec = parse_scenario(GOLDEN[name])
+        log = run_session(spec.session, spec.attack,
+                          RandomSource(spec.seed, 0), photon=spec.photon,
+                          p_loss=spec.p_loss).events
+        text = log.text()
+        assert all(line.count("\t") == 2 for line in text.split("\n"))
+        entries = log.entries
+        assert "\n".join(map("\t".join, entries)) == text
+        assert not any("\t" in payload or "\n" in payload
+                       for _, _, payload in entries)
 
 
 @pytest.mark.parametrize("mode,rule", [(ProtocolMode.BASE, None),
