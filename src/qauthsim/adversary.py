@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, repeat
-from operator import eq
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 # The relay-compromise emitters reach build_streams through its module, not
 # through this module's name for it, which the benchmark's tracer wraps: one
@@ -146,11 +145,15 @@ class EveState:
     that holds eve's read, the shift of its bit in the code.  ``measured``
     maps (path, position) to the read (bit, basis); it is built from the
     rows on first access, and the per-photon tap :func:`_tap` writes its
-    reads into that dict."""
+    reads into that dict.  A compromised relay's record is kept twice in a
+    session: ``server_record`` maps each key position to its recorded bit,
+    and ``key_record`` holds the same bits, one byte per key slot in
+    ``plan.key_positions`` order."""
 
     attack: AttackConfig | None
     split_positions: set[tuple[Path, int]] = field(default_factory=set)
     server_record: dict[int, int] = field(default_factory=dict)
+    key_record: bytes = b""
     retained: list[tuple[int, StateRegister]] = field(default_factory=list)
     rows: tuple[tuple, ...] = ()
     _measured: dict[tuple[Path, int], tuple[int, MeasBasis]] | None = field(
@@ -330,20 +333,28 @@ def finish_session(eve: EveState, rand: RandomSource) -> None:
     eve.retained = []
 
 
-@dataclass(frozen=True)
-class KnowledgeReport:
-    """What the adversary provably knows about the key after one session:
-    the key positions it knows for certain, and ``copy_hits``, the key slots
-    where a compromised relay's record equals the responder's bit (None
-    without a record or a responder key).  Both count over the k key
-    slots."""
+class KnowledgeReport(NamedTuple):
+    """What the adversary provably knows about the key after one session,
+    over the key slots ``key_positions`` (empty in the shared report of a
+    session that leaves the adversary no record): ``known`` holds one byte
+    per key slot, read as one integer, 1 where the adversary knows the
+    slot's bit for certain; ``copy_hits`` counts the key slots where a
+    compromised relay's record equals the responder's bit (None without a
+    record or a responder key).  ``certain`` counts the known key slots,
+    and ``certain_positions`` lists them, sorted, each built on access."""
 
-    certain_positions: tuple[int, ...]
+    key_positions: tuple[int, ...]
     copy_hits: int | None
+    known: int = 0
 
     @property
     def certain(self) -> int:
-        return len(self.certain_positions)
+        return self.known.bit_count()
+
+    @property
+    def certain_positions(self) -> tuple[int, ...]:
+        marks = self.known.to_bytes(len(self.key_positions), "big")
+        return tuple(compress(self.key_positions, marks))
 
 
 _NO_KNOWLEDGE = KnowledgeReport((), None)
@@ -356,29 +367,36 @@ def eve_knowledge_report(outcome: "SessionOutcome") -> KnowledgeReport:
     compromises are scored separately by the key slots where the relay's
     record equals the responder's bit; the relay records every key slot.
 
-    The reads come from ``eve.rows``, whose slots a session reads detection
-    slots first, then the key slots in ``plan.key_positions`` order."""
+    Both are counts over bytes the session holds in key-slot order.  The
+    reads come from ``eve.rows``, whose slots a session reads detection
+    slots first, then the key slots in ``plan.key_positions`` order: a key
+    slot is known where any tapped path read it in the key basis, the OR of
+    the rows' key-slot codes through ``_IN_BASIS``, or split its photon.
+    The copy hits are the key slots where ``eve.key_record`` and the
+    responder's bits agree."""
     eve, plan = outcome.eve, outcome.plan
-    if not (eve.rows or eve.split_positions or eve.server_record):
+    if not (eve.rows or eve.split_positions or eve.key_record):
         return _NO_KNOWLEDGE  # honest sessions, and every lost stream
     cfg = plan.config
-    certain: set[int] = set()
+    key_positions = plan.key_positions
+    known = 0
     # protocol imports this module, so the mode is read by its value
     if cfg.mode.value == "base":
-        key_positions, d = plan.key_positions, cfg.d
-        # a key slot read in the key basis
+        d = cfg.d
         in_key_basis = _IN_BASIS[cfg.key_basis is MeasBasis.DIAGONAL]
         for _path, _positions, codes, _outcomes, _field in eve.rows:
-            certain.update(compress(key_positions,
-                                    codes[d:].translate(in_key_basis)))
-        key_set = set(key_positions)
-        certain.update([pos for _path, pos in eve.split_positions
-                        if pos in key_set])
+            known |= int.from_bytes(codes[d:].translate(in_key_basis), "big")
+        if eve.split_positions:
+            split = {position for _path, position in eve.split_positions}
+            known |= int.from_bytes(bytes(map(split.__contains__,
+                                              key_positions)), "big")
 
     copy_hits: int | None = None
-    if eve.server_record and outcome.bob_key_bits is not None:
+    bob = outcome.bob_key_bits
+    if eve.key_record and bob is not None:
         # the relay records every key slot, and only those
-        copy_hits = sum(map(eq, map(eve.server_record.get, plan.key_positions),
-                            outcome.bob_key_bits))
+        copy_hits = len(key_positions) - (
+            int.from_bytes(eve.key_record, "big")
+            ^ int.from_bytes(bob, "big")).bit_count()
 
-    return KnowledgeReport(tuple(sorted(certain)), copy_hits)
+    return KnowledgeReport(key_positions, copy_hits, known)

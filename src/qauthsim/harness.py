@@ -8,12 +8,13 @@ metric with its closed-form prediction where one exists, and grades the
 pair with a 4-sigma rule.  Each metric is an integer count of successes
 over n integer samples: a trial (accept, evasion), or a slot (detection
 errors over d, matching key bits over k, known key positions over k); its
-mean is count / n.  A scenario's tally is a fold of the per-trial integer
-tallies, which merge exactly in trial order, also when the trials are cut
-into pieces.  Where the normal approximation behind the 4-sigma rule
-fails (n a (1 - a) < 9, rare events) that count is graded with exact
-binomial tails at the same one-sided level.  A form that assumes one
-detection error aborts asks the session's own check,
+mean is count / n.  A scenario is one pass over its trials that adds each
+into fixed integer counts, one per metric, from counts the session and
+the knowledge report already hold; folds of consecutive trial ranges
+merge exactly in trial order.  Where the normal approximation behind the
+4-sigma rule fails (n a (1 - a) < 9, rare events) that count is graded
+with exact binomial tails at the same one-sided level.  A form that
+assumes one detection error aborts asks the session's own check,
 :func:`~qauthsim.protocol.tamper_check`, and is ungraded where it passes.
 
 verify_tables() checks the exact pair-algebra claims by enumeration: state
@@ -35,7 +36,6 @@ from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from typing import NamedTuple
 
 from .adversary import (
@@ -242,8 +242,12 @@ class TrialResult(NamedTuple):
 TRIAL_FIELDS = TrialResult._fields
 
 
-@dataclass(frozen=True)
-class MetricSummary:
+class MetricSummary(NamedTuple):
+    """One metric's grade.  A tuple, as :class:`TrialResult` is, so a report
+    renders it through :meth:`to_row`, which names each cell and leaves out
+    ``count``; ``aggregate_row`` does so, where ``_json_value`` given the
+    summary itself would render a list."""
+
     name: str
     mean: float | None  # count / n, None when n is 0
     count: int  # successes among the n samples; not rendered
@@ -541,111 +545,143 @@ def _subset_terms(k: int, d: int, g: int, slot_pass: Fraction
 # class lookup.
 _ACCEPTED, _LOST = SessionStatus.AUTH_ACCEPT, SessionStatus.INCOMPLETE_STREAM
 
+# The metrics a trial can count, in the order it counts them; a metric's
+# index is its place in a fold's counts and its bit in a trial's mask.
+_METRICS = ("accept_rate", "alice_tamper_error_rate", "bob_tamper_error_rate",
+            "key_match_fraction", "eve_key_knowledge", "server_copy_match",
+            "evasion_rate", "evasion_rate_vs_approx", "subset_success")
+# each path's party, whose check a tap on that path must pass to evade
+_PARTY = {Path.TO_ALICE: "alice", Path.TO_BOB: "bob"}
+
+
+class _Fold(NamedTuple):
+    """Consecutive trials of one scenario: their report rows, and per metric
+    of ``_METRICS`` its successes (``hits``) and integer ``samples``.
+    ``order`` holds the index of each metric the trials counted, in the
+    order of the first trial that counted it, and in ``_METRICS`` order
+    within that trial.  Counts are integers, so folds of consecutive pieces
+    merge exactly: sum the counts and keep each metric's first place."""
+
+    rows: list[TrialResult]
+    hits: list[int]
+    samples: list[int]
+    order: list[int]
+
 
 def run_scenario(spec: ScenarioSpec) -> AggregateReport:
+    """The scenario's trials folded in one pass (:func:`_fold`), then
+    graded: each counted metric in its first-use order, then each metric
+    that only a closed form names, with no samples."""
     cfg = spec.session
     kind = spec.attack.kind if spec.attack else AttackKind.NONE
-    tapped = spec.attack.path.channel_paths() if kind in _TAP_KINDS else ()
-    checks = tuple([_CHECKS[path] for path in tapped or _CHECKS])
-
-    trial_results: list[TrialResult] = []
-    tallies: dict[str, list[int]] = {}
-    for trial in range(spec.trials):
-        row, counts = _trial(spec, checks, trial)
-        trial_results.append(row)
-        _merge(tallies, counts)
-
+    fold = _fold(spec, 0, spec.trials)
     predictions = analytic_predictions(spec)
-    names = list(tallies)
-    names += [name for name in predictions if name not in tallies]
+    names = [_METRICS[index] for index in fold.order]
+    counted = set(names)
     metrics = []
-    for name in names:
-        count, n = tallies.get(name, (0, 0))
+    for name in names + [name for name in predictions if name not in counted]:
+        index = _METRICS.index(name)
         analytic, note = predictions.get(name, (None, None))
-        graded = name != "evasion_rate_vs_approx"
-        metrics.append(_summarize(name, count, n, analytic, note, graded))
-
+        metrics.append(_summarize(name, fold.hits[index], fold.samples[index],
+                                  analytic, note,
+                                  name != "evasion_rate_vs_approx"))
     return AggregateReport(
         seed=spec.seed, trials=spec.trials, mode=cfg.mode.value,
         belief_rule=cfg.belief_rule.value if cfg.belief_rule else None,
-        attack_kind=kind.value, metrics=metrics, trial_results=trial_results)
+        attack_kind=kind.value, metrics=metrics, trial_results=fold.rows)
 
 
-def _trial(spec: ScenarioSpec, checks: tuple,
-           trial: int) -> tuple[TrialResult, dict[str, tuple[int, int]]]:
-    """Trial ``trial`` of ``spec``, on its own random stream: its report row,
-    and its tally, which maps each metric the trial counted to (hits,
-    samples), in the order it counts them.  A lost stream counts only
-    ``accept_rate`` and ``eve_key_knowledge``.  ``checks`` is as
-    :func:`_evaded` takes it."""
+def _fold(spec: ScenarioSpec, start: int, stop: int) -> _Fold:
+    """Trials ``start`` to ``stop`` - 1 of ``spec``, each on its own random
+    stream, added into one :class:`_Fold` as they run.
+
+    A trial counts ``accept_rate`` and ``eve_key_knowledge``; with a
+    complete stream also each party's errors over d detection slots
+    (where d > 0 and the party checked), ``key_match_fraction`` where both
+    parties read their keys, and ``server_copy_match`` where a relay record
+    meets a responder key.  Evasion, every checked party passing (each
+    tapped path's party, both when nothing taps), is counted where it is
+    decided: a checked party failed, or every checked party's check ran.
+    With it count the PNS approximation on a one-path tap and the subset
+    guess's success (evaded, and every key slot known)."""
     cfg = spec.session
     k, d = cfg.k, cfg.d
-    out = run_session(cfg, spec.attack, RandomSource(spec.seed, trial),
-                      photon=spec.photon, p_loss=spec.p_loss)
-    report = eve_knowledge_report(out)
-    certain, copy_hits = report.certain, report.copy_hits
-    matches = out.key_matches()
-    row = TrialResult(
-        trial, out.status.value, out.alice_tamper_error_rate,
-        out.bob_tamper_error_rate,
-        None if matches is None else matches / k, out.token_matched,
-        certain / k, None if copy_hits is None else copy_hits / k,
-        out.events.digest())
-
-    # bools count as 0 or 1
-    counts = {"accept_rate": (out.status is _ACCEPTED, 1)}
-    if out.alice_tamper_errors is not None and d:
-        counts["alice_tamper_error_rate"] = (out.alice_tamper_errors, d)
-    if out.bob_tamper_errors is not None and d:
-        counts["bob_tamper_error_rate"] = (out.bob_tamper_errors, d)
-    if matches is not None:
-        counts["key_match_fraction"] = (matches, k)
-    counts["eve_key_knowledge"] = (certain, k)
-    if copy_hits is not None:
-        counts["server_copy_match"] = (copy_hits, k)
-    evaded = _evaded(out, checks)
-    if evaded is not None:
-        counts["evasion_rate"] = (evaded, 1)
-        kind = spec.attack.kind if spec.attack else None
-        if kind is _PNS and len(checks) == 1:
-            counts["evasion_rate_vs_approx"] = (evaded, 1)
-        elif kind is _SUBSET_GUESS:
-            counts["subset_success"] = (evaded and certain == k, 1)
-    return row, counts
-
-
-def _merge(tally: dict[str, list[int]], later: dict) -> None:
-    """Add the counts of ``later``, a tally of later trials, into ``tally``.
-    Counts are integers, so pieces of a run merge exactly; a metric new to
-    ``tally`` goes after those it holds, so metrics keep their first use in
-    trial order."""
-    for name, (hits, n) in later.items():
-        try:
-            cell = tally[name]
-        except KeyError:
-            cell = tally[name] = [0, 0]
-        cell[0] += hits
-        cell[1] += n
-
-
-# each path's party, and the outcome field of that party's error count
-_CHECKS = {Path.TO_ALICE: ("alice", attrgetter("alice_tamper_errors")),
-           Path.TO_BOB: ("bob", attrgetter("bob_tamper_errors"))}
-
-
-def _evaded(out, checks: tuple) -> bool | None:
-    """Did every tapped party's check run and pass?  ``checks`` holds the
-    ``_CHECKS`` entry of each tapped path, of both when nothing taps.  None
-    when a needed check never ran (lost stream, or the session aborted
-    first)."""
-    if out.status is _LOST:
-        return None
-    for party, errors in checks:
-        if party in out.failed_checks:
-            return False
-        if errors(out) is None:
-            return None
-    return True
+    attack, seed, photon, p_loss = (spec.attack, spec.seed, spec.photon,
+                                    spec.p_loss)
+    kind = attack.kind if attack else AttackKind.NONE
+    paths = (attack.path.channel_paths() if kind in _TAP_KINDS
+             else tuple(_PARTY))
+    checked = frozenset([_PARTY[path] for path in paths])
+    alice_checked = "alice" in checked
+    slots = max(d, 1)  # a rate at d = 0 is 0.0, the vacuous pass
+    errors_bit = 1 << 1 if d else 0  # alice's; bob's is the next bit
+    # the metric counted alongside evasion_rate, if any, and their bits
+    approx = kind is _PNS and len(paths) == 1
+    guess = kind is _SUBSET_GUESS
+    evasion_bits = 1 << 6 | (1 << 7 if approx else 1 << 8 if guess else 0)
+    hits, samples = [0] * len(_METRICS), [0] * len(_METRICS)
+    rows: list[TrialResult] = []
+    order: list[int] = []
+    seen = 0
+    for trial in range(start, stop):
+        out = run_session(cfg, attack, RandomSource(seed, trial),
+                          photon=photon, p_loss=p_loss)
+        report = eve_knowledge_report(out)
+        certain, copy_hits = report.certain, report.copy_hits
+        status = out.status
+        # bools count as 0 or 1
+        hits[0] += status is _ACCEPTED
+        samples[0] += 1
+        hits[4] += certain
+        samples[4] += k
+        mask = 1 << 0 | 1 << 4
+        alice_errors = bob_errors = matches = None
+        if status is not _LOST:
+            alice_errors = out.alice_tamper_errors
+            bob_errors = out.bob_tamper_errors
+            matches = out.key_match_count
+            hits[1] += alice_errors
+            samples[1] += d
+            mask |= errors_bit
+            if bob_errors is None:
+                # SWAP mode, the initiator failed: the responder never checked
+                evaded = False if alice_checked else None
+            else:
+                hits[2] += bob_errors
+                samples[2] += d
+                mask |= errors_bit << 1
+                evaded = checked.isdisjoint(out.failed_checks)
+            if matches is not None:
+                hits[3] += matches
+                samples[3] += k
+                mask |= 1 << 3
+            if copy_hits is not None:
+                hits[5] += copy_hits
+                samples[5] += k
+                mask |= 1 << 5
+            if evaded is not None:
+                hits[6] += evaded
+                samples[6] += 1
+                if approx:
+                    hits[7] += evaded
+                    samples[7] += 1
+                elif guess:
+                    hits[8] += evaded and certain == k
+                    samples[8] += 1
+                mask |= evasion_bits
+        new = mask & ~seen
+        if new:
+            seen |= new
+            order += [index for index in range(len(_METRICS))
+                      if new >> index & 1]
+        rows.append(TrialResult(
+            trial, status.value,
+            None if alice_errors is None else alice_errors / slots,
+            None if bob_errors is None else bob_errors / slots,
+            None if matches is None else matches / k, out.token_matched,
+            certain / k, None if copy_hits is None else copy_hits / k,
+            out.events.digest()))
+    return _Fold(rows, hits, samples, order)
 
 
 # --- report emission --------------------------------------------------------------

@@ -233,7 +233,8 @@ def derive_key_bit(believed: BellLabel, kept_result: int) -> int:
     return kept_result if believed.kind is BellKind.PHI else 1 - kept_result
 
 
-def make_token(key_bits: tuple[int, ...], reveal_count: int) -> tuple[int, ...]:
+def make_token(key_bits: bytes | tuple[int, ...],
+               reveal_count: int) -> tuple[int, ...]:
     if not 1 <= reveal_count <= len(key_bits):
         raise ValueError("reveal_count must be in 1..len(key_bits)")
     return tuple(key_bits[:reveal_count])
@@ -328,7 +329,9 @@ class SessionOutcome:
     In SWAP mode the relay step (5a-5c) keeps ``alice_key_bits``; each key
     slot's created label and pair outcome are only on its ``events``, the
     session's log as finished lines (:class:`EventLog`), where the relay
-    step's lines are one block."""
+    step's lines are one block.  ``key_match_count`` counts the key slots
+    where both parties hold the same bit, counted by the session from the
+    bytes it read them from; None unless both parties read their keys."""
 
     status: SessionStatus
     plan: SessionPlan | None
@@ -341,6 +344,7 @@ class SessionOutcome:
     failed_checks: tuple[str, ...] = ()
     eve: EveState | None = None
     events: EventLog = field(default_factory=EventLog)
+    key_match_count: int | None = None
 
     @property
     def alice_tamper_error_rate(self) -> float | None:
@@ -359,9 +363,7 @@ class SessionOutcome:
     def key_matches(self) -> int | None:
         """Key slots where both parties hold the same bit, of k; None
         unless both parties read their keys."""
-        if self.alice_key_bits is None or self.bob_key_bits is None:
-            return None
-        return sum(map(eq, self.alice_key_bits, self.bob_key_bits))
+        return self.key_match_count
 
 
 _BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
@@ -423,6 +425,9 @@ _GROUP = 36
 _CREATED_CODES = bytes([_GROUP * (2 + label) for label in range(4)]).ljust(256, b"\0")
 _TAP_BASIS = (None, 0, 1)
 _MATCH_LINES = {matched: f"token match={matched}" for matched in (False, True)}
+# an outcome code as 1 where its initiator and responder bits agree
+_KEYS_AGREE = bytes([1 ^ (code >> ALICE ^ code >> BOB) & 1
+                     for code in range(256)])
 # by field ALICE .. SERVER, an outcome code's bit of that field as text
 _FIELD_TEXT = tuple([bits.translate(_BIT_TEXT) for bits in FIELD_BITS])
 # A relay step's index, created label << 3 | pair outcome << 1 | kept bit,
@@ -500,7 +505,7 @@ class _SessionProgram:
         decoys, keys, created = self.read_slots(plan, eve, taps, rand)
         values = int.from_bytes(plan.twin_sources.translate(_VALUE_TEXT), "big")
         swap = self.swap
-        bob_errors = bob_key = token = matched = None
+        bob_errors = bob_key = token = matched = matches = None
 
         # step 4: arrival checks; in BASE mode both parties also read their keys
         alice_errors, passed, alice_key = self.arrival(
@@ -509,6 +514,8 @@ class _SessionProgram:
         if not swap:
             bob_errors, bob_passed, bob_key = self.arrival(
                 add, "4", "bob", BOB, decoys, keys, values)
+            # both parties' key bits come from each key slot's outcome code
+            matches = keys.translate(_KEYS_AGREE).count(1)
             if not bob_passed:
                 failed += ("bob",)
                 passed = False
@@ -525,6 +532,9 @@ class _SessionProgram:
                 # step 5d: the responder measures nothing until the token exists
                 bob_errors, passed, bob_key = self.arrival(
                     add, "5d", "bob", BOB, decoys, keys, values)
+                matches = self.k - (int.from_bytes(alice_key, "big")
+                                    ^ int.from_bytes(bob_key, "big")
+                                    ).bit_count()
                 if not passed:
                     failed += ("bob",)
 
@@ -536,9 +546,11 @@ class _SessionProgram:
         else:
             status = SessionStatus.TAMPER_ABORT
             add("6", "server", "restart: tamper threshold exceeded")
-        return SessionOutcome(status, plan, alice_errors, bob_errors,
-                              alice_key, bob_key, token, matched, failed,
-                              eve, log)
+        return SessionOutcome(
+            status, plan, alice_errors, bob_errors,
+            None if alice_key is None else tuple(alice_key),
+            None if bob_key is None else tuple(bob_key), token, matched,
+            failed, eve, log, matches)
 
     def arrival(self, add, step: str, party: str, field: int, decoys: bytes,
                 keys: bytes | None, values: int) -> tuple:
@@ -546,15 +558,15 @@ class _SessionProgram:
         bits when ``keys`` is given, each on a log line, then the tamper
         check.  ``decoys`` and ``keys`` hold outcome codes, ``field`` is
         the party's, and ``values`` holds the detection slots' values as
-        text, read as one integer.  Returns (errors, passed, key bits or
-        None)."""
+        text, read as one integer.  Returns (errors, passed, key bits as
+        one byte each, or None)."""
         obs = decoys.translate(_FIELD_TEXT[field])
         add(step, party, "measured obs=" + obs.decode())
         key = None
         if keys is not None:
             text = keys.translate(_FIELD_TEXT[field])
             add(step, party, "measured key=" + text.decode())
-            key = tuple(keys.translate(FIELD_BITS[field]))
+            key = keys.translate(FIELD_BITS[field])
         # the text of a 0 and of a 1 differ in their low bit only
         errors = (int.from_bytes(obs, "big") ^ values).bit_count()
         passed, line = self.checks[errors]
@@ -583,14 +595,14 @@ class _SessionProgram:
         arithmetic on the plan's twin sources, the planted bits, the
         created labels and the tap rows.  Eve's reads go on
         ``eve.rows``, one row per tapped path, and the compromised relay's
-        record on ``eve.server_record``."""
+        record on ``eve.server_record`` and ``eve.key_record``."""
         k, d = self.k, self.d
         key_positions = plan.key_positions
         key_codes = self.key_codes
         planted = created = None
         if self.planted:
             # the relay plants twin photons carrying a bit it records
-            planted = rand.bits(k)
+            planted = eve.key_record = rand.bits(k)
             eve.server_record.update(zip(key_positions, planted))
         if self.swap:
             created = rand.quarters(k)
@@ -622,8 +634,8 @@ class _SessionProgram:
                                             (_TO_BOB, columns[1], EVE_B))
                 if column is not None])
         if self.ghz:
-            eve.server_record.update(zip(key_positions,
-                                         keys.translate(FIELD_BITS[SERVER])))
+            eve.key_record = keys.translate(FIELD_BITS[SERVER])
+            eve.server_record.update(zip(key_positions, eve.key_record))
         return outs[:d], keys, created
 
     def kernel_key(self, code: int) -> tuple:
@@ -639,13 +651,13 @@ class _SessionProgram:
                 group - 2 if group > 1 else None)
 
     def relay(self, key_positions: tuple, created: bytes,
-              keys: bytes) -> tuple[tuple[int, ...], str]:
+              keys: bytes) -> tuple[bytes, str]:
         """Steps 5a-5c at each key slot, from its created label and outcome
         code: the pair outcome and the kept bit, and the key bit under the
         session's belief rule, all read from the slot's index created
         label << 3 | pair outcome << 1 | kept bit.  Returns the initiator's
-        key bits and the steps' log lines as one block, each in position
-        order."""
+        key bits, one byte each, and the steps' log lines as one block, each
+        in position order."""
         index = (int.from_bytes(created.translate(_CREATED_INDEX), "big")
                  + int.from_bytes(keys.translate(_OUTCOME_INDEX), "big")
                  ).to_bytes(self.k, "big")
@@ -654,7 +666,7 @@ class _SessionProgram:
         block = "\n".join(map(getitem,
                               map(_RELAY_BLOCKS.__getitem__, key_positions),
                               picks))
-        return tuple(picks.translate(_KEY_BIT)), block
+        return picks.translate(_KEY_BIT), block
 
 
 def _relay_blocks(position: int) -> tuple[str, ...]:

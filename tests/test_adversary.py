@@ -1,5 +1,8 @@
 """Adversary models against the analytic detection and knowledge rates."""
 
+from itertools import compress
+from operator import eq
+
 import pytest
 
 from qauthsim import harness
@@ -9,6 +12,7 @@ from qauthsim.adversary import (
     BasisChoice,
     LocationKnowledge,
     TapPath,
+    _IN_BASIS,
     eve_knowledge_report,
 )
 from qauthsim.channel import Path, PhotonCountModel
@@ -414,3 +418,78 @@ def test_measured_is_a_writable_view_of_the_rows():
     assert len(measured) == 2 * 5 and out.eve.measured is measured
     measured[(Path.TO_BOB, 0)] = (1, MeasBasis.DIAGONAL)
     assert out.eve.measured[(Path.TO_BOB, 0)] == (1, MeasBasis.DIAGONAL)
+
+
+def _reference_knowledge(outcome):
+    """The knowledge report as sets of positions: (certain positions,
+    sorted; copy hits).  A key slot is certain where a tapped path read it
+    in the key basis or split its photon, in direct-readout mode only; the
+    copy hits count the key slots where the relay's record, by position,
+    equals the responder's bit."""
+    eve, plan = outcome.eve, outcome.plan
+    if not (eve.rows or eve.split_positions or eve.server_record):
+        return (), None
+    cfg = plan.config
+    certain = set()
+    if cfg.mode is ProtocolMode.BASE:
+        key_positions, d = plan.key_positions, cfg.d
+        in_key_basis = _IN_BASIS[cfg.key_basis is MeasBasis.DIAGONAL]
+        for _path, _positions, codes, _outcomes, _field in eve.rows:
+            certain.update(compress(key_positions,
+                                    codes[d:].translate(in_key_basis)))
+        key_set = set(key_positions)
+        certain.update([pos for _path, pos in eve.split_positions
+                        if pos in key_set])
+    copy_hits = None
+    if eve.server_record and outcome.bob_key_bits is not None:
+        copy_hits = sum(map(eq, map(eve.server_record.get, plan.key_positions),
+                            outcome.bob_key_bits))
+    return tuple(sorted(certain)), copy_hits
+
+
+def _every_attack(guess_count):
+    """None, and every attack config: each kind, path, location knowledge
+    and basis choice it takes, a subset guess of ``guess_count`` slots."""
+    yield None
+    yield AttackConfig(AttackKind.SERVER_PRODUCT)
+    yield AttackConfig(AttackKind.SERVER_GHZ)
+    for path in TapPath:
+        for knowledge in LocationKnowledge:
+            for basis in (None, MeasBasis.RECTILINEAR, MeasBasis.DIAGONAL):
+                choice = dict(basis_choice=BasisChoice.FIXED,
+                              fixed_basis=basis) if basis else {}
+                yield AttackConfig(AttackKind.INTERCEPT_RESEND, path=path,
+                                   location_knowledge=knowledge, **choice)
+            yield AttackConfig(AttackKind.PNS, path=path,
+                               location_knowledge=knowledge)
+            if knowledge is not LocationKnowledge.REALTIME:
+                yield AttackConfig(AttackKind.SUBSET_GUESS, path=path,
+                                   guess_count=guess_count,
+                                   location_knowledge=knowledge)
+
+
+@pytest.mark.parametrize("p_loss", [0.0, 0.1])
+@pytest.mark.parametrize("mode,rule,key_basis", [
+    (ProtocolMode.BASE, None, MeasBasis.RECTILINEAR),
+    (ProtocolMode.BASE, None, MeasBasis.DIAGONAL),
+    (ProtocolMode.SWAP, BeliefRule.COMPOSED, MeasBasis.RECTILINEAR),
+    (ProtocolMode.SWAP, BeliefRule.MEASURED, MeasBasis.RECTILINEAR)])
+def test_knowledge_counts_equal_the_set_reference(mode, rule, key_basis,
+                                                  p_loss):
+    # the report's counts over key-order bytes, and the session's own key
+    # match count, against the set-based rule and a bit-by-bit comparison
+    for k, d in ((1, 0), (2, 3), (4, 2)):
+        cfg = _cfg(k=k, d=d, mode=mode, rule=rule, key_basis=key_basis)
+        for attack in _every_attack(min(3, k + d)):
+            for trial in range(6):
+                out = run_session(cfg, attack, RandomSource(97, trial),
+                                  photon=PhotonCountModel(0.5), p_loss=p_loss)
+                report = eve_knowledge_report(out)
+                positions, copy_hits = _reference_knowledge(out)
+                assert (report.certain, report.certain_positions,
+                        report.copy_hits) == (len(positions), positions,
+                                              copy_hits), (k, d, attack, trial)
+                alice, bob = out.alice_key_bits, out.bob_key_bits
+                assert out.key_matches() == (
+                    None if alice is None or bob is None
+                    else sum(map(eq, alice, bob))), (k, d, attack, trial)

@@ -9,7 +9,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from unittest import mock
+from operator import eq
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -33,9 +33,17 @@ from qauthsim.harness import (
     run_scenario,
     verify_tables,
 )
-from qauthsim.protocol import BeliefRule, ProtocolMode, SessionConfig
-from qauthsim.qsim import MeasBasis, bell_compose
+from qauthsim.channel import Path
+from qauthsim.protocol import (
+    BeliefRule,
+    ProtocolMode,
+    SessionConfig,
+    SessionStatus,
+    run_session,
+)
+from qauthsim.qsim import MeasBasis, RandomSource, bell_compose
 from qauthsim.secparams import evasion_prob, pns_approx_evasion, pns_exact_evasion
+from test_adversary import _reference_knowledge
 from test_golden import SCENARIOS as GOLDEN
 
 
@@ -328,45 +336,124 @@ class TestDeterminism:
         b = run_scenario(load_scenario(json.dumps(_doc(seed=2))))
         assert render_report(a, "csv") != render_report(b, "csv")
 
-    @given(spec=_small_scenarios(), data=st.data())
+    @given(spec=_small_scenarios(),
+           cuts=st.lists(st.integers(0, 12), max_size=4))
+    # trial 0 loses its stream and trial 1's arrives whole, so four
+    # metrics are first counted after trial 0
+    @example(spec=parse_scenario({
+        "seed": 6, "trials": 6,
+        "session": {"k": 2, "d": 1, "mode": "swap", "belief_rule": "composed"},
+        "attack": {"kind": "intercept_resend", "path": "to_bob"},
+        "photon": {"p1": 1.0, "p_loss": 0.3}}), cuts=[1, 3])
     @settings(max_examples=30, deadline=None)
-    def test_tallies_merge_in_pieces(self, spec, data):
+    def test_tallies_merge_in_pieces(self, spec, cuts):
         # a scenario's tally is the fold of its trials' tallies: cut the
         # trials anywhere, fold each piece, merge the pieces in order, and
-        # get the one-piece tally, in the same metric order
-        calls = []
-
-        def record(*args):
-            row, counts = real(*args)
-            calls.append((row, counts))
-            return row, counts
-
-        real = harness._trial
-        with mock.patch.object(harness, "_trial", record):
-            report = run_scenario(spec)
-        assert [row for row, _ in calls] == report.trial_results
+        # get the one-piece tally, in the same metric order; each equals
+        # the per-trial dict tallies merged in trial order
+        calls = [_reference_trial(spec, trial) for trial in range(spec.trials)]
+        reference = {}
+        for _, counts in calls:
+            _reference_merge(reference, counts)
         for row, counts in calls:
             assert list(counts) == [n for n in _TALLY_ORDER if n in counts]
             if row.status == "incomplete_stream":
                 assert list(counts) == ["accept_rate", "eve_key_knowledge"]
+        report = run_scenario(spec)
+        assert [row for row, _ in calls] == report.trial_results
+        assert [(m.name, m.count, m.n) for m in report.metrics if m.n] == [
+            (name, *cell) for name, cell in reference.items()]
 
-        # summed directly: each metric in order of the trial that first
-        # counted it
-        tallies = [counts for _, counts in calls]
-        names = dict.fromkeys(name for counts in tallies for name in counts)
-        whole = {name: [sum(c[name][i] for c in tallies if name in c)
-                        for i in (0, 1)] for name in names}
-        cuts = data.draw(st.lists(st.integers(0, spec.trials), max_size=4))
-        bounds = [0, *sorted(cuts), spec.trials]
+        assert harness._METRICS == _TALLY_ORDER
+        whole = harness._fold(spec, 0, spec.trials)
+        assert list(_fold_tally(whole).items()) == list(reference.items())
+        bounds = [0, *sorted(min(cut, spec.trials) for cut in cuts),
+                  spec.trials]
+        pieces = [harness._fold(spec, start, stop)
+                  for start, stop in zip(bounds, bounds[1:])]
+        assert [row for piece in pieces for row in piece.rows] == whole.rows
         merged = {}
-        for start, stop in zip(bounds, bounds[1:]):
-            piece = {}
-            for counts in tallies[start:stop]:
-                harness._merge(piece, counts)
-            harness._merge(merged, piece)
-        assert list(merged.items()) == list(whole.items())
-        assert [(name, *cell) for name, cell in merged.items()] == [
-            (m.name, m.count, m.n) for m in report.metrics if m.n]
+        for piece in pieces:
+            _reference_merge(merged, _fold_tally(piece))
+        assert list(merged.items()) == list(reference.items())
+
+
+def _fold_tally(fold) -> dict:
+    """A fold's counts as a tally: metric name -> [hits, samples], in the
+    fold's metric order."""
+    return {harness._METRICS[index]: [fold.hits[index], fold.samples[index]]
+            for index in fold.order}
+
+
+def _reference_trial(spec, trial):
+    """Trial ``trial`` of ``spec`` as a per-trial dict: its report row, and
+    its tally, which maps each metric the trial counted to (hits, samples),
+    in the order it counts them.  A lost stream counts only
+    ``accept_rate`` and ``eve_key_knowledge``."""
+    cfg = spec.session
+    k, d = cfg.k, cfg.d
+    out = run_session(cfg, spec.attack, RandomSource(spec.seed, trial),
+                      photon=spec.photon, p_loss=spec.p_loss)
+    certain_positions, copy_hits = _reference_knowledge(out)
+    certain = len(certain_positions)
+    matches = None
+    if out.alice_key_bits is not None and out.bob_key_bits is not None:
+        matches = sum(map(eq, out.alice_key_bits, out.bob_key_bits))
+    row = TrialResult(
+        trial, out.status.value, out.alice_tamper_error_rate,
+        out.bob_tamper_error_rate,
+        None if matches is None else matches / k, out.token_matched,
+        certain / k, None if copy_hits is None else copy_hits / k,
+        out.events.digest())
+
+    # bools count as 0 or 1
+    counts = {"accept_rate": (out.status is SessionStatus.AUTH_ACCEPT, 1)}
+    if out.alice_tamper_errors is not None and d:
+        counts["alice_tamper_error_rate"] = (out.alice_tamper_errors, d)
+    if out.bob_tamper_errors is not None and d:
+        counts["bob_tamper_error_rate"] = (out.bob_tamper_errors, d)
+    if matches is not None:
+        counts["key_match_fraction"] = (matches, k)
+    counts["eve_key_knowledge"] = (certain, k)
+    if copy_hits is not None:
+        counts["server_copy_match"] = (copy_hits, k)
+    kind = spec.attack.kind if spec.attack else AttackKind.NONE
+    tapped = (spec.attack.path.channel_paths()
+              if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.SUBSET_GUESS,
+                          AttackKind.PNS) else ())
+    evaded = _reference_evaded(out, tapped or (Path.TO_ALICE, Path.TO_BOB))
+    if evaded is not None:
+        counts["evasion_rate"] = (evaded, 1)
+        if kind is AttackKind.PNS and len(tapped) == 1:
+            counts["evasion_rate_vs_approx"] = (evaded, 1)
+        elif kind is AttackKind.SUBSET_GUESS:
+            counts["subset_success"] = (evaded and certain == k, 1)
+    return row, counts
+
+
+def _reference_evaded(out, paths):
+    """Did every party on ``paths`` run its check and pass?  None when a
+    needed check never ran (lost stream, or the session aborted first)."""
+    if out.status is SessionStatus.INCOMPLETE_STREAM:
+        return None
+    for path in paths:
+        party, errors = (("alice", out.alice_tamper_errors)
+                         if path is Path.TO_ALICE
+                         else ("bob", out.bob_tamper_errors))
+        if party in out.failed_checks:
+            return False
+        if errors is None:
+            return None
+    return True
+
+
+def _reference_merge(tally: dict, later: dict) -> None:
+    """Add the counts of ``later``, a tally of later trials, into ``tally``;
+    a metric new to ``tally`` goes after those it holds."""
+    for name, (hits, n) in later.items():
+        cell = tally.setdefault(name, [0, 0])
+        cell[0] += hits
+        cell[1] += n
 
 
 class TestReports:

@@ -315,7 +315,7 @@ def test_outcome_code_reads_match_the_tuple_decode(codes, data, rule):
         bits = [f[field] for f in fields]
         text = "".join(map(str, bits))
         assert errors == sum(b != v for b, v in zip(bits, values))
-        assert key == tuple(bits)
+        assert key == bytes(bits)
         assert [payload for _, _, payload in log.entries[:2]] == \
             ["measured obs=" + text, "measured key=" + text]
 
@@ -326,7 +326,7 @@ def test_outcome_code_reads_match_the_tuple_decode(codes, data, rule):
     key, block = swap.relay(positions, bytes(created), packed)
     log.lines.append(block)
     rule_bits = protocol._key_rule(rule)
-    want = tuple([rule_bits[c][f[qsim.RELAY]][f[qsim.ALICE]]
+    want = bytes([rule_bits[c][f[qsim.RELAY]][f[qsim.ALICE]]
                   for c, f in zip(created, fields)])
     assert key == want
     assert log.entries == [
@@ -359,7 +359,7 @@ def test_relay_blocks_match_the_lines_added_one_at_a_time(rule):
         log.add("5a", "alice", f"{at}created={BELL_ORDER[created].short()}")
         log.add("5b", "alice", f"{at}outcome={BELL_ORDER[outcome].short()}")
         log.add("5c", "alice", f"{at}kept={kept} key={bit}")
-        assert key == (bit,)
+        assert key == bytes([bit])
         assert block == log.text()
         blocks.append(block)
         keys.append(bit)
@@ -371,7 +371,7 @@ def test_relay_blocks_match_the_lines_added_one_at_a_time(rule):
         bytes([created for _, created, _, _ in cases]),
         bytes([qsim.outcome_code([kept, None, None, None, None, outcome])
                for _, _, outcome, kept in cases]))
-    assert key == tuple(keys)
+    assert key == bytes(keys)
     assert block == "\n".join(blocks)
 
 
