@@ -184,8 +184,8 @@ def draw_loss(slots: int, p_loss: float, rand: RandomSource) -> list[int]:
     mark and 6 more for the rare mark that byte leaves open), the
     initiator's path first.  Returns the positions lost on either path,
     sorted.  The marks touch none of the stream's other draws, so a lost
-    stream never seeds its twister, and an arriving one draws the rest of
-    its session as the p_loss = 0 session of the same stream would; no
+    stream never reads its main stream, and an arriving one draws the rest
+    of its session as the p_loss = 0 session of the same stream would; no
     mark is drawn at p_loss = 0."""
     if not 0.0 <= p_loss < 1.0:
         raise ValueError("p_loss must be in [0, 1)")

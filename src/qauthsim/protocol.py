@@ -384,16 +384,17 @@ def run_session(cfg: SessionConfig, attack: AttackConfig | None,
 
     Draw order: the loss marks, the plan, the adversary's session-level
     draws (:func:`draw_taps`), then the slots: the key slots' planted bits
-    or created pair labels, and one word per slot, whose top byte draws
-    the slot's outcome from its exact kernel.  A lost photon ends the
-    session at its loss marks, before its layout or any slot is drawn:
-    nothing a lost stream reports depends on them, and the draws are
-    independent, so drawing them only for the streams that arrive keeps
-    every outcome's law.  The loss marks come from the stream's own loss
-    substream
+    or created pair labels, and one byte per slot, which draws the slot's
+    outcome from its exact kernel.  A lost photon ends the session at its
+    loss marks, before its layout or any slot is drawn: nothing a lost
+    stream reports depends on them, and the draws are independent, so
+    drawing them only for the streams that arrive keeps every outcome's
+    law.  The loss marks come from the stream's own loss substream
     (:meth:`~qauthsim.qsim.RandomSource.loss_marks`) and everything after
-    them from its twister, so a stream whose photons all arrive is exactly
-    the p_loss = 0 session of the same (seed, trial).  All reads of a slot
+    them from its main stream, each draw taking the next bytes of one
+    SHAKE-128 read (draw layout v3), so a stream whose photons all arrive
+    is exactly the p_loss = 0 session of the same (seed, trial), and a lost
+    one never reads its main stream.  All reads of a slot
     come from its one draw, so a party's bits exist before its step; in
     SWAP mode the responder's bits are reported only once the initiator
     has passed.
@@ -587,7 +588,7 @@ class _SessionProgram:
         labels (None outside SWAP mode), each in position order.
 
         Draw order: the relay's planted bits (a product-pair compromise),
-        the created pair labels (SWAP mode), then one word per slot,
+        the created pair labels (SWAP mode), then one byte per slot,
         detection slots first (:meth:`~qauthsim.qsim.RandomSource.outcomes`).
 
         Each slot's code table is found in ``tables`` by its slot code (see

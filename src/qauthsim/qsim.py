@@ -22,20 +22,20 @@ given the relay's layout and the adversary's session-level draws, each
 slot is an independent register of at most five qubits, and the joint
 outcome of all its reads is one categorical draw from an exact table of
 integer weights, built once per key by the helpers.  Every kernel's total
-divides 256, so one word's top byte b decides a slot by the same integer
-rule, the first j with b * T < 256 * S_j: each kernel carries a 256-byte
-table of outcome codes in which outcome j owns 256 * w_j / T bytes
+divides 256, so one stream byte b decides a slot by the same integer rule,
+the first j with b * T < 256 * S_j: each kernel carries a 256-byte table of
+outcome codes in which outcome j owns 256 * w_j / T bytes
 (:func:`_code_table`).  The relay-step oracle (:func:`swap_enumerate`)
 projects onto every outcome with the same helpers and reports exact
 :class:`fractions.Fraction` values.
 
 A session's draws are made in bulk (:meth:`RandomSource.below`,
 :meth:`~RandomSource.sample_partition`, :meth:`~RandomSource.quarters`,
-:meth:`~RandomSource.outcomes`), each in as few calls to the generator as
-its law allows.  A session's loss marks
-(:meth:`RandomSource.loss_marks`) come from a SHAKE-128 substream of their
-own, and the Mersenne Twister behind every other draw is seeded only when
-it is first drawn from, so a lost stream never seeds it.  Only this module
+:meth:`~RandomSource.outcomes`), each taking the next bytes of its trial's
+SHAKE-128 stream, whose bytes an arriving trial reads in one call.  A
+session's loss marks (:meth:`RandomSource.loss_marks`) come from a
+SHAKE-128 substream of their own, and the main stream is read only when it
+is first drawn from, so a lost stream never reads it.  Only this module
 reads either stream's layout (see :class:`RandomSource`).
 
 :class:`StateRegister` is off the session path: through
@@ -54,9 +54,8 @@ which makes the four labels a Klein four-group with PHI_PLUS as identity.
 
 from __future__ import annotations
 
-from hashlib import sha256, shake_128
+from hashlib import shake_128
 import math
-from _random import Random as _MersenneTwister
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -163,138 +162,146 @@ class RandomSource:
     The pair addresses two streams, each a counter-based stream in the
     sense of Salmon, Moraes, Dror & Shaw ("Parallel random numbers: as
     easy as 1, 2, 3", SC 2011): a given pair replays the same draws on any
-    platform, and distinct pairs give unrelated sequences.
+    platform, and distinct pairs give unrelated sequences.  Each is the
+    SHAKE-128 output (FIPS 202) of its address, each part of the pair
+    taken modulo 2**64, and its output is prefix-stable: a longer read
+    repeats every byte of a shorter one.
 
-    - The loss substream (:meth:`loss_marks`) is the SHAKE-128 output of
+    - The loss substream (:meth:`loss_marks`) is the output of
       ``b"qauthsim/loss/<seed>/<stream>"``: one byte per mark, then 6
       bytes for each mark that byte leaves undecided.
-    - Every other draw comes from a Mersenne Twister seeded with the
-      SHA-256 of ``b"qauthsim/<seed>/<stream>"``.  The twister is seeded
-      lazily, on its first draw (each draw method takes
-      ``self._rng or self._seed()``), so a stream that draws only its loss
-      marks computes neither the hash nor the twister's state, and a
-      stream that draws both gets the same twister draws as one that never
-      read its loss substream.
+    - Every other draw reads the main stream, the output of
+      ``b"qauthsim/<seed>/<stream>"``, through one cursor
+      (:meth:`_take`): each draw takes the next bytes, in call order.  The
+      first draw reads ``_FIRST_READ`` bytes; the sessions measured on the
+      benchmark's workloads needed at most 207, so each read its main
+      stream once, and a longer need reads again.  Construction reads
+      nothing, so a stream that draws only its loss marks never reads its
+      main stream, and a stream that draws both draws what one that never
+      read its loss substream draws.
 
-    Only ``getrandbits``/``random`` are consumed from the twister;
-    composite draws (sampling without replacement, bounded integers) are
-    implemented here so their draw pattern is pinned by this module rather
-    than by stdlib internals.
-
-    The twister emits 32-bit words.  ``getrandbits(w)`` for w <= 32 is the
-    top w bits of one word; ``getrandbits(32 * n)`` packs n words, the
-    first least significant; ``random()`` reads two words w1, w2 and
-    returns ``N / 2**53`` with ``N = (w1 >> 5) << 26 | w2 >> 6``.  The
-    bulk draws take their words in one ``getrandbits`` call: :meth:`bits`
-    and :meth:`quarters` read the top one or two bits of a word per value,
-    :meth:`outcomes` the top byte of a word per slot, and :meth:`below`
-    two words per mark, the words of one ``uniform()``.
+    The bytes of each draw: :meth:`bit` and :meth:`bits` take one byte per
+    value and keep its top bit, :meth:`basis` likewise; :meth:`quarters`
+    and :meth:`bell_label` keep a byte's top two bits; :meth:`outcomes`
+    reads one byte per slot through the slot's code table; :meth:`below`
+    takes one byte per mark and a 6-byte remainder per mark on the edge
+    byte, the law of the loss marks (:func:`_settle`); :meth:`uniform`
+    takes 7 bytes, whose top 53 bits, big-endian, are N in ``N / 2**53``,
+    and :meth:`categorical` reads one :meth:`uniform`.
     :meth:`sample_partition` is Floyd's algorithm (Bentley & Floyd, CACM
-    30(9), 1987) on the smaller side of the partition: m bounded draws,
-    each the first ``getrandbits(width)`` below its bound, width the bit
-    length of bound - 1.  No module outside this one reads either stream's
+    30(9), 1987) on the smaller side of the partition (see
+    :meth:`_chosen`).  No module outside this one reads either stream's
     layout.
     """
 
-    __slots__ = ("master_seed", "stream_id", "_rng")
+    # The main stream's cursor: the bytes read so far and the position of
+    # the next draw's first byte.  A stream reads nothing until it draws,
+    # so these class values stand until then.
+    _buf = b""
+    _at = 0
 
     def __init__(self, master_seed: int, stream_id: int = 0) -> None:
         self.master_seed = master_seed & _MASK64
         self.stream_id = stream_id & _MASK64
-        self._rng = None
 
-    def _seed(self) -> _MersenneTwister:
-        """The twister, seeded on first use."""
-        digest = sha256(b"qauthsim/%d/%d" % (self.master_seed, self.stream_id)).digest()
-        # the C generator that random.Random extends, seeded as
-        # random.Random(seed) seeds it, without that class's Python frames
-        rng = self._rng = _MersenneTwister(int.from_bytes(digest, "big"))
-        return rng
+    def _take(self, count: int) -> bytes:
+        """The next ``count`` bytes of the main stream, read again
+        (:meth:`_read`) where they pass the bytes read so far."""
+        at = self._at
+        end = self._at = at + count
+        if end > len(self._buf):
+            self._read(end)
+        return self._buf[at:end]
+
+    def _read(self, need: int) -> None:
+        """Read the main stream from its start, ``_FIRST_READ`` bytes or
+        twice ``need`` where that is more."""
+        address = b"qauthsim/%d/%d" % (self.master_seed, self.stream_id)
+        self._buf = shake_128(address).digest(
+            2 * need if need > _FIRST_READ else _FIRST_READ)
 
     def bit(self) -> int:
-        return (self._rng or self._seed()).getrandbits(1)
-
-    def _top_bytes(self, count: int) -> bytes:
-        """The top byte of each of the next ``count`` words, in order: every
-        fourth byte of ``count`` packed words, little-endian."""
-        rng = self._rng or self._seed()
-        return rng.getrandbits(32 * count).to_bytes(4 * count, "little")[3::4]
+        return self._take(1)[0] >> 7
 
     def bits(self, count: int) -> bytes:
-        """``count`` draws of :meth:`bit`, each the top bit of a word."""
-        return self._top_bytes(count).translate(_TOP_BIT)
+        """``count`` draws of :meth:`bit`, each the top bit of a byte."""
+        return self._take(count).translate(_TOP_BIT)
 
     def quarters(self, count: int) -> bytes:
-        """``count`` draws of ``getrandbits(2)``, each the top two bits of a
-        word."""
-        return self._top_bytes(count).translate(_TOP_TWO_BITS)
+        """``count`` draws uniform on 0..3, each the top two bits of a
+        byte."""
+        return self._take(count).translate(_TOP_TWO_BITS)
 
     def uniform(self) -> float:
-        return (self._rng or self._seed()).random()
+        """``N / 2**53`` for the top 53 bits N of the next 7 bytes, read
+        big-endian."""
+        return (int.from_bytes(self._take(7), "big") >> 3) / _TWO53
 
     def below(self, count: int, p: float) -> bytes:
-        """``count`` marks, each 1 where a draw of :meth:`uniform` is below
-        ``p`` and 0 elsewhere: :func:`_marks_below` over the draws' words."""
-        rng = self._rng or self._seed()
-        return _marks_below(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), p)
+        """``count`` marks, each 1 with probability ceil(p * 2**53) / 2**53,
+        the chance that a draw of :meth:`uniform` is below ``p``, and 0
+        elsewhere: one byte per mark, then a 6-byte remainder per mark
+        that byte leaves open, in mark order (:func:`_settle`)."""
+        marks = self._take(count).translate(_below_table(p))
+        edges = marks.count(_EDGE)
+        return _settle(marks, p, self._take(_RESERVE * edges)) if edges else marks
 
     def loss_marks(self, count: int, p: float) -> bytes:
-        """``count`` loss marks from the loss substream, each 1 with
-        probability ceil(p * 2**53) / 2**53, the law of :meth:`below`, and
-        0 elsewhere.  The twister is neither seeded nor advanced.
+        """``count`` loss marks from the loss substream, by the law of
+        :meth:`below`.  The main stream is not read.
 
-        Byte i of the substream is mark i's top byte, and
-        :func:`_below_table` decides it as it decides a twister draw's.
-        Only the edge byte e = ceil(p * 2**53) >> 45 leaves a mark open;
-        such a mark takes a 45-bit remainder r from the next 6-byte
-        reserve after the ``count`` top bytes, in mark order (the reserve
-        read as a little-endian integer, shifted right by 3), and is lost
-        iff ``(e << 45) + r < ceil(p * 2**53)``, which is ``N < p * 2**53``
-        for the 53-bit N = (e << 45) + r.  The first read holds one
-        reserve; a stream with more edge marks reads again for all of
-        them, and since the output is prefix-stable no byte already read
-        moves.  Each call reads the substream from its start, so a stream
-        draws its loss marks in one call."""
+        Byte i of the substream is mark i's top byte, and the reserves
+        :func:`_settle` reads for the marks it leaves open follow the
+        ``count`` top bytes.  The first read holds one reserve; a stream
+        with more edge marks reads again for all of them, and since the
+        output is prefix-stable no byte already read moves.  Each call
+        reads the substream from its start, so a stream draws its loss
+        marks in one call."""
         xof = shake_128(b"qauthsim/loss/%d/%d" % (self.master_seed, self.stream_id))
         packed = xof.digest(count + _RESERVE)
         marks = packed[:count].translate(_below_table(p))
-        edge = marks.find(_EDGE)
-        if edge < 0:
-            return marks
         edges = marks.count(_EDGE)
+        if not edges:
+            return marks
         if edges > 1:
             packed = xof.digest(count + _RESERVE * edges)
-        # the edge byte's own share of the limit: r is below it iff lost
-        rest = math.ceil(p * _TWO53) & _MASK45
-        marks = bytearray(marks)
-        at = count
-        while edge >= 0:
-            marks[edge] = int.from_bytes(packed[at:at + _RESERVE], "little") >> 3 < rest
-            at += _RESERVE
-            edge = marks.find(_EDGE, edge + 1)
-        return bytes(marks)
+        return _settle(marks, p, packed[count:])
 
     def _chosen(self, universe: int, count: int) -> bytearray:
         """One mark per position of range(universe): 1 at each of ``count``
         distinct positions drawn uniformly, 0 elsewhere.
 
         Floyd's algorithm draws the smaller side, m = min(count, universe -
-        count) positions: for j = universe - m .. universe - 1, t is the
-        first ``getrandbits(j.bit_length())`` below j + 1, and t is marked,
-        or j where t already is.  Every m-subset comes out of m! of the
-        (universe)! / (universe - m)! accepted draw sequences, so each is
-        equally likely; where m is the rest, the marks are negated."""
+        count) positions: for j = universe - m .. universe - 1, t is
+        uniform on 0..j, and t is marked, or j where t already is.  A try
+        at t reads the next ceil(width / 8) bytes, big-endian, and keeps
+        their top ``width`` = j.bit_length() bits, one byte in a universe
+        up to 256; a try above j is followed by the next.  Every m-subset
+        comes out of m! of the (universe)! / (universe - m)! accepted draw
+        sequences, so each is equally likely; where m is the rest, the
+        marks are negated."""
         if not 0 <= count <= universe:
             raise ValueError("cannot sample %d of %d positions" % (count, universe))
         side = min(count, universe - count)
         marks = bytearray(universe)
-        g = (self._rng or self._seed()).getrandbits
+        # the tries read the cursor's bytes in place and the cursor moves
+        # past them at the end: a _take call per try cost the paper-sizing
+        # sessions about a tenth of their rate
+        at, buf = self._at, self._buf
         for j in range(universe - side, universe):
             width = j.bit_length()
-            t = g(width)
+            size, shift = width + 7 >> 3, -width & 7
+            t = j + 1
             while t > j:
-                t = g(width)
+                end = at + size
+                if end > len(buf):
+                    self._read(end)
+                    buf = self._buf
+                t = (buf[at] if size == 1
+                     else int.from_bytes(buf[at:end], "big")) >> shift
+                at = end
             marks[j if marks[t] else t] = 1
+        self._at = at
         return marks if side == count else marks.translate(_NOT)
 
     def sample_positions(self, universe: int, count: int) -> tuple[int, ...]:
@@ -311,13 +318,15 @@ class RandomSource:
                 tuple(compress(positions, marks.translate(_NOT))))
 
     def bell_label(self) -> BellLabel:
-        return BellLabel.from_bits(self.bit(), self.bit())
+        """A uniform pair-state label: a byte's top bit is the kind bit and
+        the next the phase bit."""
+        return BELL_ORDER[self._take(1)[0] >> 6]
 
     def basis(self) -> MeasBasis:
-        return BASIS_OF_BIT[(self._rng or self._seed()).getrandbits(1)]
+        return BASIS_OF_BIT[self._take(1)[0] >> 7]
 
     def categorical(self, thresholds: Sequence[float]) -> int:
-        """Index of the outcome one uniform draw selects, exactly.
+        """Index of the outcome one :meth:`uniform` draw selects, exactly.
 
         With integer outcome weights, running sums S_j and total T,
         ``thresholds[j]`` is the dyadic t_j = ceil(S_j * 2**53 / T) / 2**53,
@@ -326,19 +335,23 @@ class RandomSource:
         per step: N integer, so S_j * 2**53 <= N * T <=>
         ceil(S_j * 2**53 / T) <= N <=> t_j <= u.
         """
-        return bisect_right(thresholds, (self._rng or self._seed()).random())
+        return bisect_right(thresholds, self.uniform())
 
     def outcomes(self, tables: Sequence[bytes]) -> bytes:
         """One outcome code per 256-byte code table (see
-        :func:`slot_kernels`), in order: ``table[b]`` for the top byte b of
-        the slot's word."""
-        return bytes(map(getitem, tables, self._top_bytes(len(tables))))
+        :func:`slot_kernels`), in order: ``table[b]`` for the slot's byte
+        b."""
+        return bytes(map(getitem, tables, self._take(len(tables))))
 
 
-# Per probability p, the verdict of a draw's top byte: 1 (below p), 0 (not
+# The bytes of a main stream's first read.  Sessions at the paper's sizing
+# (k=17, d=41) draw about 150 in the median and at most 207 in the
+# benchmark's workloads; the acceptance shapes draw at most 63.
+_FIRST_READ = 256
+# Per probability p, the verdict of a mark's top byte: 1 (below p), 0 (not
 # below) or _EDGE (the byte holds p * 2**53; the low 45 bits of N decide).
 _EDGE = 2
-# the bytes of a loss mark's remainder, whose top 45 bits it reads
+# the bytes of a mark's remainder, whose top 45 bits it reads
 _RESERVE = 6
 _MASK45 = (1 << 45) - 1
 
@@ -352,29 +365,23 @@ def _below_table(p: float) -> bytes:
                   else _EDGE for b in range(256)])
 
 
-def _marks_below(packed: bytes, p: float) -> bytes:
-    """The marks of :meth:`RandomSource.below`: one per 8 bytes of
-    ``packed``, 1 where the draw they hold is below ``p``, 0 elsewhere.
+def _settle(marks: bytes, p: float, reserves: bytes) -> bytes:
+    """``marks``, their top bytes read through :func:`_below_table`, with
+    each ``_EDGE`` mark decided by its remainder: the next 6 bytes of
+    ``reserves``, in mark order.
 
-    The 8 bytes are two little-endian 32-bit words w1, w2, and the draw is
-    ``N / 2**53`` with ``N = (w1 >> 5) << 26 | w2 >> 6``, as ``random()``
-    builds it from two twister words; so the draw is below p exactly when
-    ``N < p * 2**53``.  The top byte of N is the top byte of w1, and the
-    table :func:`_below_table` keeps per p decides each draw from it: every
-    N with that top byte is below p, none is, or the byte holds the edge
-    ``p * 2**53``; only there is N assembled and compared.
-    """
-    marks = packed[3::8].translate(_below_table(p))
-    edge = marks.find(_EDGE)
-    if edge < 0:
-        return marks
+    The mark's 53-bit N is (e << 45) + r, for the edge byte e =
+    ceil(p * 2**53) >> 45 and the 45-bit r the reserve holds (read as a
+    little-endian integer, shifted right by 3); the mark is 1 iff
+    ``N < ceil(p * 2**53)``, which is ``N < p * 2**53``, so iff r is below
+    the edge byte's own share of that limit."""
+    rest = math.ceil(p * _TWO53) & _MASK45
     marks = bytearray(marks)
-    limit = p * _TWO53
+    at = 0
+    edge = marks.find(_EDGE)
     while edge >= 0:
-        at = 8 * edge
-        first = int.from_bytes(packed[at:at + 4], "little")
-        second = int.from_bytes(packed[at + 4:at + 8], "little")
-        marks[edge] = ((first >> 5) << 26 | second >> 6) < limit
+        marks[edge] = int.from_bytes(reserves[at:at + _RESERVE], "little") >> 3 < rest
+        at += _RESERVE
         edge = marks.find(_EDGE, edge + 1)
     return bytes(marks)
 
@@ -628,9 +635,9 @@ def slot_kernels(keys: Sequence[tuple]) -> list[tuple]:
     divided by their gcd.
 
     Returns (cumulative, total, outcomes, codes): the running sums of the
-    weights; their total, which divides 256; each outcome, a tuple over the fields ALICE .. RELAY, None
-    where nothing read; and the 256-byte table :func:`_code_table` builds,
-    which maps a word's top byte to the code (:func:`outcome_code`) of the
+    weights; their total, which divides 256; each outcome, a tuple over the
+    fields ALICE .. RELAY, None where nothing read; and the 256-byte table
+    :func:`_code_table` builds, which maps a stream byte to the code (:func:`outcome_code`) of the
     outcome it draws.  :meth:`RandomSource.outcomes` draws a session's
     slots from these tables.
 
@@ -678,8 +685,8 @@ def _build_kernel(source: int, tap_a: int | None, tap_b: int | None,
 
 
 def _code_table(weights: Sequence[int], codes: Sequence[int]) -> bytes:
-    """The 256 bytes that decide one draw of a categorical law from a
-    word's top byte b: outcome j, of integer weight w_j and code
+    """The 256 bytes that decide one draw of a categorical law from one
+    stream byte b: outcome j, of integer weight w_j and code
     ``codes[j]``, owns 256 * w_j / T consecutive bytes, in outcome order,
     for the total T.  So b draws the first j with b * T < 256 * S_j, for
     the running sums S_j, and each outcome has chance exactly w_j / T.

@@ -11,7 +11,7 @@ basis.  Five more run at the paper's sizing (k=17, d=41, 10 trials): base
 and swap honest, swap PNS on both paths over a lossy multi-photon source,
 base subset guessing with g=17 and the swap-mode triple relay.  Their
 58-position universe is the only one here wide enough that Floyd's draws
-of the 17-slot side go by ``getrandbits(6)`` rejection (bounds 42 to 58).
+of the 17-slot side go by 6-bit rejection (bounds 42 to 58).
 
 One more digest pins ``analytic_predictions`` over a grid of specs
 (:func:`prediction_grid`): every closed form's value and note, in order,
@@ -27,12 +27,18 @@ as pytest puts it), this module prints every pinned digest's current value
 in its table's format, so that a deliberate re-pin is copied, not worked
 out by hand.
 
-The scenario digests are pinned to draw layout v2: the plan draws its
-smaller side by Floyd's algorithm and each twin source with one word's
-top two bits, and every slot's outcome is one word's top byte read
-through its kernel's code table.  The layout before it (a Fisher-Yates
-pass, two words per twin source, one ``random()`` per slot with more
-than one outcome) gave other digests with the same laws.
+The scenario digests are pinned to draw layout v3: every draw but the
+loss marks takes the next bytes of the trial's main stream, the SHAKE-128
+output of ``b"qauthsim/<seed>/<trial>"``, which an arriving trial reads in
+one call.  Floyd's algorithm draws the plan's smaller side, one byte per
+try, keeping its top bits; each twin source is one byte's top two bits,
+and every slot's outcome is one byte read through its kernel's code
+table.  Two layouts before it gave other digests with the same laws.
+Layout v2 drew from a Mersenne Twister seeded with the SHA-256 of the
+same address: Floyd's tries by ``getrandbits(width)``, and one 32-bit
+word's top two bits per twin source and top byte per slot outcome.  The
+layout before that took a Fisher-Yates pass, two words per twin source
+and one ``random()`` per slot with more than one outcome.
 
 The two lossy scenarios, ``lossy-pns`` and
 ``paper-swap-composed-lossy-pns``, are pinned to loss marks drawn from
@@ -200,28 +206,28 @@ def oracle_digest(case, fmt: str, tmp_path) -> str:
 
 
 GOLDEN_SCENARIOS = {
-    'base-intercept': {'csv': '6931116eaa2495f3880a575998923e910f7c1f498d0ffb0e4507187d08758f90', 'json': '0ce0f2ad48a8affe7fa7120e9f5b6437e9219254b4ef016b78bf9a7914198711'},
-    'base-none': {'csv': '76352960ab2d76e6fd8718de8bd5c25fa3262fbfae07b2d962cface6eb056b26', 'json': '980c354217784a52a9889f30f474414a870e18bd031c07e0fe30e60a8997e13c'},
-    'base-pns': {'csv': '0e6278a7c271dd251fe2d278c4a29a7593ac9ea7db6abd4ba871d8dc2f5c1a44', 'json': 'bb27e60ad4d993fc83ede8f23c86ceaac7318409b9d8993cf5d506bad3d81700'},
-    'base-server_ghz': {'csv': 'a1c3555f2d626ac54e53fb1e63196de7fa098f56f4133740b4e8057b405c9add', 'json': '18439aea9fb7b28862436df4af7784afe94133240aeb08a124d9c12828d8c041'},
-    'base-server_product': {'csv': 'bc2efa99ba4c87b7020cecf4737accb701268199f21e9da364186bf014decf0d', 'json': '4a7d25dff521efe2834d6754431be71d18b63fbdbb1bb6caaef541c249dc7bcf'},
-    'base-subset': {'csv': 'bfee54e06a44975bcf58d7638e9bb42f21fcb806c3c0b48b6c1ad28b05478855', 'json': 'd29cc1fb3a4f02807832ded9da947607074b8a3f83424e72f31b24bb30a91f88'},
-    'fixed-basis-intercept': {'csv': '18c103c3056b528154d5afd88dce13a4c851ea8ced3d78f6486a1d87ea633586', 'json': 'be4ec9b4e0f9a7b7aa3b4f6f629a54f094ac8cd6560f196c4e4b110d11bcfc48'},
-    'lossy-pns': {'csv': '70f49df773848c03b8fafb41e5b73c612d0c3b103940184ca47f245af6da8218', 'json': 'e304d573d4bfa611316b1a3473f3274540894d44b2fc302b49eeccaa00eedd00'},
-    'paper-base-none': {'csv': '9c3f85ef7513bafb3e9b098c623579a9cb37ba3a4ea61a06bbdcea1196282c17', 'json': 'cb026ad15fe91129c4782a2fc910e83e60b697244ac2c9a57b3a09eaedba89f3'},
-    'paper-base-subset': {'csv': '7bb9460ac5b23cc5a962aae30095c03f955ae7087f8e193ea8cee0ed70fcde9c', 'json': 'fa07ece9dfa2e7163fe754541059846968235a33c0ea1b625b8aee6713945ba0'},
-    'paper-swap-composed-lossy-pns': {'csv': 'f103ebd7b3f6a02c2d4ee1072f3e579611784852c34da633e64e206ab65ba988', 'json': '6f73dfc5c3944e09fb9464e79571ff13dbadd22cc22fa9320a3b6214291c973c'},
-    'paper-swap-composed-none': {'csv': 'e6e741abda40f99d8110c04e309e2dea61463586329ad9f4eef13619e5d3e5c4', 'json': '7aece893b258f4fb25692ff74126a4e7adc71f7731fd1a2956ec5b9a222558c9'},
-    'paper-swap-composed-server_ghz': {'csv': 'cc6e061f72092cc653871fbb919f7db8b59c86bf297227e18943475920196dde', 'json': '6f885c8b7d54f4c1455593650b6b1cfcd3f3d08cb9cde04ffffa7a7846491c0d'},
-    'realtime-intercept': {'csv': '73cb96c1e167569a4a813f691306d33cedb5d3a224d9d283fd78813c2860c268', 'json': 'ccbb8bc73bd43c6daeee68964b48332473cb1e527b7ffb72817ed4231fd1ca10'},
-    'swap-composed-intercept': {'csv': '67e7d755a9cd5e52dd78a87711111429dfc271106c8858aaee1822532b6b6daa', 'json': '7b4dbd26f3179d33940f43737afaeebaaa8f46e12b940db0f960359f3b965b44'},
-    'swap-composed-none': {'csv': '73cb96c1e167569a4a813f691306d33cedb5d3a224d9d283fd78813c2860c268', 'json': '6b9447ba3695369598df5eef31baa86ce63ad76ed51d7548fc647565f417d4d8'},
-    'swap-composed-pns': {'csv': '0761693d2315ad207fdcbab27a64883d05a3c39f3152bf598fa431c96f2a4fb1', 'json': 'c9606b91eb0cdab00fa5385bc3c85dd316f78101897e59e7dce70e087cc331c6'},
-    'swap-composed-server_ghz': {'csv': '6a9757e403f8215d67cfa9d02f1c3a9192c13d4488cc45f01a234a93756256f6', 'json': '2b958caa94eabf1dd2f3df5ae95c64b43e61e475b98a77e142784741d7ad4a02'},
-    'swap-composed-server_product': {'csv': 'c7cb79fbfaff69dbb3f12d7679e658001d4e66ea2ca1eb725f3eae0d2a6ef356', 'json': '208022caf2baf2ff22c224a764d72dbd8b5733d95697e1e9f5c96e6004e87872'},
-    'swap-composed-subset': {'csv': '21d7d934bf2c6145be4cfa83a6691426534c7c3addef9a68fea5aa502200f0a8', 'json': '1caed8082d4419fed5d5c49b890ee9cf4edd75bc81d9a39f723ae2c207da15b7'},
-    'swap-measured-none': {'csv': '46ccd56a4c0885f6d278b601c7ba986488f07585d5dd0ab5984335fd6f0df498', 'json': '4a8489263066f5291ffb449a1ac9a2321a1893e9880064384c62dfb1db1ed5c7'},
-    'swap-measured-server_product': {'csv': '03686b1cad0e10e97d3aefb487bace40bd35bfc486fdf5ae05bda6b9f913e0fd', 'json': '6a3623fd00dbe3864eaa14ae72c0652c3c4e4a962af2fcba55733c0f17682d06'},
+    'base-intercept': {'csv': 'd6aae5f401449b65b2443e5e90ff651ed05401c452673a0a6a6ce3bc2e3603c2', 'json': 'be2ca059af7401e4953a083ee8f5a7b877debf7f8f83e305a3d0ba742bd0c9c3'},
+    'base-none': {'csv': '7ded01e877b9ae2195ff7c5e9912fec11e55445d7eecae8d350efbb49c460064', 'json': 'ed6189c36cb9767ed1354393c13cb59eb2a403ff0d79acbb955e0075cbfd18ca'},
+    'base-pns': {'csv': '28d4585425c3ef2d02014d428023d36a92b51adcd32bcd1c289cbd76c5db1196', 'json': '531c0eb6cb560b3ef7c020a9f21b06e9c10d7a880ee14146767702019021a5e6'},
+    'base-server_ghz': {'csv': '5b4aefe99c421aed171f8f71b057854b78fe2cf14c11fada05caa4897de65268', 'json': '9c80c88fb73721e3b170345f346f369e06277dfe20f16ca48daabe6991c22623'},
+    'base-server_product': {'csv': '27331d544e14a97c8399ef76f5bfc15e6307875cd17bacafb0c22d64dca69b0d', 'json': '701dc253cc2ac4ef9175925a720fe36da6ed4e2ce3624b63887a3489316f2682'},
+    'base-subset': {'csv': '4af9c7c559be28ebfee809d625e94400af4663d725d1ae2dcd8997d6e0b19920', 'json': '7665a71a81d3bec3f59a36d950a162d49f936638c1b444cc382051160394a52b'},
+    'fixed-basis-intercept': {'csv': '81946199c73eaf8432e6b92ba6c846871d66d0f29b0a8de34b01f402fb88d651', 'json': 'e2954e0ecc97d524fd6e13afd84ed49ff519e24d38d164368574554767839344'},
+    'lossy-pns': {'csv': 'f696fb7899f6522aa9de5686b705b90f8b776f9eb6926eea08bc006cfd0ea659', 'json': '33e99166cc3bfb87610fd8fb0d0c691a73568266656fcee68e29f90d09f6ef02'},
+    'paper-base-none': {'csv': '10e0bd5dce014804ae62fb24f0bbd24fb87f3e3e254a5a6f882ea03f146e117e', 'json': '62413c3f919d446e5fb11a036b1f3389effd986c1cb8b35ae0362b1c52b67406'},
+    'paper-base-subset': {'csv': '002f4f31ea215982bc20ed20d7f3488c3f0758bb47a312dffdd7f3323183a52f', 'json': 'b6c5f0ce4c6a32d4c7e7e0e046bd320af50230c9e2ee536093c6767d80193edf'},
+    'paper-swap-composed-lossy-pns': {'csv': '47f925710b1753310f0e8463e98dc022146228ccec59d32a8176c97780b01747', 'json': 'ffd467ff869414cfa7177c541f14c49a7ff0c317025bbf54df643b0b0b9dc3e9'},
+    'paper-swap-composed-none': {'csv': '064df0607a2b6edea45f513553e3a3b964f97437feb4ba9de2851fa33b5f2470', 'json': 'f3c684dcd8cd9e16a6e99581cbb67abd3b0b87d0cb3682ee8882ca4dfe75ac8d'},
+    'paper-swap-composed-server_ghz': {'csv': 'e19260c2519cdee6ef1631110b35a24fe1ffe5b9b9df81381654422a1d4d99cf', 'json': '721d8fa05f69ef371d159d7e1a506a96882263d39aec42e5f541d701422b11ae'},
+    'realtime-intercept': {'csv': 'cf31cafd06758b6e63d1f238a76bef8ce4834cf224c8654d1c15d5120424121e', 'json': '113122ff8f6b9752cecb4adbd27b0c0a2bec63b6a5684637e022a3b1767fd8be'},
+    'swap-composed-intercept': {'csv': 'ae712e5a4166a477cbb2c24c5b55fed63128b9628c906453bc64e9df87de7b2d', 'json': '9ac5339bea3c8941e214ed067622350c7070c97c2a45149c120d53e9ee9bd2aa'},
+    'swap-composed-none': {'csv': 'cf31cafd06758b6e63d1f238a76bef8ce4834cf224c8654d1c15d5120424121e', 'json': '0329723c373a2a8ccabef2dbe482f20fd57d7bee6251b11d9a696fd01d654ded'},
+    'swap-composed-pns': {'csv': '6e9157f02d41412cbdd7d6906bfb9c48e090d9e4f0a3a0445315a028a9a16380', 'json': 'ae2dc6b5fce4d97cee5d0cf40e1a82ee0fabcca603dfb44e62ed65542f337bb3'},
+    'swap-composed-server_ghz': {'csv': '058d050a8374078047874a0397d69d5baaf09b3456bbc3f2d541eaef043cc0b8', 'json': 'b54637304e58bcaaf959c658ca7751dcf02ba2d459756627032a3163f4cc22a2'},
+    'swap-composed-server_product': {'csv': 'b735c36a3468d03623269f22bed8a59271ed60300e1a86a100f2f927829be69d', 'json': 'f3d8e1ac30d1fb665d58279f2ca1b5f112f6c6fd45144f09d85e5fdd903273d3'},
+    'swap-composed-subset': {'csv': '9a45025d73b8b4c813e4b386b8fa4f0420164f434f3f4bca1647b95426fffeef', 'json': '80b942c374ff51efe697da0e00fd256e5da98d263e95234fb23d7e2cdbe036a0'},
+    'swap-measured-none': {'csv': 'a3b1e595dc19b595e4cb61ab21bbce36fc3162b873692b2024c44803956b26bb', 'json': '213d3697aef9440a739e89632d0499a09eff0a925a59475ee36d1e9a90ba51b2'},
+    'swap-measured-server_product': {'csv': '4e7335a26aa8d5a4abeee34f73de3302b996b380ff232f513cdd28efbbc350e5', 'json': '34e9881e5f3cfb02e566fe84cc7b1e9f1c2026afa8c0a0ea9fff4df6c3aaa907'},
 }
 
 GOLDEN_VERIFY_TABLES = '8adf12990ececaf152d0a51585b3c5d1caf89d49879075788606723d00bee0bd'
@@ -307,6 +313,31 @@ def test_sessions_sample_only_the_slot_kernels(monkeypatch):
             assert scenario_digests(report) == GOLDEN_SCENARIOS[name], name
     finally:
         qsim._KERNELS.update(saved)
+
+
+@pytest.mark.parametrize("name", ["paper-base-none",
+                                  "paper-swap-composed-lossy-pns"])
+def test_every_arriving_trial_reads_its_main_stream_once(monkeypatch, name):
+    # Draw layout v3: every draw of an arriving trial comes from one read of
+    # its main stream, and a lost trial reads only its loss substream.
+    from qauthsim import qsim
+    from qauthsim.channel import draw_loss
+    from qauthsim.qsim import RandomSource
+    from test_qsim import _RecordedXOF
+
+    spec = parse_scenario(SCENARIOS[name])
+    slots = spec.session.total_slots
+    arriving = [t for t in range(spec.trials)
+                if not (spec.p_loss and draw_loss(slots, spec.p_loss,
+                                                  RandomSource(spec.seed, t)))]
+    assert arriving and (len(arriving) < spec.trials) == bool(spec.p_loss)
+    reads = []
+    monkeypatch.setattr(qsim, "shake_128",
+                        lambda address: _RecordedXOF(address, reads))
+    run_scenario(spec)
+    main = [address for address, _ in reads
+            if not address.startswith(b"qauthsim/loss/")]
+    assert main == [b"qauthsim/%d/%d" % (spec.seed, t) for t in arriving]
 
 
 def test_verify_tables_digest():

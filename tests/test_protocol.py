@@ -7,7 +7,6 @@ from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations, product
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,7 +53,7 @@ from qauthsim.qsim import (
 )
 from qauthsim.secparams import forgery_prob
 from test_golden import SCENARIOS as GOLDEN
-from test_qsim import _decode
+from test_qsim import _Cursor, _decode, _read_state
 
 _LABEL_OF_TEXT = {label.short(): label for label in BELL_ORDER}
 
@@ -176,17 +175,19 @@ def test_tamper_spec_roundtrip():
 
 # --- the planning draws against one-draw-at-a-time references ------------------
 
-def _randbelow(rand, bound):
-    """The first ``getrandbits(width)`` draw of ``rand``'s twister below
-    ``bound``; a bound of 1 has width 0, which draws no word."""
-    draw = (rand._rng or rand._seed()).getrandbits
+def _randbelow(cursor, bound):
+    """The first try below ``bound``, each try the top ``width`` bits of
+    the next ceil(width / 8) bytes, big-endian, for the bit length
+    ``width`` of bound - 1."""
     width = (bound - 1).bit_length()
-    while (value := draw(width)) >= bound:
+    size = -(-width // 8)
+    while (value := int.from_bytes(cursor.take(size), "big")
+           >> (8 * size - width)) >= bound:
         pass
     return value
 
 
-def _reference_sample(rand, universe, count):
+def _reference_sample(cursor, universe, count):
     """Floyd's algorithm over the smaller side, one bounded draw at a time:
     for j = universe - m .. universe - 1, t below j + 1 joins the side,
     or j does where t already has; where the side is the rest, the sample
@@ -194,16 +195,17 @@ def _reference_sample(rand, universe, count):
     side = min(count, universe - count)
     drawn = set()
     for j in range(universe - side, universe):
-        t = _randbelow(rand, j + 1)
+        t = _randbelow(cursor, j + 1)
         drawn.add(j if t in drawn else t)
     if side != count:
         drawn = set(range(universe)) - drawn
     return tuple(sorted(drawn))
 
 
-def _assert_in_step(a, b):
-    # both generators must be at the same point of their stream
-    assert (a.bits(16), a.uniform()) == (b.bits(16), b.uniform())
+def _assert_in_step(rand, cursor):
+    # the package's stream and the reference have read the same bytes, up
+    # to the same point
+    assert _read_state(rand) == cursor.state()
 
 
 _sizes = {"k": st.integers(1, 40), "d": st.integers(0, 80),
@@ -215,60 +217,72 @@ _sizes = {"k": st.integers(1, 40), "d": st.integers(0, 80),
        seed=st.integers(0, 2 ** 64 - 1))
 def test_sample_positions_matches_randbelow_reference(universe, data, seed):
     count = data.draw(st.integers(0, universe))
-    rand, twin = RandomSource(seed, 3), RandomSource(seed, 3)
+    rand, cursor = RandomSource(seed, 3), _Cursor(seed, 3)
     assert rand.sample_positions(universe, count) == \
-        _reference_sample(twin, universe, count)
-    _assert_in_step(rand, twin)
+        _reference_sample(cursor, universe, count)
+    _assert_in_step(rand, cursor)
 
 
 @settings(max_examples=150, deadline=None)
 @given(**_sizes)
 def test_plan_draws_match_per_slot_reference(k, d, seed):
     cfg = _cfg(k=k, d=d)
-    rand, twin = RandomSource(seed, 1), RandomSource(seed, 1)
+    rand, cursor = RandomSource(seed, 1), _Cursor(seed, 1)
     plan = plan_session(cfg, rand)
-    positions = _reference_sample(twin, k + d, d)
+    positions = _reference_sample(cursor, k + d, d)
     bases, values = [], []
     for _ in positions:
-        # one getrandbits(2) per slot: 2 * basis bit + value
-        twin_source = _randbelow(twin, 4)
+        # one byte per slot, whose top two bits are 2 * basis bit + value
+        twin_source = cursor.take(1)[0] >> 6
         bases.append((MeasBasis.RECTILINEAR, MeasBasis.DIAGONAL)[twin_source >> 1])
         values.append(twin_source & 1)
     assert plan.positions == positions
     assert plan.decoys == dict(zip(positions, zip(values, bases)))
     assert plan.key_positions == tuple(p for p in range(k + d)
                                        if p not in positions)
-    _assert_in_step(rand, twin)
+    _assert_in_step(rand, cursor)
 
 
+@pytest.mark.parametrize("lead", [0, 239, 250])
 @pytest.mark.parametrize("universe,count", [
     (0, 0), (5, 0), (58, 0), (1, 1), (2, 2), (7, 7), (58, 58), (58, 57),
     (58, 41), (300, 200)])
-def test_sample_partition_matches_randbelow_reference(universe, count):
-    # count == universe and count == 0 draw no word; count > universe / 2
-    # draws the rest
+def test_sample_partition_matches_randbelow_reference(universe, count, lead):
+    # count == universe and count == 0 draw no byte; count > universe / 2
+    # draws the rest; a universe past 256 reads two bytes per draw.  After
+    # ``lead`` bytes of other draws the tries run past the stream's first
+    # read: at 239, 58 choose 41's first tries end there, so a try again
+    # reads the stream again
     for stream in range(12):
-        rand, twin = RandomSource(37, stream), RandomSource(37, stream)
+        rand, cursor = RandomSource(37, stream), _Cursor(37, stream)
+        assert rand.bits(lead) == bytes([b >> 7 for b in cursor.take(lead)])
         chosen, rest = rand.sample_partition(universe, count)
-        positions = _reference_sample(twin, universe, count)
+        positions = _reference_sample(cursor, universe, count)
         assert chosen == positions
         assert rest == tuple(p for p in range(universe) if p not in positions)
-        _assert_in_step(rand, twin)
+        _assert_in_step(rand, cursor)
+
+
+class _ScriptEnd(Exception):
+    """A scripted stream was read past its last byte."""
 
 
 class _ScriptedDraws(RandomSource):
-    """A RandomSource whose twister returns ``script``'s values in turn,
-    each checked to be asked for at the width its bound gives."""
+    """A RandomSource whose main stream is ``script``'s bytes and nothing
+    after them."""
 
     def __init__(self, script):
-        values = iter(script)
+        self._buf = bytes(script)
 
-        def getrandbits(width):
-            value, bound = next(values)
-            assert width == (bound - 1).bit_length()
-            return value
+    def _read(self, need):
+        raise _ScriptEnd
 
-        self._rng = SimpleNamespace(getrandbits=getrandbits)
+
+def _draw_bytes(t, bound):
+    """The bytes of one accepted draw t below ``bound``: t in the top
+    ``width`` bits of a byte, the rest 0 (a universe up to 7 reads one
+    byte per draw)."""
+    return bytes([t << (8 - (bound - 1).bit_length())])
 
 
 @pytest.mark.parametrize("universe", range(8))
@@ -281,12 +295,36 @@ def test_floyd_partition_is_uniform_over_every_accepted_draw_sequence(universe):
         bounds = range(universe - side + 1, universe + 1)
         seen = Counter()
         for draws in product(*map(range, bounds)):
-            chosen, rest = _ScriptedDraws(zip(draws, bounds)).sample_partition(
+            script = b"".join(map(_draw_bytes, draws, bounds))
+            chosen, rest = _ScriptedDraws(script).sample_partition(
                 universe, count)
             assert sorted(chosen + rest) == list(range(universe))
             seen[chosen] += 1
         assert set(seen) == set(combinations(range(universe), count))
         assert len(set(seen.values())) == 1, (universe, count, seen)
+
+
+@pytest.mark.parametrize("bound", [2, 3, 5, 8, 42, 58, 255, 256, 257, 600])
+def test_floyd_draw_reads_each_value_from_equally_many_byte_patterns(bound):
+    # the one draw of sample_positions(bound, 1), below bound, reads
+    # ceil(width / 8) bytes for the bit length width of bound - 1: each
+    # value comes from exactly 2**(8 * size - width) of their patterns, and
+    # every other pattern is tried again from the bytes after them
+    width = (bound - 1).bit_length()
+    size = -(-width // 8)
+    seen = Counter()
+    for pattern in range(256 ** size):
+        try:
+            (t,) = _ScriptedDraws(pattern.to_bytes(size, "big")).sample_positions(
+                bound, 1)
+        except _ScriptEnd:
+            t = None
+        seen[t] += 1
+    share = 2 ** (8 * size - width)
+    want = dict.fromkeys(range(bound), share)
+    if bound < 2 ** width:
+        want[None] = (2 ** width - bound) * share
+    assert seen == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -386,11 +424,11 @@ def test_relay_memo_holds_the_positions_sessions_reached():
 
 @pytest.mark.parametrize("k", [1, 2, 17])
 def test_plans_without_detection_slots_draw_nothing(k):
-    rand, twin = RandomSource(38, k), RandomSource(38, k)
+    rand = RandomSource(38, k)
     plan = plan_session(_cfg(k=k, d=0), rand)
     assert plan.positions == () and plan.decoys == {}
     assert plan.key_positions == tuple(range(k)) and plan.twin_sources == b""
-    _assert_in_step(rand, twin)
+    assert not rand._buf  # the main stream was never read
 
 
 # --- the session path's bulk draws against the scalar loops they replace ------
@@ -411,11 +449,11 @@ def _edge_byte(p):
 @pytest.mark.parametrize("p", _PROBABILITIES)
 @pytest.mark.parametrize("count", [0, 1, 7, 20000])
 def test_below_matches_the_uniform_loop(p, count):
-    rand, twin = RandomSource(39, count), RandomSource(39, count)
+    rand, cursor = RandomSource(39, count), _Cursor(39, count)
     marks = rand.below(count, p)
-    draws = [twin.uniform() for _ in range(count)]
+    draws = _reference_below_draws(cursor, count, p)
     assert marks == bytes([u < p for u in draws])
-    _assert_in_step(rand, twin)
+    _assert_in_step(rand, cursor)
     if count == 20000:
         # the long stream reaches the edge byte, on both sides of p where
         # p is not at an extreme
@@ -423,6 +461,22 @@ def test_below_matches_the_uniform_loop(p, count):
         assert (p == 0.5) == (not edge)
         if p in (0.02, 0.999):
             assert set(edge) == {False, True}
+
+
+def _reference_below_draws(cursor, count, p):
+    """One uniform draw u = N / 2**53 per mark of ``below(count, p)``, in
+    exact integer arithmetic: N's top byte is the mark's byte of the main
+    stream, and a mark whose top byte is the edge byte takes the next
+    6-byte reserve after the ``count`` top bytes, whose top 45 bits are
+    N's rest.  Off the edge byte every rest gives the same verdict, so 0
+    stands in."""
+    draws = []
+    for top in cursor.take(count):
+        rest = 0
+        if top == _edge_byte(p):
+            rest = int.from_bytes(cursor.take(6), "little") >> 3
+        draws.append(((top << 45) + rest) / 2 ** 53)
+    return draws
 
 
 def _loss_substream(seed, stream, size):
@@ -465,8 +519,8 @@ def test_draw_loss_matches_the_uniform_loop(monkeypatch, p, slots):
         marks = _reference_loss_marks(40, stream, 2 * slots, p) if p else []
         assert lost == [q for q in range(slots)
                         if marks and (marks[q] or marks[slots + q])]
-        # the marks never seed the twister
-        assert rand._rng is None
+        # the marks never read the main stream
+        assert not rand._buf
 
 
 @pytest.mark.parametrize("p", _PROBABILITIES)
@@ -475,7 +529,7 @@ def test_loss_marks_read_the_substream_bytes(p, count):
     rand = RandomSource(41, count)
     marks = _reference_loss_marks(41, count, count, p)
     assert rand.loss_marks(count, p) == bytes(marks)
-    assert rand._rng is None
+    assert not rand._buf  # the main stream was never read
     if count == 20000:
         # the long stream reaches the edge byte many times, so it reads its
         # substream twice, on both sides of p where p is not at an extreme
@@ -591,8 +645,10 @@ def _tap_row(total, reads):
     return bytes([1 + reads[p] if p in reads else 0 for p in range(total)])
 
 
-def _reference_pns_taps(eve, plan, photon, rand):
-    """draw_taps for a PNS attack, one photon count at a time."""
+def _reference_pns_taps(eve, plan, photon, cursor):
+    """draw_taps for a PNS attack, one photon count at a time: a photon is
+    single where its uniform draw (:func:`_reference_below_draws`) is below
+    p1; an ideal source draws no count."""
     attack = eve.attack
     total = plan.total_slots
     targets = (plan.key_positions if attack.location_knowledge
@@ -601,8 +657,10 @@ def _reference_pns_taps(eve, plan, photon, rand):
     rows = {}
     for path in attack.path.channel_paths():
         reads = {}
-        for position in targets:
-            if photon.sample(rand) >= 2:
+        draws = (_reference_below_draws(cursor, len(targets), photon.p1)
+                 if photon.p1 < 1.0 else [0.0] * len(targets))
+        for position, u in zip(targets, draws):
+            if u >= photon.p1:
                 eve.split_positions.add((path, position))
             else:
                 reads[position] = bit
@@ -610,14 +668,14 @@ def _reference_pns_taps(eve, plan, photon, rand):
     return rows.get(Path.TO_ALICE), rows.get(Path.TO_BOB)
 
 
-def _reference_read_taps(eve, plan, rand):
+def _reference_read_taps(eve, plan, cursor):
     """draw_taps for an intercept-resend or subset-guess attack, one basis
-    bit at a time."""
+    bit at a time, the top bit of one byte."""
     attack = eve.attack
     total = plan.total_slots
     realtime = attack.location_knowledge is LocationKnowledge.REALTIME
     if attack.kind is AttackKind.SUBSET_GUESS:
-        targets = rand.sample_positions(total, attack.guess_count)
+        targets = _reference_sample(cursor, total, attack.guess_count)
     elif realtime:
         targets = plan.key_positions
     else:
@@ -629,7 +687,7 @@ def _reference_read_taps(eve, plan, rand):
         reads = {}
         for position in targets:
             if blind and attack.basis_choice is BasisChoice.RANDOM_PER_SLOT:
-                reads[position] = rand.bit()
+                reads[position] = cursor.take(1)[0] >> 7
             else:
                 reads[position] = int(basis is MeasBasis.DIAGONAL)
         rows[path] = _tap_row(total, reads)
@@ -646,12 +704,12 @@ def test_pns_photon_counts_match_the_sample_loop(p1, tap_path, knowledge):
     photon = PhotonCountModel(p1)
     for stream in range(10):
         plan = plan_session(_cfg(k=17, d=41), RandomSource(41, stream))
-        rand, twin = RandomSource(42, stream), RandomSource(42, stream)
+        rand, cursor = RandomSource(42, stream), _Cursor(42, stream)
         eve, twin_eve = EveState(attack), EveState(attack)
         assert draw_taps(eve, plan, photon, rand) == \
-            _reference_pns_taps(twin_eve, plan, photon, twin)
+            _reference_pns_taps(twin_eve, plan, photon, cursor)
         assert eve.split_positions == twin_eve.split_positions
-        _assert_in_step(rand, twin)
+        _assert_in_step(rand, cursor)
 
 
 _READ_ATTACKS = [
@@ -672,23 +730,23 @@ def test_tap_rows_match_the_per_slot_loop(attack, tap_path, key_basis):
     for stream in range(6):
         plan = plan_session(_cfg(k=17, d=41, key_basis=key_basis),
                             RandomSource(44, stream))
-        rand, twin = RandomSource(45, stream), RandomSource(45, stream)
+        rand, cursor = RandomSource(45, stream), _Cursor(45, stream)
         eve, twin_eve = EveState(attack), EveState(attack)
         rows = draw_taps(eve, plan, photon, rand)
-        assert rows == _reference_read_taps(twin_eve, plan, twin)
+        assert rows == _reference_read_taps(twin_eve, plan, cursor)
         assert all(row is None or type(row) is bytes for row in rows)
         assert not eve.split_positions
-        _assert_in_step(rand, twin)
+        _assert_in_step(rand, cursor)
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 17, 41, 100])
 def test_packed_bit_draws_match_the_scalar_loops(count):
     # swap mode's created labels and a plan's twin sources, and the planted
     # bits of a product-pair relay
-    rand, twin = RandomSource(43, count), RandomSource(43, count)
-    assert rand.quarters(count) == bytes([_randbelow(twin, 4) for _ in range(count)])
-    assert rand.bits(count) == bytes([_randbelow(twin, 2) for _ in range(count)])
-    _assert_in_step(rand, twin)
+    rand, cursor = RandomSource(43, count), _Cursor(43, count)
+    assert rand.quarters(count) == bytes([cursor.take(1)[0] >> 6 for _ in range(count)])
+    assert rand.bits(count) == bytes([cursor.take(1)[0] >> 7 for _ in range(count)])
+    _assert_in_step(rand, cursor)
 
 
 @settings(max_examples=150, deadline=None)
@@ -900,9 +958,9 @@ def test_loss_gives_incomplete_stream():
 def test_loss_marks_come_before_the_plan(monkeypatch, mode, rule, attack,
                                          p_loss):
     # A stream whose photons all arrive is the p_loss = 0 session of the
-    # same (seed, trial), field for field and twister state for twister
-    # state; a lost one draws nothing after its loss marks, so it needs no
-    # layout and never seeds its twister.
+    # same (seed, trial), field for field and main-stream byte for byte; a
+    # lost one draws nothing after its loss marks, so it needs no layout
+    # and never reads its main stream.
     cfg = _cfg(k=3, d=4, mode=mode, rule=rule)
     atk = AttackConfig(AttackKind(attack))
     if atk.kind in (AttackKind.INTERCEPT_RESEND, AttackKind.PNS):
@@ -919,7 +977,7 @@ def test_loss_marks_come_before_the_plan(monkeypatch, mode, rule, attack,
             assert out.plan is None
             assert out.events.entries[-1] == ("3", "server",
                                               "lost slots %s" % marked)
-            assert rand._rng is None
+            assert not rand._buf
             lost[t] = _session_record(out)
         else:
             ref_rand = RandomSource(43, t)
@@ -927,7 +985,7 @@ def test_loss_marks_come_before_the_plan(monkeypatch, mode, rule, attack,
             assert _session_record(out) == _session_record(ref)
             assert out.events.digest() == ref.events.digest()
             assert out.plan.config is cfg
-            assert rand._rng.getstate() == ref_rand._rng.getstate()
+            assert _read_state(rand) == _read_state(ref_rand)
     assert 0 < len(lost) < 40
 
     def refuse(*args):

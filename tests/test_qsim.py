@@ -11,13 +11,11 @@ from __future__ import annotations
 import ast
 import hashlib
 import math
-import random
 from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, product
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,7 +131,46 @@ class _FixedDraw(RandomSource):
     (``RandomSource.categorical``) is the package's own."""
 
     def __init__(self, u):
-        self._rng = SimpleNamespace(random=lambda: u)
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+def _main_stream(seed, stream, size):
+    """The first ``size`` bytes of a stream's SHAKE-128 main stream."""
+    return hashlib.shake_128(b"qauthsim/%d/%d" % (seed, stream)).digest(size)
+
+
+class _Cursor:
+    """A stream's main stream read by draw layout v3, apart from the
+    package: each draw takes the next bytes of the SHAKE-128 output of the
+    address, each part of it taken modulo 2**64."""
+
+    def __init__(self, seed, stream):
+        self.address = (seed % 2 ** 64, stream % 2 ** 64)
+        self.data = b""
+        self.at = 0
+
+    def take(self, count):
+        at = self.at
+        self.at += count
+        if self.at > len(self.data):
+            self.data = _main_stream(*self.address, 2 * self.at)
+        return self.data[at:self.at]
+
+    def uniform(self):
+        """N / 2**53 for the top 53 bits N of the next 7 bytes."""
+        return (int.from_bytes(self.take(7), "big") >> 3) / 2 ** 53
+
+    def state(self):
+        """The position of the next byte and the bytes before it."""
+        return self.at, self.data[:self.at]
+
+
+def _read_state(rand):
+    """A RandomSource's main-stream cursor, as :meth:`_Cursor.state`."""
+    return rand._at, rand._buf[:rand._at]
 
 
 # --- preparation and composition ----------------------------------------------
@@ -724,15 +761,14 @@ def test_outcomes_match_the_integer_rule_loop():
     tables = [codes for _, _, _, codes in kernels]
     assert RandomSource(1, 0).outcomes([]) == b""
     for stream in range(40):
-        bulk, scalar = RandomSource(53, stream), RandomSource(53, stream)
-        draw = (scalar._rng or scalar._seed()).getrandbits
+        bulk, cursor = RandomSource(53, stream), _Cursor(53, stream)
         want = []
         for cumulative, total, outcomes, _ in kernels:
-            top = draw(8)
-            out = outcomes[bisect_right([256 * s for s in cumulative], top * total)]
+            (byte,) = cursor.take(1)
+            out = outcomes[bisect_right([256 * s for s in cumulative], byte * total)]
             want.append(qsim.outcome_code(out))
         assert bulk.outcomes(tables) == bytes(want)
-        assert (bulk.bits(16), bulk.uniform()) == (scalar.bits(16), scalar.uniform())
+        assert _read_state(bulk) == cursor.state()
 
 
 @pytest.mark.parametrize("key", REACHABLE_KEYS, ids=repr)
@@ -977,30 +1013,72 @@ def test_random_source_is_deterministic_per_stream():
     assert d.bits(64) not in probe
 
 
-def test_random_source_seeds_the_stdlib_generator():
-    # the stream is random.Random seeded with the SHA-256 of the address,
-    # each part of it taken modulo 2**64
+def test_random_source_reads_the_shake_output_of_its_address():
+    # the main stream is the SHAKE-128 output of the address, each part of
+    # it taken modulo 2**64, read in call order: a uniform draw is the top
+    # 53 bits of 7 bytes, big-endian; a bit or a basis the top bit of one
+    # byte; a quarter or a pair label (kind bit, then phase bit) its top
+    # two bits
     rand = RandomSource(2 ** 64 + 99, 7)
-    digest = hashlib.sha256(b"qauthsim/99/7").digest()
-    reference = random.Random(int.from_bytes(digest, "big"))
+    data = hashlib.shake_128(b"qauthsim/99/7").digest(120)
     assert [rand.uniform() for _ in range(5)] == \
-        [reference.random() for _ in range(5)]
-    assert rand.bits(40) == bytes(reference.getrandbits(1) for _ in range(40))
+        [(int.from_bytes(data[at:at + 7], "big") >> 3) / 2 ** 53
+         for at in range(0, 35, 7)]
+    assert rand.bits(40) == bytes(byte >> 7 for byte in data[35:75])
+    assert [rand.bit() for _ in range(10)] == [byte >> 7 for byte in data[75:85]]
+    assert [rand.basis() for _ in range(10)] == \
+        [BASIS_OF_BIT_REF[byte >> 7] for byte in data[85:95]]
+    assert rand.quarters(10) == bytes(byte >> 6 for byte in data[95:105])
+    assert [rand.bell_label() for _ in range(15)] == \
+        [BellLabel.from_bits(byte >> 7, byte >> 6 & 1) for byte in data[105:]]
 
 
-def test_random_source_seeds_its_twister_on_first_draw():
-    # neither construction nor the loss substream seeds the twister, and a
-    # stream that read its loss marks draws what a fresh one draws
+def test_random_source_reads_its_main_stream_on_first_draw():
+    # neither construction nor the loss substream reads the main stream,
+    # and a stream that read its loss marks draws what a fresh one draws
     rand, fresh = RandomSource(12, 3), RandomSource(12, 3)
-    assert rand._rng is None
+    assert not rand._buf  # the main stream was never read
     rand.loss_marks(40, 0.5)
-    assert rand._rng is None
+    assert not rand._buf
     assert [rand.uniform() for _ in range(5)] == [fresh.uniform() for _ in range(5)]
-    assert rand._rng.getstate() == fresh._rng.getstate()
+    assert _read_state(rand) == _read_state(fresh) == (35, _main_stream(12, 3, 35))
+
+
+class _RecordedXOF:
+    """A SHAKE-128 object that records each read's address and length on
+    ``reads``."""
+
+    def __init__(self, address, reads):
+        self.address, self.reads = address, reads
+        self.xof = hashlib.shake_128(address)
+
+    def digest(self, size):
+        self.reads.append((self.address, size))
+        return self.xof.digest(size)
+
+
+@pytest.mark.parametrize("needs", [[0], [1], [256], [257], [200, 56, 1],
+                                   [100, 300, 1000, 7]])
+def test_main_stream_reads_a_longer_prefix_past_its_first_read(monkeypatch,
+                                                               needs):
+    # the first read is 256 bytes; a need past what was read reads again
+    # for at least twice that need, and no byte already taken moves
+    reads = []
+    monkeypatch.setattr(qsim, "shake_128",
+                        lambda address: _RecordedXOF(address, reads))
+    rand, cursor = RandomSource(9, 4), _Cursor(9, 4)
+    taken = b"".join(rand._take(n) for n in needs)
+    assert taken == b"".join(cursor.take(n) for n in needs)
+    want, have = [], 0
+    for end in accumulate(needs):
+        if end > have:
+            have = 2 * end if end > 256 else 256
+            want.append(have)
+    assert [size for _, size in reads] == want
 
 
 # what reads the layout of a RandomSource's streams
-_STREAM_NAMES = {"_rng", "getrandbits", "shake_128"}
+_STREAM_NAMES = {"_take", "_buf", "shake_128"}
 
 
 def _stream_reads(path):
@@ -1021,10 +1099,22 @@ def _stream_reads(path):
     return found
 
 
+def _imports(path):
+    """The top-level name of every module a module imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
 def test_only_qsim_reads_the_stream_layout():
-    # No package module but qsim reads the twister (``_rng``,
-    # ``getrandbits``) or the loss substream (``shake_128``); every draw
-    # goes through RandomSource's methods.
+    # No package module but qsim reads the main stream's cursor (``_take``,
+    # ``_buf``) or either SHAKE-128 stream (``shake_128``); every draw goes
+    # through RandomSource's methods.  No module draws from the stdlib's
+    # generators.
     package = Path(qsim.__file__).parent
     modules = sorted(package.glob("*.py"))
     assert package / "qsim.py" in modules
@@ -1032,12 +1122,15 @@ def test_only_qsim_reads_the_stream_layout():
     offenders = {path.name: reads for path in modules
                  if path.name != "qsim.py" and (reads := _stream_reads(path))}
     assert not offenders
+    assert "hashlib" in _imports(package / "qsim.py")  # and sees imports
+    assert not {path.name: names for path in modules
+                if (names := _imports(path) & {"random", "_random"})}
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 31, 32, 33, 82, 200])
 def test_random_source_bits_are_single_bit_draws(count):
-    # bits(n) packs n draws of getrandbits(1), and leaves the stream where
-    # n single draws would
+    # bits(n) packs n draws of bit(), one byte each, and leaves the stream
+    # where n single draws would
     packed, single = RandomSource(8, count), RandomSource(8, count)
     assert packed.bits(count) == bytes(single.bit() for _ in range(count))
     assert packed.uniform() == single.uniform()
