@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, repeat
+from itertools import compress
 from typing import TYPE_CHECKING, NamedTuple
 
 # The relay-compromise emitters reach build_streams through its module, not
@@ -136,27 +136,37 @@ class AttackConfig:
 class EveState:
     """Everything the adversary accumulates across one session.
 
-    A session keeps its taps' reads as ``rows``, one per tapped path:
-    (path, positions, codes, outcomes, field).  ``positions`` are the
-    slots in the order they were read, ``codes`` each slot's tap code
-    (0 unread, 1 + basis bit read, as :func:`draw_taps` gives them),
-    ``outcomes`` each slot's outcome code (see
-    :func:`~qauthsim.qsim.outcome_code`) and ``field`` the outcome field
-    that holds eve's read, the shift of its bit in the code.  ``measured``
-    maps (path, position) to the read (bit, basis); it is built from the
-    rows on first access, and the per-photon tap :func:`_tap` writes its
-    reads into that dict.  A compromised relay's record is kept twice in a
-    session: ``server_record`` maps each key position to its recorded bit,
-    and ``key_record`` holds the same bits, one byte per key slot in
-    ``plan.key_positions`` order."""
+    ``plan`` is the session's layout, None before one is drawn.  A
+    session keeps its taps' reads as ``rows``, one per tapped path:
+    (path, codes, outcomes, field), each byte string one byte per slot in
+    the order the session draws its slots (:meth:`SessionPlan.draw_order`):
+    ``codes`` each slot's tap code (0 unread, 1 + basis bit read, as
+    :func:`draw_taps` gives them), ``outcomes`` each slot's outcome code
+    (see :func:`~qauthsim.qsim.outcome_code`), and ``field`` the outcome
+    field that holds eve's read, the shift of its bit in the code.  A PNS
+    tap keeps its splits as ``splits``, one (path, marks) per tapped path,
+    the marks one byte per position, 1 where the slot's photon was split.
+    A compromised relay's record is ``key_record``, one byte per key slot
+    in position order.
+
+    Three views are built from these on first access, each a dict or set
+    the per-photon path (:func:`_tap`, :func:`_emit_server_product`,
+    :func:`finish_session`) writes into: ``measured`` maps (path,
+    position) to the read (bit, basis), ``split_positions`` holds each
+    split's (path, position), and ``server_record`` maps each key position
+    to the relay's recorded bit."""
 
     attack: AttackConfig | None
-    split_positions: set[tuple[Path, int]] = field(default_factory=set)
-    server_record: dict[int, int] = field(default_factory=dict)
+    plan: SessionPlan | None = None
     key_record: bytes = b""
     retained: list[tuple[int, StateRegister]] = field(default_factory=list)
     rows: tuple[tuple, ...] = ()
+    splits: tuple[tuple[Path, bytes], ...] = ()
     _measured: dict[tuple[Path, int], tuple[int, MeasBasis]] | None = field(
+        default=None, repr=False, compare=False)
+    _split_positions: set[tuple[Path, int]] | None = field(
+        default=None, repr=False, compare=False)
+    _server_record: dict[int, int] | None = field(
         default=None, repr=False, compare=False)
 
     @property
@@ -167,12 +177,32 @@ class EveState:
     def measured(self) -> dict[tuple[Path, int], tuple[int, MeasBasis]]:
         measured = self._measured
         if measured is None:
+            order = (self.plan.positions + self.plan.key_positions
+                     if self.rows else ())
             measured = self._measured = {
                 (path, position): (out >> read & 1, BASIS_OF_BIT[code - 1])
-                for path, positions, codes, outcomes, read in self.rows
-                for position, code, out in zip(positions, codes, outcomes)
+                for path, codes, outcomes, read in self.rows
+                for position, code, out in zip(order, codes, outcomes)
                 if code}
         return measured
+
+    @property
+    def split_positions(self) -> set[tuple[Path, int]]:
+        split = self._split_positions
+        if split is None:
+            split = self._split_positions = {
+                (path, position) for path, marks in self.splits
+                for position in compress(range(len(marks)), marks)}
+        return split
+
+    @property
+    def server_record(self) -> dict[int, int]:
+        record = self._server_record
+        if record is None:
+            record = self._server_record = (
+                dict(zip(self.plan.key_positions, self.key_record))
+                if self.key_record else {})
+        return record
 
 
 def _emit_server_product(plan: "SessionPlan", model: PhotonCountModel,
@@ -273,14 +303,16 @@ def draw_taps(eve: EveState, plan: "SessionPlan", photon: PhotonCountModel,
     source) or a blind random-basis tap's basis bit.
 
     The tap targets the guessed slots of a subset guess, the key slots under
-    realtime location knowledge, and every slot otherwise.  A PNS tap splits
-    a multi-photon slot, with no disturbance, and records the split on
-    ``eve``; every other targeted slot is read.  A blind intercept-resend
-    tap (no realtime knowledge) reads in its random or fixed basis, every
-    other tap in the key basis.  Returns, for the initiator's and the
-    responder's path, a row of one tap code per position: 0 where the slot
-    is not read, 1 + the basis bit it is read in where it is; None for an
-    untapped path."""
+    realtime location knowledge, and every slot otherwise, each as one mark
+    per position (a guess is :meth:`~qauthsim.qsim.RandomSource.sample_marks`,
+    the key slots ``plan.key_marks``).  A PNS tap splits a multi-photon
+    slot, with no disturbance, and records its split marks on
+    ``eve.splits``; every other targeted slot is read.  A blind
+    intercept-resend tap (no realtime knowledge) reads in its random or
+    fixed basis, every other tap in the key basis.  Returns, for the
+    initiator's and the responder's path, a row of one tap code per
+    position: 0 where the slot is not read, 1 + the basis bit it is read
+    in where it is; None for an untapped path."""
     attack = eve.attack
     kind = eve.kind
     if kind not in _TAP_KINDS:
@@ -288,37 +320,44 @@ def draw_taps(eve: EveState, plan: "SessionPlan", photon: PhotonCountModel,
     total = plan.total_slots
     realtime = attack.location_knowledge is _REALTIME
     if kind is _SUBSET_GUESS:
-        targets = rand.sample_positions(total, attack.guess_count)
+        targets = rand.sample_marks(total, attack.guess_count)
     elif realtime:
         # decrypted control traffic names the detection slots
-        targets = plan.key_positions
+        targets = plan.key_marks
     else:
-        targets = range(total)
-    count = len(targets)
+        targets = b"\x01" * total
     counted = kind is _PNS and photon.p1 < 1.0
     blind = kind is _INTERCEPT_RESEND and not realtime
     random_basis = blind and attack.basis_choice is _RANDOM_PER_SLOT
     basis = attack.fixed_basis if blind else plan.config.key_basis
-    bit = int(basis is MeasBasis.DIAGONAL)
+    read_where = _READ_WHERE[basis is MeasBasis.DIAGONAL]
     rows: dict[Path, bytes] = {}
+    splits = []
     for path in attack.path.channel_paths():
-        # the tap code of each target, in target order
         if random_basis:
-            codes = rand.bits(count).translate(_READ_IN)
+            row = rand.bits(total).translate(_READ_IN)
         elif counted:
-            # a photon count is 1 where its uniform draw is below p1
-            single = rand.below(count, photon.p1)
-            eve.split_positions.update(
-                zip(repeat(path), compress(targets, single.translate(_NOT))))
-            codes = single.translate(_READ_WHERE[bit])
+            # a photon count is 1 where its uniform draw is below p1, one
+            # per target in position order
+            single = rand.below(plan.config.k if realtime else total,
+                                photon.p1)
+            if realtime:
+                # the key slots' counts, in key order, spread to their
+                # positions; a detection slot is neither read nor split
+                spread, split = bytearray(total), bytearray(total)
+                for position, one in zip(compress(range(total), targets),
+                                         single):
+                    spread[position], split[position] = one, 1 - one
+                single, split = bytes(spread), bytes(split)
+            else:
+                split = single.translate(_NOT)
+            splits.append((path, split))
+            row = single.translate(read_where)
         else:
-            codes = bytes([1 + bit]) * count
-        if count < total:
-            row = bytearray(total)
-            for position, code in zip(targets, codes):
-                row[position] = code
-            codes = bytes(row)
-        rows[path] = codes
+            row = targets.translate(read_where)
+        rows[path] = row
+    if splits:
+        eve.splits = tuple(splits)
     return rows.get(Path.TO_ALICE), rows.get(Path.TO_BOB)
 
 
@@ -335,17 +374,22 @@ def finish_session(eve: EveState, rand: RandomSource) -> None:
 
 class KnowledgeReport(NamedTuple):
     """What the adversary provably knows about the key after one session,
-    over the key slots ``key_positions`` (empty in the shared report of a
-    session that leaves the adversary no record): ``known`` holds one byte
-    per key slot, read as one integer, 1 where the adversary knows the
-    slot's bit for certain; ``copy_hits`` counts the key slots where a
-    compromised relay's record equals the responder's bit (None without a
-    record or a responder key).  ``certain`` counts the known key slots,
-    and ``certain_positions`` lists them, sorted, each built on access."""
+    over the key slots of ``plan`` (None in the shared report of a session
+    that leaves the adversary no record): ``known`` holds one byte per key
+    slot, in position order, read as one integer, 1 where the adversary
+    knows the slot's bit for certain; ``copy_hits`` counts the key slots
+    where a compromised relay's record equals the responder's bit (None
+    without a record or a responder key).  ``certain`` counts the known
+    key slots.  The plan's ``key_positions`` and ``certain_positions``,
+    the known key slots' positions, sorted, are each built on access."""
 
-    key_positions: tuple[int, ...]
+    plan: SessionPlan | None
     copy_hits: int | None
     known: int = 0
+
+    @property
+    def key_positions(self) -> tuple[int, ...]:
+        return () if self.plan is None else self.plan.key_positions
 
     @property
     def certain(self) -> int:
@@ -353,11 +397,12 @@ class KnowledgeReport(NamedTuple):
 
     @property
     def certain_positions(self) -> tuple[int, ...]:
-        marks = self.known.to_bytes(len(self.key_positions), "big")
-        return tuple(compress(self.key_positions, marks))
+        key_positions = self.key_positions
+        marks = self.known.to_bytes(len(key_positions), "big")
+        return tuple(compress(key_positions, marks))
 
 
-_NO_KNOWLEDGE = KnowledgeReport((), None)
+_NO_KNOWLEDGE = KnowledgeReport(None, None)
 
 
 def eve_knowledge_report(outcome: "SessionOutcome") -> KnowledgeReport:
@@ -368,35 +413,35 @@ def eve_knowledge_report(outcome: "SessionOutcome") -> KnowledgeReport:
     record equals the responder's bit; the relay records every key slot.
 
     Both are counts over bytes the session holds in key-slot order.  The
-    reads come from ``eve.rows``, whose slots a session reads detection
-    slots first, then the key slots in ``plan.key_positions`` order: a key
-    slot is known where any tapped path read it in the key basis, the OR of
-    the rows' key-slot codes through ``_IN_BASIS``, or split its photon.
-    The copy hits are the key slots where ``eve.key_record`` and the
-    responder's bits agree."""
+    reads come from ``eve.rows``, whose codes hold the detection slots
+    first, then the key slots, each in position order: a key slot is known
+    where any tapped path read it in the key basis, the OR of the rows'
+    key-slot codes through ``_IN_BASIS``, or split its photon, the OR of
+    each path's split marks put in the same order
+    (:meth:`SessionPlan.draw_order`).  The copy hits are the key slots
+    where ``eve.key_record`` and the responder's bits agree.  No position
+    tuple is built."""
     eve, plan = outcome.eve, outcome.plan
-    if not (eve.rows or eve.split_positions or eve.key_record):
+    # a split is on a tapped path, which has a row
+    if not (eve.rows or eve.key_record):
         return _NO_KNOWLEDGE  # honest sessions, and every lost stream
     cfg = plan.config
-    key_positions = plan.key_positions
     known = 0
     # protocol imports this module, so the mode is read by its value
     if cfg.mode.value == "base":
         d = cfg.d
         in_key_basis = _IN_BASIS[cfg.key_basis is MeasBasis.DIAGONAL]
-        for _path, _positions, codes, _outcomes, _field in eve.rows:
+        for _path, codes, _outcomes, _field in eve.rows:
             known |= int.from_bytes(codes[d:].translate(in_key_basis), "big")
-        if eve.split_positions:
-            split = {position for _path, position in eve.split_positions}
-            known |= int.from_bytes(bytes(map(split.__contains__,
-                                              key_positions)), "big")
+        for _path, split in eve.splits:
+            known |= int.from_bytes(plan.draw_order(split)[d:], "big")
 
     copy_hits: int | None = None
     bob = outcome.bob_key_bits
     if eve.key_record and bob is not None:
         # the relay records every key slot, and only those
-        copy_hits = len(key_positions) - (
+        copy_hits = cfg.k - (
             int.from_bytes(eve.key_record, "big")
             ^ int.from_bytes(bob, "big")).bit_count()
 
-    return KnowledgeReport(key_positions, copy_hits, known)
+    return KnowledgeReport(plan, copy_hits, known)

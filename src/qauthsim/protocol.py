@@ -43,8 +43,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from hashlib import sha256
+from itertools import compress
 from operator import eq, getitem
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .adversary import AttackConfig, AttackKind, EveState, draw_taps
 from .channel import Path, PhotonCountModel, PhotonSlot, draw_loss
@@ -65,6 +66,7 @@ from .qsim import (
     MeasBasis,
     RandomSource,
     _Memo,
+    _NOT,
     bell_compose,
     measure_bell,
     measure_in_basis,
@@ -183,18 +185,29 @@ class TamperSpec:
 
 @dataclass(frozen=True)
 class SessionPlan:
-    """The relay's layout: the detection slots' ``positions``, the
-    ``key_positions``, and ``twin_sources``, one byte per detection slot
-    in position order holding its kernel source index, 2 * basis bit +
-    value (see :func:`~qauthsim.qsim.slot_kernels`).  One view is built
-    from these on first use, off the session path: ``decoys``, which maps
-    each detection slot's position to its (value, basis), the argument
-    order of ``prepare_polarized``."""
+    """The relay's layout: ``marks``, one byte per position, 1 at a
+    detection slot and 0 at a key slot, as Floyd's draw gives them
+    (:meth:`~qauthsim.qsim.RandomSource.sample_marks`), and
+    ``twin_sources``, one byte per detection slot in position order
+    holding its kernel source index, 2 * basis bit + value (see
+    :func:`~qauthsim.qsim.slot_kernels`).  A session reads the layout as
+    marks only (:meth:`draw_order`, ``key_marks``).  Three views are
+    built from them on first access, off the session path: the detection
+    slots' ``positions`` and the ``key_positions``, each sorted, and
+    ``decoys``, which maps each detection slot's position to its (value,
+    basis), the argument order of ``prepare_polarized``."""
 
     config: SessionConfig
-    positions: tuple[int, ...]
-    key_positions: tuple[int, ...]
+    marks: bytes
     twin_sources: bytes
+
+    @cached_property
+    def positions(self) -> tuple[int, ...]:
+        return tuple(compress(range(len(self.marks)), self.marks))
+
+    @cached_property
+    def key_positions(self) -> tuple[int, ...]:
+        return tuple(compress(range(len(self.marks)), self.key_marks))
 
     @cached_property
     def decoys(self) -> dict[int, tuple[int, MeasBasis]]:
@@ -202,18 +215,45 @@ class SessionPlan:
                 for position, twin in zip(self.positions, self.twin_sources)}
 
     @property
+    def key_marks(self) -> bytes:
+        """One byte per position, 1 at a key slot and 0 at a detection
+        slot."""
+        return self.marks.translate(_NOT)
+
+    @property
     def total_slots(self) -> int:
         return self.config.total_slots
 
+    def draw_order(self, row: bytes) -> bytes:
+        """``row``, one byte below 4 per position, in the order a session
+        draws its slots: the detection slots' bytes, then the key slots',
+        each in position order.
+
+        The row plus the marks << 2, added as integers, holds each
+        detection slot's byte plus 4 and each key slot's byte as it is:
+        deleting the key slots' bytes leaves the detection slots' in
+        order, and deleting theirs leaves the key slots'."""
+        mixed = (int.from_bytes(row, "big")
+                 + (int.from_bytes(self.marks, "big") << 2)
+                 ).to_bytes(len(row), "big")
+        return (mixed.translate(_LESS_FOUR, _BELOW_FOUR)
+                + mixed.translate(None, _FOUR_TO_SEVEN))
+
+
+# a byte less 4, for the marked bytes 4..7 of ``SessionPlan.draw_order``
+_LESS_FOUR = bytes([byte - 4 & 255 for byte in range(256)])
+_BELOW_FOUR, _FOUR_TO_SEVEN = bytes(range(4)), bytes(range(4, 8))
+
 
 def plan_session(cfg: SessionConfig, rand: RandomSource) -> SessionPlan:
-    """Relay-side draw: uniform tamper subset, then per-slot basis and value.
-    Each detection slot's twin source byte, 2 * basis bit + value, is one
-    uniform draw of two bits (``rand.quarters``), in position order.
-    :func:`run_session` draws a plan only for a stream whose photons all
-    arrived, after its loss marks."""
-    positions, key_positions = rand.sample_partition(cfg.total_slots, cfg.d)
-    return SessionPlan(cfg, positions, key_positions, rand.quarters(cfg.d))
+    """Relay-side draw: uniform tamper subset, as one mark per position,
+    then per-slot basis and value.  Each detection slot's twin source
+    byte, 2 * basis bit + value, is one uniform draw of two bits
+    (``rand.quarters``), in position order.  :func:`run_session` draws a
+    plan only for a stream whose photons all arrived, after its loss
+    marks."""
+    return SessionPlan(cfg, rand.sample_marks(cfg.total_slots, cfg.d),
+                       rand.quarters(cfg.d))
 
 
 def believed_state(created: BellLabel, outcome: BellLabel,
@@ -490,7 +530,6 @@ class _SessionProgram:
             rand: RandomSource) -> SessionOutcome:
         log = EventLog()
         add = log.add
-        eve = EveState(attack)
         add("1", "alice", self.request)
         for step, party, text in self.preamble:
             add(step, party, text)
@@ -499,9 +538,10 @@ class _SessionProgram:
             # nothing of a lost stream reads the layout, so none is drawn
             add("3", "server", f"lost slots {lost}")
             return SessionOutcome(SessionStatus.INCOMPLETE_STREAM, None,
-                                  eve=eve, events=log)
+                                  eve=EveState(attack), events=log)
 
         plan = plan_session(cfg, rand)
+        eve = EveState(attack, plan)
         taps = draw_taps(eve, plan, self.photon, rand)
         decoys, keys, created = self.read_slots(plan, eve, taps, rand)
         values = int.from_bytes(plan.twin_sources.translate(_VALUE_TEXT), "big")
@@ -524,8 +564,8 @@ class _SessionProgram:
         if passed:
             # step 5 (relay sub-steps 5a-5c per key slot in SWAP mode), the token
             if swap:
-                alice_key, block = self.relay(plan.key_positions, created,
-                                              keys)
+                alice_key, block = self.relay(
+                    compress(range(self.total), plan.key_marks), created, keys)
                 log.lines.append(block)
             token = make_token(alice_key, self.revealed)
             add("5", "alice", "token=" + _bits(token))  # in clear: no shared key
@@ -594,17 +634,16 @@ class _SessionProgram:
         Each slot's code table is found in ``tables`` by its slot code (see
         ``_GROUP``), one byte per slot in draw order, built by bytewise
         arithmetic on the plan's twin sources, the planted bits, the
-        created labels and the tap rows.  Eve's reads go on
-        ``eve.rows``, one row per tapped path, and the compromised relay's
-        record on ``eve.server_record`` and ``eve.key_record``."""
+        created labels and each tapped path's tap codes, put in draw order
+        from the plan's marks (:meth:`SessionPlan.draw_order`).  Eve's
+        reads go on ``eve.rows``, one row per tapped path, and the
+        compromised relay's record on ``eve.key_record``."""
         k, d = self.k, self.d
-        key_positions = plan.key_positions
         key_codes = self.key_codes
         planted = created = None
         if self.planted:
             # the relay plants twin photons carrying a bit it records
             planted = eve.key_record = rand.bits(k)
-            eve.server_record.update(zip(key_positions, planted))
         if self.swap:
             created = rand.quarters(k)
             key_codes = created.translate(_CREATED_CODES)
@@ -614,11 +653,9 @@ class _SessionProgram:
 
         tapped = taps != (None, None)
         if tapped:
-            positions = plan.positions + key_positions
             # each tapped path's tap codes in draw order, weighted into the
             # slot codes; no code reaches 256, so no byte carries
-            columns = [None if row is None
-                       else bytes(map(row.__getitem__, positions))
+            columns = [None if row is None else plan.draw_order(row)
                        for row in taps]
             code = int.from_bytes(codes, "little")
             for column, weight in zip(columns, (4, 12)):
@@ -630,13 +667,12 @@ class _SessionProgram:
 
         if tapped:
             eve.rows = tuple([
-                (path, positions, column, outs, field)
+                (path, column, outs, field)
                 for path, column, field in ((_TO_ALICE, columns[0], EVE_A),
                                             (_TO_BOB, columns[1], EVE_B))
                 if column is not None])
         if self.ghz:
             eve.key_record = keys.translate(FIELD_BITS[SERVER])
-            eve.server_record.update(zip(key_positions, eve.key_record))
         return outs[:d], keys, created
 
     def kernel_key(self, code: int) -> tuple:
@@ -651,7 +687,7 @@ class _SessionProgram:
         return (self.key_source + low, tap_a, tap_b, self.key_basis,
                 group - 2 if group > 1 else None)
 
-    def relay(self, key_positions: tuple, created: bytes,
+    def relay(self, key_positions: Iterable[int], created: bytes,
               keys: bytes) -> tuple[bytes, str]:
         """Steps 5a-5c at each key slot, from its created label and outcome
         code: the pair outcome and the kept bit, and the key bit under the

@@ -30,7 +30,7 @@ projects onto every outcome with the same helpers and reports exact
 :class:`fractions.Fraction` values.
 
 A session's draws are made in bulk (:meth:`RandomSource.below`,
-:meth:`~RandomSource.sample_partition`, :meth:`~RandomSource.quarters`,
+:meth:`~RandomSource.sample_marks`, :meth:`~RandomSource.quarters`,
 :meth:`~RandomSource.outcomes`), each taking the next bytes of its trial's
 SHAKE-128 stream, whose bytes an arriving trial reads in one call.  A
 session's loss marks (:meth:`RandomSource.loss_marks`) come from a
@@ -188,10 +188,9 @@ class RandomSource:
     byte, the law of the loss marks (:func:`_settle`); :meth:`uniform`
     takes 7 bytes, whose top 53 bits, big-endian, are N in ``N / 2**53``,
     and :meth:`categorical` reads one :meth:`uniform`.
-    :meth:`sample_partition` is Floyd's algorithm (Bentley & Floyd, CACM
-    30(9), 1987) on the smaller side of the partition (see
-    :meth:`_chosen`).  No module outside this one reads either stream's
-    layout.
+    :meth:`sample_marks` is Floyd's algorithm (Bentley & Floyd, CACM
+    30(9), 1987) on the smaller side of the partition.  No module outside
+    this one reads either stream's layout.
     """
 
     # The main stream's cursor: the bytes read so far and the position of
@@ -267,7 +266,7 @@ class RandomSource:
             packed = xof.digest(count + _RESERVE * edges)
         return _settle(marks, p, packed[count:])
 
-    def _chosen(self, universe: int, count: int) -> bytearray:
+    def sample_marks(self, universe: int, count: int) -> bytes:
         """One mark per position of range(universe): 1 at each of ``count``
         distinct positions drawn uniformly, 0 elsewhere.
 
@@ -302,17 +301,19 @@ class RandomSource:
                 at = end
             marks[j if marks[t] else t] = 1
         self._at = at
+        marks = bytes(marks)
         return marks if side == count else marks.translate(_NOT)
 
     def sample_positions(self, universe: int, count: int) -> tuple[int, ...]:
         """``count`` distinct positions drawn from range(universe), sorted."""
-        return tuple(compress(range(universe), self._chosen(universe, count)))
+        return tuple(compress(range(universe),
+                              self.sample_marks(universe, count)))
 
     def sample_partition(self, universe: int, count: int
                          ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The positions :meth:`sample_positions` draws, and the rest of
         range(universe), each sorted, from the same draws."""
-        marks = self._chosen(universe, count)
+        marks = self.sample_marks(universe, count)
         positions = range(universe)
         return (tuple(compress(positions, marks)),
                 tuple(compress(positions, marks.translate(_NOT))))

@@ -358,8 +358,9 @@ def test_empty_knowledge_is_one_shared_report():
     assert lost.status is SessionStatus.INCOMPLETE_STREAM
     reports = [eve_knowledge_report(out) for out in (honest, lost)]
     assert reports[0] is reports[1]
-    assert reports[0] == KnowledgeReport((), None)
+    assert reports[0] == KnowledgeReport(None, None)
     assert (reports[0].certain, reports[0].copy_hits) == (0, None)
+    assert reports[0].key_positions == reports[0].certain_positions == ()
 
 
 def _certain_by_the_measured_dict(out):
@@ -434,7 +435,7 @@ def _reference_knowledge(outcome):
     if cfg.mode is ProtocolMode.BASE:
         key_positions, d = plan.key_positions, cfg.d
         in_key_basis = _IN_BASIS[cfg.key_basis is MeasBasis.DIAGONAL]
-        for _path, _positions, codes, _outcomes, _field in eve.rows:
+        for _path, codes, _outcomes, _field in eve.rows:
             certain.update(compress(key_positions,
                                     codes[d:].translate(in_key_basis)))
         key_set = set(key_positions)
@@ -493,3 +494,169 @@ def test_knowledge_counts_equal_the_set_reference(mode, rule, key_basis,
                 assert out.key_matches() == (
                     None if alice is None or bob is None
                     else sum(map(eq, alice, bob))), (k, d, attack, trial)
+
+
+# --- the position views against the rules they were built by before ---------
+
+_PNS_VIEW_SCENARIOS = {
+    f"{knowledge}-pns-{path}": {
+        "seed": 2024, "trials": 6,
+        "session": {"k": 4, "d": 4, "mode": "base", "key_basis": "diagonal"},
+        "attack": {"kind": "pns", "path": path,
+                   "location_knowledge": knowledge},
+        "photon": {"p1": 0.5}}
+    for knowledge in ("never", "realtime") for path in ("to_bob", "both")}
+
+
+def _old_views(spec, trial, out):
+    """The position views of an arriving trial, drawn again on a twin of its
+    stream by the rules the session followed before it kept its layout as
+    marks: the plan as ``sample_partition``'s two tuples; each tap's
+    targets as positions (``sample_positions`` for a guess), its photon
+    counts and basis bits per target, the splits as (path, position) and
+    the reads scattered to a row by position; eve's reads zipped with the
+    detection positions, then the key positions; the relay's record zipped
+    with the key positions; and the known key positions as a set."""
+    cfg, attack, photon = spec.session, spec.attack, spec.photon
+    total, d, k = cfg.total_slots, cfg.d, cfg.k
+    twin = RandomSource(spec.seed, trial)
+    positions, key_positions = twin.sample_partition(total, d)
+    twin.quarters(d)
+    kind = attack.kind if attack is not None else AttackKind.NONE
+    rows, split = {}, set()
+    if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.SUBSET_GUESS,
+                AttackKind.PNS):
+        realtime = attack.location_knowledge is LocationKnowledge.REALTIME
+        if kind is AttackKind.SUBSET_GUESS:
+            targets = twin.sample_positions(total, attack.guess_count)
+        elif realtime:
+            targets = key_positions
+        else:
+            targets = tuple(range(total))
+        blind = kind is AttackKind.INTERCEPT_RESEND and not realtime
+        basis = attack.fixed_basis if blind else cfg.key_basis
+        for path in attack.path.channel_paths():
+            if blind and attack.basis_choice is BasisChoice.RANDOM_PER_SLOT:
+                reads = dict(zip(targets, twin.bits(len(targets))))
+            elif kind is AttackKind.PNS and photon.p1 < 1.0:
+                single = twin.below(len(targets), photon.p1)
+                split.update((path, position) for position, one
+                             in zip(targets, single) if not one)
+                reads = {position: int(cfg.key_basis is MeasBasis.DIAGONAL)
+                         for position, one in zip(targets, single) if one}
+            else:
+                reads = dict.fromkeys(targets,
+                                      int(basis is MeasBasis.DIAGONAL))
+            rows[path] = bytes([1 + reads[p] if p in reads else 0
+                                for p in range(total)])
+    record = out.eve.key_record
+    if kind is AttackKind.SERVER_PRODUCT:
+        assert record == twin.bits(k)
+    order = positions + key_positions
+    measured, known = {}, set()
+    for path, codes, outcomes, field in out.eve.rows:
+        old = rows.pop(path)
+        assert codes == bytes(map(old.__getitem__, order))
+        for position, out_code in zip(order, outcomes):
+            if old[position]:
+                basis = MeasBasis.DIAGONAL if old[position] == 2 \
+                    else MeasBasis.RECTILINEAR
+                measured[(path, position)] = (out_code >> field & 1, basis)
+                if basis is cfg.key_basis and position in key_positions:
+                    known.add(position)
+    assert not rows  # every tapped path kept its row
+    if cfg.mode is ProtocolMode.BASE:
+        known.update(p for _path, p in split if p in key_positions)
+    else:
+        known.clear()
+    return dict(positions=positions, key_positions=key_positions,
+                measured=measured, split_positions=split,
+                server_record=dict(zip(key_positions, record)),
+                certain_positions=tuple(sorted(known)))
+
+
+def _view_scenarios():
+    from test_golden import SCENARIOS
+
+    return sorted({**SCENARIOS, **_PNS_VIEW_SCENARIOS}.items())
+
+
+@pytest.mark.parametrize("name,doc", _view_scenarios(),
+                         ids=[name for name, _ in _view_scenarios()])
+def test_position_views_match_the_old_rules(name, doc):
+    # every position view a session leaves, built on access from the
+    # layout's marks, the split marks and the relay's key-order record,
+    # against the tuples, sets and dicts the session built before
+    spec = parse_scenario(doc)
+    for trial in range(6):
+        out = run_session(spec.session, spec.attack,
+                          RandomSource(spec.seed, trial), photon=spec.photon,
+                          p_loss=spec.p_loss)
+        eve = out.eve
+        if out.plan is None:
+            assert out.status is SessionStatus.INCOMPLETE_STREAM
+            assert not (eve.measured or eve.split_positions
+                        or eve.server_record)
+            continue
+        report = eve_knowledge_report(out)
+        old = _old_views(spec, trial, out)
+        got = dict(positions=out.plan.positions,
+                   key_positions=out.plan.key_positions,
+                   measured=eve.measured, split_positions=eve.split_positions,
+                   server_record=eve.server_record,
+                   certain_positions=report.certain_positions)
+        assert got == old, (name, trial)
+        # a session that leaves no record shares the one empty report
+        assert report.key_positions == (
+            old["key_positions"] if eve.rows or eve.key_record else ())
+        # each view is built once, and the per-photon writers add to it
+        assert eve.split_positions is got["split_positions"]
+        assert eve.server_record is got["server_record"]
+
+
+_GUARD_ATTACKS = {
+    "none": ({"kind": "none"}, {}),
+    "intercept": (_TAP_BOB, {}),
+    "pns": (_PNS_BOB, {"p1": 0.5}),
+    "subset": ({"kind": "subset_guess", "path": "to_bob", "guess_count": 17},
+               {}),
+    "server_product": ({"kind": "server_product"}, {}),
+    "server_ghz": ({"kind": "server_ghz"}, {})}
+
+
+@pytest.mark.parametrize("mode,attack", [
+    ("base", "none"), ("base", "intercept"), ("base", "pns"),
+    ("base", "subset"), ("base", "server_product"), ("swap", "none"),
+    ("swap", "intercept"), ("swap", "server_ghz")])
+def test_sessions_build_no_position_tuple(monkeypatch, mode, attack):
+    # at the paper's sizing a scenario run, sessions, knowledge reports and
+    # fold, reads the layout and the adversary's records as bytes: with
+    # every position view patched to raise, it runs, and a session left
+    # outside the harness has built none of them either
+    from qauthsim.adversary import EveState
+    from qauthsim.protocol import SessionPlan
+
+    kind, photon = _GUARD_ATTACKS[attack]
+    session = {"k": 17, "d": 41, "mode": mode}
+    if mode == "swap":
+        session["belief_rule"] = "composed"
+    spec = parse_scenario({"seed": 2025, "trials": 8, "session": session,
+                           "attack": kind, "photon": photon})
+    outs = [run_session(spec.session, spec.attack, RandomSource(2025, t),
+                        photon=spec.photon) for t in range(8)]
+    for out in outs:
+        eve_knowledge_report(out)
+        assert not {"positions", "key_positions", "decoys"} & set(
+            vars(out.plan)), (mode, attack)
+        eve = out.eve
+        assert (eve._measured, eve._split_positions, eve._server_record) == (
+            None, None, None), (mode, attack)
+
+    def refuse(self):
+        raise AssertionError("a session built a position view")
+
+    for name in ("positions", "key_positions", "decoys"):
+        monkeypatch.setattr(SessionPlan, name, property(refuse))
+    for name in ("measured", "split_positions", "server_record"):
+        monkeypatch.setattr(EveState, name, property(refuse))
+    run_scenario(spec)

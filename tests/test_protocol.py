@@ -6,7 +6,7 @@ import math
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +33,7 @@ from qauthsim.protocol import (
     BeliefRule,
     ProtocolMode,
     SessionConfig,
+    SessionPlan,
     SessionStatus,
     TamperSpec,
     authenticate,
@@ -429,6 +430,33 @@ def test_plans_without_detection_slots_draw_nothing(k):
     assert plan.positions == () and plan.decoys == {}
     assert plan.key_positions == tuple(range(k)) and plan.twin_sources == b""
     assert not rand._buf  # the main stream was never read
+
+
+@settings(max_examples=120, deadline=None)
+@given(universe=st.integers(1, 600), data=st.data())
+def test_draw_order_column_matches_the_position_map(universe, data):
+    # a row put in draw order from the layout's marks against the
+    # per-position reorder it replaced: the detection slots' bytes, then
+    # the key slots', each in position order.  The layouts include d = 0
+    # and all-detection ones, and universes past 256
+    d = data.draw(st.one_of(st.just(0), st.just(universe),
+                            st.integers(0, universe)))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    marks = bytearray(universe)
+    for position in rnd.sample(range(universe), d):
+        marks[position] = 1
+    marks = bytes(marks)
+    row = bytes(rnd.choices(range(3), k=universe))
+    positions = tuple(compress(range(universe), marks))
+    key_positions = tuple(p for p in range(universe) if not marks[p])
+    # draw_order reads the marks only, so an all-detection layout, which no
+    # session config allows, needs none
+    plan = SessionPlan(None, marks, bytes(d))
+    assert plan.positions == positions
+    assert plan.key_positions == key_positions
+    column = plan.draw_order(row)
+    assert type(column) is bytes
+    assert column == bytes(map(row.__getitem__, positions + key_positions))
 
 
 # --- the session path's bulk draws against the scalar loops they replace ------
