@@ -28,10 +28,11 @@ bits and the event log from the outcomes; in SWAP mode the relay step
 keeps only the initiator's key bits and writes each slot's created label
 and pair outcome on its 5a-5c log lines, all key slots' lines as one block
 of text.  What depends only on the scenario (the fixed log lines, the
-tamper check's verdict per error count, the kernel table of each slot
-code) is built once per scenario into a session program; the relay
-step's finished lines are built once per position and shared by every
-program.  The per-photon relay step
+tamper check's verdict per error count, the fused kernel tables of the
+slot codes its sessions form) is built once per scenario into a session
+program; the relay step's finished lines are built once per position and
+shared by every program of at most ``_RELAY_MEMO_SLOTS`` slots.  The
+per-photon relay step
 :func:`alice_swap_step` and its :class:`SwapRecord` are off the session
 path.
 """
@@ -63,6 +64,7 @@ from .qsim import (
     TRIPLE_SOURCE,
     BellKind,
     BellLabel,
+    CodeTables,
     MeasBasis,
     RandomSource,
     _Memo,
@@ -71,7 +73,6 @@ from .qsim import (
     measure_bell,
     measure_in_basis,
     prepare_bell,
-    slot_kernels,
 )
 
 class ProtocolMode(Enum):
@@ -400,11 +401,6 @@ class SessionOutcome:
             return None
         return _error_rate(errors, self.plan.config.d)
 
-    def key_matches(self) -> int | None:
-        """Key slots where both parties hold the same bit, of k; None
-        unless both parties read their keys."""
-        return self.key_match_count
-
 
 _BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -483,11 +479,11 @@ class _SessionProgram:
     no drawn value, in SWAP mode the key bit and block pick by relay-step
     index (see :meth:`relay`), and two memos, each filled the first time a
     session needs an entry: ``checks``, the tamper check's verdict and log
-    line by error count (:meth:`check`), and ``tables``, the outcome code
-    table by slot code (see :meth:`read_slots`; :meth:`kernel_key` decodes
-    a code, and :func:`~qauthsim.qsim.slot_kernels` gives its table).
-    :meth:`run` makes the draws :func:`run_session` documents, in its
-    order."""
+    line by error count (:meth:`check`), and ``tables``, the kernel tables
+    of the slot codes the program's sessions have formed, fused into a few
+    256-byte tables (:class:`~qauthsim.qsim.CodeTables`; see
+    :meth:`read_slots`; :meth:`kernel_key` decodes a code).  :meth:`run`
+    makes the draws :func:`run_session` documents, in its order."""
 
     __slots__ = ("photon", "p_loss", "k", "d", "total", "revealed", "swap",
                  "planted", "ghz", "request", "preamble", "checks",
@@ -521,8 +517,7 @@ class _SessionProgram:
                            else TRIPLE_SOURCE if self.ghz else PAIR_SOURCE)
         # the key slots' codes with no planted bit, tap or relay step
         self.key_codes = bytes([_GROUP]) * k
-        self.tables = _Memo(
-            lambda code: slot_kernels([self.kernel_key(code)])[0][3])
+        self.tables = CodeTables(self.kernel_key)
         self.relay_table = (_RELAY_TABLES[cfg.belief_rule] if self.swap
                             else None)
 
@@ -631,13 +626,15 @@ class _SessionProgram:
         the created pair labels (SWAP mode), then one byte per slot,
         detection slots first (:meth:`~qauthsim.qsim.RandomSource.outcomes`).
 
-        Each slot's code table is found in ``tables`` by its slot code (see
-        ``_GROUP``), one byte per slot in draw order, built by bytewise
-        arithmetic on the plan's twin sources, the planted bits, the
-        created labels and each tapped path's tap codes, put in draw order
-        from the plan's marks (:meth:`SessionPlan.draw_order`).  Eve's
-        reads go on ``eve.rows``, one row per tapped path, and the
-        compromised relay's record on ``eve.key_record``."""
+        Each slot has a one-byte slot code (see ``_GROUP``), in draw
+        order, built by bytewise arithmetic on the plan's twin sources, the
+        planted bits (one integer add), the created labels and each tapped
+        path's tap codes, put in draw order from the plan's marks
+        (:meth:`SessionPlan.draw_order`).  ``tables`` decides every slot
+        from its code and its byte with a few ``translate`` calls, a code
+        no session formed before joining it on the way.  Eve's reads go on
+        ``eve.rows``, one row per tapped path, and the compromised relay's
+        record on ``eve.key_record``."""
         k, d = self.k, self.d
         key_codes = self.key_codes
         planted = created = None
@@ -648,7 +645,8 @@ class _SessionProgram:
             created = rand.quarters(k)
             key_codes = created.translate(_CREATED_CODES)
         if planted:
-            key_codes = bytes(map(int.__add__, key_codes, planted))
+            key_codes = (int.from_bytes(key_codes, "big")
+                         + int.from_bytes(planted, "big")).to_bytes(k, "big")
         codes = plan.twin_sources + key_codes
 
         tapped = taps != (None, None)
@@ -662,7 +660,7 @@ class _SessionProgram:
                 if column is not None:
                     code += weight * int.from_bytes(column, "little")
             codes = code.to_bytes(self.total, "little")
-        outs = rand.outcomes(list(map(self.tables.__getitem__, codes)))
+        outs = rand.outcomes(codes, self.tables)
         keys = outs[d:]
 
         if tapped:
@@ -700,10 +698,12 @@ class _SessionProgram:
                  ).to_bytes(self.k, "big")
         # each slot's index << 1 | key bit picks its block
         picks = index.translate(self.relay_table)
-        block = "\n".join(map(getitem,
-                              map(_RELAY_BLOCKS.__getitem__, key_positions),
-                              picks))
-        return picks.translate(_KEY_BIT), block
+        if self.total <= _RELAY_MEMO_SLOTS:
+            blocks = map(getitem, map(_RELAY_BLOCKS.__getitem__, key_positions),
+                         picks)
+        else:
+            blocks = map(_relay_block, key_positions, picks)
+        return picks.translate(_KEY_BIT), "\n".join(blocks)
 
 
 def _relay_blocks(position: int) -> tuple[str, ...]:
@@ -717,12 +717,25 @@ def _relay_blocks(position: int) -> tuple[str, ...]:
     return tuple([head + tail for head in heads for tail in _KEPT_KEY_TEXT])
 
 
+def _relay_block(position: int, pick: int) -> str:
+    """The block of :func:`_relay_blocks` at ``position`` and ``pick``
+    alone, for a session too large for the memo."""
+    at = f"\talice\tpos={position} "
+    return (f"5a{at}created={_LABEL_TEXT[pick >> 4]}\n"
+            f"5b{at}outcome={_LABEL_TEXT[pick >> 2 & 3]}\n"
+            f"5c{at}kept={_KEPT_KEY_TEXT[pick & 3]}")
+
+
 _LABEL_TEXT = tuple([label.short() for label in BELL_ORDER])
 _KEPT_KEY_TEXT = tuple([f"{kept} key={key}" for kept in (0, 1)
                         for key in (0, 1)])
-# The relay blocks by position (64 blocks, about 9 KB), built the first time
-# a session reaches it; they depend on nothing else, so every session
-# program shares them, and positions stop below MAX_SLOTS.
+# The relay blocks by position (64 blocks, about 9.6 KB), built the first
+# time a session reaches it; they depend on nothing else, so every session
+# program shares them.  Only sessions of at most _RELAY_MEMO_SLOTS slots
+# use the memo, which so holds at most that many positions (about 40 MB);
+# a larger session renders each block its slot picks and keeps none, since
+# a memo over every position up to MAX_SLOTS could hold about 2.5 GB.
+_RELAY_MEMO_SLOTS = 4096
 _RELAY_BLOCKS = _Memo(_relay_blocks)
 _KEY_BIT = bytes([pick & 1 for pick in range(256)])
 

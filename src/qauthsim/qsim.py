@@ -25,7 +25,10 @@ integer weights, built once per key by the helpers.  Every kernel's total
 divides 256, so one stream byte b decides a slot by the same integer rule,
 the first j with b * T < 256 * S_j: each kernel carries a 256-byte table of
 outcome codes in which outcome j owns 256 * w_j / T bytes
-(:func:`_code_table`).  The relay-step oracle (:func:`swap_enumerate`)
+(:func:`_code_table`).  A session program fuses the code tables of the
+slot codes its sessions form into a few 256-byte tables
+(:class:`CodeTables`), so a session decides all its slots with a few
+``translate`` calls.  The relay-step oracle (:func:`swap_enumerate`)
 projects onto every outcome with the same helpers and reports exact
 :class:`fractions.Fraction` values.
 
@@ -63,14 +66,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
 from math import gcd
-from operator import getitem, mul
-from typing import Sequence
+from operator import mul
+from typing import Callable, Sequence
 
 _MASK64 = (1 << 64) - 1
 _TWO53 = float(1 << 53)
-# each byte's top bit and its top two bits, as bytes; a 0 or 1 byte negated
-_TOP_BIT = bytes([byte >> 7 for byte in range(256)])
-_TOP_TWO_BITS = bytes([byte >> 6 for byte in range(256)])
+# by s = 0 .. 8, each byte's top s bits, as bytes; a 0 or 1 byte negated
+_TOP_BITS = tuple([bytes([byte >> (8 - s) for byte in range(256)])
+                   for s in range(9)])
+_TOP_BIT, _TOP_TWO_BITS = _TOP_BITS[1], _TOP_BITS[2]
 _NOT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
@@ -183,7 +187,8 @@ class RandomSource:
     The bytes of each draw: :meth:`bit` and :meth:`bits` take one byte per
     value and keep its top bit, :meth:`basis` likewise; :meth:`quarters`
     and :meth:`bell_label` keep a byte's top two bits; :meth:`outcomes`
-    reads one byte per slot through the slot's code table; :meth:`below`
+    reads one byte per slot and decides it by the slot code's kernel
+    table, through the fused tables of :class:`CodeTables`; :meth:`below`
     takes one byte per mark and a 6-byte remainder per mark on the edge
     byte, the law of the loss marks (:func:`_settle`); :meth:`uniform`
     takes 7 bytes, whose top 53 bits, big-endian, are N in ``N / 2**53``,
@@ -338,11 +343,12 @@ class RandomSource:
         """
         return bisect_right(thresholds, self.uniform())
 
-    def outcomes(self, tables: Sequence[bytes]) -> bytes:
-        """One outcome code per 256-byte code table (see
-        :func:`slot_kernels`), in order: ``table[b]`` for the slot's byte
-        b."""
-        return bytes(map(getitem, tables, self._take(len(tables))))
+    def outcomes(self, codes: bytes, tables: CodeTables) -> bytes:
+        """One outcome code per slot code of ``codes``, in order: the
+        code's kernel's ``table[b]`` (see :func:`slot_kernels`) for the
+        slot's byte b, one byte per slot, decided through ``tables``'
+        fused form (:meth:`CodeTables.decide`)."""
+        return tables.decide(codes, self._take(len(codes)))
 
 
 # The bytes of a main stream's first read.  Sessions at the paper's sizing
@@ -642,11 +648,11 @@ def slot_kernels(keys: Sequence[tuple]) -> list[tuple]:
     outcome it draws.  :meth:`RandomSource.outcomes` draws a session's
     slots from these tables.
 
-    Sessions do not call this per slot: each session program keeps its
-    tables in a memo by one-byte slot code, which looks a code's key up
-    here the first time one of its sessions forms it (see
-    ``protocol._SessionProgram.read_slots``), so the tables are built only
-    in this memo.
+    Sessions do not call this per slot: each session program keeps the
+    kernels of the one-byte slot codes its sessions have formed in one
+    :class:`CodeTables`, which looks a code's key up here the first time
+    a session forms it (see ``protocol._SessionProgram.read_slots``), so
+    the tables are built only in this memo.
     """
     return list(map(_KERNELS.__getitem__, keys))
 
@@ -698,6 +704,91 @@ def _code_table(weights: Sequence[int], codes: Sequence[int]) -> bytes:
     share = 256 // total
     return b"".join([bytes([code]) * (weight * share)
                      for code, weight in zip(codes, weights)])
+
+
+class CodeTables:
+    """The code tables (:func:`_code_table`) of the slot codes a session
+    program's sessions form, fused so that :meth:`RandomSource.outcomes`
+    decides all of a session's slots with a few ``translate`` calls.
+
+    A kernel's total T is a power of two, 2**s, and its code table gives
+    outcome j a run of 256 * w_j / T bytes that starts at a multiple of
+    256 / T, so ``table[b]`` depends only on the top s bits of the byte b:
+    s is the code's bit depth.  Codes ranked 0 .. n - 1 in a chunk whose
+    deepest code has depth s share one 256-byte table when n << s <= 256:
+    its index (rank << s) | (b >> (8 - s)) holds the ranked code's
+    ``table[b]``.  The codes are grouped deepest first, each chunk taking
+    as many of the next codes as fit (:func:`_chunks`), which makes the
+    fewest chunks; a code of depth 8 fills one.
+
+    ``kernels`` maps each formed code to its kernel, looked up through
+    :func:`slot_kernels` by the kernel key ``key_of(code)`` the first time
+    a session forms the code (:meth:`decide`), and ``formed`` holds the
+    formed codes as bytes.  ``chunks`` holds per chunk (ranks, tops,
+    table, members): each code's rank << s, each byte's top s bits, the
+    fused table, and 255 at each member code, None where one chunk holds
+    every code."""
+
+    __slots__ = ("key_of", "kernels", "formed", "chunks")
+
+    def __init__(self, key_of: Callable[[int], tuple]) -> None:
+        self.key_of = key_of
+        self.kernels: dict[int, tuple] = {}
+        self.formed = b""
+        self.chunks: tuple = ()
+
+    def decide(self, codes: bytes, draws: bytes) -> bytes:
+        """Each slot's outcome code, ``table[b]`` of its code's kernel for
+        its byte b of ``draws``, in order.
+
+        Per chunk, the slot's rank << s plus its byte's top s bits, added
+        as integers, is its index in the chunk's table (no byte carries),
+        and one ``translate`` reads the table; where codes span more than
+        one chunk, each chunk's member mask keeps its members' picks."""
+        if codes.translate(None, self.formed):
+            self.form(codes)
+        size = len(codes)
+        outs = 0
+        for ranks, tops, table, members in self.chunks:
+            picked = (int.from_bytes(codes.translate(ranks), "big")
+                      + int.from_bytes(draws.translate(tops), "big")
+                      ).to_bytes(size, "big").translate(table)
+            if members is None:
+                return picked
+            outs |= (int.from_bytes(picked, "big")
+                     & int.from_bytes(codes.translate(members), "big"))
+        return outs.to_bytes(size, "big")
+
+    def form(self, codes: bytes) -> None:
+        """Look up the kernel of each code of ``codes`` not formed before,
+        and group every formed code into chunks again."""
+        new = sorted(set(codes).difference(self.kernels))
+        self.kernels.update(zip(new, slot_kernels(list(map(self.key_of, new)))))
+        self.formed = bytes(sorted(self.kernels))
+        self.chunks = _chunks(self.kernels)
+
+
+def _chunks(kernels: dict[int, tuple]) -> tuple:
+    """The chunks of :class:`CodeTables` over the codes of ``kernels``,
+    deepest first; codes of one depth go in code order."""
+    depth = {code: kernel[1].bit_length() - 1 for code, kernel in kernels.items()}
+    order = sorted(depth, key=lambda code: (-depth[code], code))
+    groups = []
+    while order:
+        s = depth[order[0]]
+        groups.append((s, order[:256 >> s]))
+        del order[:256 >> s]
+    chunks = []
+    for s, group in groups:
+        ranks, table, members = bytearray(256), bytearray(256), bytearray(256)
+        for rank, code in enumerate(group):
+            ranks[code] = rank << s
+            members[code] = 255
+            # the code's table at each multiple of 256 >> s, in order
+            table[rank << s:(rank + 1) << s] = kernels[code][3][::256 >> s]
+        chunks.append((bytes(ranks), _TOP_BITS[s], bytes(table),
+                       bytes(members) if len(groups) > 1 else None))
+    return tuple(chunks)
 
 
 def _read_leaves(leaves: list, n: int, reads: list) -> list:

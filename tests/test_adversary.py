@@ -289,7 +289,7 @@ class TestServerCompromise:
         for t in range(100):
             out = run_session(cfg, atk, RandomSource(81, t))
             assert out.status is SessionStatus.AUTH_ACCEPT
-            assert out.key_matches() == cfg.k
+            assert out.key_match_count == cfg.k
             rep = eve_knowledge_report(out)
             assert rep.copy_hits == cfg.k
 
@@ -491,7 +491,7 @@ def test_knowledge_counts_equal_the_set_reference(mode, rule, key_basis,
                         report.copy_hits) == (len(positions), positions,
                                               copy_hits), (k, d, attack, trial)
                 alice, bob = out.alice_key_bits, out.bob_key_bits
-                assert out.key_matches() == (
+                assert out.key_match_count == (
                     None if alice is None or bob is None
                     else sum(map(eq, alice, bob))), (k, d, attack, trial)
 

@@ -423,6 +423,33 @@ def test_relay_memo_holds_the_positions_sessions_reached():
     assert sorted(protocol._RELAY_BLOCKS) == list(out.plan.key_positions)
 
 
+def test_relay_memo_stops_at_its_bound(monkeypatch):
+    # a swap session of more slots than the bound renders the block each
+    # key slot picks and keeps none; its log equals the memo's
+    bound = protocol._RELAY_MEMO_SLOTS
+    cfg = _cfg(k=bound + 60, d=5, mode=ProtocolMode.SWAP,
+               rule=BeliefRule.MEASURED)
+    protocol._RELAY_BLOCKS.clear()
+    small = run_session(_cfg(k=3, d=4, mode=ProtocolMode.SWAP,
+                             rule=BeliefRule.MEASURED), None, RandomSource(40, 0))
+    out = run_session(cfg, None, RandomSource(40, 1))
+    assert [step[0] for step in _relay_steps(out)] == list(out.plan.key_positions)
+    assert sorted(protocol._RELAY_BLOCKS) == list(small.plan.key_positions)
+    monkeypatch.setattr(protocol, "_RELAY_MEMO_SLOTS", protocol.MAX_SLOTS)
+    memo = run_session(cfg, None, RandomSource(40, 1))
+    assert memo.events.text() == out.events.text()
+    assert max(protocol._RELAY_BLOCKS) >= bound
+    protocol._RELAY_BLOCKS.clear()
+
+
+@pytest.mark.parametrize("position", [0, 9, 4200, protocol.MAX_SLOTS - 1])
+def test_relay_block_alone_equals_the_memo_block(position):
+    blocks = protocol._relay_blocks(position)
+    assert len(blocks) == 64
+    assert [protocol._relay_block(position, pick) for pick in range(64)] \
+        == list(blocks)
+
+
 @pytest.mark.parametrize("k", [1, 2, 17])
 def test_plans_without_detection_slots_draw_nothing(k):
     rand = RandomSource(38, k)
@@ -840,7 +867,7 @@ class TestHonestSessions:
             assert out.status is SessionStatus.AUTH_ACCEPT
             assert out.alice_tamper_error_rate == 0.0
             assert out.bob_tamper_error_rate == 0.0
-            assert out.key_matches() == cfg.k
+            assert out.key_match_count == cfg.k
             assert out.token == out.alice_key_bits[:cfg.reveal_count]
 
     def test_swap_composed_always_agrees(self):
@@ -848,7 +875,7 @@ class TestHonestSessions:
         for t in range(50):
             out = run_session(cfg, None, RandomSource(11, t))
             assert out.status is SessionStatus.AUTH_ACCEPT
-            assert out.key_matches() == cfg.k
+            assert out.key_match_count == cfg.k
             steps = _relay_steps(out)
             assert [position for position, _, _ in steps] == \
                 list(out.plan.key_positions)
@@ -1174,10 +1201,10 @@ def test_honest_sessions_always_accept(k, d, seed):
     cfg = SessionConfig(k=k, d=d, reveal_count=k, mode=ProtocolMode.BASE)
     out = run_session(cfg, None, RandomSource(seed, 0))
     assert out.status is SessionStatus.AUTH_ACCEPT
-    assert out.key_matches() == k
+    assert out.key_match_count == k
 
     cfg = SessionConfig(k=k, d=d, reveal_count=k, mode=ProtocolMode.SWAP,
                         belief_rule=BeliefRule.COMPOSED)
     out = run_session(cfg, None, RandomSource(seed, 1))
     assert out.status is SessionStatus.AUTH_ACCEPT
-    assert out.key_matches() == k
+    assert out.key_match_count == k

@@ -15,13 +15,15 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, product
+from operator import getitem
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qauthsim import protocol, qsim
-from qauthsim.channel import PhotonSlot
+from qauthsim.adversary import AttackConfig, AttackKind, TapPath
+from qauthsim.channel import PhotonCountModel, PhotonSlot
 from qauthsim.harness import _summarize
 from qauthsim.qsim import (
     BELL_ORDER,
@@ -753,22 +755,34 @@ def test_outcome_codes_pack_the_fields():
         assert qsim.outcome_code(_decode(code)) == code
 
 
+def _outcomes_by_table(rand, tables):
+    """The per-table draw the fused tables replace: one byte b of the main
+    stream per 256-byte code table, read as ``table[b]``."""
+    return bytes(map(getitem, tables, rand._take(len(tables))))
+
+
 def test_outcomes_match_the_integer_rule_loop():
-    # one bulk draw over every reachable kernel, twice over, against one
-    # word's top byte per table by the integer rule, a word also where a
-    # table has one outcome
+    # one bulk draw over every reachable kernel, twice over, each slot code
+    # i standing for the i-th key, against one byte per table by the
+    # integer rule, a byte also where a table has one outcome, and against
+    # the per-table draw
     kernels = qsim.slot_kernels(REACHABLE_KEYS) * 2
-    tables = [codes for _, _, _, codes in kernels]
-    assert RandomSource(1, 0).outcomes([]) == b""
+    codes = bytes(range(len(REACHABLE_KEYS))) * 2
+    tables = qsim.CodeTables(REACHABLE_KEYS.__getitem__)
+    assert RandomSource(1, 0).outcomes(b"", tables) == b""
     for stream in range(40):
         bulk, cursor = RandomSource(53, stream), _Cursor(53, stream)
+        per_table = RandomSource(53, stream)
         want = []
         for cumulative, total, outcomes, _ in kernels:
             (byte,) = cursor.take(1)
             out = outcomes[bisect_right([256 * s for s in cumulative], byte * total)]
             want.append(qsim.outcome_code(out))
-        assert bulk.outcomes(tables) == bytes(want)
-        assert _read_state(bulk) == cursor.state()
+        assert bulk.outcomes(codes, tables) == bytes(want)
+        assert _outcomes_by_table(per_table, [table for *_, table in kernels]) \
+            == bytes(want)
+        assert _read_state(bulk) == cursor.state() == _read_state(per_table)
+    assert len(tables.chunks) > 1
 
 
 @pytest.mark.parametrize("key", REACHABLE_KEYS, ids=repr)
@@ -933,11 +947,131 @@ def test_slot_codes_resolve_to_their_kernels():
         program = protocol._program(spec.session, spec.attack, spec.photon,
                                     spec.p_loss)
         keys = _layout_keys(spec)
-        formed = set(program.tables)
+        tables = program.tables
+        formed = set(tables.kernels)
         assert formed and formed <= set(keys), doc
+        assert tables.formed == bytes(sorted(formed))
+        tables.form(bytes(sorted(keys)))
         for code, key in sorted(keys.items()):
             assert program.kernel_key(code) == key
-            assert program.tables[code] is qsim.slot_kernels([key])[0][3]
+            assert tables.kernels[code] is qsim.slot_kernels([key])[0]
+        _assert_fused_tables_exact(tables)
+
+
+def _assert_fused_tables_exact(tables):
+    """Through ``tables``' fused form, every formed code at every one of
+    the 256 stream bytes b gives its kernel's ``code_table[b]``: each code
+    alone, and all of them in one call, so codes of every chunk mix.  Each
+    chunk of depth s ranks at most 256 >> s codes, and the chunks hold
+    each formed code once."""
+    formed, kernels = tables.formed, tables.kernels
+    assert formed == bytes(sorted(kernels))
+    for code in formed:
+        assert tables.decide(bytes([code]) * 256, bytes(range(256))) \
+            == kernels[code][3], code
+    draws = bytes([b for b in range(256) for _ in formed])
+    assert tables.decide(formed * 256, draws) == bytes(
+        [kernels[code][3][b] for b in range(256) for code in formed])
+    ranked = []
+    for ranks, tops, table, members in tables.chunks:
+        s = tops[255].bit_length()
+        assert tops == bytes([b >> (8 - s) for b in range(256)])
+        assert (members is None) == (len(tables.chunks) == 1)
+        group = [code for code in formed if members is None or members[code]]
+        assert 0 < len(group) <= 256 >> s
+        assert all(kernels[code][1] <= 1 << s for code in group)
+        assert sorted(ranks[code] >> s for code in group) == list(range(len(group)))
+        ranked += group
+    assert sorted(ranked) == list(formed)
+
+
+def test_program_tables_decide_every_reachable_key_exactly():
+    # every reachable key, through the fused tables of a program whose
+    # sessions formed it, at every stream byte gives its code table's byte
+    from qauthsim.harness import parse_scenario, run_scenario
+
+    _empty_programs()
+    covered = set()
+    for doc in _KEY_SCENARIOS:
+        spec = parse_scenario({"seed": 5, "trials": 40,
+                               "photon": {"p1": 0.5}, **doc})
+        run_scenario(spec)
+        tables = protocol._program(spec.session, spec.attack, spec.photon,
+                                   spec.p_loss).tables
+        _assert_fused_tables_exact(tables)
+        covered |= {tables.key_of(code) for code in tables.formed}
+    assert covered == set(REACHABLE_KEYS)
+
+
+def test_swap_intercept_on_both_paths_decides_in_several_chunks():
+    # a random-basis intercept on both paths of a swap session forms key
+    # codes of depth 5, more than one chunk holds
+    cfg = protocol.SessionConfig(k=17, d=41, mode=protocol.ProtocolMode.SWAP,
+                                 belief_rule=protocol.BeliefRule.COMPOSED)
+    attack = AttackConfig(AttackKind.INTERCEPT_RESEND, path=TapPath.BOTH)
+    program = protocol._SessionProgram(cfg, attack, PhotonCountModel(), 0.0)
+    for trial in range(20):
+        program.run(cfg, attack, RandomSource(61, trial))
+    tables = program.tables
+    assert len(tables.chunks) >= 2
+    assert max(kernel[1] for kernel in tables.kernels.values()) == 32
+    _assert_fused_tables_exact(tables)
+
+
+def test_deepest_reachable_kernels_fill_chunks_of_eight():
+    # the deepest kernels a session reaches have total 32: depth 5, so a
+    # chunk ranks eight of them and twenty take three chunks
+    totals = [kernel[1] for kernel in qsim.slot_kernels(REACHABLE_KEYS)]
+    deepest = [key for key, total in zip(REACHABLE_KEYS, totals)
+               if total == max(totals)]
+    assert max(totals) == 32 and len(deepest) == 20
+    tables = qsim.CodeTables(deepest.__getitem__)
+    tables.form(bytes(range(len(deepest))))
+    assert len(tables.chunks) == 3
+    _assert_fused_tables_exact(tables)
+
+
+def test_program_alphabet_grows_across_sessions():
+    # codes join the fused tables as sessions first form them; the chunks
+    # are grouped again and stay exact at every size the alphabet passes
+    cfg = protocol.SessionConfig(k=3, d=4)
+    attack = AttackConfig(AttackKind.INTERCEPT_RESEND, path=TapPath.BOTH)
+    program = protocol._SessionProgram(cfg, attack, PhotonCountModel(), 0.0)
+    sizes = [0]
+    for trial in range(40):
+        program.run(cfg, attack, RandomSource(62, trial))
+        if len(program.tables.formed) != sizes[-1]:
+            sizes.append(len(program.tables.formed))
+            _assert_fused_tables_exact(program.tables)
+    assert len(sizes) > 3 and sizes == sorted(sizes)
+
+
+def _fake_kernel(depth, code):
+    """A kernel of total 2**depth: outcomes of weights 1, 2, 1, 2, ... and
+    one of the rest, each its own outcome code."""
+    total = 1 << depth
+    weights = [1 + (j & 1) for j in range(2 * total // 3)]
+    weights.append(total - sum(weights))
+    weights = [w for w in weights if w]
+    outcomes = [(code * 29 + 7 * j) & 255 for j in range(len(weights))]
+    return (tuple(accumulate(weights)), total, tuple(outcomes),
+            qsim._code_table(weights, outcomes))
+
+
+def test_chunks_stay_exact_at_every_depth_up_to_8(monkeypatch):
+    # kernels of every depth 0..8, several of each, one of total 256 alone
+    # in its chunk; every code at every byte gives its code table's byte
+    for depth in range(9):
+        for code in range(3):
+            monkeypatch.setitem(qsim._KERNELS, ("fake", depth, code),
+                                _fake_kernel(depth, 9 * code + depth))
+    keys = [("fake", depth, code) for code in range(3) for depth in range(9)]
+    tables = qsim.CodeTables(keys.__getitem__)
+    tables.form(bytes(range(len(keys))))
+    # deepest first, each chunk of depth s taking up to 256 >> s codes
+    assert [members.count(255) for *_, members in tables.chunks] \
+        == [1, 1, 1, 2, 2, 4, 8, 8]
+    _assert_fused_tables_exact(tables)
 
 
 # --- slots, randomness, arbitrary registers ---------------------------------------
