@@ -18,13 +18,15 @@ median is worse than the parent's by more than the metric's bound.
 
 A run is flagged when it exits nonzero, reports ``failed`` > 0, or prints
 an ``output sha256`` other than the parent's first run printed.
-``--json`` writes the script's own arguments, every run with its command,
-and every summary.  The exit code is 1 when any run was flagged.
+``--json`` writes the script's own arguments, each checkout's
+``src_sha256`` (see :func:`src_sha256`), every run with its command, and
+every summary.  The exit code is 1 when any run was flagged.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -71,6 +73,24 @@ def summarize(parent: list[float], change: list[float], better: str,
         "gain_holds": pairs >= 10 and 10 * wins >= 9 * pairs and gap > iqr,
         "regressed": -gap > bound * p_q[1],
     }
+
+
+def src_sha256(checkout: str) -> str:
+    """A SHA-256 over the files under ``checkout``'s ``src/``, naming the
+    code a run measured: each file's path relative to ``src/`` and the
+    SHA-256 of its bytes, in path order.  ``__pycache__`` directories,
+    which running the code writes, are left out."""
+    root = os.path.join(checkout, "src")
+    files = []
+    for folder, dirs, names in os.walk(root):
+        dirs[:] = [name for name in dirs if name != "__pycache__"]
+        files += [os.path.join(folder, name) for name in names]
+    digest = hashlib.sha256()
+    for path in sorted(os.path.relpath(file, root) for file in files):
+        with open(os.path.join(root, path), "rb") as handle:
+            content = hashlib.sha256(handle.read()).hexdigest()
+        digest.update(f"{path.replace(os.sep, '/')}\0{content}\n".encode())
+    return digest.hexdigest()
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -191,6 +211,8 @@ def main(argv: list[str]) -> int:
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump({"argv": ["scripts/paired_bench.py"] + argv,
+                       "src_sha256": {side: src_sha256(checkouts[side])
+                                      for side in SIDES},
                        "pairs": args.pairs,
                        "order": "even pairs (counted from 0) run the parent"
                                 " first, odd pairs the change",

@@ -44,9 +44,13 @@ from .channel import (
 )
 from .qsim import (
     BASIS_OF_BIT,
+    EVE_A,
+    EVE_B,
     MeasBasis,
     RandomSource,
     StateRegister,
+    _NOT,
+    agreements,
     prepare_ghz,
     prepare_polarized,
 )
@@ -93,14 +97,15 @@ _TAP_KINDS = (AttackKind.INTERCEPT_RESEND, AttackKind.SUBSET_GUESS, AttackKind.P
 _INTERCEPT_RESEND, _SUBSET_GUESS, _PNS = _TAP_KINDS
 _RANDOM_PER_SLOT = BasisChoice.RANDOM_PER_SLOT
 _REALTIME = LocationKnowledge.REALTIME
-# a 0 or 1 byte negated; a basis bit as its tap code, 1 + the bit; by
-# basis bit b, a 0 or 1 mark as the tap code of a read in basis b where it
-# is 1; and by basis bit b, a tap code as 1 where it reads in basis b, else 0
-_NOT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+# a basis bit as its tap code, 1 + the bit; by basis bit b, a 0 or 1 mark
+# as the tap code of a read in basis b where it is 1; by basis bit b, a tap
+# code as 1 where it reads in basis b, else 0; and by path, the outcome
+# field that holds the tap's read
 _READ_IN = bytes.maketrans(b"\x00\x01", b"\x01\x02")
 _READ_WHERE = tuple([bytes.maketrans(b"\x01", bytes([1 + bit])) for bit in (0, 1)])
 _IN_BASIS = tuple([bytes([int(code == 1 + bit) for code in range(256)])
                    for bit in (0, 1)])
+_READ_FIELD = {Path.TO_ALICE: EVE_A, Path.TO_BOB: EVE_B}
 
 
 @dataclass(frozen=True)
@@ -136,18 +141,18 @@ class AttackConfig:
 class EveState:
     """Everything the adversary accumulates across one session.
 
-    ``plan`` is the session's layout, None before one is drawn.  A
-    session keeps its taps' reads as ``rows``, one per tapped path:
-    (path, codes, outcomes, field), each byte string one byte per slot in
-    the order the session draws its slots (:meth:`SessionPlan.draw_order`):
-    ``codes`` each slot's tap code (0 unread, 1 + basis bit read, as
-    :func:`draw_taps` gives them), ``outcomes`` each slot's outcome code
-    (see :func:`~qauthsim.qsim.outcome_code`), and ``field`` the outcome
-    field that holds eve's read, the shift of its bit in the code.  A PNS
-    tap keeps its splits as ``splits``, one (path, marks) per tapped path,
-    the marks one byte per position, 1 where the slot's photon was split.
-    A compromised relay's record is ``key_record``, one byte per key slot
-    in position order.
+    ``plan`` is the session's layout, None before one is drawn.  Every
+    byte string below holds one byte per slot in the order the session
+    draws its slots, the detection slots first, then the key slots, each
+    in position order (:meth:`SessionPlan.draw_order`).  The taps' record
+    is ``rows``, one (path, codes, splits) per tapped path, as
+    :func:`draw_taps` writes it: ``codes`` each slot's tap code (0
+    unread, 1 + the basis bit it is read in), and ``splits`` a PNS tap's
+    split marks, 1 where the slot's photon was split, None for any other
+    tap.  ``outcomes`` holds each slot's outcome code (see
+    :func:`~qauthsim.qsim.outcome_code`), where a tap's read is the bit
+    of its path's field.  A compromised relay's record is ``key_record``,
+    one byte per key slot in position order.
 
     Three views are built from these on first access, each a dict or set
     the per-photon path (:func:`_tap`, :func:`_emit_server_product`,
@@ -160,8 +165,8 @@ class EveState:
     plan: SessionPlan | None = None
     key_record: bytes = b""
     retained: list[tuple[int, StateRegister]] = field(default_factory=list)
-    rows: tuple[tuple, ...] = ()
-    splits: tuple[tuple[Path, bytes], ...] = ()
+    rows: tuple[tuple[Path, bytes, bytes | None], ...] = ()
+    outcomes: bytes = b""
     _measured: dict[tuple[Path, int], tuple[int, MeasBasis]] | None = field(
         default=None, repr=False, compare=False)
     _split_positions: set[tuple[Path, int]] | None = field(
@@ -177,12 +182,12 @@ class EveState:
     def measured(self) -> dict[tuple[Path, int], tuple[int, MeasBasis]]:
         measured = self._measured
         if measured is None:
-            order = (self.plan.positions + self.plan.key_positions
-                     if self.rows else ())
+            order = self._draw_positions()
             measured = self._measured = {
-                (path, position): (out >> read & 1, BASIS_OF_BIT[code - 1])
-                for path, codes, outcomes, read in self.rows
-                for position, code, out in zip(order, codes, outcomes)
+                (path, position): (out >> _READ_FIELD[path] & 1,
+                                   BASIS_OF_BIT[code - 1])
+                for path, codes, _splits in self.rows
+                for position, code, out in zip(order, codes, self.outcomes)
                 if code}
         return measured
 
@@ -190,10 +195,19 @@ class EveState:
     def split_positions(self) -> set[tuple[Path, int]]:
         split = self._split_positions
         if split is None:
+            order = self._draw_positions()
             split = self._split_positions = {
-                (path, position) for path, marks in self.splits
-                for position in compress(range(len(marks)), marks)}
+                (path, position) for path, _codes, splits in self.rows
+                if splits is not None
+                for position in compress(order, splits)}
         return split
+
+    def _draw_positions(self) -> tuple[int, ...]:
+        """The position of each byte of a row, in draw order (none without
+        a row, as before a layout is drawn)."""
+        if not self.rows:
+            return ()
+        return self.plan.positions + self.plan.key_positions
 
     @property
     def server_record(self) -> dict[int, int]:
@@ -296,69 +310,61 @@ def stage_attack(plan: "SessionPlan", photon: PhotonCountModel, p_loss: float,
 
 
 def draw_taps(eve: EveState, plan: "SessionPlan", photon: PhotonCountModel,
-              rand: RandomSource) -> tuple[bytes | None, bytes | None]:
+              rand: RandomSource) -> None:
     """The in-flight taps' session-level draws: the subset guess, then per
     tapped path in path order, slot by slot in position order over the
     slots the tap targets, a PNS tap's photon count (none from an ideal
     source) or a blind random-basis tap's basis bit.
 
-    The tap targets the guessed slots of a subset guess, the key slots under
-    realtime location knowledge, and every slot otherwise, each as one mark
-    per position (a guess is :meth:`~qauthsim.qsim.RandomSource.sample_marks`,
-    the key slots ``plan.key_marks``).  A PNS tap splits a multi-photon
-    slot, with no disturbance, and records its split marks on
-    ``eve.splits``; every other targeted slot is read.  A blind
-    intercept-resend tap (no realtime knowledge) reads in its random or
-    fixed basis, every other tap in the key basis.  Returns, for the
-    initiator's and the responder's path, a row of one tap code per
-    position: 0 where the slot is not read, 1 + the basis bit it is read
-    in where it is; None for an untapped path."""
+    The tap targets the guessed slots of a subset guess (one mark per
+    position, :meth:`~qauthsim.qsim.RandomSource.sample_marks`), the key
+    slots under realtime location knowledge, and every slot otherwise.  A
+    PNS tap splits a multi-photon slot, with no disturbance; every other
+    targeted slot is read.  A blind intercept-resend tap (no realtime
+    knowledge) reads in its random or fixed basis, every other tap in the
+    key basis.
+
+    Writes ``eve.rows``, one (path, tap codes, split marks or None) per
+    tapped path (see :class:`EveState`), each byte string in draw order.
+    A draw made per position is put in draw order once, where it is
+    drawn (:meth:`SessionPlan.draw_order`); the key slots' draws come
+    last in that order, so realtime targets are the d detection slots'
+    zero bytes followed by the key slots' bytes.  A PNS tap's photon
+    counts give both its tap codes and its split marks."""
     attack = eve.attack
     kind = eve.kind
     if kind not in _TAP_KINDS:
-        return None, None
-    total = plan.total_slots
+        return
+    total, d = plan.total_slots, plan.config.d
     realtime = attack.location_knowledge is _REALTIME
+    # decrypted control traffic names the detection slots
+    skipped = bytes(d) if realtime else b""
     if kind is _SUBSET_GUESS:
-        targets = rand.sample_marks(total, attack.guess_count)
-    elif realtime:
-        # decrypted control traffic names the detection slots
-        targets = plan.key_marks
+        targets = plan.draw_order(rand.sample_marks(total, attack.guess_count))
     else:
-        targets = b"\x01" * total
+        targets = skipped.ljust(total, b"\x01")
     counted = kind is _PNS and photon.p1 < 1.0
     blind = kind is _INTERCEPT_RESEND and not realtime
     random_basis = blind and attack.basis_choice is _RANDOM_PER_SLOT
     basis = attack.fixed_basis if blind else plan.config.key_basis
     read_where = _READ_WHERE[basis is MeasBasis.DIAGONAL]
-    rows: dict[Path, bytes] = {}
-    splits = []
+    rows = []
     for path in attack.path.channel_paths():
+        splits = None
         if random_basis:
-            row = rand.bits(total).translate(_READ_IN)
+            codes = plan.draw_order(rand.bits(total).translate(_READ_IN))
         elif counted:
             # a photon count is 1 where its uniform draw is below p1, one
             # per target in position order
-            single = rand.below(plan.config.k if realtime else total,
-                                photon.p1)
-            if realtime:
-                # the key slots' counts, in key order, spread to their
-                # positions; a detection slot is neither read nor split
-                spread, split = bytearray(total), bytearray(total)
-                for position, one in zip(compress(range(total), targets),
-                                         single):
-                    spread[position], split[position] = one, 1 - one
-                single, split = bytes(spread), bytes(split)
-            else:
-                split = single.translate(_NOT)
-            splits.append((path, split))
-            row = single.translate(read_where)
+            single = rand.below(total - len(skipped), photon.p1)
+            if not realtime:
+                single = plan.draw_order(single)
+            codes = skipped + single.translate(read_where)
+            splits = skipped + single.translate(_NOT)
         else:
-            row = targets.translate(read_where)
-        rows[path] = row
-    if splits:
-        eve.splits = tuple(splits)
-    return rows.get(Path.TO_ALICE), rows.get(Path.TO_BOB)
+            codes = targets.translate(read_where)
+        rows.append((path, codes, splits))
+    eve.rows = tuple(rows)
 
 
 def finish_session(eve: EveState, rand: RandomSource) -> None:
@@ -413,16 +419,13 @@ def eve_knowledge_report(outcome: "SessionOutcome") -> KnowledgeReport:
     record equals the responder's bit; the relay records every key slot.
 
     Both are counts over bytes the session holds in key-slot order.  The
-    reads come from ``eve.rows``, whose codes hold the detection slots
-    first, then the key slots, each in position order: a key slot is known
-    where any tapped path read it in the key basis, the OR of the rows'
-    key-slot codes through ``_IN_BASIS``, or split its photon, the OR of
-    each path's split marks put in the same order
-    (:meth:`SessionPlan.draw_order`).  The copy hits are the key slots
-    where ``eve.key_record`` and the responder's bits agree.  No position
-    tuple is built."""
+    rows' bytes are in draw order, the key slots' last: a key slot is
+    known where any tapped path read it in the key basis, the OR of the
+    rows' key-slot codes through ``_IN_BASIS``, or split its photon, the OR
+    of the rows' key-slot split marks.  The copy hits are the key slots
+    where ``eve.key_record`` and the responder's bits agree
+    (:func:`~qauthsim.qsim.agreements`).  No position tuple is built."""
     eve, plan = outcome.eve, outcome.plan
-    # a split is on a tapped path, which has a row
     if not (eve.rows or eve.key_record):
         return _NO_KNOWLEDGE  # honest sessions, and every lost stream
     cfg = plan.config
@@ -431,17 +434,15 @@ def eve_knowledge_report(outcome: "SessionOutcome") -> KnowledgeReport:
     if cfg.mode.value == "base":
         d = cfg.d
         in_key_basis = _IN_BASIS[cfg.key_basis is MeasBasis.DIAGONAL]
-        for _path, codes, _outcomes, _field in eve.rows:
+        for _path, codes, splits in eve.rows:
             known |= int.from_bytes(codes[d:].translate(in_key_basis), "big")
-        for _path, split in eve.splits:
-            known |= int.from_bytes(plan.draw_order(split)[d:], "big")
+            if splits is not None:
+                known |= int.from_bytes(splits[d:], "big")
 
     copy_hits: int | None = None
     bob = outcome.bob_key_bits
     if eve.key_record and bob is not None:
         # the relay records every key slot, and only those
-        copy_hits = cfg.k - (
-            int.from_bytes(eve.key_record, "big")
-            ^ int.from_bytes(bob, "big")).bit_count()
+        copy_hits = agreements(eve.key_record, bob)
 
     return KnowledgeReport(plan, copy_hits, known)

@@ -261,11 +261,9 @@ class MetricSummary(NamedTuple):
     verdict: str | None  # "pass" | "fail" | None when not graded
 
     def to_row(self) -> dict:
-        return {"name": self.name, "mean": self.mean, "n": self.n,
-                "ci99_low": self.ci99_low, "ci99_high": self.ci99_high,
-                "analytic": self.analytic, "note": self.note,
-                "abs_diff": self.abs_diff,
-                "sigma_distance": self.sigma_distance, "verdict": self.verdict}
+        row = self._asdict()
+        del row["count"]
+        return row
 
 
 @dataclass

@@ -55,8 +55,6 @@ from .qsim import (
     BASIS_OF_BIT,
     BELL_ORDER,
     BOB,
-    EVE_A,
-    EVE_B,
     FIELD_BITS,
     PAIR_SOURCE,
     RELAY,
@@ -69,6 +67,7 @@ from .qsim import (
     RandomSource,
     _Memo,
     _NOT,
+    agreements,
     bell_compose,
     measure_bell,
     measure_in_basis,
@@ -153,7 +152,6 @@ class SessionConfig:
         return self.k + self.d
 
 
-_TO_ALICE, _TO_BOB = Path.TO_ALICE, Path.TO_BOB
 _IDEAL_SOURCE = PhotonCountModel()
 # a twin source's (2 * basis bit + value) basis, and its value as text
 _BASIS_OF_TWIN = (BASIS_OF_BIT[0],) * 2 + (BASIS_OF_BIT[1],) * 2
@@ -457,14 +455,13 @@ def _program(cfg: SessionConfig, attack: AttackConfig | None,
 # for a key slot read directly and 2 + the created label for one read
 # through the relay step, whose low part is the relay's planted bit (0
 # without one); and the tap codes of :func:`draw_taps`.  A key slot's code
-# by its created label (see ``read_slots``), and a tap code's basis bit.
+# by its created label (see ``read_slots``), a tap code's basis bit, and a
+# path's tap code weight.
 _GROUP = 36
 _CREATED_CODES = bytes([_GROUP * (2 + label) for label in range(4)]).ljust(256, b"\0")
 _TAP_BASIS = (None, 0, 1)
+_TAP_WEIGHT = {Path.TO_ALICE: 4, Path.TO_BOB: 12}
 _MATCH_LINES = {matched: f"token match={matched}" for matched in (False, True)}
-# an outcome code as 1 where its initiator and responder bits agree
-_KEYS_AGREE = bytes([1 ^ (code >> ALICE ^ code >> BOB) & 1
-                     for code in range(256)])
 # by field ALICE .. SERVER, an outcome code's bit of that field as text
 _FIELD_TEXT = tuple([bits.translate(_BIT_TEXT) for bits in FIELD_BITS])
 # A relay step's index, created label << 3 | pair outcome << 1 | kept bit,
@@ -537,11 +534,11 @@ class _SessionProgram:
 
         plan = plan_session(cfg, rand)
         eve = EveState(attack, plan)
-        taps = draw_taps(eve, plan, self.photon, rand)
-        decoys, keys, created = self.read_slots(plan, eve, taps, rand)
+        draw_taps(eve, plan, self.photon, rand)
+        decoys, keys, created = self.read_slots(plan, eve, rand)
         values = int.from_bytes(plan.twin_sources.translate(_VALUE_TEXT), "big")
         swap = self.swap
-        bob_errors = bob_key = token = matched = matches = None
+        bob_errors = bob_key = token = matched = None
 
         # step 4: arrival checks; in BASE mode both parties also read their keys
         alice_errors, passed, alice_key = self.arrival(
@@ -550,8 +547,6 @@ class _SessionProgram:
         if not swap:
             bob_errors, bob_passed, bob_key = self.arrival(
                 add, "4", "bob", BOB, decoys, keys, values)
-            # both parties' key bits come from each key slot's outcome code
-            matches = keys.translate(_KEYS_AGREE).count(1)
             if not bob_passed:
                 failed += ("bob",)
                 passed = False
@@ -568,11 +563,9 @@ class _SessionProgram:
                 # step 5d: the responder measures nothing until the token exists
                 bob_errors, passed, bob_key = self.arrival(
                     add, "5d", "bob", BOB, decoys, keys, values)
-                matches = self.k - (int.from_bytes(alice_key, "big")
-                                    ^ int.from_bytes(bob_key, "big")
-                                    ).bit_count()
                 if not passed:
                     failed += ("bob",)
+        matches = None if bob_key is None else agreements(alice_key, bob_key)
 
         if passed:
             matched = authenticate(token, bob_key)
@@ -616,7 +609,7 @@ class _SessionProgram:
         rate = _error_rate(errors, self.d)
         return passed, f"tamper check rate={rate:.6f} pass={passed}"
 
-    def read_slots(self, plan: SessionPlan, eve: EveState, taps: tuple,
+    def read_slots(self, plan: SessionPlan, eve: EveState,
                    rand: RandomSource) -> tuple[bytes, bytes, bytes | None]:
         """Every slot's outcome code (see :func:`~qauthsim.qsim.slot_kernels`):
         the detection slots', the key slots' and the key slots' created pair
@@ -628,13 +621,12 @@ class _SessionProgram:
 
         Each slot has a one-byte slot code (see ``_GROUP``), in draw
         order, built by bytewise arithmetic on the plan's twin sources, the
-        planted bits (one integer add), the created labels and each tapped
-        path's tap codes, put in draw order from the plan's marks
-        (:meth:`SessionPlan.draw_order`).  ``tables`` decides every slot
-        from its code and its byte with a few ``translate`` calls, a code
-        no session formed before joining it on the way.  Eve's reads go on
-        ``eve.rows``, one row per tapped path, and the compromised relay's
-        record on ``eve.key_record``."""
+        planted bits (one integer add), the created labels and the tap
+        codes of ``eve.rows``, which :func:`draw_taps` wrote in draw order.
+        ``tables`` decides every slot from its code and its byte with a few
+        ``translate`` calls, a code no session formed before joining it on
+        the way.  Every slot's outcome code goes on ``eve.outcomes``, and
+        the compromised relay's record on ``eve.key_record``."""
         k, d = self.k, self.d
         key_codes = self.key_codes
         planted = created = None
@@ -649,26 +641,15 @@ class _SessionProgram:
                          + int.from_bytes(planted, "big")).to_bytes(k, "big")
         codes = plan.twin_sources + key_codes
 
-        tapped = taps != (None, None)
-        if tapped:
-            # each tapped path's tap codes in draw order, weighted into the
-            # slot codes; no code reaches 256, so no byte carries
-            columns = [None if row is None else plan.draw_order(row)
-                       for row in taps]
+        if eve.rows:
+            # each tapped path's tap codes weighted into the slot codes; no
+            # code reaches 256, so no byte carries
             code = int.from_bytes(codes, "little")
-            for column, weight in zip(columns, (4, 12)):
-                if column is not None:
-                    code += weight * int.from_bytes(column, "little")
+            for path, taps, _splits in eve.rows:
+                code += _TAP_WEIGHT[path] * int.from_bytes(taps, "little")
             codes = code.to_bytes(self.total, "little")
-        outs = rand.outcomes(codes, self.tables)
+        outs = eve.outcomes = rand.outcomes(codes, self.tables)
         keys = outs[d:]
-
-        if tapped:
-            eve.rows = tuple([
-                (path, column, outs, field)
-                for path, column, field in ((_TO_ALICE, columns[0], EVE_A),
-                                            (_TO_BOB, columns[1], EVE_B))
-                if column is not None])
         if self.ghz:
             eve.key_record = keys.translate(FIELD_BITS[SERVER])
         return outs[:d], keys, created

@@ -78,6 +78,14 @@ _TOP_BIT, _TOP_TWO_BITS = _TOP_BITS[1], _TOP_BITS[2]
 _NOT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
+def agreements(a: Sequence[int], b: Sequence[int]) -> int:
+    """How many places of ``a`` and ``b``, equal-length sequences of bits
+    (bytes, or tuples of 0 and 1), hold the same bit: len(a) minus the
+    popcount of the two read as integers and XORed."""
+    return len(a) - (int.from_bytes(a, "big")
+                     ^ int.from_bytes(b, "big")).bit_count()
+
+
 class _Memo(dict):
     """A dict that builds each missing key's value, ``build(key)``, on
     first lookup and keeps it."""

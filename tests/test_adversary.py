@@ -24,7 +24,7 @@ from qauthsim.protocol import (
     SessionStatus,
     run_session,
 )
-from qauthsim.qsim import MeasBasis, RandomSource
+from qauthsim.qsim import EVE_A, EVE_B, MeasBasis, RandomSource
 from qauthsim.secparams import evasion_prob, pns_exact_evasion
 from test_protocol import _relay_steps
 
@@ -435,7 +435,7 @@ def _reference_knowledge(outcome):
     if cfg.mode is ProtocolMode.BASE:
         key_positions, d = plan.key_positions, cfg.d
         in_key_basis = _IN_BASIS[cfg.key_basis is MeasBasis.DIAGONAL]
-        for _path, codes, _outcomes, _field in eve.rows:
+        for _path, codes, _splits in eve.rows:
             certain.update(compress(key_positions,
                                     codes[d:].translate(in_key_basis)))
         key_set = set(key_positions)
@@ -514,8 +514,9 @@ def _old_views(spec, trial, out):
     marks: the plan as ``sample_partition``'s two tuples; each tap's
     targets as positions (``sample_positions`` for a guess), its photon
     counts and basis bits per target, the splits as (path, position) and
-    the reads scattered to a row by position; eve's reads zipped with the
-    detection positions, then the key positions; the relay's record zipped
+    the reads scattered to a row by position; each of eve's rows, its
+    codes, split marks and reads, zipped with the detection positions, then
+    the key positions; the relay's record zipped
     with the key positions; and the known key positions as a set."""
     cfg, attack, photon = spec.session, spec.attack, spec.photon
     total, d, k = cfg.total_slots, cfg.d, cfg.k
@@ -554,10 +555,15 @@ def _old_views(spec, trial, out):
         assert record == twin.bits(k)
     order = positions + key_positions
     measured, known = {}, set()
-    for path, codes, outcomes, field in out.eve.rows:
+    for path, codes, splits in out.eve.rows:
         old = rows.pop(path)
         assert codes == bytes(map(old.__getitem__, order))
-        for position, out_code in zip(order, outcomes):
+        # split marks, in the same order, where a PNS tap counted photons
+        assert splits == (bytes([(path, p) in split for p in order])
+                          if kind is AttackKind.PNS and photon.p1 < 1.0
+                          else None)
+        field = EVE_A if path is Path.TO_ALICE else EVE_B
+        for position, out_code in zip(order, out.eve.outcomes):
             if old[position]:
                 basis = MeasBasis.DIAGONAL if old[position] == 2 \
                     else MeasBasis.RECTILINEAR
@@ -660,3 +666,37 @@ def test_sessions_build_no_position_tuple(monkeypatch, mode, attack):
     for name in ("measured", "split_positions", "server_record"):
         monkeypatch.setattr(EveState, name, property(refuse))
     run_scenario(spec)
+
+
+_DRAW_ORDER_TAPS = {
+    "intercept-random": {"kind": "intercept_resend"},
+    "intercept-fixed": {"kind": "intercept_resend", "basis_choice": "fixed",
+                        "fixed_basis": "diagonal"},
+    "pns-never": {"kind": "pns"},
+    "pns-realtime": {"kind": "pns", "location_knowledge": "realtime"},
+    "subset": {"kind": "subset_guess", "guess_count": 17}}
+
+
+@pytest.mark.parametrize("path", ["to_bob", "both"])
+@pytest.mark.parametrize("tap", sorted(_DRAW_ORDER_TAPS))
+def test_only_draw_taps_puts_a_row_in_draw_order(monkeypatch, tap, path):
+    # the adversary's record is in draw order from the draw: at the paper's
+    # sizing a scenario run, sessions, knowledge reports and fold, calls
+    # SessionPlan.draw_order from draw_taps and from nowhere else
+    import sys
+    from collections import Counter
+
+    from qauthsim.protocol import SessionPlan
+
+    draw_order, callers = SessionPlan.draw_order, Counter()
+
+    def counted(self, row):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return draw_order(self, row)
+
+    monkeypatch.setattr(SessionPlan, "draw_order", counted)
+    run_scenario(parse_scenario({
+        "seed": 2026, "trials": 8, "session": {"k": 17, "d": 41},
+        "attack": {**_DRAW_ORDER_TAPS[tap], "path": path},
+        "photon": {"p1": 0.5}}))
+    assert set(callers) <= {"draw_taps"}, callers

@@ -700,16 +700,25 @@ def _tap_row(total, reads):
     return bytes([1 + reads[p] if p in reads else 0 for p in range(total)])
 
 
+def _in_draw_order(plan, rows):
+    """Per-position (path, codes, split marks or None) rows, each byte
+    string put in the order eve.rows holds it."""
+    return tuple([(path, plan.draw_order(codes),
+                   None if split is None else plan.draw_order(split))
+                  for path, codes, split in rows])
+
+
 def _reference_pns_taps(eve, plan, photon, cursor):
     """draw_taps for a PNS attack, one photon count at a time: a photon is
     single where its uniform draw (:func:`_reference_below_draws`) is below
-    p1; an ideal source draws no count."""
+    p1; an ideal source draws no count.  Returns, per tapped path, (path,
+    row, split marks by position, None from an ideal source)."""
     attack = eve.attack
     total = plan.total_slots
     targets = (plan.key_positions if attack.location_knowledge
                is LocationKnowledge.REALTIME else range(total))
     bit = int(plan.config.key_basis is MeasBasis.DIAGONAL)
-    rows = {}
+    rows = []
     for path in attack.path.channel_paths():
         reads = {}
         draws = (_reference_below_draws(cursor, len(targets), photon.p1)
@@ -719,13 +728,16 @@ def _reference_pns_taps(eve, plan, photon, cursor):
                 eve.split_positions.add((path, position))
             else:
                 reads[position] = bit
-        rows[path] = _tap_row(total, reads)
-    return rows.get(Path.TO_ALICE), rows.get(Path.TO_BOB)
+        split = (bytes([(path, p) in eve.split_positions for p in range(total)])
+                 if photon.p1 < 1.0 else None)
+        rows.append((path, _tap_row(total, reads), split))
+    return rows
 
 
 def _reference_read_taps(eve, plan, cursor):
     """draw_taps for an intercept-resend or subset-guess attack, one basis
-    bit at a time, the top bit of one byte."""
+    bit at a time, the top bit of one byte.  Returns, per tapped path,
+    (path, row, None)."""
     attack = eve.attack
     total = plan.total_slots
     realtime = attack.location_knowledge is LocationKnowledge.REALTIME
@@ -737,7 +749,7 @@ def _reference_read_taps(eve, plan, cursor):
         targets = range(total)
     blind = attack.kind is AttackKind.INTERCEPT_RESEND and not realtime
     basis = attack.fixed_basis if blind else plan.config.key_basis
-    rows = {}
+    rows = []
     for path in attack.path.channel_paths():
         reads = {}
         for position in targets:
@@ -745,8 +757,8 @@ def _reference_read_taps(eve, plan, cursor):
                 reads[position] = cursor.take(1)[0] >> 7
             else:
                 reads[position] = int(basis is MeasBasis.DIAGONAL)
-        rows[path] = _tap_row(total, reads)
-    return rows.get(Path.TO_ALICE), rows.get(Path.TO_BOB)
+        rows.append((path, _tap_row(total, reads), None))
+    return rows
 
 
 @pytest.mark.parametrize("p1", (1.0,) + _PROBABILITIES)
@@ -760,9 +772,10 @@ def test_pns_photon_counts_match_the_sample_loop(p1, tap_path, knowledge):
     for stream in range(10):
         plan = plan_session(_cfg(k=17, d=41), RandomSource(41, stream))
         rand, cursor = RandomSource(42, stream), _Cursor(42, stream)
-        eve, twin_eve = EveState(attack), EveState(attack)
-        assert draw_taps(eve, plan, photon, rand) == \
-            _reference_pns_taps(twin_eve, plan, photon, cursor)
+        eve, twin_eve = EveState(attack, plan), EveState(attack, plan)
+        draw_taps(eve, plan, photon, rand)
+        assert eve.rows == _in_draw_order(
+            plan, _reference_pns_taps(twin_eve, plan, photon, cursor))
         assert eve.split_positions == twin_eve.split_positions
         _assert_in_step(rand, cursor)
 
@@ -786,10 +799,11 @@ def test_tap_rows_match_the_per_slot_loop(attack, tap_path, key_basis):
         plan = plan_session(_cfg(k=17, d=41, key_basis=key_basis),
                             RandomSource(44, stream))
         rand, cursor = RandomSource(45, stream), _Cursor(45, stream)
-        eve, twin_eve = EveState(attack), EveState(attack)
-        rows = draw_taps(eve, plan, photon, rand)
-        assert rows == _reference_read_taps(twin_eve, plan, cursor)
-        assert all(row is None or type(row) is bytes for row in rows)
+        eve, twin_eve = EveState(attack, plan), EveState(attack, plan)
+        draw_taps(eve, plan, photon, rand)
+        assert eve.rows == _in_draw_order(
+            plan, _reference_read_taps(twin_eve, plan, cursor))
+        assert all(type(codes) is bytes for _path, codes, _split in eve.rows)
         assert not eve.split_positions
         _assert_in_step(rand, cursor)
 

@@ -1,6 +1,7 @@
 """Smoke tests for the example scripts: each runs end to end on a few
 trials and prints its table headers.  The paired benchmark's summary and
-flags are tested on fixed numbers, without starting a process."""
+flags are tested on fixed numbers, and its source digest on a temporary
+tree, without starting a process."""
 
 import os
 import runpy
@@ -84,3 +85,29 @@ def test_paired_flags_failed_runs_and_moved_bytes():
         "change pair 0: output sha256 change, expected parent",
         "parent pair 1: exit 1",
         "parent pair 1: output sha256 None, expected parent"]
+
+
+def test_paired_src_sha256_names_the_source_tree(tmp_path):
+    src_sha256 = _paired_bench()["src_sha256"]
+
+    def tree(name, files):
+        for path, text in files.items():
+            file = tmp_path / name / path
+            file.parent.mkdir(parents=True, exist_ok=True)
+            file.write_text(text)
+        return str(tmp_path / name)
+
+    files = {"src/pkg/__init__.py": "", "src/pkg/core.py": "x = 1\n"}
+    digest = src_sha256(tree("a", files))
+    assert len(digest) == 64 and int(digest, 16) >= 0
+    # the same files anywhere name the same code; what running the code
+    # writes, and files outside src/, do not change it
+    assert src_sha256(tree("b", {
+        **files, "src/pkg/__pycache__/core.cpython-311.pyc": "cache",
+        "tests/test_core.py": "y = 2\n"})) == digest
+    # an edited, renamed or added file does
+    assert src_sha256(tree("c", {**files, "src/pkg/core.py": "x = 2\n"})) \
+        != digest
+    assert src_sha256(tree("d", {"src/pkg/__init__.py": "",
+                                 "src/pkg/main.py": "x = 1\n"})) != digest
+    assert src_sha256(tree("e", {**files, "src/pkg/new.py": ""})) != digest
